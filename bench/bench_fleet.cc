@@ -122,6 +122,7 @@ struct LoopMeter
     std::uint64_t events = 0;
     double seconds = 0.0;
     double calibrationSeconds = 0.0;
+    std::uint64_t calibrationTapes = 0;
 
     void
     add(const fleet::FleetReport &report)
@@ -130,19 +131,21 @@ struct LoopMeter
         seconds += report.kernelStats.loopSeconds;
         calibrationSeconds +=
             report.kernelStats.calibrationSeconds;
+        calibrationTapes += report.kernelStats.calibrationTapes;
     }
 
     void
     print(const char *label) const
     {
         std::printf("%s: %llu kernel events in %.1f ms (%.0f "
-                    "events/s) + %.1f ms calibration\n",
+                    "events/s) + %.1f ms calibration (%llu tapes)\n",
                     label, static_cast<unsigned long long>(events),
                     seconds * 1e3,
                     seconds > 0.0
                         ? static_cast<double>(events) / seconds
                         : 0.0,
-                    calibrationSeconds * 1e3);
+                    calibrationSeconds * 1e3,
+                    static_cast<unsigned long long>(calibrationTapes));
     }
 };
 

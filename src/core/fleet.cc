@@ -1503,6 +1503,17 @@ FleetSimulator::totalCalibrationSeconds() const
     return total;
 }
 
+std::uint64_t
+FleetSimulator::totalCalibrationTapes() const
+{
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+        if (cacheGroupOf_[i] == i)
+            total += replicas_[i]->calibrationTapes();
+    }
+    return total;
+}
+
 void
 FleetSimulator::warmSessionCosts(std::uint64_t max_context)
 {
@@ -1741,6 +1752,7 @@ FleetSimulator::run(std::vector<serving::ServedRequest> workload)
 
     const WorkloadShape shape = workloadShape(workload);
     const double calibration_start = totalCalibrationSeconds();
+    const std::uint64_t tapes_start = totalCalibrationTapes();
     std::vector<sched::ReplicaModel> models =
         calibrateAll(shape.typicalPrompt, shape.typicalContext,
                      shape.maxPrompt, shape.maxContext);
@@ -1760,6 +1772,8 @@ FleetSimulator::run(std::vector<serving::ServedRequest> workload)
     const double calibration_end = totalCalibrationSeconds();
     report.kernelStats.calibrationSeconds =
         calibration_end - calibration_start;
+    report.kernelStats.calibrationTapes =
+        totalCalibrationTapes() - tapes_start;
     report.kernelStats.loopSeconds =
         std::max(0.0, report.kernelStats.loopSeconds -
                           (calibration_end - calibration_warm));
@@ -1838,6 +1852,7 @@ FleetSimulator::run(const serving::SessionTrace &sessions)
 
     const WorkloadShape shape = workloadShape(workload);
     const double calibration_start = totalCalibrationSeconds();
+    const std::uint64_t tapes_start = totalCalibrationTapes();
     std::vector<sched::ReplicaModel> models =
         calibrateAll(shape.typicalPrompt, shape.typicalContext,
                      shape.maxPrompt, shape.maxContext);
@@ -1856,6 +1871,8 @@ FleetSimulator::run(const serving::SessionTrace &sessions)
     const double calibration_end = totalCalibrationSeconds();
     report.kernelStats.calibrationSeconds =
         calibration_end - calibration_start;
+    report.kernelStats.calibrationTapes =
+        totalCalibrationTapes() - tapes_start;
     report.kernelStats.loopSeconds =
         std::max(0.0, report.kernelStats.loopSeconds -
                           (calibration_end - calibration_warm));

@@ -211,6 +211,16 @@ struct KernelStats
      * tier to the interpolated cost model.
      */
     double calibrationSeconds = 0.0;
+
+    /**
+     * Full trace-driven engine simulations (tapes recorded) behind
+     * that calibration, summed over cache groups; every other
+     * cost-cell run replayed a tape.  A deterministic work counter:
+     * a function of the cells computed, whichever threads computed
+     * them (warming at calibrationThreads > 1 computes a session
+     * trace's whole grid; a lazy run only the cells it touches).
+     */
+    std::uint64_t calibrationTapes = 0;
 };
 
 /** Fleet-level outcome of one run. */
@@ -367,6 +377,9 @@ class FleetSimulator
      * KernelStats::loopSeconds from calibrationSeconds.
      */
     double totalCalibrationSeconds() const;
+
+    /** Tapes recorded by every cache group's engines so far. */
+    std::uint64_t totalCalibrationTapes() const;
 
     /**
      * The event-driven co-simulation core.  The workload-shape

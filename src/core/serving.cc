@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -200,7 +201,7 @@ ServingSimulator::storeCosts(std::size_t row, std::uint64_t column,
         tail.insert(it, {column, step});
 }
 
-ServingSimulator::StepCosts
+std::optional<ServingSimulator::StepCosts>
 ServingSimulator::simulateCosts(runtime::InferenceEngine &engine,
                                 const model::LlmConfig &llm,
                                 const ServingConfig &config,
@@ -219,28 +220,29 @@ ServingSimulator::simulateCosts(runtime::InferenceEngine &engine,
     request.profileTokens = 24;
     request.seed = config.seed;
 
-    runtime::InferenceResult result = engine.run(request);
-
-    // A bucket can be unservable even when smaller ones are not (KV
-    // cache grows with batch and context).  Fall back to the largest
-    // supported batch bucket and flag the bucket as saturated rather
-    // than serving the step at a corrupt zero cost.
+    const runtime::InferenceResult result = engine.run(request);
     StepCosts step;
-    while (!result.supported && request.batch > 1) {
-        request.batch /= 2;
-        result = engine.run(request);
-        step.saturatedFallback = true;
-    }
-
     if (result.supported) {
         step.prefill = result.prefillTime;
-        step.token =
-            result.generateTime / config.calibrationTokens;
+        step.token = result.generateTime / config.calibrationTokens;
+    } else if (request.batch > 1) {
+        return std::nullopt; // Capacity fallback: see exactCosts().
     } else {
         step.prefill = -1.0; // Sentinel: engine cannot serve this.
         step.token = -1.0;
     }
     return step;
+}
+
+runtime::InferenceEngine &
+ServingSimulator::rowEngine(std::size_t row)
+{
+    auto &engines = cache_->engines;
+    if (engines.size() <= row)
+        engines.resize(row + 1);
+    if (!engines[row])
+        engines[row] = runtime::makeEngine(config_.engine, system_);
+    return *engines[row];
 }
 
 ServingSimulator::StepCosts
@@ -259,16 +261,29 @@ ServingSimulator::exactCosts(std::uint32_t batch_bucket,
             return it->second;
     }
     CostCache &cache = *cache_;
-    if (!cache.engine)
-        cache.engine = runtime::makeEngine(config_.engine, system_);
+    runtime::InferenceEngine &engine = rowEngine(
+        static_cast<std::size_t>(std::countr_zero(batch_bucket)));
     const auto start = std::chrono::steady_clock::now();
-    const StepCosts step = simulateCosts(
-        *cache.engine, llm_, config_, batch_bucket, seq_bucket);
+    const std::optional<StepCosts> simulated = simulateCosts(
+        engine, llm_, config_, batch_bucket, seq_bucket);
     cache.engineSeconds +=
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
             .count();
     ++cache.engineRuns;
+    StepCosts step;
+    if (simulated) {
+        step = *simulated;
+    } else {
+        // A bucket can be unservable even when smaller ones are not
+        // (KV cache grows with batch and context).  Serve it at the
+        // largest supported batch bucket and flag it saturated
+        // rather than at a corrupt zero cost.  The half-batch bucket
+        // is the row below's own operating point, so its engine (and
+        // tape) computes it, once.
+        step = exactCosts(batch_bucket / 2, seq_bucket);
+        step.saturatedFallback = true;
+    }
     {
         // First writer wins; a racing writer computed the identical
         // value (pure function of the key), so keeping either is
@@ -409,6 +424,17 @@ ServingSimulator::calibrationRuns() const
     return cache_->engineRuns;
 }
 
+std::uint64_t
+ServingSimulator::calibrationTapes() const
+{
+    std::uint64_t tapes = 0;
+    for (const auto &engine : cache_->engines) {
+        if (engine)
+            tapes += engine->tapesBuilt();
+    }
+    return tapes;
+}
+
 void
 ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
                             std::uint32_t threads)
@@ -479,37 +505,53 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
         return true;
     });
 
+    // Whole rows go to workers: a row's cells differ only in
+    // context, so the row's engine records its tape once and replays
+    // it for every column.  `needed` is sorted by row; rows[k] is the
+    // start of the k-th row's run of cells.
+    std::vector<std::size_t> rows;
+    for (std::size_t i = 0; i < needed.size(); ++i) {
+        if (i == 0 || needed[i].row != needed[i - 1].row)
+            rows.push_back(i);
+    }
     // `threads` arrives pre-resolved from the fleet layer, but a
     // direct warmCosts(probes, 0) call must still get one worker,
     // not a zero-thread pool.
     const auto workers = static_cast<std::uint32_t>(
-        resolveWorkerCount(threads, 1, needed.size()));
+        resolveWorkerCount(threads, 1, rows.size()));
     if (workers > 1) {
-        // Parallel fill: each worker owns a private engine and a
-        // private timing accumulator; results land in a slot array
-        // and are inserted sequentially afterwards, so the cache
-        // contents are independent of thread interleaving.
-        std::vector<StepCosts> computed(needed.size());
+        // Parallel fill: each worker owns the rows it claims (their
+        // engines are built here, so workers never touch the engine
+        // table) and a private timing accumulator; results land in a
+        // slot array and are inserted sequentially afterwards, so
+        // the cache contents are independent of thread interleaving.
+        for (const std::size_t first : rows)
+            rowEngine(needed[first].row);
+        rows.push_back(needed.size());
+        std::vector<std::optional<StepCosts>> computed(needed.size());
         std::vector<double> seconds(workers, 0.0);
         std::atomic<std::size_t> cursor{0};
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (std::uint32_t w = 0; w < workers; ++w) {
             pool.emplace_back([&, w] {
-                auto engine =
-                    runtime::makeEngine(config_.engine, system_);
                 for (;;) {
-                    const std::size_t i =
+                    const std::size_t k =
                         cursor.fetch_add(1,
                                          std::memory_order_relaxed);
-                    if (i >= needed.size())
+                    if (k + 1 >= rows.size())
                         break;
+                    runtime::InferenceEngine &engine =
+                        *cache_->engines[needed[rows[k]].row];
                     const auto start =
                         std::chrono::steady_clock::now();
-                    computed[i] = simulateCosts(
-                        *engine, llm_, config_,
-                        needed[i].batchBucket,
-                        (needed[i].column + 1) * config_.seqBucket);
+                    for (std::size_t i = rows[k]; i < rows[k + 1];
+                         ++i)
+                        computed[i] = simulateCosts(
+                            engine, llm_, config_,
+                            needed[i].batchBucket,
+                            (needed[i].column + 1) *
+                                config_.seqBucket);
                     seconds[w] +=
                         std::chrono::duration<double>(
                             std::chrono::steady_clock::now() -
@@ -520,21 +562,38 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
         }
         for (std::thread &thread : pool)
             thread.join();
-        for (std::size_t i = 0; i < needed.size(); ++i)
-            storeCosts(needed[i].row, needed[i].column,
-                       computed[i]);
         for (const double spent : seconds)
             cache_->engineSeconds += spent;
         cache_->engineRuns += needed.size();
         // Publish to the shared anchor store so physics-equal
         // simulators (shareAnchorStoreWith) skip these simulations.
-        std::lock_guard<std::mutex> lock(anchors_->mutex);
-        for (std::size_t i = 0; i < needed.size(); ++i)
+        const auto publish = [&](std::size_t i, const StepCosts &step) {
+            std::lock_guard<std::mutex> lock(anchors_->mutex);
             anchors_->entries.emplace(
                 std::pair<std::uint32_t, std::uint64_t>{
                     needed[i].batchBucket,
                     (needed[i].column + 1) * config_.seqBucket},
-                computed[i]);
+                step);
+        };
+        for (std::size_t i = 0; i < needed.size(); ++i) {
+            if (const std::optional<StepCosts> &step = computed[i])
+                publish(i, *step);
+        }
+        // Saturated cells fall back to the row below, in row order,
+        // exactly as the sequential fill resolves them.
+        for (std::size_t i = 0; i < needed.size(); ++i) {
+            StepCosts step;
+            if (const std::optional<StepCosts> &simulated = computed[i]) {
+                step = *simulated;
+            } else {
+                step = exactCosts(
+                    needed[i].batchBucket / 2,
+                    (needed[i].column + 1) * config_.seqBucket);
+                step.saturatedFallback = true;
+                publish(i, step);
+            }
+            storeCosts(needed[i].row, needed[i].column, step);
+        }
     } else {
         for (const Key &key : needed)
             storeCosts(key.row, key.column,

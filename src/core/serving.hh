@@ -59,6 +59,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -607,7 +608,8 @@ class ServingSimulator
      * reduced to the anchor buckets it needs, so warming a whole
      * context trajectory costs only the log-spaced anchors.  With
      * `threads` > 1 the missing engine simulations run on a local
-     * thread pool (each worker owns a private engine); results are
+     * thread pool that hands out whole rows, each on the row's pooled
+     * engine, so a row records its tape once; results are
      * inserted sequentially in a fixed order afterwards, and cache
      * fills are order-independent, so warmed and unwarmed runs are
      * bit-identical — warming changes wall-clock time and nothing
@@ -626,6 +628,12 @@ class ServingSimulator
      */
     double calibrationSeconds() const;
     std::uint64_t calibrationRuns() const;
+
+    /**
+     * Full trace-driven simulations behind those runs: tapes the
+     * cache's engines recorded.  Every other run replayed a tape.
+     */
+    std::uint64_t calibrationTapes() const;
 
   private:
     struct StepCosts
@@ -671,13 +679,14 @@ class ServingSimulator
             overflow; ///< Per row, sorted by context bucket.
 
         /**
-         * Pooled engine: constructed once per cache (== once per
-         * shareCostCacheWith group) and reused across misses.
-         * Engines are pure functions of their configuration — run()
-         * mutates nothing — so reuse is bit-identical to the old
-         * engine-per-miss behavior, minus the construction cost.
+         * Pooled engines, one per row, constructed on the row's
+         * first miss.  A row's cells differ only in context, so its
+         * engine records one tape (runtime/tape.hh) and replays it
+         * for every column — bit-identical to a fresh engine.  One
+         * engine per row keeps the tape count a function of the
+         * cells computed, never of which thread computed them.
          */
-        std::unique_ptr<runtime::InferenceEngine> engine;
+        std::vector<std::unique_ptr<runtime::InferenceEngine>> engines;
 
         /** Wall-clock spent in engine simulations, and how many. */
         double engineSeconds = 0.0;
@@ -714,10 +723,15 @@ class ServingSimulator
     void storeCosts(std::size_t row, std::uint64_t column,
                     const StepCosts &step);
 
+    /** Row `row`'s pooled engine, constructed on first use. */
+    runtime::InferenceEngine &rowEngine(std::size_t row);
+
     /**
-     * One exact engine simulation of (batch_bucket, seq_bucket),
-     * including the batch-halving capacity fallback, on the pooled
-     * engine.  Does not touch the cache or saturated_.
+     * One exact engine simulation of (batch_bucket, seq_bucket) on
+     * the row's pooled engine, memoized in the anchor store.  A
+     * bucket past capacity takes the half-batch bucket's costs
+     * (computed the same way, by the row below) flagged as a
+     * saturated fallback.  Does not touch the cache or saturated_.
      */
     StepCosts exactCosts(std::uint32_t batch_bucket,
                          std::uint64_t seq_bucket);
@@ -744,13 +758,14 @@ class ServingSimulator
     /**
      * The raw engine simulation behind exactCosts(), on a
      * caller-supplied engine — what the parallel warming workers run
-     * with their thread-private engines.
+     * on the rows they own.  std::nullopt when the bucket exceeds
+     * capacity but a smaller batch might not: the caller serves it
+     * from the half-batch bucket, flagged saturated.
      */
-    static StepCosts simulateCosts(runtime::InferenceEngine &engine,
-                                   const model::LlmConfig &llm,
-                                   const ServingConfig &config,
-                                   std::uint32_t batch_bucket,
-                                   std::uint64_t seq_bucket);
+    static std::optional<StepCosts>
+    simulateCosts(runtime::InferenceEngine &engine,
+                  const model::LlmConfig &llm, const ServingConfig &config,
+                  std::uint32_t batch_bucket, std::uint64_t seq_bucket);
 
     /** Entry `index` packaged for resume (counters as recorded —
      * preempt() adds its own increment). */

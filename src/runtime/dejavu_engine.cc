@@ -11,6 +11,25 @@
 
 namespace hermes::runtime {
 
+DejaVuEngine::Tape
+DejaVuEngine::record(const InferenceRequest &request) const
+{
+    model::LlmConfig sim_llm = request.llm;
+    sim_llm.layers = std::min<std::uint32_t>(request.llm.layers, 4);
+    sparsity::SparsityConfig sparsity_config = config_.sparsity;
+    sparsity_config.seed = request.seed;
+    sparsity::ActivationTrace trace(sim_llm, sparsity_config,
+                                    request.batch);
+    Tape tape;
+    const std::uint32_t probe_tokens = 16;
+    for (std::uint32_t t = 0; t < probe_tokens; ++t) {
+        trace.nextToken();
+        tape.activeFraction += trace.currentActiveFraction();
+    }
+    tape.activeFraction /= probe_tokens;
+    return tape;
+}
+
 bool
 DejaVuEngine::supports(const InferenceRequest &request) const
 {
@@ -72,19 +91,9 @@ DejaVuEngine::run(const InferenceRequest &request)
 
     // A short trace determines how many neurons activate per token
     // (union over the batch), which is what must be gathered.
-    model::LlmConfig sim_llm = llm;
-    sim_llm.layers = std::min<std::uint32_t>(llm.layers, 4);
-    sparsity::SparsityConfig sparsity_config = config_.sparsity;
-    sparsity_config.seed = request.seed;
-    sparsity::ActivationTrace trace(sim_llm, sparsity_config,
-                                    request.batch);
-    double active_fraction = 0.0;
-    const std::uint32_t probe_tokens = 16;
-    for (std::uint32_t t = 0; t < probe_tokens; ++t) {
-        trace.nextToken();
-        active_fraction += trace.currentActiveFraction();
-    }
-    active_fraction /= probe_tokens;
+    const double active_fraction =
+        tapes_.get(request, [&] { return record(request); })
+            .activeFraction;
 
     // Per token: gather the activated neurons that are not resident,
     // in per-neuron chunks; the projection (dense) streams too.

@@ -7,6 +7,10 @@
  * single-GPU offloading setting (as the paper does), the activated
  * cold neurons still cross PCIe every token as many small per-neuron
  * gathers, and the MLP predictors consume GPU memory and compute.
+ *
+ * The probe trace's active fraction does not depend on the context;
+ * it is recorded once per (model, batch, seed, token counts) as a
+ * tape (runtime/tape.hh).
  */
 
 #ifndef HERMES_RUNTIME_DEJAVU_ENGINE_HH
@@ -18,6 +22,7 @@
 
 #include "runtime/engine.hh"
 #include "runtime/system_config.hh"
+#include "runtime/tape.hh"
 
 namespace hermes::runtime {
 
@@ -33,12 +38,22 @@ class DejaVuEngine : public InferenceEngine
     std::string name() const override { return "DejaVu"; }
     bool supports(const InferenceRequest &request) const override;
     InferenceResult run(const InferenceRequest &request) override;
+    std::uint64_t tapesBuilt() const override { return tapes_.built(); }
 
     /** Hidden width of each per-layer MLP predictor. */
     static constexpr std::uint32_t kPredictorRank = 1024;
 
   private:
+    /** Mean activated fraction over the probe tokens. */
+    struct Tape
+    {
+        double activeFraction = 0.0;
+    };
+
+    Tape record(const InferenceRequest &request) const;
+
     SystemConfig config_;
+    TapeMemo<Tape> tapes_;
 };
 
 } // namespace hermes::runtime

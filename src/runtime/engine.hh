@@ -101,6 +101,13 @@ class InferenceEngine
     /** Simulate the request end to end. */
     virtual InferenceResult run(const InferenceRequest &request) = 0;
 
+    /**
+     * Full trace-driven simulations run so far: tapes recorded by
+     * the trace-driven engines (runtime/tape.hh), 0 for the analytic
+     * ones.
+     */
+    virtual std::uint64_t tapesBuilt() const { return 0; }
+
   protected:
     /** Fill the derived totals of a result. */
     static void

@@ -32,12 +32,15 @@ enum class EngineKind
  * Instantiate an engine on the given platform.
  *
  * Engines are pure cost models: construction captures only the
- * platform configuration, and `run()` derives every result from the
- * request plus that configuration — no mutable state survives a
- * call.  The serving layer's cost caches rely on this contract to
- * pool one engine per replica cache group and to run calibration on
- * thread-private engines: any engine, constructed anywhere, must
- * return identical results for identical requests.
+ * platform configuration and runs no simulation, and `run()` derives
+ * every result from the request plus that configuration.  The only
+ * state that survives a call is memoization — the DRAM bandwidth
+ * probe and the trace-driven engines' tapes (runtime/tape.hh) —
+ * which never changes a result.  The serving layer's cost caches
+ * rely on this contract to pool one engine per cost-surface row:
+ * any engine, constructed anywhere, warm or fresh, must return
+ * identical results for identical requests.  An engine is not
+ * thread-safe; give each thread its own.
  */
 std::unique_ptr<InferenceEngine> makeEngine(EngineKind kind,
                                             const SystemConfig &config);

@@ -36,7 +36,6 @@ HermesBaseEngine::run(const InferenceRequest &request)
     const model::LlmConfig &llm = request.llm;
     const gpu::GpuModel gpu_model(config_.gpu);
     const interconnect::PcieBus pcie(config_.pcie);
-    ndp::NdpDimm ndp(config_.dimm);
 
     // Whole FC blocks are resident until GPU memory runs out (the KV
     // cache lives on the DIMMs, as in Hermes).
@@ -74,21 +73,21 @@ HermesBaseEngine::run(const InferenceRequest &request)
     const Seconds gpu_mlp_fc =
         gpu_model.sparseGemv(mlp_neurons, mlp_values, request.batch);
     const Seconds dimm_attn_fc =
-        ndp.sparseGemv(attn_neurons / config_.numDimms, attn_values,
+        ndp_.sparseGemv(attn_neurons / config_.numDimms, attn_values,
                        request.batch)
             .total;
     const Seconds dimm_mlp_fc =
-        ndp.sparseGemv(mlp_neurons / config_.numDimms, mlp_values,
+        ndp_.sparseGemv(mlp_neurons / config_.numDimms, mlp_values,
                        request.batch)
             .total;
     const Seconds proj = gpu_model.gemm(request.batch, h, h);
     const Seconds seq_attn =
-        ndp.attention(request.batch, kv_heads_per_dimm, llm.headDim(),
+        ndp_.attention(request.batch, kv_heads_per_dimm, llm.headDim(),
                       request.promptTokens, gqa_group)
             .total;
     const Seconds lm_head = lmHeadTime(gpu_model, llm, request.batch);
     const Seconds merge =
-        ndp.merge(static_cast<Bytes>(request.batch) * h * kFp16Bytes)
+        ndp_.merge(static_cast<Bytes>(request.batch) * h * kFp16Bytes)
             .total;
 
     // Every token is identical: build one token step on the shared

@@ -14,6 +14,7 @@
 #include <string>
 #include <utility>
 
+#include "ndp/ndp_dimm.hh"
 #include "runtime/engine.hh"
 #include "runtime/system_config.hh"
 
@@ -24,7 +25,7 @@ class HermesBaseEngine : public InferenceEngine
 {
   public:
     explicit HermesBaseEngine(SystemConfig config)
-        : config_(std::move(config))
+        : config_(std::move(config)), ndp_(config_.dimm)
     {
     }
 
@@ -34,6 +35,7 @@ class HermesBaseEngine : public InferenceEngine
 
   private:
     SystemConfig config_;
+    ndp::NdpDimm ndp_; ///< Holds the bandwidth-probe memo across runs.
 };
 
 } // namespace hermes::runtime

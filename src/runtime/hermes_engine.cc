@@ -1,6 +1,7 @@
 #include "runtime/hermes_engine.hh"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <utility>
@@ -8,6 +9,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/stats.hh"
 #include "gpu/kernels.hh"
 #include "interconnect/dimm_link.hh"
 #include "interconnect/pcie.hh"
@@ -48,6 +50,15 @@ countLocations(const std::vector<std::uint8_t> &mask,
     return counts;
 }
 
+/** Layers a run simulates; costs extrapolate to the full depth. */
+std::uint32_t
+simulatedLayers(const SystemConfig &config, const model::LlmConfig &llm)
+{
+    return config.simulatedLayers == 0
+               ? llm.layers
+               : std::min(llm.layers, config.simulatedLayers);
+}
+
 /** Per-DIMM sparse-GEMV lane times for a split stage. */
 std::vector<Seconds>
 dimmLaneTimes(ndp::NdpDimm &ndp, const std::vector<std::uint64_t> &rows,
@@ -77,28 +88,13 @@ HermesEngine::supports(const InferenceRequest &request) const
     return request.llm.totalBytes() + kv <= config_.totalDimmCapacity();
 }
 
-InferenceResult
-HermesEngine::run(const InferenceRequest &request)
+HermesEngine::Tape
+HermesEngine::record(const InferenceRequest &request)
 {
-    InferenceResult result;
-    result.engine = name_;
-    if (!supports(request)) {
-        result.supported = false;
-        result.unsupportedReason =
-            config_.numDimms == 0
-                ? "platform has no NDP-DIMMs"
-                : "model exceeds NDP-DIMM capacity";
-        return result;
-    }
-
     const model::LlmConfig &llm = request.llm;
-    const std::uint32_t layers = llm.layers;
-    const std::uint32_t sim_layers =
-        config_.simulatedLayers == 0
-            ? layers
-            : std::min(layers, config_.simulatedLayers);
+    const std::uint32_t sim_layers = simulatedLayers(config_, llm);
     const double layer_scale =
-        static_cast<double>(layers) / sim_layers;
+        static_cast<double>(llm.layers) / sim_layers;
 
     model::LlmConfig sim_llm = llm;
     sim_llm.layers = sim_layers;
@@ -110,7 +106,6 @@ HermesEngine::run(const InferenceRequest &request)
 
     const gpu::GpuModel gpu_model(config_.gpu);
     const interconnect::PcieBus pcie(config_.pcie);
-    ndp::NdpDimm ndp(config_.dimm);
     const interconnect::DimmLinkNetwork link_net(config_.numDimms,
                                                  config_.link);
 
@@ -187,9 +182,9 @@ HermesEngine::run(const InferenceRequest &request)
                    gpu_model.sparseGemv(1024, values, request.batch);
         };
         auto dimm_marginal = [&](std::uint64_t values, double scale) {
-            return ndp.sparseGemv(1025, values, request.batch, scale)
+            return ndp_.sparseGemv(1025, values, request.batch, scale)
                        .total -
-                   ndp.sparseGemv(1024, values, request.batch, scale)
+                   ndp_.sparseGemv(1024, values, request.batch, scale)
                        .total;
         };
         const Seconds gpu_per_attn = gpu_marginal(attn_values);
@@ -243,50 +238,20 @@ HermesEngine::run(const InferenceRequest &request)
             fill_random(placement.mlp[l]);
         }
     }
-
-    // ---- Prompting stage (Fig. 6a): GPU + streamed weights. ----
-    // Every sparse weight crosses PCIe once during prompting (hot
-    // neurons are only "loaded back into GPU memory" afterwards,
-    // Sec. IV-A2), so the prompting cost is independent of the
-    // partition; only the startup-resident dense components skip the
-    // stream.
     const Bytes hot_bytes = static_cast<Bytes>(
         static_cast<double>(placement.gpuBytesUsed(llm)) * layer_scale);
-    const Bytes non_resident =
-        llm.totalBytes() > residency.denseBytes
-            ? llm.totalBytes() - residency.denseBytes
-            : 0;
-    Seconds prefill = streamingPrefill(config_, llm, request.batch,
-                                       request.promptTokens,
-                                       non_resident, true, true);
-    // KV cache produced by prompting lands in the DIMMs over PCIe.
-    prefill += pcie.transferTime(static_cast<Bytes>(request.batch) *
-                                 request.promptTokens *
-                                 llm.kvBytesPerToken());
-    result.prefillTime = prefill;
-    result.breakdown.prefill = prefill;
 
-    // ---- Token generation on the shared decode pipeline. ----
+    // ---- Token generation: the context-free stages of each layer. ----
     sched::WindowSet windows(
         sim_layers, trace.attn(0).neurons(), trace.mlp(0).neurons(),
         config_.numDimms, config_.sched.windowSize,
         sched::WindowSet::Policy{config_.sched.windowRebalance,
                                  config_.sched.oracleRebalance});
 
-    const std::uint32_t kv_heads_per_dimm =
-        (llm.kvHeads + config_.numDimms - 1) / config_.numDimms;
-    const std::uint32_t gqa_group =
-        llm.kvHeads > 0 ? llm.heads / llm.kvHeads : 1;
-    const Seconds sync = activationSyncTime(pcie, llm, request.batch);
-    const Seconds predictor_cost =
-        static_cast<double>(layers) *
-        static_cast<double>(llm.attnNeuronsPerLayer() +
-                            llm.mlpNeuronsPerLayer()) *
-        config_.predictorPerNeuron;
-    const Seconds lm_head = lmHeadTime(gpu_model, llm, request.batch);
-
-    DecodePipeline pipeline(config_.numDimms);
-
+    Tape tape;
+    tape.steps.reserve(static_cast<std::size_t>(request.generateTokens) *
+                       sim_layers);
+    StatSet &stats = tape.stats;
     std::vector<std::uint8_t> attn_pred;
     std::vector<std::uint8_t> mlp_pred;
     std::vector<std::uint32_t> hot_scores;
@@ -297,12 +262,11 @@ HermesEngine::run(const InferenceRequest &request)
 
     for (std::uint32_t t = 0; t < request.generateTokens; ++t) {
         trace.nextToken();
-        const std::uint64_t seq = request.promptTokens + t;
-        pipeline.beginToken();
 
         for (std::uint32_t l = 0; l < sim_layers; ++l) {
             const sparsity::BlockTrace &attn_actual = trace.attn(l);
             const sparsity::BlockTrace &mlp_actual = trace.mlp(l);
+            LayerStep &step = tape.steps.emplace_back();
 
             // 1. Prediction (parents' actuals are available in
             // execution order).
@@ -314,32 +278,18 @@ HermesEngine::run(const InferenceRequest &request)
             // 2. QKV generation split (Fig. 6b).
             const LocationCounts qkv_counts =
                 countLocations(attn_pred, placement.attn[l]);
-            const Seconds qkv_gpu = gpu_model.sparseGemv(
+            step.qkvGpu = gpu_model.sparseGemv(
                 qkv_counts.gpu, attn_values, request.batch);
-            const std::vector<Seconds> qkv_lanes = dimmLaneTimes(
-                ndp, qkv_counts.dimm, attn_values, request.batch,
-                attn_actual.computeScale);
-            pipeline.splitStage(CostCategory::Fc, qkv_gpu, sync, sync,
-                                qkv_lanes);
-            result.stats.counter("time.qkv.gpu").add(qkv_gpu);
-            result.stats.counter("time.qkv.dimm")
-                .add(*std::max_element(qkv_lanes.begin(),
-                                       qkv_lanes.end()));
+            step.qkvLanes = dimmLaneTimes(ndp_, qkv_counts.dimm,
+                                          attn_values, request.batch,
+                                          attn_actual.computeScale);
+            stats.counter("time.qkv.gpu").add(step.qkvGpu);
+            stats.counter("time.qkv.dimm")
+                .add(*std::max_element(step.qkvLanes.begin(),
+                                       step.qkvLanes.end()));
 
-            // 3. Attention on the NDP-DIMMs, next to the KV cache.
-            pipeline.ndpStage(
-                CostCategory::Attention,
-                ndp.attention(request.batch, kv_heads_per_dimm,
-                              llm.headDim(), seq, gqa_group)
-                    .total);
-
-            // 4. Projection on the GPU; DIMMs and PCIe are idle, so
-            // swaps and rebalancing hide behind it.
-            pipeline.pcieStage(sync); // Attention out.
-            pipeline.gpuStage(CostCategory::Fc,
-                              gpu_model.gemm(request.batch, llm.hidden,
-                                             llm.hidden));
-
+            // 4. Hot/cold swaps and rebalancing, shadowed by the
+            // projection at replay.
             if (config_.sched.onlineAdjustment) {
                 const bool token = config_.sched.tokenWisePrediction;
                 const bool layer = config_.sched.layerWisePrediction;
@@ -361,7 +311,7 @@ HermesEngine::run(const InferenceRequest &request)
                     adj_attn.promotions + adj_mlp.promotions;
                 promotion_bytes += upload;
                 if (upload > 0)
-                    pipeline.shadowedPcie(pcie.transferTime(upload));
+                    step.upload = pcie.transferTime(upload);
             }
 
             windows.observe(l, attn_actual.activeList,
@@ -372,36 +322,27 @@ HermesEngine::run(const InferenceRequest &request)
                     llm.attnNeuronBytes(), llm.mlpNeuronBytes(),
                     link_net);
             migration_bytes += rebalance.migrationBytes;
-            result.stats.counter("migration.transfers")
+            stats.counter("migration.transfers")
                 .add(static_cast<double>(rebalance.transfers));
-            pipeline.shadowedDimmLink(rebalance.migrationTime);
+            step.migration = rebalance.migrationTime;
 
             // 5. MLP split.
             const LocationCounts mlp_counts =
                 countLocations(mlp_pred, placement.mlp[l]);
-            const Seconds mlp_gpu = gpu_model.sparseGemv(
+            step.mlpGpu = gpu_model.sparseGemv(
                 mlp_counts.gpu, mlp_values, request.batch);
-            const std::vector<Seconds> mlp_lanes = dimmLaneTimes(
-                ndp, mlp_counts.dimm, mlp_values, request.batch,
-                mlp_actual.computeScale);
-            pipeline.splitStage(CostCategory::Fc, mlp_gpu, sync, sync,
-                                mlp_lanes);
-            result.stats.counter("time.mlp.gpu").add(mlp_gpu);
-            result.stats.counter("time.mlp.dimm")
-                .add(*std::max_element(mlp_lanes.begin(),
-                                       mlp_lanes.end()));
-            result.stats.counter("count.mlp.gpu").add(
+            step.mlpLanes = dimmLaneTimes(ndp_, mlp_counts.dimm,
+                                          mlp_values, request.batch,
+                                          mlp_actual.computeScale);
+            stats.counter("time.mlp.gpu").add(step.mlpGpu);
+            stats.counter("time.mlp.dimm")
+                .add(*std::max_element(step.mlpLanes.begin(),
+                                       step.mlpLanes.end()));
+            stats.counter("count.mlp.gpu").add(
                 static_cast<double>(mlp_counts.gpu));
-            result.stats.counter("count.mlp.dimm.max").add(
+            stats.counter("count.mlp.dimm.max").add(
                 static_cast<double>(*std::max_element(
                     mlp_counts.dimm.begin(), mlp_counts.dimm.end())));
-
-            // 6. Merge of GPU and NDP partials on the DIMMs.
-            pipeline.ndpStage(
-                CostCategory::Others,
-                ndp.merge(static_cast<Bytes>(request.batch) *
-                          llm.hidden * kFp16Bytes)
-                    .total);
 
             // Predictor bookkeeping (metrics + FSM update).
             for (std::uint32_t i = 0; i < attn_actual.neurons(); ++i)
@@ -413,6 +354,109 @@ HermesEngine::run(const InferenceRequest &request)
             predictor.attn(l).update(attn_actual.mask);
             predictor.mlp(l).update(mlp_actual.mask);
         }
+    }
+
+    stats.counter("predictor.accuracy").set(metrics.accuracy());
+    stats.counter("predictor.recall").set(metrics.recall());
+    stats.counter("predictor.precision").set(metrics.precision());
+    stats.counter("hot.bytes").set(static_cast<double>(hot_bytes));
+    stats.counter("promotions").set(static_cast<double>(promotions));
+    stats.counter("promotion.bytes").set(
+        static_cast<double>(promotion_bytes));
+    stats.counter("migration.bytes").set(
+        static_cast<double>(migration_bytes));
+    return tape;
+}
+
+InferenceResult
+HermesEngine::run(const InferenceRequest &request)
+{
+    InferenceResult result;
+    result.engine = name_;
+    if (!supports(request)) {
+        result.supported = false;
+        result.unsupportedReason =
+            config_.numDimms == 0
+                ? "platform has no NDP-DIMMs"
+                : "model exceeds NDP-DIMM capacity";
+        return result;
+    }
+    const Tape &tape =
+        tapes_.get(request, [&] { return record(request); });
+
+    const model::LlmConfig &llm = request.llm;
+    const std::uint32_t sim_layers = simulatedLayers(config_, llm);
+    const double layer_scale =
+        static_cast<double>(llm.layers) / sim_layers;
+    const gpu::GpuModel gpu_model(config_.gpu);
+    const interconnect::PcieBus pcie(config_.pcie);
+
+    // ---- Prompting stage (Fig. 6a): GPU + streamed weights. ----
+    // Every sparse weight crosses PCIe once during prompting (hot
+    // neurons are only "loaded back into GPU memory" afterwards,
+    // Sec. IV-A2), so the prompting cost is independent of the
+    // partition; only the startup-resident dense components skip the
+    // stream.
+    const GpuResidency residency = computeResidency(config_, llm, 0);
+    const Bytes non_resident =
+        llm.totalBytes() > residency.denseBytes
+            ? llm.totalBytes() - residency.denseBytes
+            : 0;
+    Seconds prefill = streamingPrefill(config_, llm, request.batch,
+                                       request.promptTokens,
+                                       non_resident, true, true);
+    // KV cache produced by prompting lands in the DIMMs over PCIe.
+    prefill += pcie.transferTime(static_cast<Bytes>(request.batch) *
+                                 request.promptTokens *
+                                 llm.kvBytesPerToken());
+    result.prefillTime = prefill;
+    result.breakdown.prefill = prefill;
+
+    // ---- Token generation: the tape replayed on the shared decode
+    // pipeline, with attention over each token's context. ----
+    const std::uint32_t kv_heads_per_dimm =
+        (llm.kvHeads + config_.numDimms - 1) / config_.numDimms;
+    const std::uint32_t gqa_group =
+        llm.kvHeads > 0 ? llm.heads / llm.kvHeads : 1;
+    const Seconds sync = activationSyncTime(pcie, llm, request.batch);
+    const Seconds projection =
+        gpu_model.gemm(request.batch, llm.hidden, llm.hidden);
+    const Seconds merge =
+        ndp_.merge(static_cast<Bytes>(request.batch) * llm.hidden *
+                   kFp16Bytes)
+            .total;
+    const Seconds predictor_cost =
+        static_cast<double>(llm.layers) *
+        static_cast<double>(llm.attnNeuronsPerLayer() +
+                            llm.mlpNeuronsPerLayer()) *
+        config_.predictorPerNeuron;
+    const Seconds lm_head = lmHeadTime(gpu_model, llm, request.batch);
+
+    DecodePipeline pipeline(config_.numDimms);
+    auto step = tape.steps.begin();
+    for (std::uint32_t t = 0; t < request.generateTokens; ++t) {
+        const std::uint64_t seq = request.promptTokens + t;
+        const Seconds attention =
+            ndp_.attention(request.batch, kv_heads_per_dimm,
+                           llm.headDim(), seq, gqa_group)
+                .total;
+        pipeline.beginToken();
+        for (std::uint32_t l = 0; l < sim_layers; ++l, ++step) {
+            pipeline.splitStage(CostCategory::Fc, step->qkvGpu, sync,
+                                sync, step->qkvLanes);
+            // 3. Attention on the NDP-DIMMs, next to the KV cache.
+            pipeline.ndpStage(CostCategory::Attention, attention);
+            // 4. Projection on the GPU; DIMMs and PCIe are idle, so
+            // swaps and rebalancing hide behind it.
+            pipeline.pcieStage(sync); // Attention out.
+            pipeline.gpuStage(CostCategory::Fc, projection);
+            pipeline.shadowedPcie(step->upload);
+            pipeline.shadowedDimmLink(step->migration);
+            pipeline.splitStage(CostCategory::Fc, step->mlpGpu, sync,
+                                sync, step->mlpLanes);
+            // 6. Merge of GPU and NDP partials on the DIMMs.
+            pipeline.ndpStage(CostCategory::Others, merge);
+        }
 
         // The layer section extrapolates to the full depth; the
         // LM head and the host-side predictor scan are per token.
@@ -423,19 +467,7 @@ HermesEngine::run(const InferenceRequest &request)
 
     result.generateTime = pipeline.totalTime();
     result.breakdown += pipeline.accumulated().toBreakdown();
-
-    result.stats.counter("predictor.accuracy").set(metrics.accuracy());
-    result.stats.counter("predictor.recall").set(metrics.recall());
-    result.stats.counter("predictor.precision").set(
-        metrics.precision());
-    result.stats.counter("hot.bytes").set(
-        static_cast<double>(hot_bytes));
-    result.stats.counter("promotions").set(
-        static_cast<double>(promotions));
-    result.stats.counter("promotion.bytes").set(
-        static_cast<double>(promotion_bytes));
-    result.stats.counter("migration.bytes").set(
-        static_cast<double>(migration_bytes));
+    result.stats = tape.stats;
 
     finalize(result, request);
     return result;

@@ -16,6 +16,11 @@
  * The prompting stage streams non-resident weights once and runs on
  * the GPU, FlexGen-style (Sec. IV-A2).
  *
+ * Steps 1, 2, 4 and 5 do not depend on the context length: they are
+ * recorded once per (model, batch, seed, token counts) as a tape
+ * (runtime/tape.hh) and replayed with each context's prefill and KV
+ * attention, bit-identically to a full simulation.
+ *
  * Scheduling toggles in SystemConfig::sched select the Fig. 13
  * ablation variants (Hermes-random / -partition / -token- /
  * -layer-adjustment / -adjustment / full).
@@ -24,11 +29,16 @@
 #ifndef HERMES_RUNTIME_HERMES_ENGINE_HH
 #define HERMES_RUNTIME_HERMES_ENGINE_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "common/stats.hh"
+#include "ndp/ndp_dimm.hh"
 #include "runtime/engine.hh"
 #include "runtime/system_config.hh"
+#include "runtime/tape.hh"
 
 namespace hermes::runtime {
 
@@ -38,7 +48,8 @@ class HermesEngine : public InferenceEngine
   public:
     explicit HermesEngine(SystemConfig config,
                           std::string name = "Hermes")
-        : config_(std::move(config)), name_(std::move(name))
+        : config_(std::move(config)), name_(std::move(name)),
+          ndp_(config_.dimm)
     {
     }
 
@@ -48,11 +59,35 @@ class HermesEngine : public InferenceEngine
 
     InferenceResult run(const InferenceRequest &request) override;
 
+    std::uint64_t tapesBuilt() const override { return tapes_.built(); }
+
     const SystemConfig &config() const { return config_; }
 
   private:
+    /** One simulated layer of one token: the context-free stages. */
+    struct LayerStep
+    {
+        Seconds qkvGpu = 0.0;
+        std::vector<Seconds> qkvLanes;
+        Seconds upload = 0.0;    ///< Shadowed hot-neuron promotion.
+        Seconds migration = 0.0; ///< Shadowed window rebalancing.
+        Seconds mlpGpu = 0.0;
+        std::vector<Seconds> mlpLanes;
+    };
+
+    struct Tape
+    {
+        std::vector<LayerStep> steps; ///< Token-major.
+        StatSet stats;                ///< The run's finished counters.
+    };
+
+    /** Trace, predictor, partition and remapping for `request`. */
+    Tape record(const InferenceRequest &request);
+
     SystemConfig config_;
     std::string name_;
+    ndp::NdpDimm ndp_; ///< Holds the bandwidth-probe memo across runs.
+    TapeMemo<Tape> tapes_;
 };
 
 } // namespace hermes::runtime

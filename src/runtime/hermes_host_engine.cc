@@ -1,9 +1,8 @@
 #include "runtime/hermes_host_engine.hh"
 
 #include <algorithm>
-#include <cstddef>
 #include <cstdint>
-#include <numeric>
+#include <functional>
 #include <vector>
 
 #include "gpu/kernels.hh"
@@ -14,28 +13,13 @@
 
 namespace hermes::runtime {
 
-InferenceResult
-HermesHostEngine::run(const InferenceRequest &request)
+HermesHostEngine::Tape
+HermesHostEngine::record(const InferenceRequest &request) const
 {
-    InferenceResult result;
-    result.engine = name();
-
-    const model::LlmConfig &llm = request.llm;
-    const gpu::GpuModel gpu_model(config_.gpu);
-    const interconnect::PcieBus pcie(config_.pcie);
-
-    // Attention runs on the GPU (PowerInfer keeps the KV cache there).
-    const Bytes kv_bytes =
-        static_cast<Bytes>(request.batch) *
-        (request.promptTokens + request.generateTokens) *
-        llm.kvBytesPerToken();
-    const GpuResidency residency =
-        computeResidency(config_, llm, kv_bytes);
-
     // Profile a representative layer to find how much activation mass
     // the hot budget covers.
-    model::LlmConfig sim_llm = llm;
-    sim_llm.layers = std::min<std::uint32_t>(llm.layers, 4);
+    model::LlmConfig sim_llm = request.llm;
+    sim_llm.layers = std::min<std::uint32_t>(request.llm.layers, 4);
     sparsity::SparsityConfig sparsity_config = config_.sparsity;
     sparsity_config.seed = request.seed;
     sparsity::ActivationTrace trace(sim_llm, sparsity_config,
@@ -49,24 +33,60 @@ HermesHostEngine::run(const InferenceRequest &request)
         for (const auto id : trace.mlp(1).activeList)
             mlp_freq[id] += 1.0;
     }
-    for (auto &f : attn_freq)
-        f /= request.profileTokens;
-    for (auto &f : mlp_freq)
-        f /= request.profileTokens;
+    auto runs = [&](std::vector<double> &freq) {
+        for (auto &f : freq)
+            f /= request.profileTokens;
+        std::sort(freq.begin(), freq.end(), std::greater<>());
+        std::vector<FreqRun> coded;
+        for (const double f : freq) {
+            if (coded.empty() || coded.back().value != f)
+                coded.push_back(FreqRun{f, 0});
+            ++coded.back().count;
+        }
+        return coded;
+    };
+    Tape tape;
+    tape.attnFreq = runs(attn_freq);
+    tape.mlpFreq = runs(mlp_freq);
+    return tape;
+}
+
+InferenceResult
+HermesHostEngine::run(const InferenceRequest &request)
+{
+    InferenceResult result;
+    result.engine = name();
+    const Tape &tape =
+        tapes_.get(request, [&] { return record(request); });
+
+    const model::LlmConfig &llm = request.llm;
+    const gpu::GpuModel gpu_model(config_.gpu);
+    const interconnect::PcieBus pcie(config_.pcie);
+
+    // Attention runs on the GPU (PowerInfer keeps the KV cache there).
+    const Bytes kv_bytes =
+        static_cast<Bytes>(request.batch) *
+        (request.promptTokens + request.generateTokens) *
+        llm.kvBytesPerToken();
+    const GpuResidency residency =
+        computeResidency(config_, llm, kv_bytes);
 
     // Hot set: most frequent neurons until the per-layer quota fills.
-    auto split_mass = [&](std::vector<double> freq, Bytes neuron_bytes,
-                          Bytes layer_budget, double &hot,
-                          double &cold) {
-        std::sort(freq.begin(), freq.end(), std::greater<>());
-        const std::uint64_t hot_count = std::min<std::uint64_t>(
-            freq.size(), layer_budget / neuron_bytes);
-        hot = std::accumulate(
-            freq.begin(),
-            freq.begin() + static_cast<std::ptrdiff_t>(hot_count), 0.0);
-        cold = std::accumulate(
-            freq.begin() + static_cast<std::ptrdiff_t>(hot_count),
-            freq.end(), 0.0);
+    auto split_mass = [&](const std::vector<FreqRun> &freq,
+                          Bytes neuron_bytes, Bytes layer_budget,
+                          double &hot, double &cold) {
+        std::uint64_t neurons = 0;
+        for (const FreqRun &run : freq)
+            neurons += run.count;
+        const std::uint64_t hot_count =
+            std::min<std::uint64_t>(neurons, layer_budget / neuron_bytes);
+        hot = 0.0;
+        cold = 0.0;
+        std::uint64_t rank = 0;
+        for (const FreqRun &run : freq) {
+            for (std::uint64_t k = 0; k < run.count; ++k, ++rank)
+                (rank < hot_count ? hot : cold) += run.value;
+        }
     };
     // The hot budget splits across layers and blocks pro rata.
     const Bytes per_layer_budget = residency.hotBudget / llm.layers;
@@ -79,9 +99,9 @@ HermesHostEngine::run(const InferenceRequest &request)
 
     double attn_hot = 0.0, attn_cold = 0.0;
     double mlp_hot = 0.0, mlp_cold = 0.0;
-    split_mass(attn_freq, llm.attnNeuronBytes(), attn_budget, attn_hot,
-               attn_cold);
-    split_mass(mlp_freq, llm.mlpNeuronBytes(), mlp_budget, mlp_hot,
+    split_mass(tape.attnFreq, llm.attnNeuronBytes(), attn_budget,
+               attn_hot, attn_cold);
+    split_mass(tape.mlpFreq, llm.mlpNeuronBytes(), mlp_budget, mlp_hot,
                mlp_cold);
 
     // Prompting: as in Hermes, GPU + streamed weights.

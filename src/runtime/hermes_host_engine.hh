@@ -5,16 +5,25 @@
  * DIMMs (PowerInfer-style), not by NDP units.  The CPU reads cold
  * neuron rows at its (scatter-limited) DRAM bandwidth, which is the
  * bottleneck the NDP-DIMMs remove.
+ *
+ * The profiled activation frequencies do not depend on the context;
+ * they are recorded once per (model, batch, seed, token counts) as a
+ * tape (runtime/tape.hh).  The residency and the hot/cold split do —
+ * attention keeps the KV cache in GPU memory — and are recomputed
+ * on every run.
  */
 
 #ifndef HERMES_RUNTIME_HERMES_HOST_ENGINE_HH
 #define HERMES_RUNTIME_HERMES_HOST_ENGINE_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "runtime/engine.hh"
 #include "runtime/system_config.hh"
+#include "runtime/tape.hh"
 
 namespace hermes::runtime {
 
@@ -29,9 +38,31 @@ class HermesHostEngine : public InferenceEngine
 
     std::string name() const override { return "Hermes-host"; }
     InferenceResult run(const InferenceRequest &request) override;
+    std::uint64_t tapesBuilt() const override { return tapes_.built(); }
 
   private:
+    /** `count` neurons of activation frequency `value`. */
+    struct FreqRun
+    {
+        double value = 0.0;
+        std::uint64_t count = 0;
+    };
+
+    /**
+     * A representative layer's profiled frequencies, descending,
+     * run-length coded: a frequency is (activations / profiled
+     * tokens), so a block has at most profileTokens + 1 runs.
+     */
+    struct Tape
+    {
+        std::vector<FreqRun> attnFreq;
+        std::vector<FreqRun> mlpFreq;
+    };
+
+    Tape record(const InferenceRequest &request) const;
+
     SystemConfig config_;
+    TapeMemo<Tape> tapes_;
 };
 
 } // namespace hermes::runtime

@@ -1,11 +1,11 @@
 #include "runtime/timeline.hh"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/logging.hh"
 
 namespace hermes::runtime {
 
@@ -55,7 +55,8 @@ Timeline::post(ResourceId resource, CostCategory category,
                Seconds duration, const std::vector<NodeId> &deps)
 {
     if (resource >= resources_.size())
-        hermes_fatal("timeline: unknown resource ", resource);
+        throw std::runtime_error("Timeline::post: unknown resource " +
+                                 std::to_string(resource));
     duration = std::max(duration, 0.0);
 
     Seconds start = 0.0;

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <numeric>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -169,8 +171,16 @@ IlpPartitioner::solve(const PartitionProblem &problem) const
                 if (better)
                     best = d;
             }
-            if (best == num_dimms)
-                hermes_fatal("cold neurons exceed total DIMM capacity");
+            if (best == num_dimms) {
+                Bytes budget = 0;
+                for (const Bytes dimm : problem.dimmBudgets)
+                    budget += dimm;
+                throw std::runtime_error(
+                    "IlpPartitioner::solve: cold neurons of block " +
+                    std::to_string(b) + " exceed the DIMM budgets (" +
+                    std::to_string(budget) + " bytes over " +
+                    std::to_string(num_dimms) + " DIMMs)");
+            }
             location[id] = static_cast<std::int16_t>(best);
             dimm_mass[best] += block.frequency[id];
             dimm_count[best] += 1;

@@ -140,22 +140,31 @@ void
 ActivationTrace::initBlock(BlockTrace &block, std::uint32_t neurons,
                            std::uint64_t salt)
 {
-    // Cache exponents by block size: the calibration only depends on
-    // the size and the (shared) config.
-    static thread_local std::vector<std::pair<std::uint64_t, double>>
-        exponent_cache;
-    const std::uint64_t cache_key =
-        (static_cast<std::uint64_t>(neurons) << 20) ^
-        static_cast<std::uint64_t>(config_.targetHotMass * 1e6) ^
-        static_cast<std::uint64_t>(config_.activeFraction * 1e3);
+    // Cache exponents per (block size, calibration targets): the
+    // calibration reads nothing else, and the exact tuple keeps
+    // configs that differ in any target from sharing an exponent.
+    struct CachedExponent
+    {
+        std::uint32_t neurons;
+        double activeFraction;
+        double targetHotMass;
+        double hotFraction;
+        double exponent;
+    };
+    static thread_local std::vector<CachedExponent> exponent_cache;
     double exponent = -1.0;
-    for (const auto &[key, value] : exponent_cache) {
-        if (key == cache_key)
-            exponent = value;
+    for (const CachedExponent &cached : exponent_cache) {
+        if (cached.neurons == neurons &&
+            cached.activeFraction == config_.activeFraction &&
+            cached.targetHotMass == config_.targetHotMass &&
+            cached.hotFraction == config_.hotFraction)
+            exponent = cached.exponent;
     }
     if (exponent < 0.0) {
         exponent = calibrateExponent(neurons, config_);
-        exponent_cache.emplace_back(cache_key, exponent);
+        exponent_cache.push_back(CachedExponent{
+            neurons, config_.activeFraction, config_.targetHotMass,
+            config_.hotFraction, exponent});
     }
 
     const auto rank_prob = rankProbabilities(

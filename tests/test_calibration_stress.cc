@@ -23,8 +23,10 @@
 #include <gtest/gtest.h>
 
 #include "core/fleet.hh"
+#include "core/serving.hh"
 #include "core/hermes.hh"
 #include "core/workload.hh"
+#include "sched/control_policy.hh"
 
 namespace hermes::fleet {
 namespace {
@@ -108,8 +110,8 @@ TEST(CalibrationStress, ParallelRouterCalibrationManyGroups)
 TEST(CalibrationStress, SharedCacheSessionWarmingHighThreads)
 {
     // Uniform fleet = one shared cost cache; warmSessionCosts fans
-    // the distinct cost-surface cells of a known session trace out
-    // over the pool, each worker owning a private engine, results
+    // the distinct cost-surface rows of a known session trace out
+    // over the pool, each worker owning the rows it claims, results
     // inserted sequentially afterwards.  Exercised in both cost
     // models: Interp collapses the grid to anchor buckets, Exact
     // warms the cells themselves.
@@ -153,6 +155,127 @@ TEST(CalibrationStress, ThreadsOversubscribedPastLeaderCount)
     const auto flooded =
         FleetSimulator(config, model::opt13b()).run(trace);
     expectIdenticalReports(serial, flooded);
+}
+
+/** One probe per cell of a rows x columns exact grid. */
+std::vector<serving::CostProbe>
+gridProbes(std::uint32_t max_batch, std::uint64_t columns,
+           std::uint32_t seq_bucket)
+{
+    std::vector<serving::CostProbe> probes;
+    for (std::uint32_t batch = 1; batch <= max_batch; batch *= 2) {
+        for (std::uint64_t column = 0; column < columns; ++column)
+            probes.push_back({batch, column * seq_bucket});
+    }
+    return probes;
+}
+
+TEST(CalibrationStress, RowPartitionedWarmingThreadCountInvariant)
+{
+    // Exact-mode warming hands whole rows to the pool, each on the
+    // row's pooled engine: the cost surface AND the number of tapes
+    // recorded must not depend on the thread count.  One DIMM makes
+    // the wide rows saturate past a few thousand tokens, so their
+    // engines also record the batch-halving fallback tapes.
+    for (const std::uint32_t dimms : {8u, 1u}) {
+        runtime::SystemConfig system = fastConfig(2);
+        system.numDimms = dimms;
+        serving::ServingConfig config = fastServing(8);
+        const auto probes = gridProbes(8, 9, config.seqBucket);
+
+        struct Surface
+        {
+            std::vector<double> costs;
+            std::uint64_t runs = 0;
+            std::uint64_t tapes = 0;
+            bool saturated = false;
+        };
+        const auto warm = [&](std::uint32_t threads) {
+            serving::ServingSimulator simulator(system, model::opt13b(),
+                                                config);
+            simulator.warmCosts(probes, threads);
+            Surface surface;
+            surface.runs = simulator.calibrationRuns();
+            surface.tapes = simulator.calibrationTapes();
+            for (const serving::CostProbe &probe : probes) {
+                surface.costs.push_back(simulator.prefillSeconds(
+                    probe.batch, probe.seq + 1));
+                surface.costs.push_back(
+                    simulator.tokenSeconds(probe.batch, probe.seq));
+            }
+            // Reading the surface back ran nothing new.
+            EXPECT_EQ(simulator.calibrationRuns(), surface.runs);
+            surface.saturated = simulator.saturated();
+            return surface;
+        };
+        const Surface serial = warm(1);
+        EXPECT_EQ(serial.runs, probes.size());
+        EXPECT_GE(serial.tapes, 4u);
+        EXPECT_EQ(serial.saturated, dimms == 1) << dimms << " DIMMs";
+        for (const std::uint32_t threads : {2u, 4u, 16u}) {
+            const Surface pooled = warm(threads);
+            EXPECT_EQ(pooled.costs, serial.costs) << threads;
+            EXPECT_EQ(pooled.runs, serial.runs) << threads;
+            EXPECT_EQ(pooled.tapes, serial.tapes) << threads;
+        }
+
+        // The same at fleet level: reports are identical lazy (one
+        // thread) and warmed, and warming on 2/4/16 threads records
+        // the same tapes.  (A lazy run computes only the cells it
+        // touches, so its own tape count may be lower.)
+        if (dimms != 1)
+            continue;
+        const auto trace = serving::generateSessionWorkload(
+            serving::scenarioByName("multiturn", 6, 1.0, 23));
+        FleetConfig fleet = uniformFleet(
+            2, system, config, sched::RouterPolicy::JoinShortestQueue,
+            120.0);
+        fleet.calibrationThreads = 1;
+        const auto lazy =
+            FleetSimulator(fleet, model::opt13b()).run(trace);
+        std::uint64_t warmed_tapes = 0;
+        for (const std::uint32_t threads : {2u, 4u, 16u}) {
+            fleet.calibrationThreads = threads;
+            const auto warmed =
+                FleetSimulator(fleet, model::opt13b()).run(trace);
+            expectIdenticalReports(lazy, warmed);
+            if (threads == 2)
+                warmed_tapes = warmed.kernelStats.calibrationTapes;
+            EXPECT_EQ(warmed.kernelStats.calibrationTapes, warmed_tapes)
+                << threads;
+        }
+        EXPECT_EQ(warmed_tapes, serial.tapes);
+    }
+}
+
+TEST(CalibrationStress, ChatSessionsGridBuildsOneTapePerRow)
+{
+    // The chat-sessions shape: two uniform OPT-13B replicas, maxBatch
+    // 8, multi-turn sessions climbing a 4 x 9 exact grid.  36 cost
+    // cells cost at most 8 full simulations, serial or pooled.
+    serving::ServingConfig serving;
+    serving.maxBatch = 8;
+    serving.calibrationTokens = 6;
+    serving::ScenarioConfig scenario =
+        serving::scenarioByName("multiturn", 8, 0.6, 5);
+    scenario.turns = {4, 0, 0.0, 1.0};
+    scenario.prompt = {1024, 0, 0.0, 1.0};
+    const auto trace = serving::generateSessionWorkload(scenario);
+    FleetConfig fleet =
+        uniformFleet(2, fastConfig(6), serving,
+                     sched::RouterPolicy::JoinShortestQueue, 1.5);
+    fleet.control = sched::controlPolicyByName("affinity");
+    std::uint64_t tapes = 0;
+    for (const std::uint32_t threads : {1u, 2u}) {
+        fleet.calibrationThreads = threads;
+        const auto report =
+            FleetSimulator(fleet, model::opt13b()).run(trace);
+        EXPECT_GE(report.kernelStats.calibrationTapes, 4u) << threads;
+        EXPECT_LE(report.kernelStats.calibrationTapes, 8u) << threads;
+        if (threads == 1)
+            tapes = report.kernelStats.calibrationTapes;
+        EXPECT_EQ(report.kernelStats.calibrationTapes, tapes);
+    }
 }
 
 } // namespace

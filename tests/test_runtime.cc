@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "model/llm_config.hh"
 #include "runtime/factory.hh"
 #include "runtime/hermes_engine.hh"
@@ -366,6 +371,158 @@ TEST(Engines, OracleRebalanceRunsAndStaysClose)
     const double oracle_rate =
         oracle->run(request).tokensPerSecond;
     EXPECT_GT(greedy_rate, 0.85 * oracle_rate);
+}
+
+// ---------------------------------------------------------------
+// Tape replay: an engine that already recorded a row's tape must
+// reproduce a fresh engine's full run bit for bit.
+// ---------------------------------------------------------------
+
+std::uint64_t
+bits(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+void
+expectBitwiseEqual(const InferenceResult &warm,
+                   const InferenceResult &fresh,
+                   const std::string &where)
+{
+    EXPECT_EQ(warm.supported, fresh.supported) << where;
+    EXPECT_EQ(warm.unsupportedReason, fresh.unsupportedReason) << where;
+    EXPECT_EQ(bits(warm.prefillTime), bits(fresh.prefillTime)) << where;
+    EXPECT_EQ(bits(warm.generateTime), bits(fresh.generateTime))
+        << where;
+    EXPECT_EQ(bits(warm.tokensPerSecond), bits(fresh.tokensPerSecond))
+        << where;
+    const LatencyBreakdown &a = warm.breakdown;
+    const LatencyBreakdown &b = fresh.breakdown;
+    EXPECT_EQ(bits(a.fc), bits(b.fc)) << where;
+    EXPECT_EQ(bits(a.attention), bits(b.attention)) << where;
+    EXPECT_EQ(bits(a.predictor), bits(b.predictor)) << where;
+    EXPECT_EQ(bits(a.prefill), bits(b.prefill)) << where;
+    EXPECT_EQ(bits(a.communication), bits(b.communication)) << where;
+    EXPECT_EQ(bits(a.others), bits(b.others)) << where;
+    const auto &warm_counters = warm.stats.counters();
+    const auto &fresh_counters = fresh.stats.counters();
+    ASSERT_EQ(warm_counters.size(), fresh_counters.size()) << where;
+    auto it = fresh_counters.begin();
+    for (const auto &[name, counter] : warm_counters) {
+        EXPECT_EQ(name, it->first) << where;
+        EXPECT_EQ(bits(counter.value()), bits(it->second.value()))
+            << where << " " << name;
+        EXPECT_EQ(counter.samples(), it->second.samples())
+            << where << " " << name;
+        ++it;
+    }
+}
+
+TEST(TapeReplay, WarmedEngineMatchesFreshRunEveryKind)
+{
+    // A scaled-down OPT (1.8 GB of weights) on one 4 GiB DIMM leaves
+    // room for ~12k KV tokens: batch 16 at 1024 context no longer
+    // fits while batch 8 does (a saturated-fallback cell), and 16384
+    // context fits at no batch (an unservable cell).  A 2 GiB GPU
+    // keeps part of the sparse weights cold, so the NDP lanes work.
+    model::LlmConfig llm = model::opt13b();
+    llm.name = "OPT-mini";
+    llm.hidden = 1280;
+    llm.ffnHidden = 5120;
+    llm.heads = 10;
+    llm.kvHeads = 10;
+    SystemConfig config;
+    config.simulatedLayers = 2;
+    config.numDimms = 1;
+    config.dimm.dimm.capacity = 4 * kGiB;
+    config.gpu.memCapacity = 2 * kGiB;
+    const std::vector<std::uint32_t> batches = {16, 8, 4, 2, 1};
+    const std::vector<std::uint32_t> contexts = {16384, 4096, 1024,
+                                                 128};
+    const auto request_at = [&](std::uint32_t batch,
+                                std::uint32_t context) {
+        InferenceRequest request;
+        request.llm = llm;
+        request.batch = batch;
+        request.promptTokens = context;
+        request.generateTokens = 4;
+        request.profileTokens = 8;
+        request.seed = 11;
+        return request;
+    };
+
+    bool saturated = false;
+    bool unservable = false;
+    for (const EngineKind kind : allEngineKinds()) {
+        // The warm engine walks the grid row by row, as a cost
+        // surface does: each row records its tape at its first
+        // servable context and replays it at the others.
+        auto warm = makeEngine(kind, config);
+        std::vector<InferenceResult> warmed;
+        for (const std::uint32_t batch : batches) {
+            for (const std::uint32_t context : contexts)
+                warmed.push_back(warm->run(request_at(batch, context)));
+        }
+        // One full simulation per row; every other cell replayed.
+        const bool trace_driven = kind == EngineKind::Hermes ||
+                                  kind == EngineKind::HermesHost ||
+                                  kind == EngineKind::DejaVu;
+        EXPECT_EQ(warm->tapesBuilt(), trace_driven ? batches.size() : 0u)
+            << engineKindName(kind);
+        std::size_t cell = 0;
+        for (const std::uint32_t batch : batches) {
+            for (const std::uint32_t context : contexts) {
+                const InferenceRequest request =
+                    request_at(batch, context);
+                const InferenceResult fresh =
+                    makeEngine(kind, config)->run(request);
+                expectBitwiseEqual(
+                    warmed[cell++], fresh,
+                    engineKindName(kind) + " b" +
+                        std::to_string(batch) + " ctx" +
+                        std::to_string(context));
+                if (kind != EngineKind::Hermes)
+                    continue;
+                if (!fresh.supported) {
+                    if (!warm->supports(request_at(1, context)))
+                        unservable = true;
+                    else
+                        saturated = true;
+                } else {
+                    EXPECT_GT(
+                        fresh.stats.counterValue("time.mlp.dimm"),
+                        0.0);
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(saturated);
+    EXPECT_TRUE(unservable);
+}
+
+TEST(TapeReplay, OneTapePerRowOnTraceDrivenEngines)
+{
+    SystemConfig config;
+    config.simulatedLayers = 2;
+    for (const EngineKind kind : allEngineKinds()) {
+        auto engine = makeEngine(kind, config);
+        for (const std::uint32_t batch : {1u, 2u}) {
+            for (const std::uint32_t context : {128u, 512u, 2048u}) {
+                InferenceRequest request;
+                request.llm = model::opt13b();
+                request.batch = batch;
+                request.promptTokens = context;
+                request.generateTokens = 4;
+                request.profileTokens = 8;
+                engine->run(request);
+            }
+        }
+        const bool trace_driven = kind == EngineKind::Hermes ||
+                                  kind == EngineKind::HermesHost ||
+                                  kind == EngineKind::DejaVu;
+        EXPECT_EQ(engine->tapesBuilt(), trace_driven ? 2u : 0u)
+            << engineKindName(kind);
+    }
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "model/llm_config.hh"
 #include "sched/ilp_partition.hh"
@@ -163,6 +165,22 @@ TEST(IlpPartition, RespectsDimmCapacity)
     problem.dimmBudgets = {200, 200}; // Two neurons per DIMM max.
     const PartitionResult result = IlpPartitioner().solve(problem);
     EXPECT_TRUE(IlpPartitioner::feasible(problem, result.assignment));
+}
+
+TEST(IlpPartition, ColdOverflowThrowsNamingBlockAndBudget)
+{
+    // Four cold neurons, room for two: a library error, not an exit.
+    PartitionProblem problem = tinyProblem({0.5, 0.5, 0.5, 0.5}, 0);
+    problem.dimmBudgets = {100, 100};
+    EXPECT_THROW(IlpPartitioner().solve(problem), std::runtime_error);
+    try {
+        IlpPartitioner().solve(problem);
+    } catch (const std::runtime_error &error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("block 0"), std::string::npos) << message;
+        EXPECT_NE(message.find("200 bytes"), std::string::npos)
+            << message;
+    }
 }
 
 TEST(IlpPartition, MoreGpuBudgetNeverHurts)

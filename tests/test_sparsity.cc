@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
+#include <vector>
 
 #include "model/llm_config.hh"
 #include "sparsity/stats.hh"
@@ -85,6 +87,30 @@ TEST(Trace, DeterministicForSameSeed)
     }
     EXPECT_EQ(a.mlp(2).activeList, b.mlp(2).activeList);
     EXPECT_EQ(a.attn(1).activeList, b.attn(1).activeList);
+}
+
+TEST(Trace, ExponentCacheKeysOnHotFraction)
+{
+    // Calibrated exponents are cached per thread.  A config that
+    // differs only in hotFraction must not reuse another's exponent:
+    // its probabilities match a trace built on a fresh thread.
+    SparsityConfig wide;
+    wide.hotFraction = 0.2;
+    SparsityConfig narrow;
+    narrow.hotFraction = 0.1;
+
+    std::vector<double> fresh;
+    std::thread([&] {
+        fresh = ActivationTrace(smallModel(1), narrow, 1).mlp(0).probability;
+    }).join();
+
+    std::vector<double> after_wide;
+    std::thread([&] {
+        const ActivationTrace first(smallModel(1), wide, 1);
+        after_wide =
+            ActivationTrace(smallModel(1), narrow, 1).mlp(0).probability;
+    }).join();
+    EXPECT_EQ(after_wide, fresh);
 }
 
 TEST(Trace, DifferentSeedsDiffer)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "model/llm_config.hh"
 #include "runtime/decode_pipeline.hh"
 #include "runtime/factory.hh"
@@ -26,6 +28,17 @@ TEST(Timeline, SerialChainSums)
     EXPECT_DOUBLE_EQ(timeline.startOf(b), timeline.endOf(a));
     EXPECT_DOUBLE_EQ(timeline.makespan(), 3.0);
     EXPECT_DOUBLE_EQ(timeline.busy(gpu), 3.0);
+}
+
+TEST(Timeline, UnknownResourceThrows)
+{
+    Timeline timeline;
+    const auto gpu = timeline.addResource("gpu");
+    EXPECT_THROW(timeline.post(gpu + 1, CostCategory::Fc, 1.0),
+                 std::runtime_error);
+    // The timeline stays usable after the rejected post.
+    timeline.post(gpu, CostCategory::Fc, 1.0);
+    EXPECT_DOUBLE_EQ(timeline.makespan(), 1.0);
 }
 
 TEST(Timeline, IndependentResourcesOverlap)
