@@ -1,12 +1,12 @@
 /**
  * @file
  * Fleet co-simulation bench: router policies x arrival scenarios x
- * replica counts (core/fleet.hh + core/workload.hh), on the
- * event-driven kernel by default.
+ * replica counts (core/fleet.hh + core/workload.hh) on the
+ * event-driven kernel.
  *
  * Sweeps control policies (estimate-based and feedback routing,
- * optionally composed with a stealing policy via --stealer) over
- * the standard scenario set (steady Poisson, bursty Gamma, diurnal
+ * optionally composed with the `stealer` option's policy) over the
+ * standard scenario set (steady Poisson, bursty Gamma, diurnal
  * sinusoid) and reports aggregate throughput, fleet p99 TTFT, and
  * SLO attainment against a TTFT deadline, plus the events/sec of
  * the kernel loop itself so control-plane overhead stays visible.
@@ -29,7 +29,6 @@
  * 32-replica / 2000-request configuration ROADMAP asks for.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -50,11 +49,9 @@ struct Sweep
     std::vector<sched::RouterPolicy> policies;
     std::vector<std::uint32_t> fleetSizes;
     std::vector<serving::ScenarioConfig> scenarios;
-    fleet::FleetKernel kernel = fleet::FleetKernel::EventDriven;
     std::string stealer; ///< "" = none; else a registry name.
     Seconds ttftDeadline = 1.5;
     std::uint32_t maxBatch = 8;
-    serving::CostModel cost = serving::CostModel::Exact;
 };
 
 serving::ServingConfig
@@ -63,7 +60,6 @@ replicaServing(const Sweep &sweep)
     serving::ServingConfig config;
     config.maxBatch = sweep.maxBatch;
     config.calibrationTokens = 6;
-    config.costModel = sweep.cost;
     return config;
 }
 
@@ -88,14 +84,13 @@ fleet::FleetConfig
 fleetConfig(const Sweep &sweep, const SystemConfig &platform,
             std::uint32_t replicas, sched::RouterPolicy policy)
 {
-    fleet::FleetConfig config = fleet::uniformFleet(
-        replicas, platform, replicaServing(sweep), policy,
-        sweep.ttftDeadline);
-    config.kernel = sweep.kernel;
+    std::string control = sched::routerPolicyName(policy);
     if (!sweep.stealer.empty())
-        config.control = sched::controlPolicyByName(
-            sched::routerPolicyName(policy) + "+" + sweep.stealer);
-    return config;
+        control += "+" + sweep.stealer;
+    return fleet::uniformFleet(replicas, platform,
+                               replicaServing(sweep),
+                               sched::controlPolicyByName(control),
+                               sweep.ttftDeadline);
 }
 
 std::string
@@ -149,6 +144,134 @@ struct LoopMeter
     }
 };
 
+/**
+ * The policy-comparison sections beside the sweep: SLO-aware vs
+ * greedy stealing on a heterogeneous fleet, then the request
+ * lifecycle verbs (priority preemption, drain-migrate).
+ */
+void
+compareLifecycle(const Sweep &sweep, const SystemConfig &platform,
+                 const model::LlmConfig &llm, std::uint32_t requests)
+{
+    // SLO-aware stealing vs the occupancy-greedy heuristic on
+    // a heterogeneous fleet: a fast Hermes replica beside an
+    // Accelerate tier whose prefill alone misses the deadline.
+    // slo-steal declines steals whose estimated TTFT on the
+    // thief is worse than waiting out the victim's backlog.
+    banner("Fleet",
+           "stealing: none vs greedy-steal vs slo-steal "
+           "(fast Hermes + slow Accelerate, jsq)");
+    serving::ScenarioConfig scenario;
+    scenario.process = serving::ArrivalProcess::Bursty;
+    scenario.requests = requests;
+    scenario.ratePerSecond = 4.0;
+    scenario.burstiness = 8.0;
+    scenario.prompt = {96, 32, 0.0, 1.0};
+    scenario.generate = {2, 1, 0.0, 1.0};
+    scenario.seed = 5;
+    const auto trace = serving::generateWorkload(scenario);
+
+    fleet::FleetConfig config;
+    config.ttftDeadline = 2.0;
+    fleet::ReplicaConfig fast;
+    fast.name = "fast";
+    fast.system = platform;
+    fast.serving.maxBatch = 2;
+    fast.serving.calibrationTokens = 6;
+    fleet::ReplicaConfig slow = fast;
+    slow.name = "slow";
+    slow.serving.engine = runtime::EngineKind::Accelerate;
+    config.replicas = {fast, slow};
+
+    TextTable steal_table({"control", "done", "steals",
+                           "p99 TTFT (ms)", "SLO att."});
+    for (const char *name :
+         {"jsq", "jsq+greedy-steal", "jsq+slo-steal"}) {
+        config.control = sched::controlPolicyByName(name);
+        fleet::FleetSimulator simulator(config, llm);
+        const auto report = simulator.run(trace);
+        steal_table.addRow(
+            {report.policy, std::to_string(report.completed),
+             std::to_string(report.kernelStats.stolenRequests),
+             TextTable::num(report.p99Ttft * 1e3, 1),
+             TextTable::num(report.sloAttainment, 3)});
+    }
+    steal_table.print();
+
+    // Request lifecycle: priority preemption on an overloaded
+    // bursty fleet (a quarter of the traffic is high priority;
+    // priority-preempt evicts low-priority running work when a
+    // high-priority request would miss its TTFT deadline), and
+    // drain-migrate rescuing a dead replica's queue by moving
+    // requests — KV included — instead of abandoning them.
+    banner("Fleet", "lifecycle: priority preemption (25% "
+                    "high-priority, bursty overload, jsq)");
+    serving::ScenarioConfig prio;
+    prio.process = serving::ArrivalProcess::Bursty;
+    prio.requests = requests;
+    prio.ratePerSecond = 16.0;
+    prio.burstiness = 8.0;
+    prio.prompt = {96, 32, 0.0, 1.0};
+    prio.generate = {48, 16, 0.0, 1.0};
+    prio.highPriorityFraction = 0.25;
+    prio.seed = 11;
+    const auto prio_trace = serving::generateWorkload(prio);
+
+    serving::ServingConfig tight = replicaServing(sweep);
+    tight.maxBatch = 2;
+    fleet::FleetConfig prio_config = fleet::uniformFleet(
+        2, platform, tight, nullptr, 1.0);
+    TextTable prio_table({"control", "done", "preempts",
+                          "hi-pri p99 TTFT (ms)",
+                          "p99 TTFT (ms)", "SLO att."});
+    for (const char *name :
+         {"jsq", "jsq+slo-steal", "jsq+priority-preempt"}) {
+        prio_config.control = sched::controlPolicyByName(name);
+        fleet::FleetSimulator simulator(prio_config, llm);
+        const auto report = simulator.run(prio_trace);
+        prio_table.addRow(
+            {report.policy, std::to_string(report.completed),
+             std::to_string(report.kernelStats.preemptions),
+             TextTable::num(
+                 fleet::ttftPercentile(report, 99.0, 1) * 1e3,
+                 1),
+             TextTable::num(report.p99Ttft * 1e3, 1),
+             TextTable::num(report.sloAttainment, 3)});
+    }
+    prio_table.print();
+
+    banner("Fleet", "lifecycle: drain-migrate off a dead "
+                    "replica (round-robin keeps feeding it)");
+    fleet::FleetConfig drain_config;
+    drain_config.ttftDeadline = 30.0;
+    fleet::ReplicaConfig healthy;
+    healthy.name = "healthy";
+    healthy.system = platform;
+    healthy.serving = replicaServing(sweep);
+    fleet::ReplicaConfig broken = healthy;
+    broken.name = "broken";
+    broken.system.numDimms = 0; // Cannot serve the model.
+    drain_config.replicas = {healthy, broken};
+    TextTable drain_table({"control", "done", "abandoned",
+                           "migrations", "KV transfer (ms)"});
+    for (const char *name :
+         {"round-robin", "round-robin+drain-migrate"}) {
+        drain_config.control =
+            sched::controlPolicyByName(name);
+        fleet::FleetSimulator simulator(drain_config, llm);
+        const auto report = simulator.run(
+            serving::generateWorkload(prio));
+        drain_table.addRow(
+            {report.policy, std::to_string(report.completed),
+             std::to_string(report.rejected),
+             std::to_string(report.kernelStats.migrations),
+             TextTable::num(
+                 report.kernelStats.kvTransferSeconds * 1e3,
+                 3)});
+    }
+    drain_table.print();
+}
+
 } // namespace
 
 int
@@ -201,44 +324,19 @@ main(int argc, char **argv)
         "mean arrival rate (req/s; sessions/s for multiturn)");
     const std::uint64_t seed =
         args.u64("seed", 17, "trace seed (full 64-bit range)");
-    const std::string kernel_name = args.str(
-        "kernel", "event", "co-simulation core: event|two-phase");
-    const bool steal = args.flag(
-        "steal", "[deprecated] same as --stealer greedy-steal");
     std::string stealer = args.str(
         "stealer", "none",
         "auxiliary policy composed with the router: "
         "none|greedy-steal|slo-steal|priority-preempt|"
         "drain-migrate");
-    const std::string cost_name = args.str(
-        "cost", "auto",
-        "cost-surface fill: exact|interp|auto (auto picks interp "
-        "for multiturn — growing contexts would otherwise pay one "
-        "engine simulation per context bucket — and exact "
-        "elsewhere)");
     const std::string json_path = args.out(
         "json", "write a machine-readable run summary "
                 "(events/sec, loop wall time, peak RSS, config) "
                 "to this path");
     args.finish();
 
-    serving::CostModel cost_model = serving::CostModel::Exact;
-    if (cost_name == "auto") {
-        cost_model = multiturn ? serving::CostModel::Interp
-                               : serving::CostModel::Exact;
-    } else {
-        try {
-            cost_model = serving::costModelByName(cost_name);
-        } catch (const std::invalid_argument &error) {
-            std::fprintf(stderr, "--cost: %s\n", error.what());
-            return 2;
-        }
-    }
-
     if (stealer == "none")
         stealer.clear();
-    if (steal && stealer.empty())
-        stealer = "greedy-steal";
     if (!stealer.empty()) {
         // Validate against the registry itself so new stealing
         // policies work here the day they land; reject routing
@@ -260,7 +358,7 @@ main(int argc, char **argv)
         routing = routing || stealer == "affinity";
         if (!known || routing) {
             std::fprintf(stderr,
-                         "--stealer: '%s' is not an auxiliary "
+                         "stealer '%s' is not an auxiliary "
                          "policy (try greedy-steal|slo-steal|"
                          "priority-preempt|drain-migrate)\n",
                          stealer.c_str());
@@ -275,12 +373,6 @@ main(int argc, char **argv)
         // the open-loop sweep: KV-affinity routing against jsq and
         // true-jsq on a uniform fleet, scored on the end-to-end
         // turn latency a conversation actually blocks on.
-        if (fleet::fleetKernelByName(kernel_name) !=
-            fleet::FleetKernel::EventDriven) {
-            std::fprintf(stderr, "multiturn sessions need "
-                                 "--kernel event\n");
-            return 2;
-        }
         const auto llm = model::modelByName("OPT-13B");
         const SystemConfig platform = benchPlatform();
         const auto trace = serving::generateSessionWorkload(
@@ -292,10 +384,8 @@ main(int argc, char **argv)
 
         banner("Fleet", "multiturn: KV-affinity vs jsq on "
                         "conversational sessions, OPT-13B");
-        std::printf("kernel: event; cost model: %s; %u sessions "
-                    "(%zu turns, %llu follow-ups) at %.2f "
-                    "sessions/s\n",
-                    serving::costModelName(cost_model).c_str(),
+        std::printf("%u sessions (%zu turns, %llu follow-ups) at "
+                    "%.2f sessions/s\n",
                     requests, trace.requests.size(),
                     static_cast<unsigned long long>(continues),
                     rate);
@@ -307,7 +397,6 @@ main(int argc, char **argv)
         serving::ServingConfig serving_config;
         serving_config.maxBatch = 8;
         serving_config.calibrationTokens = 6;
-        serving_config.costModel = cost_model;
         // The scale tier measures the kernel against fleet-sized
         // conversational traffic; true-jsq adds a third full run
         // without changing the story, so it stays with the base
@@ -319,12 +408,12 @@ main(int argc, char **argv)
 
         const auto run_control =
             [&](std::uint32_t fleet_size, const char *control) {
-                fleet::FleetConfig config = fleet::uniformFleet(
-                    fleet_size, platform, serving_config,
-                    sched::RouterPolicy::JoinShortestQueue, 1.5);
-                config.control =
-                    sched::controlPolicyByName(control);
-                return fleet::FleetSimulator(config, llm)
+                return fleet::FleetSimulator(
+                           fleet::uniformFleet(
+                               fleet_size, platform, serving_config,
+                               sched::controlPolicyByName(control),
+                               1.5),
+                           llm)
                     .run(trace);
             };
 
@@ -369,10 +458,7 @@ main(int argc, char **argv)
             JsonObject json;
             json.set("bench", "bench_fleet");
             json.set("tier", tier);
-            json.set("kernel", "event");
             json.set("model", "OPT-13B");
-            json.set("cost_model",
-                     serving::costModelName(cost_model));
             json.setU64("replicas", sizes.front());
             json.setU64("requests", requests);
             json.setF64("rate_per_sec", rate);
@@ -421,12 +507,6 @@ main(int argc, char **argv)
         // for the peak only while it lasts.  Scored on total
         // replica-seconds and cost per completed request, the
         // autoscaling cost accounting the kernel now tracks.
-        if (fleet::fleetKernelByName(kernel_name) !=
-            fleet::FleetKernel::EventDriven) {
-            std::fprintf(stderr, "the autoscale tier needs "
-                                 "--kernel event\n");
-            return 2;
-        }
         const auto llm = model::modelByName("OPT-13B");
         const SystemConfig platform = benchPlatform();
         serving::ScenarioConfig scenario =
@@ -441,10 +521,8 @@ main(int argc, char **argv)
 
         banner("Fleet", "autoscale: target-backlog scaler vs "
                         "fixed fleet sizes, diurnal day, OPT-13B");
-        std::printf("kernel: event; cost model: %s; %u requests "
-                    "at %.1f req/s mean (period %.0fs, depth "
-                    "%.1f); deadline: TTFT <= %.1fs\n",
-                    serving::costModelName(cost_model).c_str(),
+        std::printf("%u requests at %.1f req/s mean (period %.0fs, "
+                    "depth %.1f); deadline: TTFT <= %.1fs\n",
                     requests, rate,
                     scenario.diurnalPeriodSeconds,
                     scenario.diurnalDepth, deadline);
@@ -452,23 +530,26 @@ main(int argc, char **argv)
         serving::ServingConfig serving_config;
         serving_config.maxBatch = 8;
         serving_config.calibrationTokens = 6;
-        serving_config.costModel = cost_model;
         const auto run_fixed = [&](std::uint32_t fleet_size) {
-            fleet::FleetConfig config = fleet::uniformFleet(
-                fleet_size, platform, serving_config,
-                sched::RouterPolicy::TrueJsq, deadline);
-            config.control =
-                sched::controlPolicyByName("true-jsq");
-            return fleet::FleetSimulator(config, llm).run(trace);
+            return fleet::FleetSimulator(
+                       fleet::uniformFleet(
+                           fleet_size, platform, serving_config,
+                           sched::controlPolicyByName("true-jsq"),
+                           deadline),
+                       llm)
+                .run(trace);
         };
         const auto run_scaled = [&] {
-            fleet::FleetConfig config = fleet::uniformFleet(
-                1, platform, serving_config,
-                sched::RouterPolicy::TrueJsq, deadline);
-            config.control = sched::composeControlPolicies(
-                {sched::controlPolicyByName("true-jsq"),
-                 sched::makeTargetBacklogPolicy()});
-            return fleet::FleetSimulator(config, llm).run(trace);
+            return fleet::FleetSimulator(
+                       fleet::uniformFleet(
+                           1, platform, serving_config,
+                           sched::composeControlPolicies(
+                               {sched::controlPolicyByName(
+                                    "true-jsq"),
+                                sched::makeTargetBacklogPolicy()}),
+                           deadline),
+                       llm)
+                .run(trace);
         };
 
         LoopMeter meter;
@@ -511,10 +592,7 @@ main(int argc, char **argv)
             json.set("bench", "bench_fleet");
             json.set("tier",
                      smoke ? "autoscale-smoke" : "autoscale");
-            json.set("kernel", "event");
             json.set("model", "OPT-13B");
-            json.set("cost_model",
-                     serving::costModelName(cost_model));
             json.setU64("replicas", 1);
             json.setU64("requests", requests);
             json.setF64("rate_per_sec", rate);
@@ -566,31 +644,15 @@ main(int argc, char **argv)
     }
 
     Sweep sweep;
-    sweep.kernel = fleet::fleetKernelByName(kernel_name);
     sweep.stealer = stealer;
-    sweep.cost = cost_model;
     if (policy_name == "all") {
         sweep.policies = sched::allRouterPolicies();
         if (smoke)
             sweep.policies = {sched::RouterPolicy::RoundRobin,
                               sched::RouterPolicy::JoinShortestQueue,
                               sched::RouterPolicy::TrueJsq};
-        if (sweep.kernel == fleet::FleetKernel::TwoPhase) {
-            // Feedback policies need the event kernel.
-            std::erase_if(sweep.policies,
-                          sched::routerPolicyNeedsObservations);
-        }
     } else {
         sweep.policies = {sched::routerPolicyByName(policy_name)};
-    }
-    if (sweep.kernel == fleet::FleetKernel::TwoPhase &&
-        (!sweep.stealer.empty() ||
-         std::any_of(sweep.policies.begin(), sweep.policies.end(),
-                     sched::routerPolicyNeedsObservations))) {
-        std::fprintf(stderr,
-                     "feedback policies and stealing need "
-                     "--kernel event\n");
-        return 2;
     }
     sweep.fleetSizes = replicas > 0
                            ? std::vector<std::uint32_t>{replicas}
@@ -611,12 +673,11 @@ main(int argc, char **argv)
     const SystemConfig platform = benchPlatform();
 
     banner("Fleet", "policy x scenario x replicas, OPT-13B");
-    std::printf("kernel: %s%s%s; deadline: TTFT <= %.2fs; "
+    std::printf("stealer: %s; deadline: TTFT <= %.2fs; "
                 "%u requests at %.1f req/s\n",
-                fleet::fleetKernelName(sweep.kernel).c_str(),
-                sweep.stealer.empty() ? "" : " + ",
-                sweep.stealer.c_str(), sweep.ttftDeadline,
-                requests, rate);
+                sweep.stealer.empty() ? "none"
+                                      : sweep.stealer.c_str(),
+                sweep.ttftDeadline, requests, rate);
 
     LoopMeter meter;
     TextTable table({"policy", "replicas", "scenario", "done", "rej",
@@ -669,11 +730,7 @@ main(int argc, char **argv)
         JsonObject json;
         json.set("bench", "bench_fleet");
         json.set("tier", tier);
-        json.set("kernel",
-                 fleet::fleetKernelName(sweep.kernel));
         json.set("model", "OPT-13B");
-        json.set("cost_model",
-                 serving::costModelName(cost_model));
         json.setU64("replicas", sweep.fleetSizes.front());
         json.setU64("requests", requests);
         json.setF64("rate_per_sec", rate);
@@ -698,127 +755,7 @@ main(int argc, char **argv)
         // and the double-run determinism check stay with --scale.
         return json_ok ? 0 : 1;
     }
-
-    if (sweep.kernel == fleet::FleetKernel::EventDriven) {
-        // SLO-aware stealing vs the occupancy-greedy heuristic on
-        // a heterogeneous fleet: a fast Hermes replica beside an
-        // Accelerate tier whose prefill alone misses the deadline.
-        // slo-steal declines steals whose estimated TTFT on the
-        // thief is worse than waiting out the victim's backlog.
-        banner("Fleet",
-               "stealing: none vs greedy-steal vs slo-steal "
-               "(fast Hermes + slow Accelerate, jsq)");
-        serving::ScenarioConfig scenario;
-        scenario.process = serving::ArrivalProcess::Bursty;
-        scenario.requests = requests;
-        scenario.ratePerSecond = 4.0;
-        scenario.burstiness = 8.0;
-        scenario.prompt = {96, 32, 0.0, 1.0};
-        scenario.generate = {2, 1, 0.0, 1.0};
-        scenario.seed = 5;
-        const auto trace = serving::generateWorkload(scenario);
-
-        fleet::FleetConfig config;
-        config.ttftDeadline = 2.0;
-        fleet::ReplicaConfig fast;
-        fast.name = "fast";
-        fast.system = platform;
-        fast.serving.maxBatch = 2;
-        fast.serving.calibrationTokens = 6;
-        fleet::ReplicaConfig slow = fast;
-        slow.name = "slow";
-        slow.serving.engine = runtime::EngineKind::Accelerate;
-        config.replicas = {fast, slow};
-
-        TextTable steal_table({"control", "done", "steals",
-                               "p99 TTFT (ms)", "SLO att."});
-        for (const char *name :
-             {"jsq", "jsq+greedy-steal", "jsq+slo-steal"}) {
-            config.control = sched::controlPolicyByName(name);
-            fleet::FleetSimulator simulator(config, llm);
-            const auto report = simulator.run(trace);
-            steal_table.addRow(
-                {report.policy, std::to_string(report.completed),
-                 std::to_string(report.kernelStats.stolenRequests),
-                 TextTable::num(report.p99Ttft * 1e3, 1),
-                 TextTable::num(report.sloAttainment, 3)});
-        }
-        steal_table.print();
-
-        // Request lifecycle: priority preemption on an overloaded
-        // bursty fleet (a quarter of the traffic is high priority;
-        // priority-preempt evicts low-priority running work when a
-        // high-priority request would miss its TTFT deadline), and
-        // drain-migrate rescuing a dead replica's queue by moving
-        // requests — KV included — instead of abandoning them.
-        banner("Fleet", "lifecycle: priority preemption (25% "
-                        "high-priority, bursty overload, jsq)");
-        serving::ScenarioConfig prio;
-        prio.process = serving::ArrivalProcess::Bursty;
-        prio.requests = requests;
-        prio.ratePerSecond = 16.0;
-        prio.burstiness = 8.0;
-        prio.prompt = {96, 32, 0.0, 1.0};
-        prio.generate = {48, 16, 0.0, 1.0};
-        prio.highPriorityFraction = 0.25;
-        prio.seed = 11;
-        const auto prio_trace = serving::generateWorkload(prio);
-
-        serving::ServingConfig tight = replicaServing(sweep);
-        tight.maxBatch = 2;
-        fleet::FleetConfig prio_config = fleet::uniformFleet(
-            2, platform, tight,
-            sched::RouterPolicy::JoinShortestQueue, 1.0);
-        TextTable prio_table({"control", "done", "preempts",
-                              "hi-pri p99 TTFT (ms)",
-                              "p99 TTFT (ms)", "SLO att."});
-        for (const char *name :
-             {"jsq", "jsq+slo-steal", "jsq+priority-preempt"}) {
-            prio_config.control = sched::controlPolicyByName(name);
-            fleet::FleetSimulator simulator(prio_config, llm);
-            const auto report = simulator.run(prio_trace);
-            prio_table.addRow(
-                {report.policy, std::to_string(report.completed),
-                 std::to_string(report.kernelStats.preemptions),
-                 TextTable::num(
-                     fleet::ttftPercentile(report, 99.0, 1) * 1e3,
-                     1),
-                 TextTable::num(report.p99Ttft * 1e3, 1),
-                 TextTable::num(report.sloAttainment, 3)});
-        }
-        prio_table.print();
-
-        banner("Fleet", "lifecycle: drain-migrate off a dead "
-                        "replica (round-robin keeps feeding it)");
-        fleet::FleetConfig drain_config;
-        drain_config.ttftDeadline = 30.0;
-        fleet::ReplicaConfig healthy;
-        healthy.name = "healthy";
-        healthy.system = platform;
-        healthy.serving = replicaServing(sweep);
-        fleet::ReplicaConfig broken = healthy;
-        broken.name = "broken";
-        broken.system.numDimms = 0; // Cannot serve the model.
-        drain_config.replicas = {healthy, broken};
-        TextTable drain_table({"control", "done", "abandoned",
-                               "migrations", "KV transfer (ms)"});
-        for (const char *name :
-             {"round-robin", "round-robin+drain-migrate"}) {
-            drain_config.control =
-                sched::controlPolicyByName(name);
-            fleet::FleetSimulator simulator(drain_config, llm);
-            const auto report = simulator.run(
-                serving::generateWorkload(prio));
-            drain_table.addRow(
-                {report.policy, std::to_string(report.completed),
-                 std::to_string(report.rejected),
-                 std::to_string(report.kernelStats.migrations),
-                 TextTable::num(
-                     report.kernelStats.kvTransferSeconds * 1e3,
-                     3)});
-        }
-        drain_table.print();
-    }
+    compareLifecycle(sweep, platform, llm, requests);
 
     banner("Fleet", "determinism: same seed, fresh fleet");
     const auto scenario = sweep.scenarios.back();

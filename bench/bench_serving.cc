@@ -14,6 +14,7 @@
  */
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "bench_util.hh"
 #include "common/table.hh"
@@ -74,7 +75,13 @@ main(int argc, char **argv)
                 "comparison to this path");
     args.finish();
 
-    const auto llm = model::modelByName(model_name);
+    model::LlmConfig llm;
+    try {
+        llm = model::modelByName(model_name);
+    } catch (const std::invalid_argument &error) {
+        std::fprintf(stderr, "--model: %s\n", error.what());
+        return 2;
+    }
     System system(benchPlatform());
 
     banner("Serving", "engine comparison");

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "common/table.hh"
@@ -113,7 +114,12 @@ main(int argc, char **argv)
         usage(argv[0]);
 
     InferenceRequest request;
-    request.llm = model::modelByName(options.model);
+    try {
+        request.llm = model::modelByName(options.model);
+    } catch (const std::invalid_argument &error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
+    }
     request.batch = options.batch;
     request.promptTokens = options.prompt;
     request.generateTokens = options.gen;

@@ -3,10 +3,9 @@
  * Discrete-event co-simulation kernel: one virtual clock shared by
  * every replica of a fleet.
  *
- * PR 2's fleet layer was open-loop: the router committed every
- * placement up front from a backlog *estimate*, then each replica
- * replayed its sub-trace in isolation.  The event kernel inverts
- * that control flow.  All replicas advance on a single virtual
+ * An open-loop fleet would commit every placement up front from a
+ * backlog *estimate*, then replay each replica's sub-trace in
+ * isolation.  The event kernel inverts that control flow.  All replicas advance on a single virtual
  * clock; the fleet pops the earliest event, lets exactly one actor
  * react (deliver an arrival, finish a prefill or decode step, wake
  * an idle replica), and pushes the follow-up events that reaction
@@ -80,9 +79,8 @@ enum class EventKind : std::uint8_t
     /**
      * A session's follow-up turn arrives: scheduled at the previous
      * turn's completion + think time (fleet-level event; its id is
-     * the follow-up's workload index).  Only session runs emit it —
-     * arrival times that depend on completion times are exactly
-     * what the open-loop two-phase path cannot express.
+     * the follow-up's workload index).  Only session runs emit it:
+     * their arrival times depend on completion times.
      */
     SessionContinue = 7,
 

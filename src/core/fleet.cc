@@ -19,6 +19,15 @@
 
 namespace hermes::fleet {
 
+/** The calibration operating point a workload implies. */
+struct WorkloadShape
+{
+    std::uint64_t typicalPrompt = 1;
+    std::uint64_t typicalContext = 1;
+    std::uint64_t maxPrompt = 0;
+    std::uint64_t maxContext = 0;
+};
+
 namespace {
 
 /** "r<i>", the default display name of replica i. */
@@ -41,16 +50,6 @@ median(std::vector<std::uint64_t> values)
                      values.end());
     return values[mid];
 }
-
-/** The calibration operating point a workload implies. */
-struct WorkloadShape
-{
-    std::uint64_t typicalPrompt = 1;
-    std::uint64_t typicalContext = 1;
-    std::uint64_t typicalGenerate = 1;
-    std::uint64_t maxPrompt = 0;
-    std::uint64_t maxContext = 0;
-};
 
 /**
  * The router's typical request shape depends only on the workload:
@@ -78,10 +77,9 @@ workloadShape(const std::vector<serving::ServedRequest> &workload)
         std::max<std::uint64_t>(median(std::move(prompts)), 1);
     // Decode runs at a context that grows from the prompt; half the
     // typical generation is the representative midpoint.
-    shape.typicalGenerate =
-        std::max<std::uint64_t>(median(std::move(generates)), 1);
     shape.typicalContext =
-        shape.typicalPrompt + shape.typicalGenerate / 2;
+        shape.typicalPrompt +
+        std::max<std::uint64_t>(median(std::move(generates)), 1) / 2;
     return shape;
 }
 
@@ -146,8 +144,11 @@ calibrateReplicaModel(serving::ServingSimulator &simulator,
     model.prefillTokensPerSecond =
         static_cast<double>(shape.typicalPrompt) /
         std::max(model.prefillSeconds, 1.0e-12);
-    model.typicalGenerateTokens =
-        static_cast<double>(shape.typicalGenerate);
+    // The scaler's prefill amortization length.  Calibration has
+    // always passed G = 1 here rather than the workload median; the
+    // autoscale pins are calibrated against that, so changing it is
+    // a physics change of its own.
+    model.typicalGenerateTokens = 1.0;
     // Warm the cost cache across the whole batch ramp at both the
     // workload-typical contexts and the workload maxima (heavy-
     // tailed prompt distributions put a few requests one context
@@ -278,6 +279,17 @@ class IdIndex
     bool duplicate_ = false;
 };
 
+/** The merge joins replica rows back to the trace by request id;
+ * duplicates would make the join ambiguous. */
+void
+requireUniqueIds(const std::vector<serving::ServedRequest> &workload)
+{
+    if (IdIndex(workload).hasDuplicateIds())
+        throw std::invalid_argument(
+            "FleetSimulator: request ids must be unique "
+            "(the report merge joins by id)");
+}
+
 /**
  * The event-driven co-simulation loop, wired to one ControlPolicy:
  * the kernel owns physics (virtual clock, replica boundaries,
@@ -297,18 +309,15 @@ class EventKernel final : public sched::FleetView,
         std::vector<std::size_t> &cache_group_of,
         std::vector<sched::ReplicaModel> models,
         const WorkloadShape &shape, FleetReport &report,
-        const std::vector<serving::ServedRequest> &workload,
+        std::vector<serving::ServedRequest> &workload,
         sched::ControlPolicy &control,
-        const serving::SessionTrace *sessions = nullptr,
-        std::vector<serving::ServedRequest> *mutable_workload =
-            nullptr)
+        const serving::SessionTrace *sessions)
         : config_(config), llm_(llm), replicas_(replicas),
           cacheGroupOf_(cache_group_of),
           models_(std::move(models)), shape_(shape),
           report_(report), workload_(workload),
           control_(control), wants_(control.wants()),
-          sessions_(sessions), mutableWorkload_(mutable_workload),
-          idIndex_(workload)
+          sessions_(sessions), idIndex_(workload)
     {
         const std::size_t n = replicas_.size();
         // The kernel owns a mutable replica table: spawnReplica
@@ -337,9 +346,6 @@ class EventKernel final : public sched::FleetView,
             // since the last arrival are re-probed.
             observedDirty_.assign(n, 1);
         }
-        hermes_assert(sessions_ == nullptr ||
-                          mutableWorkload_ != nullptr,
-                      "session kernel needs the mutable workload");
     }
 
     /** Drive the whole co-simulation (see class doc). */
@@ -829,10 +835,10 @@ class EventKernel final : public sched::FleetView,
             }
         }
         if (cacheGroupOf_[index] == index) {
-            // A novel spec still shares interpolation anchors with
-            // any replica whose physics match (same engine, model,
+            // A novel spec still shares the anchor store with any
+            // replica whose physics match (same engine, model,
             // seed — differing only in batch caps or bucketing),
-            // so even a cold spawn reuses every anchor simulation
+            // so even a cold spawn reuses every engine simulation
             // already paid for.
             for (std::size_t j = 0; j < index; ++j) {
                 if (replica.shareAnchorStoreWith(*replicas_[j]))
@@ -876,12 +882,6 @@ class EventKernel final : public sched::FleetView,
                     sim::EventKind::ReplicaReady,
                     static_cast<std::int32_t>(index), 0);
         return index;
-    }
-
-    void
-    requestSpawn() override
-    {
-        ++report_.kernelStats.spawnRequests;
     }
 
     void
@@ -1072,10 +1072,10 @@ class EventKernel final : public sched::FleetView,
                       "SessionContinue outside a session run");
         // The trace's stored arrival was a placeholder; the real
         // arrival instant is only known now.  The kernel owns the
-        // mutable trace copy, so the report merge and the routed
+        // run's trace copy, so the report merge and the routed
         // request both see the true instant.
-        (*mutableWorkload_)[static_cast<std::size_t>(event.id)]
-            .arrival = event.time;
+        workload_[static_cast<std::size_t>(event.id)].arrival =
+            event.time;
         onArrivalEvent(event);
     }
 
@@ -1216,19 +1216,18 @@ class EventKernel final : public sched::FleetView,
     const WorkloadShape shape_;
 
     FleetReport &report_;
-    const std::vector<serving::ServedRequest> &workload_;
+
+    /**
+     * The run's own copy of the trace; in session mode the kernel
+     * overwrites each follow-up turn's placeholder arrival at
+     * done + think.
+     */
+    std::vector<serving::ServedRequest> &workload_;
     sched::ControlPolicy &control_;
     const std::uint32_t wants_;
 
-    /**
-     * Session mode (nullptr for plain traces): the continuation
-     * plan, and the run's own mutable copy of the trace whose
-     * placeholder follow-up arrivals the kernel overwrites at
-     * done + think (workload_ aliases it).
-     */
+    /** Session mode's continuation plan (nullptr for plain traces). */
     const serving::SessionTrace *sessions_ = nullptr;
-    std::vector<serving::ServedRequest> *mutableWorkload_ =
-        nullptr;
 
     /** Migrations whose KV transfer has not landed yet (a handful
      * at a time, so a scanned flat list beats a hash map). */
@@ -1312,37 +1311,15 @@ latencyPercentile(const FleetReport &report, double p,
     return serving::percentile(std::move(samples), p);
 }
 
-std::string
-fleetKernelName(FleetKernel kernel)
-{
-    switch (kernel) {
-    case FleetKernel::EventDriven:
-        return "event";
-    case FleetKernel::TwoPhase:
-        return "two-phase";
-    }
-    return "?";
-}
-
-FleetKernel
-fleetKernelByName(const std::string &name)
-{
-    if (name == "event")
-        return FleetKernel::EventDriven;
-    if (name == "two-phase")
-        return FleetKernel::TwoPhase;
-    throw std::invalid_argument(
-        "fleetKernelByName: unknown kernel '" + name + "'");
-}
-
 FleetConfig
 uniformFleet(std::uint32_t count,
              const runtime::SystemConfig &system,
              const serving::ServingConfig &serving,
-             sched::RouterPolicy policy, Seconds ttft_deadline)
+             std::shared_ptr<sched::ControlPolicy> control,
+             Seconds ttft_deadline)
 {
     FleetConfig config;
-    config.policy = policy;
+    config.control = std::move(control);
     config.ttftDeadline = ttft_deadline;
     config.replicas.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -1361,6 +1338,10 @@ FleetSimulator::FleetSimulator(FleetConfig config,
 {
     if (config_.replicas.empty())
         throw std::invalid_argument("FleetSimulator: no replicas");
+    if (!config_.control)
+        throw std::invalid_argument(
+            "FleetSimulator: FleetConfig::control is required (e.g. "
+            "sched::controlPolicyByName(\"jsq\"))");
     cacheGroupOf_.resize(config_.replicas.size());
     for (std::size_t i = 0; i < config_.replicas.size(); ++i) {
         ReplicaConfig &replica = config_.replicas[i];
@@ -1386,7 +1367,7 @@ FleetSimulator::FleetSimulator(FleetConfig config,
         }
         // A new group leader may still share *physics* with an
         // earlier leader (differing only in serving-policy knobs
-        // like maxBatch or seqBucket): share the exact-anchor store
+        // like maxBatch or seqBucket): share the anchor store
         // so both groups pay for each engine simulation once.
         if (cacheGroupOf_[i] == i) {
             for (std::size_t j = 0; j < i; ++j) {
@@ -1399,33 +1380,18 @@ FleetSimulator::FleetSimulator(FleetConfig config,
     }
 }
 
-sched::ReplicaModel
-FleetSimulator::calibrate(std::size_t index,
-                          std::uint64_t typical_prompt,
-                          std::uint64_t typical_context,
-                          std::uint64_t max_prompt,
-                          std::uint64_t max_context)
-{
-    WorkloadShape shape;
-    shape.typicalPrompt = typical_prompt;
-    shape.typicalContext = typical_context;
-    shape.maxPrompt = max_prompt;
-    shape.maxContext = max_context;
-    return calibrateReplicaModel(
-        *replicas_[index],
-        std::max<std::uint32_t>(
-            config_.replicas[index].serving.maxBatch, 1),
-        shape);
-}
-
 std::vector<sched::ReplicaModel>
-FleetSimulator::calibrateAll(std::uint64_t typical_prompt,
-                             std::uint64_t typical_context,
-                             std::uint64_t max_prompt,
-                             std::uint64_t max_context)
+FleetSimulator::calibrateAll(const WorkloadShape &shape)
 {
     const std::size_t count = replicas_.size();
     std::vector<sched::ReplicaModel> models(count);
+    const auto calibrate = [&](std::size_t i) {
+        return calibrateReplicaModel(
+            *replicas_[i],
+            std::max<std::uint32_t>(
+                config_.replicas[i].serving.maxBatch, 1),
+            shape);
+    };
 
     // Only cache-group representatives run cold engine
     // simulations; members re-probe afterwards against the warm
@@ -1444,15 +1410,13 @@ FleetSimulator::calibrateAll(std::uint64_t typical_prompt,
         leaders.size());
     if (workers <= 1) {
         for (const std::size_t i : leaders)
-            models[i] = calibrate(i, typical_prompt,
-                                  typical_context, max_prompt,
-                                  max_context);
+            models[i] = calibrate(i);
     } else {
         // Each worker claims whole representatives, so one cost
         // cache is only ever touched by one thread and the
         // calibrated models are identical to the serial loop
         // regardless of scheduling.  (Physics-equal leaders share a
-        // mutex-guarded exact-anchor store across threads; its
+        // mutex-guarded anchor store across threads; its
         // values are pure functions of the operating point, so the
         // models stay interleaving-independent.)  Heterogeneous-
         // fleet sweeps stop paying one engine simulation chain per
@@ -1467,10 +1431,8 @@ FleetSimulator::calibrateAll(std::uint64_t typical_prompt,
                     for (std::size_t k = next.fetch_add(1);
                          k < leaders.size();
                          k = next.fetch_add(1))
-                        models[leaders[k]] = calibrate(
-                            leaders[k], typical_prompt,
-                            typical_context, max_prompt,
-                            max_context);
+                        models[leaders[k]] =
+                            calibrate(leaders[k]);
                 } catch (...) {
                     errors[w] = std::current_exception();
                 }
@@ -1485,9 +1447,7 @@ FleetSimulator::calibrateAll(std::uint64_t typical_prompt,
     }
     for (std::size_t i = 0; i < count; ++i) {
         if (cacheGroupOf_[i] != i)
-            models[i] = calibrate(i, typical_prompt,
-                                  typical_context, max_prompt,
-                                  max_context);
+            models[i] = calibrate(i);
     }
     return models;
 }
@@ -1522,8 +1482,8 @@ FleetSimulator::warmSessionCosts(std::uint64_t max_context)
     // Warming the whole trajectory grid up front computes cells a
     // lazy run may never touch (e.g. full-batch decodes at the very
     // largest contexts); that trade only wins when the pool can
-    // overlap the simulations.  Single-threaded, lazy misses pick
-    // exactly the anchors the run needs — skip.
+    // overlap the simulations.  Single-threaded, lazy misses compute
+    // exactly the cells the run needs — skip.
     if (threads <= 1)
         return;
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
@@ -1543,11 +1503,9 @@ FleetSimulator::warmSessionCosts(std::uint64_t max_context)
             if (ramp >= max_batch)
                 break;
         }
-        // Exact mode simulates the whole grid — skip oversized ones
-        // (tiny seqBucket); interp mode collapses the grid to the
-        // log-spaced anchors inside warmCosts.
-        if (serving.costModel == serving::CostModel::Exact &&
-            rows * (max_column + 1) > 4096)
+        // The whole grid is simulated: skip oversized ones (tiny
+        // seqBucket).
+        if (rows * (max_column + 1) > 4096)
             continue;
         std::vector<serving::CostProbe> probes;
         probes.reserve(rows * (max_column + 1));
@@ -1563,67 +1521,6 @@ FleetSimulator::warmSessionCosts(std::uint64_t max_context)
         }
         replicas_[i]->warmCosts(probes, threads);
     }
-}
-
-void
-FleetSimulator::runTwoPhase(
-    FleetReport &report,
-    const std::vector<serving::ServedRequest> &workload,
-    std::vector<sched::ReplicaModel> models)
-{
-    const std::size_t replica_count = replicas_.size();
-    sched::Router router(config_.policy, std::move(models),
-                         config_.ttftDeadline);
-
-    // Route in arrival order; each decision updates the router's
-    // backlog estimate, so later requests see earlier placements —
-    // but never the replicas' ground truth.
-    std::vector<std::vector<serving::ServedRequest>> assigned(
-        replica_count);
-    report.assignment.assign(workload.size(), -1);
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        const serving::ServedRequest &request = workload[i];
-        const sched::RouteDecision decision = router.route(
-            request.arrival, request.generateTokens);
-        report.assignment[i] = decision.replica;
-        if (decision.replica < 0) {
-            ++report.shed;
-            continue;
-        }
-        assigned[static_cast<std::size_t>(decision.replica)]
-            .push_back(request);
-    }
-
-    // Ground truth: every replica serves its sub-trace with the full
-    // continuous-batching simulation, in isolation.
-    for (std::size_t r = 0; r < replica_count; ++r)
-        report.replicaReports.push_back(
-            replicas_[r]->run(assigned[r]));
-}
-
-void
-FleetSimulator::runEventDriven(
-    FleetReport &report,
-    const std::vector<serving::ServedRequest> &workload,
-    std::vector<sched::ReplicaModel> models,
-    sched::ControlPolicy &control,
-    std::uint64_t typical_prompt, std::uint64_t typical_context,
-    std::uint64_t max_prompt, std::uint64_t max_context,
-    const serving::SessionTrace *sessions,
-    std::vector<serving::ServedRequest> *mutable_workload)
-{
-    // The kernel needs the calibration operating point so a replica
-    // spawned mid-run calibrates against the same workload shape
-    // the configured fleet did.
-    WorkloadShape shape;
-    shape.typicalPrompt = typical_prompt;
-    shape.typicalContext = typical_context;
-    shape.maxPrompt = max_prompt;
-    shape.maxContext = max_context;
-    EventKernel(config_, llm_, replicas_, cacheGroupOf_,
-                std::move(models), shape, report, workload,
-                control, sessions, mutable_workload)
-        .run();
 }
 
 void
@@ -1697,8 +1594,7 @@ FleetSimulator::mergeReports(
 
     // The autoscaling scorecard: replica-seconds bought per request
     // completed.  A scaler wins when it holds this below every fixed
-    // fleet size at equal-or-better SLO attainment.  Zero under the
-    // two-phase kernel, which does not meter replica lifetimes.
+    // fleet size at equal-or-better SLO attainment.
     report.costPerRequest =
         report.completed > 0
             ? report.replicaSeconds /
@@ -1710,42 +1606,50 @@ FleetReport
 FleetSimulator::run(std::vector<serving::ServedRequest> workload)
 {
     serving::sortByArrival(workload);
+    requireUniqueIds(workload);
+    return runTrace(workload, nullptr);
+}
 
-    // The merge joins replica rows back to the trace by request id;
-    // duplicates would make the join ambiguous.
-    if (IdIndex(workload).hasDuplicateIds())
+FleetReport
+FleetSimulator::run(const serving::SessionTrace &sessions)
+{
+    const std::size_t turns = sessions.requests.size();
+    if (sessions.turnOf.size() != turns ||
+        sessions.successor.size() != turns ||
+        sessions.thinkAfter.size() != turns)
         throw std::invalid_argument(
-            "FleetSimulator: request ids must be unique "
-            "(the report merge joins by id)");
-    if (config_.kernel == FleetKernel::TwoPhase &&
-        (sched::routerPolicyNeedsObservations(config_.policy) ||
-         config_.workStealing))
-        throw std::invalid_argument(
-            "FleetSimulator: feedback policies and work stealing "
-            "need the event-driven kernel");
-    if (config_.kernel == FleetKernel::TwoPhase && config_.control)
-        throw std::invalid_argument(
-            "FleetSimulator: control policies need the "
-            "event-driven kernel");
-
-    // Resolve the active control plane: an explicit policy object,
-    // or the deprecated enum/bool fields adapted onto the same API
-    // (bit-identical to the pre-control-plane kernel).
-    std::shared_ptr<sched::ControlPolicy> control =
-        config_.control;
-    if (!control && config_.kernel == FleetKernel::EventDriven) {
-        std::vector<std::shared_ptr<sched::ControlPolicy>> parts;
-        parts.push_back(sched::makeRouterPolicy(config_.policy));
-        if (config_.workStealing)
-            parts.push_back(sched::makeGreedyStealPolicy());
-        control = sched::composeControlPolicies(std::move(parts));
+            "FleetSimulator: session trace parallel arrays "
+            "disagree on size");
+    requireUniqueIds(sessions.requests);
+    // The kernel preloads first turns as a presorted stream, so
+    // their arrivals must be nondecreasing in trace order (the
+    // generator's natural order; follow-up arrivals are decided by
+    // the simulation and may be anything).
+    Seconds last_start = 0.0;
+    for (std::size_t i = 0; i < turns; ++i) {
+        if (sessions.turnOf[i] != 0)
+            continue;
+        if (sessions.requests[i].arrival < last_start)
+            throw std::invalid_argument(
+                "FleetSimulator: session first-turn arrivals must "
+                "be nondecreasing in trace order");
+        last_start = sessions.requests[i].arrival;
     }
+    // The run's own copy of the trace: the kernel overwrites each
+    // follow-up turn's placeholder arrival when it actually fires.
+    // No arrival sort — the continuation plan is indexed by
+    // workload position.
+    std::vector<serving::ServedRequest> workload = sessions.requests;
+    return runTrace(workload, &sessions);
+}
 
+FleetReport
+FleetSimulator::runTrace(std::vector<serving::ServedRequest> &workload,
+                         const serving::SessionTrace *sessions)
+{
+    sched::ControlPolicy &control = *config_.control;
     FleetReport report;
-    report.policy = control
-                        ? control->name()
-                        : sched::routerPolicyName(config_.policy);
-    report.kernel = fleetKernelName(config_.kernel);
+    report.policy = control.name();
     report.ttftDeadline = config_.ttftDeadline;
     for (const ReplicaConfig &replica : config_.replicas)
         report.replicaNames.push_back(replica.name);
@@ -1753,18 +1657,22 @@ FleetSimulator::run(std::vector<serving::ServedRequest> workload)
     const WorkloadShape shape = workloadShape(workload);
     const double calibration_start = totalCalibrationSeconds();
     const std::uint64_t tapes_start = totalCalibrationTapes();
-    std::vector<sched::ReplicaModel> models =
-        calibrateAll(shape.typicalPrompt, shape.typicalContext,
-                     shape.maxPrompt, shape.maxContext);
+    std::vector<sched::ReplicaModel> models = calibrateAll(shape);
+    // A session trace announces its whole context trajectory up
+    // front (every turn's prompt already carries its history):
+    // pre-warm the surface across the calibration pool instead of
+    // paying one cold bucket per growing turn inside the loop.
+    if (sessions != nullptr)
+        warmSessionCosts(shape.maxContext);
     const double calibration_warm = totalCalibrationSeconds();
 
-    if (config_.kernel == FleetKernel::EventDriven)
-        runEventDriven(report, workload, std::move(models),
-                       *control, shape.typicalPrompt,
-                       shape.typicalContext, shape.maxPrompt,
-                       shape.maxContext);
-    else
-        runTwoPhase(report, workload, std::move(models));
+    // The shape travels into the kernel so replicas spawned mid-run
+    // calibrate against the same operating point the configured
+    // fleet did.
+    EventKernel(config_, llm_, replicas_, cacheGroupOf_,
+                std::move(models), shape, report, workload, control,
+                sessions)
+        .run();
 
     // Cold buckets the loop still hit ran engine simulations on the
     // event thread; subtract that wall time so loopSeconds prices
@@ -1787,104 +1695,9 @@ FleetSimulator::run(std::vector<serving::ServedRequest> workload)
     replicas_.resize(config_.replicas.size());
     cacheGroupOf_.resize(config_.replicas.size());
 
-    mergeReports(report, workload);
-    return report;
-}
-
-FleetReport
-FleetSimulator::run(const serving::SessionTrace &sessions)
-{
-    if (config_.kernel != FleetKernel::EventDriven)
-        throw std::invalid_argument(
-            "FleetSimulator: session traces need the event-driven "
-            "kernel — follow-up arrival instants depend on "
-            "completion instants, which the open-loop two-phase "
-            "path cannot express");
-    const std::size_t turns = sessions.requests.size();
-    if (sessions.turnOf.size() != turns ||
-        sessions.successor.size() != turns ||
-        sessions.thinkAfter.size() != turns)
-        throw std::invalid_argument(
-            "FleetSimulator: session trace parallel arrays "
-            "disagree on size");
-    if (IdIndex(sessions.requests).hasDuplicateIds())
-        throw std::invalid_argument(
-            "FleetSimulator: request ids must be unique "
-            "(the report merge joins by id)");
-    // The kernel preloads first turns as a presorted stream, so
-    // their arrivals must be nondecreasing in trace order (the
-    // generator's natural order; follow-up arrivals are decided by
-    // the simulation and may be anything).
-    Seconds last_start = 0.0;
-    for (std::size_t i = 0; i < turns; ++i) {
-        if (sessions.turnOf[i] != 0)
-            continue;
-        if (sessions.requests[i].arrival < last_start)
-            throw std::invalid_argument(
-                "FleetSimulator: session first-turn arrivals must "
-                "be nondecreasing in trace order");
-        last_start = sessions.requests[i].arrival;
-    }
-
-    // The run's own mutable copy of the trace: the kernel
-    // overwrites each follow-up turn's placeholder arrival when it
-    // actually fires.  No arrival sort — the continuation plan is
-    // indexed by workload position.
-    std::vector<serving::ServedRequest> workload =
-        sessions.requests;
-
-    std::shared_ptr<sched::ControlPolicy> control =
-        config_.control;
-    if (!control) {
-        std::vector<std::shared_ptr<sched::ControlPolicy>> parts;
-        parts.push_back(sched::makeRouterPolicy(config_.policy));
-        if (config_.workStealing)
-            parts.push_back(sched::makeGreedyStealPolicy());
-        control = sched::composeControlPolicies(std::move(parts));
-    }
-
-    FleetReport report;
-    report.policy = control->name();
-    report.kernel = fleetKernelName(config_.kernel);
-    report.ttftDeadline = config_.ttftDeadline;
-    for (const ReplicaConfig &replica : config_.replicas)
-        report.replicaNames.push_back(replica.name);
-
-    const WorkloadShape shape = workloadShape(workload);
-    const double calibration_start = totalCalibrationSeconds();
-    const std::uint64_t tapes_start = totalCalibrationTapes();
-    std::vector<sched::ReplicaModel> models =
-        calibrateAll(shape.typicalPrompt, shape.typicalContext,
-                     shape.maxPrompt, shape.maxContext);
-    // A session trace announces its whole context trajectory up
-    // front (every turn's prompt already carries its history):
-    // pre-warm the surface across the calibration pool instead of
-    // paying one cold bucket per growing turn inside the loop.
-    warmSessionCosts(shape.maxContext);
-    const double calibration_warm = totalCalibrationSeconds();
-
-    runEventDriven(report, workload, std::move(models), *control,
-                   shape.typicalPrompt, shape.typicalContext,
-                   shape.maxPrompt, shape.maxContext, &sessions,
-                   &workload);
-
-    const double calibration_end = totalCalibrationSeconds();
-    report.kernelStats.calibrationSeconds =
-        calibration_end - calibration_start;
-    report.kernelStats.calibrationTapes =
-        totalCalibrationTapes() - tapes_start;
-    report.kernelStats.loopSeconds =
-        std::max(0.0, report.kernelStats.loopSeconds -
-                          (calibration_end - calibration_warm));
-
-    // Spawned replicas are run state, not configuration; trim after
-    // the calibration snapshot so their calibration still bills.
-    replicas_.resize(config_.replicas.size());
-    cacheGroupOf_.resize(config_.replicas.size());
-
-    // Merge against the mutated copy, so served follow-up turns
-    // carry their true arrival instants (turns whose predecessor
-    // was shed never arrived and merge as rejected).
+    // Merge against the run's copy, so served follow-up turns carry
+    // their true arrival instants (turns whose predecessor was shed
+    // never arrived and merge as rejected).
     mergeReports(report, workload);
     return report;
 }

@@ -28,10 +28,9 @@
  *     aggregate throughput (the sum over replicas), fleet-wide TTFT
  *     percentiles, and SLO attainment against the TTFT deadline.
  *
- * The pre-kernel two-phase path (route everything up front from the
- * estimate, then replay each replica in isolation) is kept behind
- * FleetKernel::TwoPhase; on estimate-based policies both kernels
- * produce bit-identical reports, which the tests pin.
+ * On estimate-based policies the kernel's per-request metrics equal
+ * an isolated ServingSimulator::run of each replica's share of the
+ * trace, which the tests pin.
  *
  * Replica ServingSimulators (and their calibrated cost caches)
  * persist across run() calls, so sweeping scenarios over one fleet
@@ -67,47 +66,19 @@ struct ReplicaConfig
     serving::ServingConfig serving{};
 };
 
-/** Which co-simulation core drives the fleet. */
-enum class FleetKernel
-{
-    /** Event-driven: routing at arrival events, shared clock. */
-    EventDriven,
-
-    /** PR 2 compatibility: route all up front, replay in isolation. */
-    TwoPhase,
-};
-
-/** Display name ("event" / "two-phase"). */
-std::string fleetKernelName(FleetKernel kernel);
-
-/** Parse a display name back to a kernel; throws on unknown names. */
-FleetKernel fleetKernelByName(const std::string &name);
-
 /** Fleet topology and control plane. */
 struct FleetConfig
 {
     std::vector<ReplicaConfig> replicas;
 
     /**
-     * First-class control plane (sched/control_policy.hh): an
+     * The control plane (sched/control_policy.hh), required: an
      * event-subscribed policy object owning every placement,
      * shedding, and stealing decision.  Build one with
      * `sched::controlPolicyByName("least-tokens+slo-steal")` or
-     * compose your own.  Event-driven kernel only.
-     *
-     * When unset (nullptr), the deprecated `policy` /
-     * `workStealing` fields below are adapted onto the same API —
-     * bit-identical to the pre-control-plane kernel.
+     * compose your own.  FleetSimulator throws when it is null.
      */
     std::shared_ptr<sched::ControlPolicy> control;
-
-    /**
-     * [deprecated — stable] Routing behavior when `control` is
-     * unset.  Kept as a thin adapter over the ControlPolicy API
-     * (`sched::makeRouterPolicy`); prefer `control`.
-     */
-    sched::RouterPolicy policy =
-        sched::RouterPolicy::JoinShortestQueue;
 
     /**
      * TTFT service-level objective.  SloAware sheds requests whose
@@ -117,35 +88,17 @@ struct FleetConfig
     Seconds ttftDeadline = 2.0;
 
     /**
-     * Co-simulation core.  Feedback policies (true-jsq,
-     * least-backlog) and work stealing require EventDriven; asking
-     * for them under TwoPhase throws at run().
-     */
-    FleetKernel kernel = FleetKernel::EventDriven;
-
-    /**
-     * [deprecated — stable] Work stealing when `control` is unset
-     * (EventDriven only): when a replica runs dry it steals up to
-     * half of the most backlogged replica's queued — never running
-     * — requests, newest arrivals first, capped at its own batch
-     * size.  Kept as a thin adapter over the ControlPolicy API
-     * (`sched::makeGreedyStealPolicy`); prefer composing `control`
-     * with "greedy-steal" or "slo-steal".
-     */
-    bool workStealing = false;
-
-    /**
      * Threads for router calibration across replicas (0 = one per
      * replica, capped at the hardware concurrency).
      */
     std::uint32_t calibrationThreads = 0;
 };
 
-/** `count` identical replicas behind the given policy. */
+/** `count` identical replicas behind the given control plane. */
 FleetConfig uniformFleet(std::uint32_t count,
                          const runtime::SystemConfig &system,
                          const serving::ServingConfig &serving,
-                         sched::RouterPolicy policy,
+                         std::shared_ptr<sched::ControlPolicy> control,
                          Seconds ttft_deadline = 2.0);
 
 /**
@@ -161,7 +114,7 @@ Seconds kvMigrationSeconds(const runtime::SystemConfig &system,
                            const model::LlmConfig &llm,
                            std::uint64_t context_tokens);
 
-/** What the event kernel did during one run (zero under TwoPhase). */
+/** What the event kernel did during one run. */
 struct KernelStats
 {
     sim::EventStats events;
@@ -178,16 +131,14 @@ struct KernelStats
     double kvTransferSeconds = 0.0;
 
     /**
-     * Autoscaling verbs.  spawnRequests counts the legacy
-     * requestSpawn intent (recorded, no physics); drainRequests
-     * counts requestDrain calls that actually started a drain.
-     * spawnedReplicas counts replicas stood up mid-run by
-     * spawnReplica (each walks Provisioning → Warming → Active on
-     * the virtual clock); retiredReplicas counts replicas whose
-     * drain completed — their active-seconds clock stopped at the
-     * retire instant (FleetReport::replicaActiveSeconds).
+     * Autoscaling verbs.  drainRequests counts requestDrain calls
+     * that actually started a drain.  spawnedReplicas counts
+     * replicas stood up mid-run by spawnReplica (each walks
+     * Provisioning → Warming → Active on the virtual clock);
+     * retiredReplicas counts replicas whose drain completed — their
+     * active-seconds clock stopped at the retire instant
+     * (FleetReport::replicaActiveSeconds).
      */
-    std::uint64_t spawnRequests = 0;
     std::uint64_t drainRequests = 0;
     std::uint64_t spawnedReplicas = 0;
     std::uint64_t retiredReplicas = 0;
@@ -207,8 +158,8 @@ struct KernelStats
      * simulations, summed over cache groups: up-front router
      * calibration and trajectory warming plus any cold buckets the
      * loop still hit.  A bench tier where this exceeds loopSeconds
-     * is calibration-bound — grow the warmed surface or switch the
-     * tier to the interpolated cost model.
+     * is calibration-bound: its wall time is engine simulation, not
+     * the event loop.
      */
     double calibrationSeconds = 0.0;
 
@@ -227,7 +178,6 @@ struct KernelStats
 struct FleetReport
 {
     std::string policy;
-    std::string kernel; ///< "event" or "two-phase".
     Seconds ttftDeadline = 0.0;
 
     /**
@@ -310,10 +260,14 @@ Seconds ttftPercentile(const FleetReport &report, double p,
 Seconds latencyPercentile(const FleetReport &report, double p,
                           std::uint32_t min_priority = 0);
 
+/** The calibration operating point a workload implies (fleet.cc). */
+struct WorkloadShape;
+
 /** Multi-replica co-simulator (see file header). */
 class FleetSimulator
 {
   public:
+    /** Throws std::invalid_argument without replicas or control. */
     FleetSimulator(FleetConfig config, model::LlmConfig llm);
 
     /**
@@ -327,9 +281,7 @@ class FleetSimulator
      * Serve a multi-turn session trace (core/workload.hh).  Only
      * each session's first turn is scheduled up front; every
      * follow-up turn arrives think-time after its predecessor
-     * completes — a closed-loop arrival process only the
-     * event-driven kernel can express, so TwoPhase throws.
-     * Follow-up turns whose predecessor was shed or rejected never
+     * completes — a closed-loop arrival process.  Follow-up turns whose predecessor was shed or rejected never
      * arrive and are reported as rejected (the conversation ended).
      */
     FleetReport run(const serving::SessionTrace &sessions);
@@ -338,35 +290,35 @@ class FleetSimulator
 
   private:
     /**
-     * Calibrate the router's view of replica `index` at the
-     * workload's typical prompt length and decode context, and
-     * warm the replica's cost cache across the batch ramp up to
-     * the workload's maximum prompt/context so the event loop
-     * itself runs on cache hits.
+     * The body both run() overloads share once their input checks
+     * pass: calibrate, warm (session traces only), drive the event
+     * kernel, bill calibration, and merge.  `sessions` switches the
+     * kernel into session mode (first turns only are preloaded;
+     * follow-ups are scheduled as SessionContinue events at done +
+     * think, overwriting their placeholder arrival in `workload`).
      */
-    sched::ReplicaModel calibrate(std::size_t index,
-                                  std::uint64_t typical_prompt,
-                                  std::uint64_t typical_context,
-                                  std::uint64_t max_prompt,
-                                  std::uint64_t max_context);
+    FleetReport runTrace(std::vector<serving::ServedRequest> &workload,
+                         const serving::SessionTrace *sessions);
 
-    /** Calibrate all replicas, in parallel across a thread pool. */
+    /**
+     * Calibrate every replica's router model at the workload's
+     * typical operating point and warm its cost cache across the
+     * batch ramp up to the workload maxima, so the event loop
+     * itself runs on cache hits.  Cache-group leaders run in
+     * parallel across a thread pool.
+     */
     std::vector<sched::ReplicaModel>
-    calibrateAll(std::uint64_t typical_prompt,
-                 std::uint64_t typical_context,
-                 std::uint64_t max_prompt,
-                 std::uint64_t max_context);
+    calibrateAll(const WorkloadShape &shape);
 
     /**
      * Pre-warm every cache group's cost surface across the batch
      * ramp and the full context trajectory a session trace will
      * climb (columns 0..max_context/seqBucket), using the
-     * calibration thread pool.  Under the interpolated cost model
-     * the grid collapses to the log-spaced anchors; under the exact
-     * model oversized grids are skipped (the run would not touch
-     * most of them either).  Warming is observable only as
-     * wall-clock time — cache fills are order-independent and never
-     * latch saturation, so warmed runs stay bit-identical.
+     * calibration thread pool.  Grids over 4096 cells are skipped
+     * (tiny seqBucket; the run would not touch most of them
+     * either).  Warming is observable only as wall-clock time —
+     * cache fills are order-independent and never latch
+     * saturation, so warmed runs stay bit-identical.
      */
     void warmSessionCosts(std::uint64_t max_context);
 
@@ -380,32 +332,6 @@ class FleetSimulator
 
     /** Tapes recorded by every cache group's engines so far. */
     std::uint64_t totalCalibrationTapes() const;
-
-    /**
-     * The event-driven co-simulation core.  The workload-shape
-     * scalars carry the calibration operating point into the kernel
-     * so replicas spawned mid-run calibrate and warm against the
-     * same shape the configured fleet did.  `sessions` (with its
-     * parallel mutable `workload` copy) switches the kernel into
-     * session mode: first turns only are preloaded, follow-ups are
-     * scheduled as SessionContinue events at done + think.
-     */
-    void runEventDriven(
-        FleetReport &report,
-        const std::vector<serving::ServedRequest> &workload,
-        std::vector<sched::ReplicaModel> models,
-        sched::ControlPolicy &control,
-        std::uint64_t typical_prompt, std::uint64_t typical_context,
-        std::uint64_t max_prompt, std::uint64_t max_context,
-        const serving::SessionTrace *sessions = nullptr,
-        std::vector<serving::ServedRequest> *mutable_workload =
-            nullptr);
-
-    /** The PR 2 compatibility path (route, then replay). */
-    void runTwoPhase(
-        FleetReport &report,
-        const std::vector<serving::ServedRequest> &workload,
-        std::vector<sched::ReplicaModel> models);
 
     /**
      * Join replica report rows back to the trace by request id and

@@ -34,51 +34,7 @@ powerOfTwoAtLeast(std::uint32_t value)
     return bucket;
 }
 
-/**
- * The Interp anchor schedule over context-bucket columns: every
- * column up to 16, then geometric with ratio ~1.125 (each anchor
- * adds an eighth of itself).  The engines' cost curves are mostly
- * polynomial but carry discrete wrinkles (partitioning thresholds,
- * offload boundaries), so the span is kept tight: chord
- * interpolation across a 1.125x span stays well inside the pinned
- * 2% bound on every engine, while a growing-context trajectory
- * still touches only O(log context) anchors.
- *
- * Returns the bracketing anchors {lo, hi} with lo <= column <= hi;
- * lo == hi exactly when `column` is itself an anchor.
- */
-std::pair<std::uint64_t, std::uint64_t>
-anchorBracket(std::uint64_t column)
-{
-    if (column <= 4)
-        return {column, column};
-    std::uint64_t lo = 4;
-    std::uint64_t hi = 4;
-    while (hi < column) {
-        lo = hi;
-        hi += std::max<std::uint64_t>(1, hi / 8);
-    }
-    return {hi == column ? column : lo, hi};
-}
-
 } // namespace
-
-std::string
-costModelName(CostModel model)
-{
-    return model == CostModel::Interp ? "interp" : "exact";
-}
-
-CostModel
-costModelByName(const std::string &name)
-{
-    if (name == "exact")
-        return CostModel::Exact;
-    if (name == "interp")
-        return CostModel::Interp;
-    throw std::invalid_argument("unknown cost model: " + name +
-                                " (exact, interp)");
-}
 
 std::string
 requestStateName(RequestState state)
@@ -147,10 +103,7 @@ ServingSimulator::costs(std::uint32_t batch, std::uint64_t seq)
     }
     const std::uint64_t seq_bucket =
         (column + 1) * config_.seqBucket;
-    const StepCosts step =
-        config_.costModel == CostModel::Interp
-            ? interpolatedCosts(row, batch_bucket, column)
-            : exactCosts(batch_bucket, seq_bucket);
+    const StepCosts step = exactCosts(batch_bucket, seq_bucket);
     storeCosts(row, column, step);
     saturated_ |= step.saturatedFallback;
     return step;
@@ -294,96 +247,6 @@ ServingSimulator::exactCosts(std::uint32_t batch_bucket,
     return step;
 }
 
-ServingSimulator::StepCosts
-ServingSimulator::anchorCosts(std::size_t row,
-                              std::uint32_t batch_bucket,
-                              std::uint64_t column)
-{
-    if (const StepCosts *hit = findCosts(row, column))
-        return *hit;
-    const StepCosts step =
-        exactCosts(batch_bucket, (column + 1) * config_.seqBucket);
-    storeCosts(row, column, step);
-    return step;
-}
-
-ServingSimulator::StepCosts
-ServingSimulator::interpolatedCosts(std::size_t row,
-                                    std::uint32_t batch_bucket,
-                                    std::uint64_t column)
-{
-    auto [lo, hi] = anchorBracket(column);
-    const std::uint64_t seq_bucket =
-        (column + 1) * config_.seqBucket;
-    if (lo == hi) // The column is itself an anchor: stay exact.
-        return exactCosts(batch_bucket, seq_bucket);
-    while (true) {
-        const StepCosts below = anchorCosts(row, batch_bucket, lo);
-        const StepCosts above = anchorCosts(row, batch_bucket, hi);
-        // Saturated or unservable anchors are never interpolated
-        // across: capacity cliffs are discontinuities, and a bucket
-        // on the near side of one may still be cleanly servable.
-        if (below.token < 0.0 || above.token < 0.0 ||
-            below.saturatedFallback || above.saturatedFallback)
-            return exactCosts(batch_bucket, seq_bucket);
-        // Resource-provisioning steps make the surface piecewise
-        // even when servable: a KV-driven extra GPU or DIMM divides
-        // every cost by the new device count, so cost can DROP as
-        // context grows, and an activated offload can jump it up.
-        // Across a 1.125x anchor span, smooth polynomial growth
-        // stays well under 1.35x; anchors outside that envelope
-        // straddle a regime boundary — compute exactly.
-        const auto smooth = [](double lo_cost, double hi_cost) {
-            return hi_cost >= lo_cost && hi_cost <= lo_cost * 1.35;
-        };
-        if (!smooth(below.prefill, above.prefill) ||
-            !smooth(below.token, above.token))
-            return exactCosts(batch_bucket, seq_bucket);
-        if (hi - lo == 1) // No interior column; defensive.
-            return exactCosts(batch_bucket, seq_bucket);
-        // Validate the chord against an exact simulation at the
-        // bracket midpoint before trusting it: a curvature knee
-        // between the anchors (a bandwidth ceiling kicking in, say)
-        // keeps costs monotone and inside the envelope yet pulls
-        // the true curve off the chord.  The midpoint cell is
-        // cached, so a bracket pays for its validation once.
-        const std::uint64_t mid = lo + (hi - lo) / 2;
-        const StepCosts at_mid = anchorCosts(row, batch_bucket, mid);
-        const auto lerp = [&](double lo_cost, double hi_cost,
-                              std::uint64_t at) {
-            const double t = static_cast<double>(at - lo) /
-                             static_cast<double>(hi - lo);
-            return lo_cost + (hi_cost - lo_cost) * t;
-        };
-        const auto validates = [&](double lo_cost, double hi_cost,
-                                   double mid_cost) {
-            return mid_cost >= 0.0 &&
-                   std::abs(lerp(lo_cost, hi_cost, mid) -
-                            mid_cost) <= mid_cost * 0.01;
-        };
-        if (!at_mid.saturatedFallback &&
-            validates(below.prefill, above.prefill,
-                      at_mid.prefill) &&
-            validates(below.token, above.token, at_mid.token)) {
-            if (column == mid)
-                return at_mid;
-            StepCosts step;
-            step.prefill =
-                lerp(below.prefill, above.prefill, column);
-            step.token = lerp(below.token, above.token, column);
-            return step;
-        }
-        // The chord misses the midpoint: bisect toward the column
-        // and re-validate on the tighter bracket.
-        if (column == mid)
-            return at_mid;
-        if (column < mid)
-            hi = mid;
-        else
-            lo = mid;
-    }
-}
-
 void
 ServingSimulator::shareCostCacheWith(ServingSimulator &other)
 {
@@ -470,25 +333,8 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
     cells.erase(std::unique(cells.begin(), cells.end(), same),
                 cells.end());
 
-    // The exact-simulation set those cells need: in Interp mode the
-    // bracketing anchors, in Exact mode the cells themselves.
-    std::vector<Key> needed;
-    needed.reserve(cells.size() * 2);
-    for (const Key &cell : cells) {
-        if (config_.costModel == CostModel::Interp) {
-            const auto [lo, hi] = anchorBracket(cell.column);
-            needed.push_back(Key{cell.row, cell.batchBucket, lo});
-            if (hi != lo)
-                needed.push_back(
-                    Key{cell.row, cell.batchBucket, hi});
-        } else {
-            needed.push_back(cell);
-        }
-    }
-    std::sort(needed.begin(), needed.end(), before);
-    needed.erase(std::unique(needed.begin(), needed.end(), same),
-                 needed.end());
-    std::erase_if(needed, [&](const Key &key) {
+    // Drop the cells already computed.
+    std::erase_if(cells, [&](const Key &key) {
         if (findCosts(key.row, key.column) != nullptr)
             return true;
         // A physics-equal simulator may already have run this
@@ -507,11 +353,11 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
 
     // Whole rows go to workers: a row's cells differ only in
     // context, so the row's engine records its tape once and replays
-    // it for every column.  `needed` is sorted by row; rows[k] is the
+    // it for every column.  `cells` is sorted by row; rows[k] is the
     // start of the k-th row's run of cells.
     std::vector<std::size_t> rows;
-    for (std::size_t i = 0; i < needed.size(); ++i) {
-        if (i == 0 || needed[i].row != needed[i - 1].row)
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (i == 0 || cells[i].row != cells[i - 1].row)
             rows.push_back(i);
     }
     // `threads` arrives pre-resolved from the fleet layer, but a
@@ -526,9 +372,9 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
         // slot array and are inserted sequentially afterwards, so
         // the cache contents are independent of thread interleaving.
         for (const std::size_t first : rows)
-            rowEngine(needed[first].row);
-        rows.push_back(needed.size());
-        std::vector<std::optional<StepCosts>> computed(needed.size());
+            rowEngine(cells[first].row);
+        rows.push_back(cells.size());
+        std::vector<std::optional<StepCosts>> computed(cells.size());
         std::vector<double> seconds(workers, 0.0);
         std::atomic<std::size_t> cursor{0};
         std::vector<std::thread> pool;
@@ -542,15 +388,15 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
                     if (k + 1 >= rows.size())
                         break;
                     runtime::InferenceEngine &engine =
-                        *cache_->engines[needed[rows[k]].row];
+                        *cache_->engines[cells[rows[k]].row];
                     const auto start =
                         std::chrono::steady_clock::now();
                     for (std::size_t i = rows[k]; i < rows[k + 1];
                          ++i)
                         computed[i] = simulateCosts(
                             engine, llm_, config_,
-                            needed[i].batchBucket,
-                            (needed[i].column + 1) *
+                            cells[i].batchBucket,
+                            (cells[i].column + 1) *
                                 config_.seqBucket);
                     seconds[w] +=
                         std::chrono::duration<double>(
@@ -564,56 +410,42 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
             thread.join();
         for (const double spent : seconds)
             cache_->engineSeconds += spent;
-        cache_->engineRuns += needed.size();
+        cache_->engineRuns += cells.size();
         // Publish to the shared anchor store so physics-equal
         // simulators (shareAnchorStoreWith) skip these simulations.
         const auto publish = [&](std::size_t i, const StepCosts &step) {
             std::lock_guard<std::mutex> lock(anchors_->mutex);
             anchors_->entries.emplace(
                 std::pair<std::uint32_t, std::uint64_t>{
-                    needed[i].batchBucket,
-                    (needed[i].column + 1) * config_.seqBucket},
+                    cells[i].batchBucket,
+                    (cells[i].column + 1) * config_.seqBucket},
                 step);
         };
-        for (std::size_t i = 0; i < needed.size(); ++i) {
+        for (std::size_t i = 0; i < cells.size(); ++i) {
             if (const std::optional<StepCosts> &step = computed[i])
                 publish(i, *step);
         }
         // Saturated cells fall back to the row below, in row order,
         // exactly as the sequential fill resolves them.
-        for (std::size_t i = 0; i < needed.size(); ++i) {
+        for (std::size_t i = 0; i < cells.size(); ++i) {
             StepCosts step;
             if (const std::optional<StepCosts> &simulated = computed[i]) {
                 step = *simulated;
             } else {
                 step = exactCosts(
-                    needed[i].batchBucket / 2,
-                    (needed[i].column + 1) * config_.seqBucket);
+                    cells[i].batchBucket / 2,
+                    (cells[i].column + 1) * config_.seqBucket);
                 step.saturatedFallback = true;
                 publish(i, step);
             }
-            storeCosts(needed[i].row, needed[i].column, step);
+            storeCosts(cells[i].row, cells[i].column, step);
         }
     } else {
-        for (const Key &key : needed)
+        for (const Key &key : cells)
             storeCosts(key.row, key.column,
                        exactCosts(key.batchBucket,
                                   (key.column + 1) *
                                       config_.seqBucket));
-    }
-
-    // Materialize the interpolated cells so the event loop's first
-    // touch of every probed bucket is a pure cache hit.  Cells whose
-    // anchors turned out saturated/unservable fall back to exact
-    // simulations here (sequential, pooled engine).
-    if (config_.costModel == CostModel::Interp) {
-        for (const Key &cell : cells) {
-            if (findCosts(cell.row, cell.column) != nullptr)
-                continue;
-            storeCosts(cell.row, cell.column,
-                       interpolatedCosts(cell.row, cell.batchBucket,
-                                         cell.column));
-        }
     }
 }
 

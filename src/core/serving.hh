@@ -184,36 +184,6 @@ struct RequestInfo
 void sortByArrival(std::vector<ServedRequest> &workload);
 
 /**
- * How the calibrated step-cost surface is filled.
- *
- * Exact runs one engine simulation per (batch, context) bucket — the
- * historical behavior, bit-identical costs, required by the golden
- * and kernel-equivalence tests.  Interp runs the engine only at a
- * log-spaced set of anchor context buckets per batch bucket and
- * serves intermediate buckets by piecewise-linear interpolation of
- * the anchor costs (anchors themselves stay exact; saturated,
- * unservable, or regime-straddling anchors — a cost drop or an
- * outsized jump betrays a provisioning step between them — are
- * never interpolated across: such buckets fall back to an exact
- * simulation).  The anchor spacing grows by
- * ~1.125x, which pins the worst-case relative error under 2% for
- * the cost curves every engine produces; growing-context
- * workloads (multi-turn conversations) pay O(log context) engine
- * simulations instead of O(context / seqBucket).
- */
-enum class CostModel
-{
-    Exact,
-    Interp,
-};
-
-/** Display name of a cost model ("exact" / "interp"). */
-std::string costModelName(CostModel model);
-
-/** Parse a display name back to a model; throws on unknown names. */
-CostModel costModelByName(const std::string &name);
-
-/**
  * One (batch, context) operating point of the cost surface, used to
  * pre-warm caches before an event loop (see warmCosts()).
  */
@@ -251,13 +221,6 @@ struct ServingConfig
      * their next turn re-prefills its full context.
      */
     std::uint64_t kvCapacityTokens = 0;
-
-    /**
-     * Cost-surface fill strategy (see CostModel).  Exact — the
-     * default — keeps goldens and equivalence pins bit-identical;
-     * scale benches opt into Interp.
-     */
-    CostModel costModel = CostModel::Exact;
 
     bool operator==(const ServingConfig &) const = default;
 };
@@ -455,14 +418,14 @@ class ServingSimulator
     void shareCostCacheWith(ServingSimulator &other);
 
     /**
-     * Try to adopt `other`'s exact-simulation anchor store.  An
-     * engine simulation of a (batch bucket, context tokens) cell is
-     * a pure function of the *physics* configuration — (system,
-     * model, engine kind, calibrationTokens, seed) — and not of the
-     * serving-policy knobs (maxBatch, maxQueue, seqBucket,
-     * kvCapacityTokens, costModel), so replicas that differ only in
-     * policy can share every exact anchor they both touch instead
-     * of recomputing it per cost-cache group.  Returns true (and
+     * Try to adopt `other`'s anchor store, the memo of exact engine
+     * simulations.  An engine simulation of a (batch bucket, context
+     * tokens) cell is a pure function of the *physics*
+     * configuration — (system, model, engine kind,
+     * calibrationTokens, seed) — and not of the serving-policy knobs
+     * (maxBatch, maxQueue, seqBucket, kvCapacityTokens), so replicas
+     * that differ only in policy can share every simulation they
+     * both touch instead of recomputing it per cost-cache group.  Returns true (and
      * shares) when the physics match, false (and changes nothing)
      * when they differ — callers probe candidates in a loop.  The
      * store is mutex-guarded: values are pure, so concurrent fills
@@ -604,14 +567,12 @@ class ServingSimulator
 
     /**
      * Fill the cost cache for the given operating points before an
-     * event loop touches them.  In Interp mode the probe set is first
-     * reduced to the anchor buckets it needs, so warming a whole
-     * context trajectory costs only the log-spaced anchors.  With
-     * `threads` > 1 the missing engine simulations run on a local
-     * thread pool that hands out whole rows, each on the row's pooled
-     * engine, so a row records its tape once; results are
-     * inserted sequentially in a fixed order afterwards, and cache
-     * fills are order-independent, so warmed and unwarmed runs are
+     * event loop touches them.  With `threads` > 1 the missing
+     * engine simulations run on a local thread pool that hands out
+     * whole rows, each on the row's pooled engine, so a row records
+     * its tape once; results are inserted sequentially in a fixed
+     * order afterwards, and cache fills are order-independent, so
+     * warmed and unwarmed runs are
      * bit-identical — warming changes wall-clock time and nothing
      * else.  In particular it never latches saturated(): a warmed
      * bucket's fallback flag is only observed when a run actually
@@ -735,25 +696,6 @@ class ServingSimulator
      */
     StepCosts exactCosts(std::uint32_t batch_bucket,
                          std::uint64_t seq_bucket);
-
-    /**
-     * The Interp miss path for (row, batch_bucket, column): ensure
-     * the bracketing anchor columns are cached (exact), validate
-     * the chord against an exact simulation at the bracket
-     * midpoint, and interpolate — bisecting toward the column when
-     * the midpoint disagrees (a curvature knee inside the bracket),
-     * or computing exactly when the column is itself an anchor or
-     * an anchor is saturated/unservable/regime-straddling.  Does
-     * not store the result or touch saturated_.
-     */
-    StepCosts interpolatedCosts(std::size_t row,
-                                std::uint32_t batch_bucket,
-                                std::uint64_t column);
-
-    /** Cached-or-computed exact costs at an anchor column. */
-    StepCosts anchorCosts(std::size_t row,
-                          std::uint32_t batch_bucket,
-                          std::uint64_t column);
 
     /**
      * The raw engine simulation behind exactCosts(), on a

@@ -1,10 +1,9 @@
 #include "model/llm_config.hh"
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "common/logging.hh"
 
 namespace hermes::model {
 
@@ -127,11 +126,14 @@ allModels()
 LlmConfig
 modelByName(const std::string &name)
 {
+    std::string known;
     for (const auto &config : allModels()) {
         if (config.name == name)
             return config;
+        known += (known.empty() ? "" : ", ") + config.name;
     }
-    hermes_fatal("unknown model '", name, "'");
+    throw std::invalid_argument("unknown model '" + name +
+                                "' (known: " + known + ")");
 }
 
 } // namespace hermes::model

@@ -129,7 +129,10 @@ LlmConfig falcon40b();
 /** All models, for parameterized tests and benches. */
 std::vector<LlmConfig> allModels();
 
-/** Look a model up by name (fatal on unknown name). */
+/**
+ * Look a model up by name; throws std::invalid_argument listing the
+ * known models on an unknown name.
+ */
 LlmConfig modelByName(const std::string &name);
 
 } // namespace hermes::model

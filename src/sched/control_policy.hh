@@ -2,13 +2,7 @@
  * @file
  * Composable fleet control plane: event-subscribed policy objects.
  *
- * Before this API every control behavior of the fleet was
- * hard-wired: routing was a six-value RouterPolicy enum threaded
- * through the event kernel, work stealing a bool with one fixed
- * occupancy-greedy heuristic, and each new behavior (SLO-aware
- * stealing, autoscaling, preemption) would have needed another enum
- * value or flag inside FleetSimulator::runEventDriven.  The control
- * plane inverts that: the kernel owns *physics* (the virtual clock,
+ * The fleet's event kernel owns *physics* (the virtual clock,
  * replica boundaries, report bookkeeping) and a ControlPolicy owns
  * *decisions*.  A policy subscribes to kernel events —
  *
@@ -33,15 +27,11 @@
  * arrival events unless kObservations is declared, and never calls
  * hooks the policy did not subscribe to.
  *
- * All six legacy RouterPolicy behaviors and the occupancy-greedy
- * stealing heuristic are built-in ControlPolicy implementations
- * behind a name registry (controlPolicyByName, mirroring
- * engineKindByName); the old FleetConfig enum/bool path is a thin
- * adapter over them and stays bit-identical (pinned by the golden
- * and event-vs-two-phase equivalence tests).  The first policy the
- * old surface could not express is SloStealPolicy ("slo-steal"):
- * steal only when the thief's estimated TTFT for the stolen request
- * beats the victim's.
+ * All six RouterPolicy behaviors and the occupancy-greedy stealing
+ * heuristic are built-in ControlPolicy implementations behind a name
+ * registry (controlPolicyByName, mirroring engineKindByName).
+ * SloStealPolicy ("slo-steal") steals only when the thief's
+ * estimated TTFT for the stolen request beats the victim's.
  */
 
 #ifndef HERMES_SCHED_CONTROL_POLICY_HH
@@ -209,9 +199,6 @@ class FleetView
  *    walks a replica to Draining; compose with "drain-migrate" to
  *    evacuate its work, and the kernel retires it (stopping its
  *    active-seconds clock) once it holds nothing.
- *  - requestSpawn: the legacy intent counter — records the wish in
- *    KernelStats without physics.  Kept for observability;
- *    policies that want an actual replica call spawnReplica.
  */
 class FleetActions
 {
@@ -288,9 +275,6 @@ class FleetActions
      * like any other calibration.
      */
     virtual std::uint32_t spawnReplica(const ReplicaSpec &spec) = 0;
-
-    /** Record a spawn wish (legacy intent counter; see class doc). */
-    virtual void requestSpawn() = 0;
 
     /**
      * Stop routing to `replica`; it drains what it holds and the

@@ -199,16 +199,16 @@ Router::route(Seconds arrival, std::uint32_t generate_tokens,
 {
     const auto n =
         static_cast<std::uint32_t>(replicas_.size());
-    // Feedback policies need one observation per replica; without
-    // them (the offline two-phase path) degrade to the estimate
-    // twin rather than routing on garbage.
-    RouterPolicy policy = policy_;
-    if (routerPolicyNeedsObservations(policy) &&
-        (observed == nullptr || observed->size() != n)) {
-        policy = policy == RouterPolicy::TrueJsq
-                     ? RouterPolicy::JoinShortestQueue
-                     : RouterPolicy::LeastOutstandingTokens;
-    }
+    // Feedback policies rank by one observation per replica;
+    // routing them on anything else would read garbage.
+    if (routerPolicyNeedsObservations(policy_) &&
+        (observed == nullptr || observed->size() != n))
+        throw std::invalid_argument(
+            "Router::route: " + routerPolicyName(policy_) +
+            " needs one observation per replica (" +
+            std::to_string(n) + " replicas, " +
+            std::to_string(observed == nullptr ? 0 : observed->size()) +
+            " observations)");
     // With a mask and no eligible replica there is nowhere legal to
     // send the request: shed.  (With at least one eligible replica
     // every ranking below finds a candidate, since the first
@@ -227,7 +227,7 @@ Router::route(Seconds arrival, std::uint32_t generate_tokens,
         }
     }
     std::uint32_t chosen = 0;
-    switch (policy) {
+    switch (policy_) {
     case RouterPolicy::RoundRobin:
         chosen = static_cast<std::uint32_t>(routed_ % n);
         // The cursor position may be masked: take the next eligible

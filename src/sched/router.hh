@@ -23,8 +23,7 @@
  *    calibrated estimate they rank replicas by *observed* state
  *    (actual occupancy / actual token backlog), which the fleet's
  *    event kernel samples at the arrival instant and passes into
- *    route().  Without observations (the offline two-phase path)
- *    they degrade to their estimate twins.
+ *    route().  Routing them without observations throws.
  *
  * The model is an estimate: the replica's own ServingSimulator run
  * remains the ground truth for timing.  Estimates only decide *where*
@@ -32,16 +31,13 @@
  * feedback policies replace the estimate with ground truth at the
  * decision instant, closing the loop the estimate approximates.
  *
- * Since the control-plane redesign (sched/control_policy.hh) the
- * Router is the calibrated *estimator* behind the built-in routing
- * ControlPolicy objects; configuring a fleet by RouterPolicy enum
- * (FleetConfig::policy) is deprecated-but-stable — prefer
- * `controlPolicyByName` / `FleetConfig::control`.
+ * The Router is the calibrated *estimator* behind the built-in
+ * routing ControlPolicy objects (sched/control_policy.hh); fleets
+ * name their control plane through `controlPolicyByName` /
+ * `FleetConfig::control`.
  *
  * Calibration probes go through ServingSimulator's cost surface, so
- * the router automatically shares whatever cost model the replica is
- * configured with (ServingConfig::costModel): under the interpolated
- * model its estimates are built from the same anchor surface the
+ * the router's estimates are built from the same exact costs the
  * kernel serves steps from, and the shared per-cache-group cost
  * cache means probing N replicas of one group costs one calibration.
  */
@@ -132,7 +128,8 @@ struct ReplicaModel
      * maxBatch * G / (prefillSeconds + G / slotTokensPerSecond),
      * far below slotTokensPerSecond * maxBatch on prefill-heavy
      * workloads.  Zero means uncalibrated — consumers fall back to
-     * the raw full-batch step rate.
+     * the raw full-batch step rate.  FleetSimulator's calibration
+     * currently sets 1, not the median (see core/fleet.cc).
      */
     double typicalGenerateTokens = 0.0;
 };
@@ -167,8 +164,8 @@ class Router
      * provided, carries one ground-truth ReplicaObservation per
      * replica, sampled at this instant; the feedback policies
      * (TrueJsq, LeastActualBacklog) rank by it and every other
-     * policy ignores it.  A feedback policy routed without
-     * observations falls back to its estimate twin.
+     * policy ignores it.  Routing a feedback policy without exactly
+     * one observation per replica throws std::invalid_argument.
      *
      * `eligible`, when provided, restricts every ranking to the
      * replicas whose entry is non-zero — how the control plane

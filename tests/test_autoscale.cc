@@ -162,7 +162,7 @@ TEST(Autoscale, SpawnedReplicaAdmitsOnlyAfterWarmup)
 {
     FleetConfig config = uniformFleet(
         1, fastConfig(4), fastServing(),
-        sched::RouterPolicy::RoundRobin, 30.0);
+        nullptr, 30.0);
     auto policy = std::make_shared<SpawnOncePolicy>(0.3);
     config.control = policy;
     const auto trace = smallTrace(24, 4.0, 9);
@@ -208,7 +208,7 @@ TEST(Autoscale, SpawnIsCapabilityGatedAndWarmupBlocksRouting)
         [&](std::shared_ptr<sched::ControlPolicy> control) {
             FleetConfig config = uniformFleet(
                 1, fastConfig(4), fastServing(),
-                sched::RouterPolicy::RoundRobin, 30.0);
+                nullptr, 30.0);
             config.control = std::move(control);
             return FleetSimulator(config, model::opt13b())
                 .run(trace);
@@ -301,7 +301,7 @@ TEST(Autoscale, SpawnThenDrainRoundTripIsDeterministic)
     const auto run_once = [&] {
         FleetConfig config = uniformFleet(
             1, fastConfig(4), fastServing(),
-            sched::RouterPolicy::RoundRobin, 30.0);
+            nullptr, 30.0);
         config.control =
             std::make_shared<SpawnThenDrainPolicy>(3);
         return FleetSimulator(config, model::opt13b()).run(trace);
@@ -387,7 +387,7 @@ TEST(Autoscale, DrainingSpawnedReplicaEvacuatesWorkWithItsKv)
 
     FleetConfig config = uniformFleet(
         1, fastConfig(4), fastServing(2),
-        sched::RouterPolicy::RoundRobin, 60.0);
+        nullptr, 60.0);
     config.control = sched::composeControlPolicies(
         {std::make_shared<DrainLoadedSpawnPolicy>(),
          sched::controlPolicyByName("drain-migrate")});
@@ -527,7 +527,6 @@ class RecordingActions final : public sched::FleetActions
         spawns.push_back(spec);
         return 0;
     }
-    void requestSpawn() override {}
     void requestDrain(std::uint32_t replica) override
     {
         drains.push_back(replica);
@@ -684,14 +683,14 @@ TEST(Autoscale, ScalerBeatsEveryFixedFleetOnDiurnal)
     const auto run_fixed = [&](std::uint32_t replicas) {
         FleetConfig config = uniformFleet(
             replicas, fastConfig(4), fastServing(),
-            sched::RouterPolicy::TrueJsq, deadline);
+            nullptr, deadline);
         config.control = sched::controlPolicyByName("true-jsq");
         return FleetSimulator(config, model::opt13b()).run(trace);
     };
     const auto run_scaled = [&] {
         FleetConfig config = uniformFleet(
             1, fastConfig(4), fastServing(),
-            sched::RouterPolicy::TrueJsq, deadline);
+            nullptr, deadline);
         config.control = sched::composeControlPolicies(
             {sched::controlPolicyByName("true-jsq"),
              sched::makeTargetBacklogPolicy()});

@@ -48,7 +48,7 @@ heterogeneousFleet(std::uint32_t replicas)
 {
     FleetConfig config = uniformFleet(
         replicas, fastConfig(4), fastServing(2),
-        sched::RouterPolicy::JoinShortestQueue, 120.0);
+        sched::controlPolicyByName("jsq"), 120.0);
     for (std::uint32_t i = 0; i < replicas; ++i) {
         // Distinct seqBucket per replica splits the cache groups
         // without touching engine physics knobs shared by tests.
@@ -112,30 +112,22 @@ TEST(CalibrationStress, SharedCacheSessionWarmingHighThreads)
     // Uniform fleet = one shared cost cache; warmSessionCosts fans
     // the distinct cost-surface rows of a known session trace out
     // over the pool, each worker owning the rows it claims, results
-    // inserted sequentially afterwards.  Exercised in both cost
-    // models: Interp collapses the grid to anchor buckets, Exact
-    // warms the cells themselves.
+    // inserted sequentially afterwards.
     const auto trace = serving::generateSessionWorkload(
         serving::scenarioByName("multiturn", 8, 1.0, 17));
-    for (const serving::CostModel model :
-         {serving::CostModel::Exact, serving::CostModel::Interp}) {
-        FleetConfig config = uniformFleet(
-            4, fastConfig(4), fastServing(2),
-            sched::RouterPolicy::JoinShortestQueue, 120.0);
-        for (ReplicaConfig &replica : config.replicas)
-            replica.serving.costModel = model;
-        config.calibrationThreads = 1;
-        const auto lazy =
+    FleetConfig config = uniformFleet(
+        4, fastConfig(4), fastServing(2),
+        sched::controlPolicyByName("jsq"), 120.0);
+    config.calibrationThreads = 1;
+    const auto lazy =
+        FleetSimulator(config, model::opt13b()).run(trace);
+    for (const std::uint32_t threads : {4u, 8u}) {
+        config.calibrationThreads = threads;
+        const auto warmed =
             FleetSimulator(config, model::opt13b()).run(trace);
-        for (const std::uint32_t threads : {4u, 8u}) {
-            config.calibrationThreads = threads;
-            const auto warmed =
-                FleetSimulator(config, model::opt13b()).run(trace);
-            expectIdenticalReports(lazy, warmed);
-        }
-        EXPECT_EQ(lazy.completed, trace.requests.size())
-            << serving::costModelName(model);
+        expectIdenticalReports(lazy, warmed);
     }
+    EXPECT_EQ(lazy.completed, trace.requests.size());
 }
 
 TEST(CalibrationStress, ThreadsOversubscribedPastLeaderCount)
@@ -147,7 +139,7 @@ TEST(CalibrationStress, ThreadsOversubscribedPastLeaderCount)
         serving::scenarioByName("multiturn", 4, 2.0, 29));
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(2),
-        sched::RouterPolicy::JoinShortestQueue, 120.0);
+        sched::controlPolicyByName("jsq"), 120.0);
     config.calibrationThreads = 1;
     const auto serial =
         FleetSimulator(config, model::opt13b()).run(trace);
@@ -228,7 +220,7 @@ TEST(CalibrationStress, RowPartitionedWarmingThreadCountInvariant)
         const auto trace = serving::generateSessionWorkload(
             serving::scenarioByName("multiturn", 6, 1.0, 23));
         FleetConfig fleet = uniformFleet(
-            2, system, config, sched::RouterPolicy::JoinShortestQueue,
+            2, system, config, sched::controlPolicyByName("jsq"),
             120.0);
         fleet.calibrationThreads = 1;
         const auto lazy =
@@ -263,7 +255,7 @@ TEST(CalibrationStress, ChatSessionsGridBuildsOneTapePerRow)
     const auto trace = serving::generateSessionWorkload(scenario);
     FleetConfig fleet =
         uniformFleet(2, fastConfig(6), serving,
-                     sched::RouterPolicy::JoinShortestQueue, 1.5);
+                     nullptr, 1.5);
     fleet.control = sched::controlPolicyByName("affinity");
     std::uint64_t tapes = 0;
     for (const std::uint32_t threads : {1u, 2u}) {

@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests for the calibrated step-cost surface: the interpolated cost
- * model (anchor agreement, error bound, monotonicity, saturation
- * handling), engine pooling, parallel cache warming, and the
- * overflow tail of the cost cache.
+ * Tests for the calibrated step-cost surface: saturation handling,
+ * engine pooling, parallel cache warming, and the overflow tail of
+ * the cost cache.
  */
 
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,164 +16,37 @@ namespace hermes::serving {
 namespace {
 
 ServingConfig
-costServing(CostModel model, std::uint32_t seq_bucket = 256,
+costServing(std::uint32_t seq_bucket = 256,
             std::uint32_t max_batch = 4)
 {
     ServingConfig config;
     config.maxBatch = max_batch;
     config.calibrationTokens = 4;
     config.seqBucket = seq_bucket;
-    config.costModel = model;
     return config;
 }
 
-TEST(CostModel, NamesRoundTrip)
+TEST(CostModel, SaturatedBucketsTakeTheHalfBatchCosts)
 {
-    EXPECT_EQ(costModelName(CostModel::Exact), "exact");
-    EXPECT_EQ(costModelName(CostModel::Interp), "interp");
-    EXPECT_EQ(costModelByName("exact"), CostModel::Exact);
-    EXPECT_EQ(costModelByName("interp"), CostModel::Interp);
-    EXPECT_THROW(costModelByName("quadratic"),
-                 std::invalid_argument);
-}
-
-TEST(CostModel, DefaultIsExact)
-{
-    // Goldens and equivalence pins rely on the default staying
-    // exact; interp is an explicit opt-in.
-    EXPECT_EQ(ServingConfig{}.costModel, CostModel::Exact);
-}
-
-TEST(CostModel, InterpWithinTwoPercentOfExactOnEveryEngine)
-{
-    // The headline accuracy pin: for every engine, interpolated
-    // costs stay within 2% of the exact engine simulation at
-    // non-anchor buckets.  Probes walk contexts upward (columns
-    // 17, 19, 25, 28, 31 — all strictly between anchors) and stop
-    // comparing once the exact surface saturates (past capacity
-    // the interp path falls back to exact simulations, covered
-    // separately).
-    const std::vector<std::uint64_t> seqs{
-        4452, 4914, 6410, 7200, 8013};
-    for (const runtime::EngineKind kind :
-         runtime::allEngineKinds()) {
-        ServingConfig exact_config =
-            costServing(CostModel::Exact);
-        exact_config.engine = kind;
-        ServingConfig interp_config = exact_config;
-        interp_config.costModel = CostModel::Interp;
-        ServingSimulator exact(fastConfig(4), model::opt13b(),
-                               exact_config);
-        ServingSimulator interp(fastConfig(4), model::opt13b(),
-                                interp_config);
-        std::uint32_t compared = 0;
-        for (const std::uint32_t batch : {1u, 4u}) {
-            for (const std::uint64_t seq : seqs) {
-                if (!exact.servable(batch, seq) ||
-                    exact.saturated())
-                    break;
-                const double exact_token =
-                    exact.tokenSeconds(batch, seq);
-                const double exact_prefill =
-                    exact.prefillSeconds(batch, seq);
-                ASSERT_GT(exact_token, 0.0);
-                ASSERT_GT(exact_prefill, 0.0);
-                EXPECT_NEAR(interp.tokenSeconds(batch, seq),
-                            exact_token, exact_token * 0.02)
-                    << runtime::engineKindName(kind)
-                    << " token cost at batch " << batch
-                    << ", seq " << seq;
-                EXPECT_NEAR(interp.prefillSeconds(batch, seq),
-                            exact_prefill, exact_prefill * 0.02)
-                    << runtime::engineKindName(kind)
-                    << " prefill cost at batch " << batch
-                    << ", seq " << seq;
-                ++compared;
-            }
-        }
-        EXPECT_GT(compared, 0u) << runtime::engineKindName(kind);
-    }
-}
-
-TEST(CostModel, AnchorBucketsAgreeExactlyWithExact)
-{
-    // Anchor columns are simulated, never interpolated, so the two
-    // surfaces agree bit for bit there.  Columns 0..16 are all
-    // anchors; past that the schedule grows by ~1.125x
-    // (18, 20, 22, 24, 27, 30, 33, 37, ...).
-    const std::uint32_t bucket = 256;
-    ServingSimulator exact(fastConfig(4), model::opt13b(),
-                           costServing(CostModel::Exact, bucket));
-    ServingSimulator interp(fastConfig(4), model::opt13b(),
-                            costServing(CostModel::Interp, bucket));
-    for (const std::uint64_t column : {0, 2, 4, 8, 12, 18, 27}) {
-        const std::uint64_t seq = column * bucket + 7;
-        for (const std::uint32_t batch : {1u, 4u}) {
-            EXPECT_DOUBLE_EQ(interp.tokenSeconds(batch, seq),
-                             exact.tokenSeconds(batch, seq))
-                << "column " << column << " batch " << batch;
-            EXPECT_DOUBLE_EQ(interp.prefillSeconds(batch, seq),
-                             exact.prefillSeconds(batch, seq))
-                << "column " << column << " batch " << batch;
-        }
-    }
-}
-
-TEST(CostModel, InterpIsMonotoneInContext)
-{
-    // Larger contexts never get cheaper: exact anchors are
-    // monotone and chords between them preserve that, including
-    // across anchor/interpolated cell boundaries.
-    ServingSimulator interp(fastConfig(4), model::opt13b(),
-                            costServing(CostModel::Interp, 256));
-    double last_token = 0.0;
-    double last_prefill = 0.0;
-    for (std::uint64_t column = 0; column <= 33; ++column) {
-        const std::uint64_t seq = column * 256 + 1;
-        if (!interp.servable(2, seq) || interp.saturated())
-            break;
-        const double token = interp.tokenSeconds(2, seq);
-        const double prefill = interp.prefillSeconds(2, seq);
-        EXPECT_GE(token, last_token) << "column " << column;
-        EXPECT_GE(prefill, last_prefill) << "column " << column;
-        last_token = token;
-        last_prefill = prefill;
-    }
-    EXPECT_GT(last_token, 0.0);
-}
-
-TEST(CostModel, SaturationBoundaryNeverInterpolatedAcross)
-{
-    // Drive a big model toward its capacity cliff: wherever the
-    // exact surface saturates (batch fallback) or goes unservable,
-    // the interp surface must report the very same costs — those
-    // buckets are computed exactly, never interpolated across.
+    // Drive a big model toward its capacity cliff: the first bucket
+    // past capacity is served at the half-batch bucket's costs
+    // (flagged saturated) rather than at a corrupt zero.
     const auto llm = model::modelByName("OPT-30B");
-    ServingConfig exact_config =
-        costServing(CostModel::Exact, 512, 16);
-    ServingConfig interp_config = exact_config;
-    interp_config.costModel = CostModel::Interp;
-    ServingSimulator exact(fastConfig(4), llm, exact_config);
-    ServingSimulator interp(fastConfig(4), llm, interp_config);
-    bool saw_saturation = false;
-    for (std::uint64_t seq = 512; seq <= 512 * 40; seq += 512) {
-        const bool exact_servable = exact.servable(16, seq);
-        EXPECT_EQ(interp.servable(16, seq), exact_servable)
-            << "seq " << seq;
-        if (exact.saturated()) {
-            saw_saturation = true;
-            // Past the cliff the interp path computes exactly.
-            if (exact_servable) {
-                EXPECT_DOUBLE_EQ(interp.tokenSeconds(16, seq),
-                                 exact.tokenSeconds(16, seq))
-                    << "seq " << seq;
-            }
-        }
+    ServingSimulator simulator(fastConfig(4), llm,
+                               costServing(512, 16));
+    std::uint64_t seq = 512;
+    for (; seq <= 512 * 40; seq += 512) {
+        simulator.tokenSeconds(16, seq);
+        if (simulator.saturated())
+            break;
     }
     // The scenario must actually cross the cliff for this test to
     // mean anything; if the platform grows, raise the pressure.
-    EXPECT_TRUE(saw_saturation);
-    EXPECT_TRUE(interp.saturated());
+    ASSERT_TRUE(simulator.saturated());
+    EXPECT_DOUBLE_EQ(simulator.tokenSeconds(16, seq),
+                     simulator.tokenSeconds(8, seq));
+    EXPECT_DOUBLE_EQ(simulator.prefillSeconds(16, seq),
+                     simulator.prefillSeconds(8, seq));
 }
 
 TEST(CostModel, EnginePoolingCountsOneRunPerColdBucket)
@@ -185,7 +56,7 @@ TEST(CostModel, EnginePoolingCountsOneRunPerColdBucket)
     // probes never re-simulate.
     ServingSimulator simulator(
         fastConfig(4), model::opt13b(),
-        costServing(CostModel::Exact, 256));
+        costServing(256));
     EXPECT_EQ(simulator.calibrationRuns(), 0u);
     simulator.tokenSeconds(1, 100);
     EXPECT_EQ(simulator.calibrationRuns(), 1u);
@@ -207,7 +78,7 @@ TEST(CostModel, SharedCacheOverflowIsOrderIndependent)
     // orders must all agree — sorted insert + lookup, hit after
     // insert, no order sensitivity.
     const ServingConfig config =
-        costServing(CostModel::Exact, 1, 2);
+        costServing(1, 2);
     const std::vector<std::uint64_t> seqs{
         6000, 4200, 5000, 4095, 4096, 6000, 4200};
     ServingSimulator forward(fastConfig(2), model::opt13b(),
@@ -243,54 +114,36 @@ TEST(CostModel, WarmCostsIsInvisibleExceptForWallClock)
     // Warming fills the same cells lazy misses would, never
     // latches saturation, and leaves every subsequent probe a pure
     // hit — so a warmed simulator and a cold one agree bit for
-    // bit, in both cost models and regardless of thread count.
-    for (const CostModel model :
-         {CostModel::Exact, CostModel::Interp}) {
-        // Exact mode warms every probed cell, so keep its grid
-        // small; interp mode reaches past column 24 where anchor
-        // brackets span 3+ columns and warming a trajectory costs
-        // fewer simulations (anchors plus one validation midpoint
-        // per bracket) than there are cells.
-        const std::uint64_t max_column =
-            model == CostModel::Exact ? 9 : 40;
-        std::vector<CostProbe> probes;
-        for (const std::uint32_t batch : {1u, 4u}) {
-            for (std::uint64_t column = 0; column <= max_column;
-                 ++column)
-                probes.push_back(
-                    CostProbe{batch, column * 256});
-        }
-        ServingSimulator warmed(fastConfig(4), model::opt13b(),
-                                costServing(model, 256));
-        ServingSimulator parallel_warmed(
-            fastConfig(4), model::opt13b(), costServing(model, 256));
-        ServingSimulator cold(fastConfig(4), model::opt13b(),
-                              costServing(model, 256));
-        warmed.warmCosts(probes, 1);
-        parallel_warmed.warmCosts(probes, 4);
-        EXPECT_FALSE(warmed.saturated());
-        EXPECT_EQ(warmed.calibrationRuns(),
-                  parallel_warmed.calibrationRuns());
-        const std::uint64_t warm_runs = warmed.calibrationRuns();
-        for (const CostProbe &probe : probes) {
-            const double expected =
-                cold.tokenSeconds(probe.batch, probe.seq);
-            EXPECT_DOUBLE_EQ(
-                warmed.tokenSeconds(probe.batch, probe.seq),
-                expected);
-            EXPECT_DOUBLE_EQ(parallel_warmed.tokenSeconds(
-                                 probe.batch, probe.seq),
-                             expected);
-        }
-        // Every probe after warming was a pure hit.
-        EXPECT_EQ(warmed.calibrationRuns(), warm_runs);
-        EXPECT_EQ(parallel_warmed.calibrationRuns(), warm_runs);
-        if (model == CostModel::Interp) {
-            // Warming a whole trajectory costs only the anchors,
-            // strictly fewer simulations than there are cells.
-            EXPECT_LT(warm_runs, probes.size());
-        }
+    // bit, regardless of thread count.
+    std::vector<CostProbe> probes;
+    for (const std::uint32_t batch : {1u, 4u}) {
+        for (std::uint64_t column = 0; column <= 9; ++column)
+            probes.push_back(CostProbe{batch, column * 256});
     }
+    ServingSimulator warmed(fastConfig(4), model::opt13b(),
+                            costServing(256));
+    ServingSimulator parallel_warmed(fastConfig(4), model::opt13b(),
+                                     costServing(256));
+    ServingSimulator cold(fastConfig(4), model::opt13b(),
+                          costServing(256));
+    warmed.warmCosts(probes, 1);
+    parallel_warmed.warmCosts(probes, 4);
+    EXPECT_FALSE(warmed.saturated());
+    EXPECT_EQ(warmed.calibrationRuns(),
+              parallel_warmed.calibrationRuns());
+    const std::uint64_t warm_runs = warmed.calibrationRuns();
+    for (const CostProbe &probe : probes) {
+        const double expected =
+            cold.tokenSeconds(probe.batch, probe.seq);
+        EXPECT_DOUBLE_EQ(warmed.tokenSeconds(probe.batch, probe.seq),
+                         expected);
+        EXPECT_DOUBLE_EQ(
+            parallel_warmed.tokenSeconds(probe.batch, probe.seq),
+            expected);
+    }
+    // Every probe after warming was a pure hit.
+    EXPECT_EQ(warmed.calibrationRuns(), warm_runs);
+    EXPECT_EQ(parallel_warmed.calibrationRuns(), warm_runs);
 }
 
 } // namespace

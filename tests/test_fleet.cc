@@ -44,8 +44,8 @@ uniformSimulator(std::uint32_t replicas, sched::RouterPolicy policy,
                  Seconds deadline = 30.0)
 {
     return FleetSimulator(
-        uniformFleet(replicas, fastConfig(4), fastServing(), policy,
-                     deadline),
+        uniformFleet(replicas, fastConfig(4), fastServing(),
+                     sched::makeRouterPolicy(policy), deadline),
         model::opt13b());
 }
 
@@ -199,7 +199,7 @@ TEST(Fleet, StateAwarePoliciesStarveADeadReplica)
 
     // SLO-aware estimates the dead replica's TTFT as effectively
     // infinite and never picks it: everything is served.
-    config.policy = sched::RouterPolicy::SloAware;
+    config.control = sched::controlPolicyByName("slo-aware");
     {
         FleetSimulator simulator(config, model::opt13b());
         const auto report = simulator.run(trace);
@@ -211,7 +211,7 @@ TEST(Fleet, StateAwarePoliciesStarveADeadReplica)
     // Least-outstanding-tokens is speed-blind by design, but the
     // dead replica's backlog never drains, so the router backs off
     // after a few requests instead of splitting the trace evenly.
-    config.policy = sched::RouterPolicy::LeastOutstandingTokens;
+    config.control = sched::controlPolicyByName("least-tokens");
     {
         FleetSimulator simulator(config, model::opt13b());
         const auto report = simulator.run(trace);
@@ -239,7 +239,7 @@ TEST(Fleet, SloAwareShedsWhenOverloadedAndProtectsTail)
     }();
     FleetSimulator strict(
         uniformFleet(1, fastConfig(4), serving,
-                     sched::RouterPolicy::SloAware,
+                     sched::controlPolicyByName("slo-aware"),
                      /*ttft_deadline=*/1.0),
         model::opt13b());
     const auto report = strict.run(trace);
@@ -250,7 +250,7 @@ TEST(Fleet, SloAwareShedsWhenOverloadedAndProtectsTail)
     // that admits everything.
     FleetSimulator lax(
         uniformFleet(1, fastConfig(4), serving,
-                     sched::RouterPolicy::RoundRobin,
+                     sched::controlPolicyByName("round-robin"),
                      /*ttft_deadline=*/1.0),
         model::opt13b());
     const auto admit_all = lax.run(trace);
@@ -329,13 +329,15 @@ expectIdenticalReports(const FleetReport &a, const FleetReport &b)
     }
 }
 
-TEST(EventKernel, MatchesTwoPhaseOnEveryEstimatePolicy)
+TEST(EventKernel, MatchesIsolatedReplayOnEveryEstimatePolicy)
 {
-    // The tentpole equivalence: on estimate-based policies the
-    // event-driven kernel must reproduce the two-phase path's
-    // per-request metrics exactly — the routing decisions are
-    // identical and each replica's boundary arithmetic is the same
-    // float sequence, merely interleaved on the shared clock.
+    // The differential reference: an estimate-based policy never
+    // reads replica state, so splitting the trace by the event
+    // run's final assignment and replaying each replica's share on
+    // a fresh, isolated ServingSimulator must reproduce every
+    // per-request metric exactly — each replica's boundary
+    // arithmetic is the same float sequence, merely interleaved on
+    // the shared clock.
     for (const auto policy :
          {sched::RouterPolicy::RoundRobin,
           sched::RouterPolicy::JoinShortestQueue,
@@ -343,21 +345,56 @@ TEST(EventKernel, MatchesTwoPhaseOnEveryEstimatePolicy)
           sched::RouterPolicy::SloAware}) {
         for (const double rate : {8.0, 64.0}) {
             const auto trace = smallTrace(14, rate, 9);
-            FleetConfig config =
-                uniformFleet(2, fastConfig(4), fastServing(),
-                             policy, /*ttft_deadline=*/1.5);
-            config.kernel = FleetKernel::EventDriven;
-            const auto event_report =
-                FleetSimulator(config, model::opt13b())
+            const auto report =
+                FleetSimulator(
+                    uniformFleet(2, fastConfig(4), fastServing(),
+                                 sched::makeRouterPolicy(policy),
+                                 /*ttft_deadline=*/1.5),
+                    model::opt13b())
                     .run(trace);
-            config.kernel = FleetKernel::TwoPhase;
-            const auto two_phase_report =
-                FleetSimulator(config, model::opt13b())
-                    .run(trace);
-            EXPECT_EQ(event_report.kernel, "event");
-            EXPECT_EQ(two_phase_report.kernel, "two-phase");
-            expectIdenticalReports(event_report,
-                                   two_phase_report);
+            checkReportInvariants(report, trace.size());
+
+            // report.requests and assignment are in arrival order;
+            // smallTrace is generated in arrival order too.
+            std::vector<std::vector<serving::ServedRequest>> shares(2);
+            for (std::size_t i = 0; i < trace.size(); ++i) {
+                ASSERT_EQ(report.requests[i].id, trace[i].id);
+                if (report.assignment[i] >= 0)
+                    shares[static_cast<std::size_t>(
+                               report.assignment[i])]
+                        .push_back(trace[i]);
+            }
+            for (std::size_t r = 0; r < shares.size(); ++r) {
+                const serving::ServingReport isolated =
+                    serving::ServingSimulator(fastConfig(4),
+                                              model::opt13b(),
+                                              fastServing())
+                        .run(shares[r]);
+                ASSERT_EQ(isolated.requests.size(),
+                          shares[r].size());
+                for (const serving::RequestMetrics &expected :
+                     isolated.requests) {
+                    std::size_t i = 0;
+                    while (i < trace.size() &&
+                           report.requests[i].id != expected.id)
+                        ++i;
+                    ASSERT_LT(i, trace.size());
+                    const serving::RequestMetrics &actual =
+                        report.requests[i];
+                    EXPECT_EQ(report.assignment[i],
+                              static_cast<int>(r));
+                    EXPECT_EQ(actual.rejected, expected.rejected);
+                    EXPECT_EQ(actual.tokens, expected.tokens);
+                    EXPECT_DOUBLE_EQ(actual.arrival,
+                                     expected.arrival);
+                    EXPECT_DOUBLE_EQ(actual.admitted,
+                                     expected.admitted);
+                    EXPECT_DOUBLE_EQ(actual.firstToken,
+                                     expected.firstToken);
+                    EXPECT_DOUBLE_EQ(actual.completed,
+                                     expected.completed);
+                }
+            }
         }
     }
 }
@@ -373,8 +410,7 @@ TEST(EventKernel, TiedTimestampsAreDeterministic)
             static_cast<double>(i / 4) * 0.05;
     FleetConfig config = uniformFleet(
         3, fastConfig(4), fastServing(),
-        sched::RouterPolicy::TrueJsq, /*ttft_deadline=*/30.0);
-    config.workStealing = true;
+        sched::controlPolicyByName("true-jsq+greedy-steal"), /*ttft_deadline=*/30.0);
 
     const auto a =
         FleetSimulator(config, model::opt13b()).run(trace);
@@ -422,27 +458,11 @@ TEST(EventKernel, FeedbackPoliciesBeatEstimateJsqOnBurstyTail)
     EXPECT_LT(least_backlog.p99Ttft, estimate.p99Ttft);
 }
 
-TEST(EventKernel, FeedbackAndStealingRequireTheEventKernel)
+TEST(EventKernel, MissingControlPlaneThrows)
 {
-    const auto trace = smallTrace();
-    FleetConfig config = uniformFleet(
-        2, fastConfig(4), fastServing(),
-        sched::RouterPolicy::TrueJsq, 30.0);
-    config.kernel = FleetKernel::TwoPhase;
-    EXPECT_THROW(
-        FleetSimulator(config, model::opt13b()).run(trace),
-        std::invalid_argument);
-
-    config.policy = sched::RouterPolicy::RoundRobin;
-    config.workStealing = true;
-    EXPECT_THROW(
-        FleetSimulator(config, model::opt13b()).run(trace),
-        std::invalid_argument);
-
-    for (const char *name : {"event", "two-phase"})
-        EXPECT_EQ(fleetKernelName(fleetKernelByName(name)),
-                  name);
-    EXPECT_THROW(fleetKernelByName("offline"),
+    FleetConfig config = uniformFleet(2, fastConfig(4), fastServing(),
+                                      nullptr, 30.0);
+    EXPECT_THROW(FleetSimulator(config, model::opt13b()),
                  std::invalid_argument);
 }
 
@@ -462,11 +482,9 @@ TEST(WorkStealing, RescuesRequestsStrandedOnADeadReplica)
     // Replica 1 cannot serve the model; round-robin keeps routing
     // to it anyway.  With the stealing hook, replica 0 drains the
     // stranded queue whenever it runs dry, so *everything* is
-    // served — the fault-tolerance story the two-phase path could
-    // not express.
+    // served.
     FleetConfig config;
     config.ttftDeadline = 60.0;
-    config.policy = sched::RouterPolicy::RoundRobin;
     ReplicaConfig healthy;
     healthy.system = fastConfig(4);
     healthy.serving = fastServing();
@@ -476,12 +494,13 @@ TEST(WorkStealing, RescuesRequestsStrandedOnADeadReplica)
 
     const auto trace = smallTrace();
 
-    config.workStealing = false;
+    config.control = sched::controlPolicyByName("round-robin");
     const auto stranded =
         FleetSimulator(config, model::opt13b()).run(trace);
     EXPECT_EQ(stranded.rejected, trace.size() / 2);
 
-    config.workStealing = true;
+    config.control =
+        sched::controlPolicyByName("round-robin+greedy-steal");
     const auto rescued =
         FleetSimulator(config, model::opt13b()).run(trace);
     checkReportInvariants(rescued, trace.size());
@@ -511,8 +530,7 @@ TEST(WorkStealing, SimultaneousThievesResolveDeterministically)
     }
     FleetConfig config = uniformFleet(
         3, fastConfig(4), fastServing(/*max_batch=*/1),
-        sched::RouterPolicy::RoundRobin, 60.0);
-    config.workStealing = true;
+        sched::controlPolicyByName("round-robin+greedy-steal"), 60.0);
 
     const auto report =
         FleetSimulator(config, model::opt13b()).run(trace);
@@ -537,8 +555,7 @@ TEST(WorkStealing, KeepsInvariantsUnderOverload)
         request.arrival = 0.0;
     FleetConfig config = uniformFleet(
         3, fastConfig(4), fastServing(2),
-        sched::RouterPolicy::RoundRobin, 60.0);
-    config.workStealing = true;
+        sched::controlPolicyByName("round-robin+greedy-steal"), 60.0);
     const auto report =
         FleetSimulator(config, model::opt13b()).run(trace);
     checkReportInvariants(report, trace.size());
@@ -546,66 +563,6 @@ TEST(WorkStealing, KeepsInvariantsUnderOverload)
 }
 
 // ---- The composable control plane (sched/control_policy.hh) ----
-
-/**
- * Explicit ControlPolicy objects must reproduce the deprecated
- * enum/bool configuration bit for bit: the legacy fields are thin
- * adapters over the same built-ins.
- */
-TEST(ControlPlane, ExplicitPoliciesMatchTheDeprecatedConfig)
-{
-    const auto trace = smallTrace();
-    for (const sched::RouterPolicy policy :
-         sched::allRouterPolicies()) {
-        FleetConfig legacy = uniformFleet(
-            2, fastConfig(4), fastServing(), policy, 30.0);
-        FleetConfig explicit_config = legacy;
-        explicit_config.control = sched::controlPolicyByName(
-            sched::routerPolicyName(policy));
-        const auto a =
-            FleetSimulator(legacy, model::opt13b()).run(trace);
-        const auto b =
-            FleetSimulator(explicit_config, model::opt13b())
-                .run(trace);
-        EXPECT_EQ(a.policy, b.policy);
-        expectIdenticalReports(a, b);
-    }
-}
-
-TEST(ControlPlane, ExplicitStealingMatchesTheDeprecatedBool)
-{
-    // The dead-replica rescue scenario forces steals; the explicit
-    // "round-robin+greedy-steal" composite must reproduce the
-    // legacy workStealing bool exactly, steal counters included.
-    FleetConfig config;
-    config.ttftDeadline = 60.0;
-    config.policy = sched::RouterPolicy::RoundRobin;
-    ReplicaConfig healthy;
-    healthy.system = fastConfig(4);
-    healthy.serving = fastServing();
-    ReplicaConfig dead = healthy;
-    dead.system.numDimms = 0;
-    config.replicas = {healthy, dead};
-    const auto trace = smallTrace();
-
-    config.workStealing = true;
-    const auto legacy =
-        FleetSimulator(config, model::opt13b()).run(trace);
-
-    config.workStealing = false;
-    config.control =
-        sched::controlPolicyByName("round-robin+greedy-steal");
-    const auto explicit_report =
-        FleetSimulator(config, model::opt13b()).run(trace);
-
-    expectIdenticalReports(legacy, explicit_report);
-    EXPECT_EQ(legacy.kernelStats.steals,
-              explicit_report.kernelStats.steals);
-    EXPECT_EQ(legacy.kernelStats.stolenRequests,
-              explicit_report.kernelStats.stolenRequests);
-    EXPECT_GT(explicit_report.kernelStats.stolenRequests, 0u);
-    EXPECT_EQ(explicit_report.policy, "round-robin+greedy-steal");
-}
 
 TEST(ControlPlane, RegistryRoundTripsAndComposes)
 {
@@ -638,18 +595,6 @@ TEST(ControlPlane, RegistryRoundTripsAndComposes)
                  std::invalid_argument);
     EXPECT_THROW(sched::composeControlPolicies({}),
                  std::invalid_argument);
-}
-
-TEST(ControlPlane, CustomPoliciesNeedTheEventKernel)
-{
-    FleetConfig config = uniformFleet(
-        2, fastConfig(4), fastServing(),
-        sched::RouterPolicy::RoundRobin, 30.0);
-    config.kernel = FleetKernel::TwoPhase;
-    config.control = sched::controlPolicyByName("round-robin");
-    EXPECT_THROW(
-        FleetSimulator(config, model::opt13b()).run(smallTrace()),
-        std::invalid_argument);
 }
 
 /** Routes arrivals to a fixed replica (test scaffolding). */
@@ -695,7 +640,7 @@ TEST(ControlPlane, CustomPolicyPlacesByItsOwnRule)
 
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(),
-        sched::RouterPolicy::RoundRobin, 30.0);
+        nullptr, 30.0);
     config.control = std::make_shared<ParityPolicy>();
     const auto trace = smallTrace();
     const auto report =
@@ -715,7 +660,7 @@ TEST(ControlPlane, IllegalActionsThrowInsteadOfCorruptingState)
         [&](std::shared_ptr<sched::ControlPolicy> control) {
             FleetConfig config = uniformFleet(
                 2, fastConfig(4), fastServing(),
-                sched::RouterPolicy::RoundRobin, 30.0);
+                nullptr, 30.0);
             config.control = std::move(control);
             return FleetSimulator(config, model::opt13b())
                 .run(trace);
@@ -825,7 +770,7 @@ TEST(ControlPlane, StealingARunningRequestThrows)
 
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(1),
-        sched::RouterPolicy::RoundRobin, 30.0);
+        nullptr, 30.0);
     config.control = std::make_shared<StealRunningPolicy>();
     EXPECT_THROW(
         FleetSimulator(config, model::opt13b()).run(trace),
@@ -872,7 +817,7 @@ TEST(ControlPlane, StealingIntoTheCompletingReplicaIsLegal)
     }
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(1),
-        sched::RouterPolicy::RoundRobin, 30.0);
+        nullptr, 30.0);
     config.control = std::make_shared<StepStealPolicy>();
     const auto report =
         FleetSimulator(config, model::opt13b()).run(trace);
@@ -883,10 +828,9 @@ TEST(ControlPlane, StealingIntoTheCompletingReplicaIsLegal)
 
 TEST(ControlPlane, AutoscalingIntentsAreRecorded)
 {
-    // requestSpawn stays the legacy intent counter (recorded, no
-    // physics); requestDrain walks the lifecycle machine — both
-    // intents land in KernelStats, and the drain is enforced on
-    // routing.  The physics verb is spawnReplica (test_autoscale).
+    // requestDrain walks the lifecycle machine: the intent lands in
+    // KernelStats and the drain is enforced on routing.  The spawn
+    // verb, spawnReplica, is covered in test_autoscale.
     class DrainSecondReplicaPolicy final
         : public sched::ControlPolicy
     {
@@ -896,17 +840,15 @@ TEST(ControlPlane, AutoscalingIntentsAreRecorded)
                        const sched::FleetView &view,
                        sched::FleetActions &actions) override
         {
-            if (!view.draining(1)) {
+            if (!view.draining(1))
                 actions.requestDrain(1);
-                actions.requestSpawn();
-            }
             actions.routeTo(0);
         }
     };
 
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(),
-        sched::RouterPolicy::RoundRobin, 30.0);
+        nullptr, 30.0);
     config.control = std::make_shared<DrainSecondReplicaPolicy>();
     const auto trace = smallTrace();
     const auto report =
@@ -914,7 +856,6 @@ TEST(ControlPlane, AutoscalingIntentsAreRecorded)
     checkReportInvariants(report, trace.size());
     EXPECT_EQ(report.completed, trace.size());
     EXPECT_EQ(report.kernelStats.drainRequests, 1u);
-    EXPECT_EQ(report.kernelStats.spawnRequests, 1u);
     for (const int replica : report.assignment)
         EXPECT_EQ(replica, 0);
 }
@@ -951,7 +892,7 @@ TEST(ControlPlane, TickHeartbeatFiresWithoutPerturbingPhysics)
     const auto trace = smallTrace();
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(),
-        sched::RouterPolicy::RoundRobin, 30.0);
+        sched::controlPolicyByName("round-robin"), 30.0);
     const auto plain =
         FleetSimulator(config, model::opt13b()).run(trace);
 
@@ -1110,7 +1051,7 @@ TEST(Lifecycle, MigrationCostsAKvTransferProportionalToContext)
     trace[0] = serving::ServedRequest{0, 0.0, 64, 12, 0};
     FleetConfig config = uniformFleet(
         2, system, fastServing(2),
-        sched::RouterPolicy::RoundRobin, 30.0);
+        nullptr, 30.0);
     auto policy = std::make_shared<MigrateOncePolicy>();
     config.control = policy;
     const auto report =
@@ -1163,7 +1104,7 @@ TEST(Lifecycle, PriorityPreemptBeatsSloStealOnHighPriorityTail)
 
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(2),
-        sched::RouterPolicy::JoinShortestQueue,
+        nullptr,
         /*ttft_deadline=*/1.0);
     const auto run_with = [&](const char *control) {
         config.control = sched::controlPolicyByName(control);
@@ -1194,7 +1135,6 @@ TEST(Lifecycle, DrainMigrateCompletesWhatADeadReplicaAbandons)
     // one of them moves to the healthy replica and completes.
     FleetConfig config;
     config.ttftDeadline = 60.0;
-    config.policy = sched::RouterPolicy::RoundRobin;
     ReplicaConfig healthy;
     healthy.system = fastConfig(4);
     healthy.serving = fastServing();
@@ -1203,6 +1143,7 @@ TEST(Lifecycle, DrainMigrateCompletesWhatADeadReplicaAbandons)
     config.replicas = {healthy, dead};
     const auto trace = smallTrace();
 
+    config.control = sched::controlPolicyByName("round-robin");
     const auto abandoned =
         FleetSimulator(config, model::opt13b()).run(trace);
     EXPECT_EQ(abandoned.rejected, trace.size() / 2);
@@ -1255,7 +1196,7 @@ TEST(Lifecycle, DrainMigrateEvacuatesRunningWorkWithItsKv)
 
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(2),
-        sched::RouterPolicy::RoundRobin, 60.0);
+        nullptr, 60.0);
     config.control = sched::composeControlPolicies(
         {std::make_shared<DrainSecondMidRunPolicy>(),
          sched::controlPolicyByName("drain-migrate")});
@@ -1282,7 +1223,7 @@ TEST(Lifecycle, IllegalLifecycleActionsThrow)
         [&](std::shared_ptr<sched::ControlPolicy> control) {
             FleetConfig config = uniformFleet(
                 2, fastConfig(4), fastServing(1),
-                sched::RouterPolicy::RoundRobin, 30.0);
+                nullptr, 30.0);
             config.control = std::move(control);
             return FleetSimulator(config, model::opt13b())
                 .run(trace);
@@ -1459,7 +1400,7 @@ TEST(Lifecycle, RequestStateIsVisibleThroughTheFleetView)
 
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(1),
-        sched::RouterPolicy::RoundRobin, 30.0);
+        nullptr, 30.0);
     auto watcher = std::make_shared<WatchStatesPolicy>();
     config.control = watcher;
     const auto trace = smallTrace(4, 2.0, 9);
@@ -1488,7 +1429,7 @@ TEST(Sessions, FollowupsArriveThinkTimeAfterThePreviousTurn)
     const auto trace = conversationalTrace(6, 4.0, 9);
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(2),
-        sched::RouterPolicy::JoinShortestQueue, 30.0);
+        sched::controlPolicyByName("jsq"), 30.0);
 
     const auto report =
         FleetSimulator(config, model::opt13b()).run(trace);
@@ -1518,12 +1459,6 @@ TEST(Sessions, FollowupsArriveThinkTimeAfterThePreviousTurn)
         FleetSimulator(config, model::opt13b()).run(trace);
     EXPECT_EQ(report.assignment, replay.assignment);
     EXPECT_DOUBLE_EQ(report.makespan, replay.makespan);
-
-    // Closed-loop arrivals need the event kernel.
-    config.kernel = FleetKernel::TwoPhase;
-    EXPECT_THROW(
-        FleetSimulator(config, model::opt13b()).run(trace),
-        std::invalid_argument);
 }
 
 TEST(Sessions, AffinityBeatsJsqOnMultiTurnTailLatency)
@@ -1537,7 +1472,7 @@ TEST(Sessions, AffinityBeatsJsqOnMultiTurnTailLatency)
     const auto trace = conversationalTrace(12, 0.3, 7);
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(2),
-        sched::RouterPolicy::JoinShortestQueue, 120.0);
+        nullptr, 120.0);
 
     const auto run_with = [&](const std::string &control) {
         config.control = sched::controlPolicyByName(control);
@@ -1562,24 +1497,17 @@ TEST(Sessions, CalibrationTimeIsAccountedSeparatelyFromTheLoop)
     // Cost-cache engine simulations are real wall-clock but not
     // kernel work: a session run bills them to
     // kernelStats.calibrationSeconds and keeps loopSeconds clean
-    // of mid-loop cold-bucket fills, in both cost models.
+    // of mid-loop cold-bucket fills.
     const auto trace = conversationalTrace(6, 1.0, 11);
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(2),
-        sched::RouterPolicy::JoinShortestQueue, 120.0);
-    for (const serving::CostModel model :
-         {serving::CostModel::Exact, serving::CostModel::Interp}) {
-        for (ReplicaConfig &replica : config.replicas)
-            replica.serving.costModel = model;
-        const auto report =
-            FleetSimulator(config, model::opt13b()).run(trace);
-        checkReportInvariants(report, trace.requests.size());
-        EXPECT_EQ(report.completed, trace.requests.size());
-        EXPECT_GT(report.kernelStats.calibrationSeconds, 0.0)
-            << serving::costModelName(model);
-        EXPECT_GE(report.kernelStats.loopSeconds, 0.0)
-            << serving::costModelName(model);
-    }
+        sched::controlPolicyByName("jsq"), 120.0);
+    const auto report =
+        FleetSimulator(config, model::opt13b()).run(trace);
+    checkReportInvariants(report, trace.requests.size());
+    EXPECT_EQ(report.completed, trace.requests.size());
+    EXPECT_GT(report.kernelStats.calibrationSeconds, 0.0);
+    EXPECT_GE(report.kernelStats.loopSeconds, 0.0);
 }
 
 TEST(Sessions, CalibrationThreadsDoNotChangeThePhysics)
@@ -1587,30 +1515,22 @@ TEST(Sessions, CalibrationThreadsDoNotChangeThePhysics)
     // calibrationThreads controls only how fast shared cost caches
     // fill (router calibration and pre-loop cost warming); the
     // simulated physics of a session run is byte-identical at any
-    // thread count, in either cost model.
+    // thread count.
     const auto trace = conversationalTrace(8, 0.5, 13);
-    for (const serving::CostModel model :
-         {serving::CostModel::Exact, serving::CostModel::Interp}) {
-        FleetConfig config = uniformFleet(
-            2, fastConfig(4), fastServing(2),
-            sched::RouterPolicy::JoinShortestQueue, 120.0);
-        for (ReplicaConfig &replica : config.replicas)
-            replica.serving.costModel = model;
-        config.calibrationThreads = 1;
-        const auto lazy =
-            FleetSimulator(config, model::opt13b()).run(trace);
-        config.calibrationThreads = 4;
-        const auto warmed =
-            FleetSimulator(config, model::opt13b()).run(trace);
-        checkReportInvariants(lazy, trace.requests.size());
-        EXPECT_EQ(lazy.assignment, warmed.assignment)
-            << serving::costModelName(model);
-        EXPECT_DOUBLE_EQ(lazy.makespan, warmed.makespan)
-            << serving::costModelName(model);
-        EXPECT_DOUBLE_EQ(latencyPercentile(lazy, 99.0),
-                         latencyPercentile(warmed, 99.0))
-            << serving::costModelName(model);
-    }
+    FleetConfig config = uniformFleet(
+        2, fastConfig(4), fastServing(2),
+        sched::controlPolicyByName("jsq"), 120.0);
+    config.calibrationThreads = 1;
+    const auto lazy =
+        FleetSimulator(config, model::opt13b()).run(trace);
+    config.calibrationThreads = 4;
+    const auto warmed =
+        FleetSimulator(config, model::opt13b()).run(trace);
+    checkReportInvariants(lazy, trace.requests.size());
+    EXPECT_EQ(lazy.assignment, warmed.assignment);
+    EXPECT_DOUBLE_EQ(lazy.makespan, warmed.makespan);
+    EXPECT_DOUBLE_EQ(latencyPercentile(lazy, 99.0),
+                     latencyPercentile(warmed, 99.0));
 }
 
 TEST(Sessions, AffinityFallsBackWhenTheStickyReplicaDrains)
@@ -1652,7 +1572,7 @@ TEST(Sessions, AffinityFallsBackWhenTheStickyReplicaDrains)
 
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(2),
-        sched::RouterPolicy::JoinShortestQueue, 30.0);
+        nullptr, 30.0);
 
     // Sticky baseline: both turns land on replica 0.
     config.control = sched::controlPolicyByName("affinity");

@@ -5,6 +5,9 @@
  * of Sec. II-B.
  */
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "model/llm_config.hh"
@@ -98,7 +101,21 @@ TEST(LlmZoo, LookupByName)
 {
     EXPECT_EQ(modelByName("OPT-66B").layers, 64u);
     EXPECT_EQ(modelByName("LLaMA2-70B").kvHeads, 8u);
-    EXPECT_DEATH(modelByName("GPT-5"), "unknown model");
+}
+
+TEST(LlmZoo, UnknownNameThrowsListingKnownModels)
+{
+    try {
+        modelByName("GPT-5");
+        FAIL() << "modelByName accepted an unknown name";
+    } catch (const std::invalid_argument &error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("unknown model 'GPT-5'"),
+                  std::string::npos) << message;
+        for (const auto &llm : allModels())
+            EXPECT_NE(message.find(llm.name), std::string::npos)
+                << message;
+    }
 }
 
 TEST(LlmZoo, ActivationFamilies)

@@ -11,12 +11,14 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "model/llm_config.hh"
 #include "sched/ilp_partition.hh"
 #include "sched/mapper.hh"
 #include "sched/placement.hh"
 #include "sched/predictor.hh"
+#include "sched/router.hh"
 #include "sched/window_scheduler.hh"
 
 namespace hermes::sched {
@@ -640,6 +642,40 @@ TEST(WindowSchedulerTest, RebalanceClearsTheWindow)
     scheduler.rebalance(placement, 10);
     EXPECT_FALSE(scheduler.windowComplete());
     EXPECT_EQ(scheduler.activity(0), 0u);
+}
+
+// ---------------------------------------------------------------
+// Router.
+// ---------------------------------------------------------------
+
+TEST(Router, FeedbackPoliciesThrowWithoutOneObservationPerReplica)
+{
+    // A feedback policy ranks by observed state; routing it without
+    // exactly one observation per replica is a caller bug, never a
+    // silent fallback to the estimate twin.
+    const std::vector<ReplicaModel> models(3);
+    const std::vector<ReplicaObservation> too_few(2);
+    for (const RouterPolicy policy :
+         {RouterPolicy::TrueJsq, RouterPolicy::LeastActualBacklog}) {
+        Router router(policy, models);
+        EXPECT_THROW(router.route(0.0, 8), std::invalid_argument)
+            << routerPolicyName(policy);
+        EXPECT_THROW(router.route(0.0, 8, &too_few),
+                     std::invalid_argument)
+            << routerPolicyName(policy);
+    }
+
+    // With observations the feedback policy ranks by them.
+    std::vector<ReplicaObservation> observed(3);
+    observed[0].outstanding = 4;
+    observed[1].outstanding = 1;
+    observed[2].outstanding = 2;
+    Router router(RouterPolicy::TrueJsq, models);
+    EXPECT_EQ(router.route(0.0, 8, &observed).replica, 1);
+
+    // Estimate policies ignore observations entirely.
+    Router estimate(RouterPolicy::JoinShortestQueue, models);
+    EXPECT_EQ(estimate.route(0.0, 8).replica, 0);
 }
 
 } // namespace

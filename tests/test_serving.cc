@@ -225,13 +225,10 @@ TEST(Serving, AnchorStoreSharesExactSimulationsAcrossVariants)
     const auto llm = model::opt13b();
     ServingConfig wide = fastServing(8);
     wide.seqBucket = 64;
-    wide.costModel = CostModel::Interp;
     ServingConfig narrow = wide;
     narrow.maxBatch = 4; // The only difference: a scheduling knob.
 
-    // Warm the wide simulator over a probe grid reaching past
-    // column 16, where the anchor schedule turns geometric and
-    // interpolation actually happens.
+    // Warm the wide simulator over a probe grid.
     ServingSimulator reference(system, llm, wide);
     const std::uint32_t batches[] = {1, 2, 4};
     const std::uint64_t seqs[] = {100, 1000, 2000, 3000};
@@ -253,8 +250,7 @@ TEST(Serving, AnchorStoreSharesExactSimulationsAcrossVariants)
     for (const std::uint32_t batch : batches)
         for (const std::uint64_t seq : seqs) {
             // Byte-identical costs: adopted anchors are the same
-            // exact simulations the independent twin runs, and the
-            // interpolation arithmetic is identical.
+            // exact simulations the independent twin runs.
             EXPECT_EQ(shared.prefillSeconds(batch, seq),
                       independent.prefillSeconds(batch, seq))
                 << "prefill(" << batch << ", " << seq << ")";

@@ -49,9 +49,9 @@ def flag_calibration_bound(tier, run):
     """Warn when a tier spends more wall-clock calibrating cost
     caches than running the kernel loop: its events/sec then
     measures engine-simulation throughput, not kernel throughput,
-    and the tier should probably warm caches or use the interp
-    cost model.  Non-fatal — calibration cost is real but tracked
-    separately from the loop."""
+    and the tier should probably warm its caches up front.
+    Non-fatal — calibration cost is real but tracked separately
+    from the loop."""
     loop_ms = run.get("loop_ms")
     calibration_ms = run.get("calibration_ms")
     if loop_ms is None or calibration_ms is None:

@@ -2,9 +2,9 @@
 """Determinism-contract linter for the hermes-ndp simulator.
 
 The repo's crown-jewel guarantee is bit-identical simulation: golden
-tests pin exact metrics, the event kernel is pinned equivalent to the
-two-phase path, and calibration-thread counts must never change
-physics.  End-to-end golden tests catch a determinism break only
+tests pin exact metrics, the event kernel is pinned equivalent to
+isolated per-replica replays, and calibration-thread counts must
+never change physics.  End-to-end golden tests catch a determinism break only
 after the offending line lands; this linter rejects the known classes
 of nondeterminism statically, at review time.
 
