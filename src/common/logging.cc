@@ -25,14 +25,6 @@ Logger::emit(LogLevel level, const std::string &tag,
 namespace detail {
 
 void
-fatalImpl(const char *file, int line, const std::string &message)
-{
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", message.c_str(), file,
-                 line);
-    std::exit(1);
-}
-
-void
 panicImpl(const char *file, int line, const std::string &message)
 {
     std::fprintf(stderr, "panic: %s (%s:%d)\n", message.c_str(), file,

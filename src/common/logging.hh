@@ -6,9 +6,8 @@
  * Severity model:
  *  - inform(): status messages, no connotation of incorrect behaviour.
  *  - warn():   something may be off; simulation continues.
- *  - fatal():  the simulation cannot continue due to a user error
- *              (bad configuration, invalid arguments).  Exits with
- *              status 1.
+ *  - User errors (bad configuration, invalid arguments) throw a
+ *    standard exception with a message; library code never exits.
  *  - panic():  an internal invariant was violated (a simulator bug).
  *              Aborts so a core dump / debugger can be used.
  */
@@ -61,8 +60,6 @@ concat(Args &&...args)
     return os.str();
 }
 
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &message);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &message);
 
@@ -94,14 +91,6 @@ debugLog(Args &&...args)
     Logger::instance().emit(LogLevel::Debug, "debug",
                             detail::concat(std::forward<Args>(args)...));
 }
-
-/**
- * Terminate due to a user-caused error (bad config, impossible request).
- * Mirrors gem5's fatal(): exit(1), no core dump.
- */
-#define hermes_fatal(...)                                                   \
-    ::hermes::detail::fatalImpl(__FILE__, __LINE__,                         \
-                                ::hermes::detail::concat(__VA_ARGS__))
 
 /**
  * Terminate due to an internal invariant violation (a simulator bug).

@@ -15,10 +15,9 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "common/logging.hh"
 
 namespace hermes {
 
@@ -108,13 +107,13 @@ class StatSet
         return counters_.count(name) > 0;
     }
 
-    /** Read a counter; fatal if it was never produced. */
+    /** Read a counter; throws std::out_of_range if never produced. */
     double
     counterValue(const std::string &name) const
     {
         auto it = counters_.find(name);
         if (it == counters_.end())
-            hermes_fatal("unknown counter '", name, "'");
+            throw std::out_of_range("unknown counter '" + name + "'");
         return it->second.value();
     }
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,8 +23,10 @@ void
 TextTable::addRow(std::vector<std::string> cells)
 {
     if (cells.size() != header_.size()) {
-        hermes_fatal("table row width ", cells.size(),
-                     " does not match header width ", header_.size());
+        throw std::invalid_argument(
+            detail::concat("table row width ", cells.size(),
+                           " does not match header width ",
+                           header_.size()));
     }
     rows_.push_back(std::move(cells));
 }

@@ -21,7 +21,10 @@ class TextTable
   public:
     explicit TextTable(std::vector<std::string> header);
 
-    /** Append one row; must match the header width. */
+    /**
+     * Append one row; throws std::invalid_argument unless it matches
+     * the header width.
+     */
     void addRow(std::vector<std::string> cells);
 
     /** Render the table to a string with aligned columns. */

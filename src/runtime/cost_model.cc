@@ -1,6 +1,7 @@
 #include "runtime/cost_model.hh"
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -19,7 +20,7 @@ gpuPrice(const gpu::GpuSpec &spec, const PriceList &prices)
         return prices.teslaT4;
     if (spec.name == "A100-40GB")
         return prices.a100_40gb;
-    hermes_fatal("no price for GPU '", spec.name, "'");
+    throw std::invalid_argument("no price for GPU '" + spec.name + "'");
 }
 
 } // namespace

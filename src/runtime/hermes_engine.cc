@@ -39,14 +39,19 @@ countLocations(const std::vector<std::uint8_t> &mask,
 {
     LocationCounts counts;
     counts.dimm.assign(placement.numDimms(), 0);
-    for (std::uint32_t i = 0; i < placement.neurons(); ++i) {
-        if (!mask[i])
-            continue;
-        if (placement.onGpu(i))
-            ++counts.gpu;
-        else
-            ++counts.dimm[placement.homeDimm(i)];
+    const std::uint32_t n = placement.neurons();
+    const std::uint8_t *const active = mask.data();
+    const std::uint8_t *const on_gpu = placement.gpuFlags().data();
+    const std::uint16_t *const home = placement.homeDimms().data();
+    std::uint64_t *const dimm = counts.dimm.data();
+    std::uint64_t gpu = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint64_t is_active = active[i] != 0;
+        const std::uint64_t resident = on_gpu[i] != 0;
+        gpu += is_active & resident;
+        dimm[home[i]] += is_active & !resident;
     }
+    counts.gpu = gpu;
     return counts;
 }
 
@@ -259,6 +264,19 @@ HermesEngine::record(const InferenceRequest &request)
     std::uint64_t promotions = 0;
     Bytes promotion_bytes = 0;
     Bytes migration_bytes = 0;
+    // The decode loop's counters, looked up once; a run that decodes
+    // no token creates none of them.
+    auto decode_counter = [&](const char *name) {
+        return request.generateTokens > 0 ? &stats.counter(name)
+                                          : nullptr;
+    };
+    Counter *const qkv_gpu_time = decode_counter("time.qkv.gpu");
+    Counter *const qkv_dimm_time = decode_counter("time.qkv.dimm");
+    Counter *const transfers = decode_counter("migration.transfers");
+    Counter *const mlp_gpu_time = decode_counter("time.mlp.gpu");
+    Counter *const mlp_dimm_time = decode_counter("time.mlp.dimm");
+    Counter *const mlp_gpu_count = decode_counter("count.mlp.gpu");
+    Counter *const mlp_dimm_max = decode_counter("count.mlp.dimm.max");
 
     for (std::uint32_t t = 0; t < request.generateTokens; ++t) {
         trace.nextToken();
@@ -283,10 +301,9 @@ HermesEngine::record(const InferenceRequest &request)
             step.qkvLanes = dimmLaneTimes(ndp_, qkv_counts.dimm,
                                           attn_values, request.batch,
                                           attn_actual.computeScale);
-            stats.counter("time.qkv.gpu").add(step.qkvGpu);
-            stats.counter("time.qkv.dimm")
-                .add(*std::max_element(step.qkvLanes.begin(),
-                                       step.qkvLanes.end()));
+            qkv_gpu_time->add(step.qkvGpu);
+            qkv_dimm_time->add(*std::max_element(
+                step.qkvLanes.begin(), step.qkvLanes.end()));
 
             // 4. Hot/cold swaps and rebalancing, shadowed by the
             // projection at replay.
@@ -322,8 +339,7 @@ HermesEngine::record(const InferenceRequest &request)
                     llm.attnNeuronBytes(), llm.mlpNeuronBytes(),
                     link_net);
             migration_bytes += rebalance.migrationBytes;
-            stats.counter("migration.transfers")
-                .add(static_cast<double>(rebalance.transfers));
+            transfers->add(static_cast<double>(rebalance.transfers));
             step.migration = rebalance.migrationTime;
 
             // 5. MLP split.
@@ -334,23 +350,17 @@ HermesEngine::record(const InferenceRequest &request)
             step.mlpLanes = dimmLaneTimes(ndp_, mlp_counts.dimm,
                                           mlp_values, request.batch,
                                           mlp_actual.computeScale);
-            stats.counter("time.mlp.gpu").add(step.mlpGpu);
-            stats.counter("time.mlp.dimm")
-                .add(*std::max_element(step.mlpLanes.begin(),
-                                       step.mlpLanes.end()));
-            stats.counter("count.mlp.gpu").add(
-                static_cast<double>(mlp_counts.gpu));
-            stats.counter("count.mlp.dimm.max").add(
+            mlp_gpu_time->add(step.mlpGpu);
+            mlp_dimm_time->add(*std::max_element(
+                step.mlpLanes.begin(), step.mlpLanes.end()));
+            mlp_gpu_count->add(static_cast<double>(mlp_counts.gpu));
+            mlp_dimm_max->add(
                 static_cast<double>(*std::max_element(
                     mlp_counts.dimm.begin(), mlp_counts.dimm.end())));
 
             // Predictor bookkeeping (metrics + FSM update).
-            for (std::uint32_t i = 0; i < attn_actual.neurons(); ++i)
-                metrics.tally(attn_pred[i] != 0,
-                              attn_actual.mask[i] != 0);
-            for (std::uint32_t i = 0; i < mlp_actual.neurons(); ++i)
-                metrics.tally(mlp_pred[i] != 0,
-                              mlp_actual.mask[i] != 0);
+            metrics.tallyMasks(attn_pred, attn_actual.mask);
+            metrics.tallyMasks(mlp_pred, mlp_actual.mask);
             predictor.attn(l).update(attn_actual.mask);
             predictor.mlp(l).update(mlp_actual.mask);
         }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -60,38 +61,58 @@ NeuronMapper::adjustBlock(BlockPlacement &placement,
                   "score/placement size mismatch");
 
     // Hot non-residents, hottest first; residents, coldest first.
-    std::vector<std::uint32_t> promote;
-    std::vector<std::uint32_t> residents;
-    for (std::uint32_t i = 0; i < placement.neurons(); ++i) {
-        if (placement.onGpu(i))
-            residents.push_back(i);
-        else if (scores[i] >= policy.hotThreshold)
-            promote.push_back(i);
+    // Keys pack (score << 32 | id) and the comparators read only the
+    // score, so std::sort sees exactly the comparisons an index sort
+    // keyed on scores[id] would and leaves ties in the same order.
+    const std::size_t n = scores.size();
+    const std::uint32_t *const score = scores.data();
+    const std::uint8_t *const on_gpu = placement.gpuFlags().data();
+    const std::uint32_t hot = policy.hotThreshold;
+    const auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(2 * n);
+    std::uint64_t *const promote = keys.get();
+    std::uint64_t *const residents = promote + n;
+    std::size_t promote_count = 0;
+    std::size_t resident_count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t key =
+            static_cast<std::uint64_t>(score[i]) << 32 | i;
+        const bool resident = on_gpu[i] != 0;
+        promote[promote_count] = key;
+        residents[resident_count] = key;
+        promote_count += !resident & (score[i] >= hot);
+        resident_count += resident;
     }
-    std::sort(promote.begin(), promote.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return scores[a] > scores[b];
+    AdjustmentResult result;
+    const std::size_t max_swaps = std::min<std::size_t>(
+        {promote_count, resident_count, policy.maxSwaps});
+    if (max_swaps == 0)
+        return result; // No swap can happen; the order is never read.
+
+    auto score_of = [](std::uint64_t key) {
+        return static_cast<std::uint32_t>(key >> 32);
+    };
+    auto id_of = [](std::uint64_t key) {
+        return static_cast<std::uint32_t>(key);
+    };
+    std::sort(promote, promote + promote_count,
+              [&](std::uint64_t a, std::uint64_t b) {
+                  return score_of(a) > score_of(b);
               });
-    std::sort(residents.begin(), residents.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return scores[a] < scores[b];
+    std::sort(residents, residents + resident_count,
+              [&](std::uint64_t a, std::uint64_t b) {
+                  return score_of(a) < score_of(b);
               });
 
-    AdjustmentResult result;
-    std::size_t out = 0;
-    for (const std::uint32_t in : promote) {
-        if (out >= residents.size() ||
-            result.promotions >= policy.maxSwaps)
-            break;
-        const std::uint32_t victim = residents[out];
+    for (std::size_t k = 0; k < max_swaps; ++k) {
+        const std::uint64_t in = promote[k];
+        const std::uint64_t victim = residents[k];
         // Only swap when the incoming neuron beats the coldest
         // resident by the hysteresis margin; otherwise churn buys
         // nothing and costs PCIe bandwidth.
-        if (scores[in] < scores[victim] + policy.hysteresis)
+        if (score_of(in) < score_of(victim) + policy.hysteresis)
             break;
-        placement.setOnGpu(victim, false);
-        placement.setOnGpu(in, true);
-        ++out;
+        placement.setOnGpu(id_of(victim), false);
+        placement.setOnGpu(id_of(in), true);
         ++result.promotions;
         ++result.evictions;
         result.pcieBytes += neuron_bytes;

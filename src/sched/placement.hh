@@ -46,6 +46,15 @@ class BlockPlacement
     bool onGpu(std::uint32_t i) const { return onGpu_[i] != 0; }
     std::uint16_t homeDimm(std::uint32_t i) const { return homeDimm_[i]; }
 
+    /** Per-neuron GPU-residency flags (1 = resident), for bulk scans. */
+    const std::vector<std::uint8_t> &gpuFlags() const { return onGpu_; }
+
+    /** Per-neuron home DIMM, for bulk scans. */
+    const std::vector<std::uint16_t> &homeDimms() const
+    {
+        return homeDimm_;
+    }
+
     void
     setOnGpu(std::uint32_t i, bool value)
     {

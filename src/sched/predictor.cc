@@ -10,6 +10,75 @@
 
 namespace hermes::sched {
 
+namespace {
+
+/** Stands in for an empty parent mask, so every load stays legal. */
+constexpr std::uint8_t kIdleParent = 0;
+
+/**
+ * Branch-free count of a neuron's active correlated parents.  Parent
+ * ids outside the mask count as idle.
+ */
+class ParentView
+{
+  public:
+    ParentView(const std::vector<std::uint8_t> &mask,
+               const std::vector<std::uint32_t> &parent1,
+               const std::vector<std::uint32_t> &parent2)
+        : mask_(mask.empty() ? &kIdleParent : mask.data()),
+          size_(mask.size()), parent1_(parent1.data()),
+          parent2_(parent2.data())
+    {
+    }
+
+    std::uint32_t
+    activeParents(std::size_t i) const
+    {
+        return active(parent1_[i]) + active(parent2_[i]);
+    }
+
+  private:
+    std::uint32_t
+    active(std::uint32_t id) const
+    {
+        // Clamp the load to a legal index; the range bit masks it.
+        const bool in_range = id < size_;
+        return in_range & (mask_[in_range ? id : 0] != 0);
+    }
+
+    const std::uint8_t *mask_;
+    std::size_t size_;
+    const std::uint32_t *parent1_;
+    const std::uint32_t *parent2_;
+};
+
+} // namespace
+
+void
+PredictionMetrics::tallyMasks(const std::vector<std::uint8_t> &predicted,
+                              const std::vector<std::uint8_t> &actual)
+{
+    hermes_assert(predicted.size() == actual.size(),
+                  "predicted/actual mask size mismatch");
+    const std::size_t n = actual.size();
+    const std::uint8_t *const p = predicted.data();
+    const std::uint8_t *const a = actual.data();
+    std::uint64_t predicted_on = 0;
+    std::uint64_t actual_on = 0;
+    std::uint64_t both = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t pi = p[i] != 0;
+        const std::uint32_t ai = a[i] != 0;
+        predicted_on += pi;
+        actual_on += ai;
+        both += pi & ai;
+    }
+    truePositive += both;
+    falsePositive += predicted_on - both;
+    falseNegative += actual_on - both;
+    trueNegative += n - predicted_on - actual_on + both;
+}
+
 BlockPredictor::BlockPredictor(std::uint32_t neurons,
                                PredictorConfig config)
     : config_(config), states_(neurons, 0)
@@ -49,26 +118,25 @@ void
 BlockPredictor::predict(const std::vector<std::uint8_t> *parent_mask,
                         std::vector<std::uint8_t> &out) const
 {
-    out.resize(states_.size());
-    const bool have_parents =
-        parent_mask != nullptr && !parent1_.empty();
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-        std::uint32_t s2 = 0;
-        if (have_parents) {
-            const auto &mask = *parent_mask;
-            if (parent1_[i] < mask.size() && mask[parent1_[i]])
-                ++s2;
-            if (parent2_[i] < mask.size() && mask[parent2_[i]])
-                ++s2;
-        }
-        const std::uint32_t score = states_[i] + config_.lambda * s2;
-        if (have_parents) {
-            out[i] = score >= config_.threshold;
-        } else {
-            // First block of the model: token-wise evidence only, so
-            // the hot cut substitutes for the combined threshold.
-            out[i] = states_[i] >= config_.hotThreshold;
-        }
+    const std::size_t n = states_.size();
+    out.resize(n);
+    std::uint8_t *const decision = out.data();
+    const std::uint8_t *const state = states_.data();
+    if (parent_mask == nullptr || parent1_.empty()) {
+        // First block of the model: token-wise evidence only, so the
+        // hot cut substitutes for the combined threshold.
+        const std::uint32_t hot = config_.hotThreshold;
+        for (std::size_t i = 0; i < n; ++i)
+            decision[i] = state[i] >= hot;
+        return;
+    }
+    const ParentView parents(*parent_mask, parent1_, parent2_);
+    const std::uint32_t lambda = config_.lambda;
+    const std::uint32_t threshold = config_.threshold;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t score =
+            state[i] + lambda * parents.activeParents(i);
+        decision[i] = score >= threshold;
     }
 }
 
@@ -77,18 +145,17 @@ BlockPredictor::update(const std::vector<std::uint8_t> &actual)
 {
     hermes_assert(actual.size() == states_.size(),
                   "actual mask size mismatch");
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-        if (actual[i]) {
-            states_[i] = static_cast<std::uint8_t>(
-                std::min<std::uint32_t>(config_.maxState,
-                                        states_[i] +
-                                            config_.activateStep));
-        } else {
-            states_[i] = static_cast<std::uint8_t>(
-                states_[i] >= config_.decayStep
-                    ? states_[i] - config_.decayStep
-                    : 0);
-        }
+    const std::size_t n = states_.size();
+    const std::uint8_t *const active = actual.data();
+    std::uint8_t *const state = states_.data();
+    const std::uint32_t step = config_.activateStep;
+    const std::uint32_t decay = config_.decayStep;
+    const std::uint32_t ceiling = config_.maxState;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t s = state[i];
+        const std::uint32_t up = std::min(ceiling, s + step);
+        const std::uint32_t down = s >= decay ? s - decay : 0;
+        state[i] = static_cast<std::uint8_t>(active[i] ? up : down);
     }
 }
 
@@ -97,21 +164,18 @@ BlockPredictor::hotScores(const std::vector<std::uint8_t> *parent_mask,
                           bool use_token, bool use_layer,
                           std::vector<std::uint32_t> &out) const
 {
-    out.resize(states_.size());
-    const bool have_parents = use_layer && parent_mask != nullptr &&
-                              !parent1_.empty();
     const auto &base = use_token ? states_ : initialStates_;
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-        std::uint32_t score = base.empty() ? 0 : base[i];
-        if (have_parents) {
-            const auto &mask = *parent_mask;
-            if (parent1_[i] < mask.size() && mask[parent1_[i]])
-                score += config_.lambda;
-            if (parent2_[i] < mask.size() && mask[parent2_[i]])
-                score += config_.lambda;
-        }
-        out[i] = score;
-    }
+    if (base.empty())
+        out.assign(states_.size(), 0);
+    else
+        out.assign(base.begin(), base.end());
+    if (!use_layer || parent_mask == nullptr || parent1_.empty())
+        return;
+    const ParentView parents(*parent_mask, parent1_, parent2_);
+    const std::uint32_t lambda = config_.lambda;
+    std::uint32_t *const score = out.data();
+    for (std::size_t i = 0; i < out.size(); ++i)
+        score[i] += lambda * parents.activeParents(i);
 }
 
 ModelPredictor::ModelPredictor(const model::LlmConfig &llm,
@@ -203,10 +267,8 @@ ModelPredictor::stepToken(
 
         const auto &attn_actual = trace.attn(l).mask;
         const auto &mlp_actual = trace.mlp(l).mask;
-        for (std::size_t i = 0; i < attn_actual.size(); ++i)
-            metrics_.tally(attn_masks[l][i] != 0, attn_actual[i] != 0);
-        for (std::size_t i = 0; i < mlp_actual.size(); ++i)
-            metrics_.tally(mlp_masks[l][i] != 0, mlp_actual[i] != 0);
+        metrics_.tallyMasks(attn_masks[l], attn_actual);
+        metrics_.tallyMasks(mlp_masks[l], mlp_actual);
 
         attn_[l].update(attn_actual);
         mlp_[l].update(mlp_actual);

@@ -65,6 +65,13 @@ struct PredictionMetrics
             ++trueNegative;
     }
 
+    /**
+     * Tally every neuron of a predicted/actual mask pair (equal
+     * sizes; nonzero = active), as tally() per element would.
+     */
+    void tallyMasks(const std::vector<std::uint8_t> &predicted,
+                    const std::vector<std::uint8_t> &actual);
+
     std::uint64_t
     total() const
     {

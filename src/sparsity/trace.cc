@@ -1,6 +1,7 @@
 #include "sparsity/trace.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -80,6 +81,20 @@ topMassShare(const std::vector<double> &rank_prob, double hot_fraction)
 
 constexpr double kProbabilityCap = 0.98;
 
+/**
+ * Branch-free `condition ? if_true : if_false` on doubles: compilers
+ * turn the plain ternary into a jump, which mispredicts on random
+ * masks.
+ */
+double
+pick(bool condition, double if_true, double if_false)
+{
+    const std::uint64_t take = 0 - static_cast<std::uint64_t>(condition);
+    return std::bit_cast<double>(
+        (std::bit_cast<std::uint64_t>(if_true) & take) |
+        (std::bit_cast<std::uint64_t>(if_false) & ~take));
+}
+
 } // namespace
 
 double
@@ -121,14 +136,17 @@ ActivationTrace::ActivationTrace(const model::LlmConfig &model,
 
     attnBlocks_.resize(model_.layers);
     mlpBlocks_.resize(model_.layers);
-    for (std::uint32_t l = 0; l < model_.layers; ++l) {
-        initBlock(attnBlocks_[l],
-                  static_cast<std::uint32_t>(model_.attnNeuronsPerLayer()),
-                  0x1000 + l);
-        initBlock(mlpBlocks_[l],
-                  static_cast<std::uint32_t>(model_.mlpNeuronsPerLayer()),
-                  0x2000 + l);
-    }
+    // Every block of one kind shares its per-rank profile; only the
+    // rank-to-id permutation differs between layers.
+    auto init_blocks = [&](std::vector<BlockTrace> &blocks,
+                           std::uint64_t neurons, std::uint64_t salt) {
+        const RankProfile profile =
+            rankProfile(static_cast<std::uint32_t>(neurons));
+        for (std::uint32_t l = 0; l < model_.layers; ++l)
+            initBlock(blocks[l], profile, salt + l);
+    };
+    init_blocks(attnBlocks_, model_.attnNeuronsPerLayer(), 0x1000);
+    init_blocks(mlpBlocks_, model_.mlpNeuronsPerLayer(), 0x2000);
     // Rank-matched correlation wiring in execution order: the
     // attention block of layer l couples to the MLP of layer l-1, the
     // MLP block couples to its own layer's attention block.
@@ -136,9 +154,8 @@ ActivationTrace::ActivationTrace(const model::LlmConfig &model,
     reset(0);
 }
 
-void
-ActivationTrace::initBlock(BlockTrace &block, std::uint32_t neurons,
-                           std::uint64_t salt)
+ActivationTrace::RankProfile
+ActivationTrace::rankProfile(std::uint32_t neurons) const
 {
     // Cache exponents per (block size, calibration targets): the
     // calibration reads nothing else, and the exact tuple keeps
@@ -169,7 +186,29 @@ ActivationTrace::initBlock(BlockTrace &block, std::uint32_t neurons,
 
     const auto rank_prob = rankProbabilities(
         neurons, exponent, config_.activeFraction, kProbabilityCap);
+    RankProfile profile;
+    profile.probability.resize(neurons);
+    double base_mass = 0.0;
+    double union_mass = 0.0;
+    for (std::uint32_t r = 0; r < neurons; ++r) {
+        const double base = rank_prob[r];
+        base_mass += base;
+        profile.probability[r] =
+            1.0 - std::pow(1.0 - base, static_cast<double>(batch_));
+        union_mass += profile.probability[r];
+    }
+    // Guard against round-off at batch 1 (base == union up to eps).
+    profile.computeScale = std::clamp(
+        union_mass > 0.0 ? base_mass / union_mass : 1.0, 1e-6, 1.0);
+    return profile;
+}
 
+void
+ActivationTrace::initBlock(BlockTrace &block, const RankProfile &profile,
+                           std::uint64_t salt)
+{
+    const auto neurons =
+        static_cast<std::uint32_t>(profile.probability.size());
     block.probability.resize(neurons);
     block.mask.assign(neurons, 0);
     block.parent1.assign(neurons, 0);
@@ -179,6 +218,7 @@ ActivationTrace::initBlock(BlockTrace &block, std::uint32_t neurons,
     block.ownLatent.assign(neurons, 0.0);
     block.idOfRank.resize(neurons);
     block.rankOf.resize(neurons);
+    block.computeScale = profile.computeScale;
 
     // Assign ranks to neuron ids through a deterministic per-block
     // permutation so hotness is not a function of the neuron index.
@@ -188,15 +228,9 @@ ActivationTrace::initBlock(BlockTrace &block, std::uint32_t neurons,
     for (std::uint32_t i = neurons; i > 1; --i)
         std::swap(perm[i - 1], perm[init_rng.below(i)]);
 
-    double base_mass = 0.0;
-    double union_mass = 0.0;
     for (std::uint32_t r = 0; r < neurons; ++r) {
         const std::uint32_t id = perm[r];
-        const double base = rank_prob[r];
-        base_mass += base;
-        block.probability[id] =
-            1.0 - std::pow(1.0 - base, static_cast<double>(batch_));
-        union_mass += block.probability[id];
+        block.probability[id] = profile.probability[r];
         block.idOfRank[r] = id;
         block.rankOf[id] = r;
         // Same-rank neurons in every block share a master slot, which
@@ -205,9 +239,6 @@ ActivationTrace::initBlock(BlockTrace &block, std::uint32_t neurons,
             static_cast<std::uint64_t>(r) * masterSlots_ / neurons);
         block.follower[id] = init_rng.chance(config_.couplingMix);
     }
-    // Guard against round-off at batch 1 (base == union up to eps).
-    block.computeScale = std::clamp(
-        union_mass > 0.0 ? base_mass / union_mass : 1.0, 1e-6, 1.0);
 }
 
 void
@@ -254,30 +285,65 @@ ActivationTrace::reset(std::uint64_t sequence_id)
 void
 ActivationTrace::stepBlock(BlockTrace &block)
 {
+    // Per neuron, in index order, the stream holds one refresh draw
+    // and, for followers only, one noise draw.  Each chunk draws its
+    // whole share up front and walks it with a cursor, so the loop
+    // below has no data-dependent branch and no RNG call.
+    constexpr std::uint32_t kChunk = 1024;
+    double draws[2 * kChunk + 1];
+    std::uint32_t active_ids[kChunk];
+
     const double refresh = 1.0 - config_.persistence;
     const double noise = config_.followerNoise;
+    const std::uint32_t n = block.neurons();
+    const double *const probability = block.probability.data();
+    const std::uint8_t *const follower = block.follower.data();
+    const std::uint32_t *const slot = block.slot.data();
+    const double *const master = masterLatent_.data();
+    double *const own = block.ownLatent.data();
+    std::uint8_t *const mask = block.mask.data();
     block.activeList.clear();
-    for (std::uint32_t i = 0; i < block.neurons(); ++i) {
-        // Evolve the private latent: one draw decides refresh and,
-        // when refreshing, is recycled (scaled) as the new value.
-        const double draw = rng_.uniform();
-        if (draw < refresh)
-            block.ownLatent[i] = draw / refresh;
 
-        double u;
-        if (block.follower[i]) {
+    Rng rng = rng_;
+    for (std::uint32_t begin = 0; begin < n; begin += kChunk) {
+        const std::uint32_t end = std::min(n, begin + kChunk);
+        std::uint32_t followers = 0;
+        for (std::uint32_t i = begin; i < end; ++i)
+            followers += follower[i];
+        const std::uint32_t count = end - begin + followers;
+        for (std::uint32_t k = 0; k < count; ++k)
+            draws[k] = rng.uniform();
+        // Read (never used) by a non-follower in the chunk's last slot.
+        draws[count] = 1.0;
+
+        std::uint32_t p = 0;
+        std::uint32_t active_count = 0;
+        for (std::uint32_t i = begin; i < end; ++i) {
+            // Evolve the private latent: one draw decides refresh
+            // and, when refreshing, is recycled (scaled) as the new
+            // value.
+            const double draw = draws[p];
+            const double latent =
+                pick(draw < refresh, draw / refresh, own[i]);
+            own[i] = latent;
+
             // Followers read the shared slot except for occasional
             // private excursions (keeps the conditional below 1).
-            u = rng_.chance(noise) ? block.ownLatent[i]
-                                   : masterLatent_[block.slot[i]];
-        } else {
-            u = block.ownLatent[i];
+            const bool follows = follower[i] != 0;
+            const bool excursion = draws[p + 1] < noise;
+            const double u =
+                pick(follows & !excursion, master[slot[i]], latent);
+            p += 1 + follower[i];
+
+            const bool active = u < probability[i];
+            mask[i] = active;
+            active_ids[active_count] = i;
+            active_count += active;
         }
-        const bool active = u < block.probability[i];
-        block.mask[i] = active;
-        if (active)
-            block.activeList.push_back(i);
+        block.activeList.insert(block.activeList.end(), active_ids,
+                                active_ids + active_count);
     }
+    rng_ = rng;
 }
 
 void
@@ -349,11 +415,12 @@ ActivationTrace::nextToken()
     }
     // Evolve the shared semantic latent (one slot per frequency rank).
     const double refresh = 1.0 - config_.persistence;
+    Rng rng = rng_;
     for (auto &u : masterLatent_) {
-        const double draw = rng_.uniform();
-        if (draw < refresh)
-            u = draw / refresh;
+        const double draw = rng.uniform();
+        u = pick(draw < refresh, draw / refresh, u);
     }
+    rng_ = rng;
     for (std::uint32_t l = 0; l < model_.layers; ++l) {
         stepBlock(attnBlocks_[l]);
         stepBlock(mlpBlocks_[l]);

@@ -171,9 +171,16 @@ class ActivationTrace
                                     const SparsityConfig &config);
 
   private:
-    void
-    initBlock(BlockTrace &block, std::uint32_t neurons,
-              std::uint64_t salt);
+    /** Per-rank statistics shared by every block of one size. */
+    struct RankProfile
+    {
+        std::vector<double> probability; ///< Batch-unioned, by rank.
+        double computeScale = 1.0;
+    };
+
+    RankProfile rankProfile(std::uint32_t neurons) const;
+    void initBlock(BlockTrace &block, const RankProfile &profile,
+                   std::uint64_t salt);
     void wireParents(BlockTrace &child, const BlockTrace &parent);
     void rewireAllParents();
     void stepBlock(BlockTrace &block);

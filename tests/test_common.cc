@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -143,6 +146,18 @@ TEST(Stats, StatSetLazyCreation)
     EXPECT_DOUBLE_EQ(set.counterValue("x"), 3.0);
 }
 
+TEST(Stats, UnknownCounterThrowsNamingIt)
+{
+    StatSet set;
+    set.counter("x").add(1.0);
+    try {
+        set.counterValue("missing");
+        FAIL() << "expected std::out_of_range";
+    } catch (const std::out_of_range &error) {
+        EXPECT_STREQ(error.what(), "unknown counter 'missing'");
+    }
+}
+
 TEST(Stats, StatSetResetClearsAll)
 {
     StatSet set;
@@ -163,6 +178,20 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_NE(out.find("alpha"), std::string::npos);
     // Header, rule, two rows.
     EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
+}
+
+TEST(Table, RowWidthMismatchThrows)
+{
+    TextTable table({"name", "value"});
+    try {
+        table.addRow({"alpha"});
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_STREQ(error.what(),
+                     "table row width 1 does not match header width 2");
+    }
+    table.addRow({"alpha", "1"}); // The table is still usable.
+    EXPECT_NE(table.render().find("alpha"), std::string::npos);
 }
 
 TEST(Table, NumFormatsPrecision)

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -331,6 +332,18 @@ TEST(CostModel, EnergyAccumulatesAllComponents)
     EXPECT_NEAR(with_link - 450.0, 8000.0 * 1.17e-12, 1e-12);
     activity.ndpMacs = 1e9;
     EXPECT_NEAR(runEnergyJoules(activity) - with_link, 1.2e-3, 1e-9);
+}
+
+TEST(CostModel, UnpricedGpuThrowsNamingIt)
+{
+    SystemConfig config;
+    config.gpu.name = "H100";
+    try {
+        platformPriceUsd(EngineKind::Hermes, config);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_STREQ(error.what(), "no price for GPU 'H100'");
+    }
 }
 
 TEST(CostModel, DimmCountScalesPrice)

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "model/llm_config.hh"
 #include "sched/ilp_partition.hh"
 #include "sched/mapper.hh"
@@ -347,6 +352,217 @@ TEST(Predictor, SampledCorrelationIsPredictive)
     EXPECT_GT(sampled_cond, 0.5); // Far above the ~0.2 marginal.
 }
 
+/** Slow reference of BlockPredictor: the scalar per-neuron loops. */
+struct ReferencePredictor
+{
+    PredictorConfig config;
+    std::vector<std::uint8_t> states;
+    std::vector<std::uint8_t> initialStates;
+    std::vector<std::uint32_t> parent1;
+    std::vector<std::uint32_t> parent2;
+
+    void
+    initFromFrequency(const std::vector<double> &frequency)
+    {
+        for (std::size_t i = 0; i < frequency.size(); ++i) {
+            const double f = std::clamp(frequency[i], 0.0, 1.0);
+            states[i] = static_cast<std::uint8_t>(std::min<std::uint32_t>(
+                config.maxState,
+                static_cast<std::uint32_t>(f * (config.maxState + 1))));
+        }
+        initialStates = states;
+    }
+
+    std::uint32_t
+    activeParents(const std::vector<std::uint8_t> &mask,
+                  std::size_t i) const
+    {
+        std::uint32_t s2 = 0;
+        if (parent1[i] < mask.size() && mask[parent1[i]])
+            ++s2;
+        if (parent2[i] < mask.size() && mask[parent2[i]])
+            ++s2;
+        return s2;
+    }
+
+    std::vector<std::uint8_t>
+    predict(const std::vector<std::uint8_t> *parent_mask) const
+    {
+        std::vector<std::uint8_t> out(states.size());
+        const bool have_parents =
+            parent_mask != nullptr && !parent1.empty();
+        for (std::size_t i = 0; i < states.size(); ++i) {
+            if (have_parents) {
+                const std::uint32_t score =
+                    states[i] +
+                    config.lambda * activeParents(*parent_mask, i);
+                out[i] = score >= config.threshold;
+            } else {
+                out[i] = states[i] >= config.hotThreshold;
+            }
+        }
+        return out;
+    }
+
+    void
+    update(const std::vector<std::uint8_t> &actual)
+    {
+        for (std::size_t i = 0; i < states.size(); ++i) {
+            if (actual[i]) {
+                states[i] = static_cast<std::uint8_t>(
+                    std::min<std::uint32_t>(config.maxState,
+                                            states[i] +
+                                                config.activateStep));
+            } else {
+                states[i] = static_cast<std::uint8_t>(
+                    states[i] >= config.decayStep
+                        ? states[i] - config.decayStep
+                        : 0);
+            }
+        }
+    }
+
+    std::vector<std::uint32_t>
+    hotScores(const std::vector<std::uint8_t> *parent_mask,
+              bool use_token, bool use_layer) const
+    {
+        std::vector<std::uint32_t> out(states.size());
+        const bool have_parents =
+            use_layer && parent_mask != nullptr && !parent1.empty();
+        const auto &base = use_token ? states : initialStates;
+        for (std::size_t i = 0; i < states.size(); ++i) {
+            std::uint32_t score = base.empty() ? 0 : base[i];
+            if (have_parents)
+                score += config.lambda * activeParents(*parent_mask, i);
+            out[i] = score;
+        }
+        return out;
+    }
+};
+
+/** Random mask whose active entries are arbitrary nonzero bytes. */
+std::vector<std::uint8_t>
+randomMask(Rng &rng, std::size_t n, double active)
+{
+    std::vector<std::uint8_t> mask(n);
+    for (auto &bit : mask)
+        bit = rng.chance(active)
+                  ? static_cast<std::uint8_t>(1 + rng.below(255))
+                  : 0;
+    return mask;
+}
+
+TEST(Predictor, KernelsMatchScalarReference)
+{
+    PredictorConfig odd;
+    odd.activateStep = 3;
+    odd.decayStep = 2;
+    odd.lambda = 4;
+    odd.threshold = 11;
+    odd.hotThreshold = 7;
+    Rng rng(99);
+    for (const PredictorConfig &config : {PredictorConfig{}, odd}) {
+        for (const std::uint32_t n : {1u, 33u, 1500u}) {
+            // Parent masks: empty, smaller than the parent ids reach
+            // (out-of-range ids count as idle), and covering them.
+            for (const std::uint32_t parent_n : {0u, n / 2 + 1, n + 8}) {
+                for (const bool with_init : {false, true}) {
+                    for (const bool with_tables : {false, true}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "n=" << n
+                                     << " parent_n=" << parent_n
+                                     << " init=" << with_init
+                                     << " tables=" << with_tables
+                                     << " lambda=" << config.lambda);
+                        BlockPredictor fast(n, config);
+                        ReferencePredictor slow{
+                            config, std::vector<std::uint8_t>(n, 0),
+                            {}, {}, {}};
+                        if (with_init) {
+                            std::vector<double> frequency(n);
+                            for (auto &f : frequency)
+                                f = rng.uniform() * 1.1 - 0.05;
+                            fast.initFromFrequency(frequency);
+                            slow.initFromFrequency(frequency);
+                        }
+                        if (with_tables) {
+                            std::vector<std::uint32_t> p1(n), p2(n);
+                            for (std::uint32_t i = 0; i < n; ++i) {
+                                p1[i] = static_cast<std::uint32_t>(
+                                    rng.below(n + 8));
+                                p2[i] = static_cast<std::uint32_t>(
+                                    rng.below(n + 8));
+                            }
+                            slow.parent1 = p1;
+                            slow.parent2 = p2;
+                            fast.setCorrelation(std::move(p1),
+                                                std::move(p2));
+                        }
+                        std::vector<std::uint8_t> predicted;
+                        std::vector<std::uint32_t> scores;
+                        for (int token = 0; token < 6; ++token) {
+                            const auto parents =
+                                randomMask(rng, parent_n, 0.5);
+                            for (const auto *mask :
+                                 {static_cast<decltype(&parents)>(
+                                      nullptr),
+                                  &parents}) {
+                                fast.predict(mask, predicted);
+                                EXPECT_EQ(predicted, slow.predict(mask));
+                                for (const bool use_token :
+                                     {false, true}) {
+                                    for (const bool use_layer :
+                                         {false, true}) {
+                                        fast.hotScores(mask, use_token,
+                                                       use_layer, scores);
+                                        EXPECT_EQ(scores,
+                                                  slow.hotScores(
+                                                      mask, use_token,
+                                                      use_layer));
+                                    }
+                                }
+                            }
+                            const auto actual = randomMask(rng, n, 0.3);
+                            fast.update(actual);
+                            slow.update(actual);
+                            for (std::uint32_t i = 0; i < n; ++i)
+                                ASSERT_EQ(fast.state(i), slow.states[i]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(PredictionMetricsTest, BulkTallyMatchesPerElement)
+{
+    Rng rng(17);
+    for (const std::size_t n : {0u, 1u, 7u, 64u, 1000u, 4099u}) {
+        std::vector<std::uint8_t> predicted(n);
+        std::vector<std::uint8_t> actual(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            // Any nonzero byte counts as active.
+            predicted[i] = rng.chance(0.4)
+                               ? static_cast<std::uint8_t>(
+                                     1 + rng.below(255))
+                               : 0;
+            actual[i] = rng.chance(0.3) ? 1 : 0;
+        }
+        PredictionMetrics bulk;
+        bulk.tally(true, false); // Bulk tallies accumulate.
+        PredictionMetrics reference = bulk;
+        bulk.tallyMasks(predicted, actual);
+        for (std::size_t i = 0; i < n; ++i)
+            reference.tally(predicted[i] != 0, actual[i] != 0);
+        SCOPED_TRACE(n);
+        EXPECT_EQ(bulk.truePositive, reference.truePositive);
+        EXPECT_EQ(bulk.trueNegative, reference.trueNegative);
+        EXPECT_EQ(bulk.falsePositive, reference.falsePositive);
+        EXPECT_EQ(bulk.falseNegative, reference.falseNegative);
+    }
+}
+
 TEST(PredictionMetricsTest, CountsAndRates)
 {
     PredictionMetrics metrics;
@@ -459,6 +675,88 @@ TEST(Predictor, HotScoresCombineSignals)
     // Both: live + bonus.
     predictor.hotScores(&parents, true, true, scores);
     EXPECT_EQ(scores[0], 12u + 6u);
+}
+
+/**
+ * Slow reference of NeuronMapper::adjustBlock: an index sort keyed on
+ * scores[id], the pre-packing implementation.
+ */
+AdjustmentResult
+referenceAdjustBlock(BlockPlacement &placement,
+                     const std::vector<std::uint32_t> &scores,
+                     Bytes neuron_bytes, AdjustmentPolicy policy)
+{
+    std::vector<std::uint32_t> promote;
+    std::vector<std::uint32_t> residents;
+    for (std::uint32_t i = 0; i < placement.neurons(); ++i) {
+        if (placement.onGpu(i))
+            residents.push_back(i);
+        else if (scores[i] >= policy.hotThreshold)
+            promote.push_back(i);
+    }
+    std::sort(promote.begin(), promote.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return scores[a] > scores[b];
+              });
+    std::sort(residents.begin(), residents.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return scores[a] < scores[b];
+              });
+    AdjustmentResult result;
+    std::size_t out = 0;
+    for (const std::uint32_t in : promote) {
+        if (out >= residents.size() ||
+            result.promotions >= policy.maxSwaps)
+            break;
+        const std::uint32_t victim = residents[out];
+        if (scores[in] < scores[victim] + policy.hysteresis)
+            break;
+        placement.setOnGpu(victim, false);
+        placement.setOnGpu(in, true);
+        ++out;
+        ++result.promotions;
+        ++result.evictions;
+        result.pcieBytes += neuron_bytes;
+    }
+    return result;
+}
+
+TEST(Mapper, AdjustBlockMatchesIndirectSortReference)
+{
+    // Scores in 0..27 tie heavily, so which equal-score neurons sit at
+    // the swap boundary depends on std::sort's exact comparisons.
+    Rng rng(2024);
+    for (const std::uint32_t n : {0u, 1u, 16u, 17u, 5003u}) {
+        for (const std::uint32_t max_swaps : {0u, 1u, 5u, 64u, 100000u}) {
+            for (const std::uint32_t hysteresis : {0u, 1u, 2u, 7u}) {
+                AdjustmentPolicy policy;
+                policy.maxSwaps = max_swaps;
+                policy.hysteresis = hysteresis;
+                policy.hotThreshold =
+                    static_cast<std::uint32_t>(rng.below(28));
+                std::vector<std::uint32_t> scores(n);
+                BlockPlacement fast(n, 4);
+                const double resident_share = rng.uniform();
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    scores[i] = static_cast<std::uint32_t>(rng.below(28));
+                    fast.setOnGpu(i, rng.chance(resident_share));
+                }
+                BlockPlacement slow = fast;
+                SCOPED_TRACE(testing::Message()
+                             << "n=" << n << " maxSwaps=" << max_swaps
+                             << " hysteresis=" << hysteresis
+                             << " hot=" << policy.hotThreshold);
+                const AdjustmentResult got =
+                    NeuronMapper::adjustBlock(fast, scores, 96, policy);
+                const AdjustmentResult want =
+                    referenceAdjustBlock(slow, scores, 96, policy);
+                EXPECT_EQ(got.promotions, want.promotions);
+                EXPECT_EQ(got.evictions, want.evictions);
+                EXPECT_EQ(got.pcieBytes, want.pcieBytes);
+                EXPECT_EQ(fast.gpuFlags(), slow.gpuFlags());
+            }
+        }
+    }
 }
 
 TEST(Mapper, ApplyPartitionSetsHomesAndResidents)

@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -87,6 +91,93 @@ TEST(Trace, DeterministicForSameSeed)
     }
     EXPECT_EQ(a.mlp(2).activeList, b.mlp(2).activeList);
     EXPECT_EQ(a.attn(1).activeList, b.attn(1).activeList);
+}
+
+/** FNV-1a over raw bytes, chained through `hash`. */
+std::uint64_t
+fnv1a(std::uint64_t hash, const void *data, std::size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        hash ^= p[i];
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** Hash of every block's mask, active list and private latents. */
+std::uint64_t
+hashBlocks(std::uint64_t hash, const ActivationTrace &trace)
+{
+    auto block = [&](const BlockTrace &b) {
+        hash = fnv1a(hash, b.mask.data(), b.mask.size());
+        hash = fnv1a(hash, b.activeList.data(),
+                     b.activeList.size() * sizeof(std::uint32_t));
+        hash = fnv1a(hash, b.ownLatent.data(),
+                     b.ownLatent.size() * sizeof(double));
+    };
+    for (std::uint32_t l = 0; l < trace.llm().layers; ++l) {
+        block(trace.attn(l));
+        block(trace.mlp(l));
+    }
+    return hash;
+}
+
+/** Pinned hash of a 100-token stream on one block geometry. */
+struct StreamPin
+{
+    std::uint32_t attnNeurons;
+    std::uint32_t mlpNeurons;
+    std::uint32_t batch;
+    std::uint64_t hash;
+};
+
+// Blocks of 1, 1023, 1025 and 4096 neurons straddle the stepping
+// chunk boundaries; 100 tokens cross two phase shifts.  Regenerate
+// with HERMES_UPDATE_GOLDEN=1 only after an intentional trace change.
+constexpr StreamPin kStreamPins[] = {
+    // clang-format off
+    {1, 1023, 1, 0x3447cada79bf9d06ULL},
+    {1, 1023, 8, 0xdb44e62b6f3f3141ULL},
+    {1025, 4096, 1, 0x4997eeb0f0e20e4dULL},
+    {1025, 4096, 8, 0x64c1c76be966bc39ULL},
+    // clang-format on
+};
+
+TEST(Trace, StepStreamIsPinned)
+{
+    const bool update = std::getenv("HERMES_UPDATE_GOLDEN") != nullptr;
+    if (update)
+        std::printf("constexpr StreamPin kStreamPins[] = {\n"
+                    "    // clang-format off\n");
+    for (const StreamPin &pin : kStreamPins) {
+        model::LlmConfig llm = smallModel(3);
+        llm.hidden = pin.attnNeurons;
+        llm.ffnHidden = pin.mlpNeurons;
+        llm.heads = 1;
+        llm.kvHeads = 1;
+        ActivationTrace trace(llm, SparsityConfig{}, pin.batch);
+        std::uint64_t hash = hashBlocks(0xcbf29ce484222325ULL, trace);
+        for (int t = 0; t < 100; ++t) {
+            trace.nextToken();
+            hash = hashBlocks(hash, trace);
+        }
+        if (update) {
+            std::printf("    {%u, %u, %u, 0x%016llxULL},\n",
+                        pin.attnNeurons, pin.mlpNeurons, pin.batch,
+                        static_cast<unsigned long long>(hash));
+            continue;
+        }
+        SCOPED_TRACE(testing::Message()
+                     << pin.attnNeurons << "/" << pin.mlpNeurons
+                     << " neurons, batch " << pin.batch);
+        EXPECT_EQ(hash, pin.hash);
+    }
+    if (update) {
+        std::printf("    // clang-format on\n};\n");
+        GTEST_SKIP() << "printed fresh kStreamPins; paste them into "
+                        "tests/test_sparsity.cc";
+    }
 }
 
 TEST(Trace, ExponentCacheKeysOnHotFraction)
