@@ -94,6 +94,27 @@ spawnedReplicaName(std::uint64_t index)
 }
 
 /**
+ * Cost group of the newly constructed replicas[index]: the first
+ * earlier group leader whose cost surface it can share
+ * (ServingSimulator::shareCostsWith), else its own index — it leads
+ * a new group.  One loop for the configured fleet and mid-run
+ * spawns alike.
+ */
+std::size_t
+joinCostGroup(
+    const std::vector<std::unique_ptr<serving::ServingSimulator>>
+        &replicas,
+    const std::vector<std::size_t> &cache_group_of, std::size_t index)
+{
+    for (std::size_t j = 0; j < index; ++j) {
+        if (cache_group_of[j] == j &&
+            replicas[index]->shareCostsWith(*replicas[j]))
+            return j;
+    }
+    return index;
+}
+
+/**
  * Calibrate the router's view of one replica at the workload's
  * typical operating point, and warm its cost cache across the
  * batch ramp (see FleetSimulator::calibrate).  Shared between
@@ -103,9 +124,9 @@ spawnedReplicaName(std::uint64_t index)
  */
 sched::ReplicaModel
 calibrateReplicaModel(serving::ServingSimulator &simulator,
-                      std::uint32_t max_batch,
                       const WorkloadShape &shape)
 {
+    const std::uint32_t max_batch = simulator.config().maxBatch;
     sched::ReplicaModel model;
     model.maxBatch = max_batch;
     if (!simulator.servable(1, shape.typicalPrompt)) {
@@ -182,9 +203,9 @@ calibrateReplicaModel(serving::ServingSimulator &simulator,
  */
 Seconds
 warmupReplaySeconds(serving::ServingSimulator &simulator,
-                    std::uint32_t max_batch,
                     const WorkloadShape &shape)
 {
+    const std::uint32_t max_batch = simulator.config().maxBatch;
     double total = 0.0;
     for (std::uint32_t ramp = 1;; ramp *= 2) {
         const std::uint32_t batch = std::min(ramp, max_batch);
@@ -815,47 +836,24 @@ class EventKernel final : public sched::FleetView,
             stored.name = spawnedReplicaName(
                 report_.kernelStats.spawnedReplicas);
 
-        // Construct the replica and join a matching cost-cache
-        // group, exactly like FleetSimulator's constructor: a spec
-        // cloned from an existing replica shares its calibrated
-        // surface bit-identically, so the calibration below is all
-        // warm hits.
+        // Construct the replica and join a matching cost surface,
+        // exactly like FleetSimulator's constructor: a spec whose
+        // cells match an existing replica's shares its calibrated
+        // surface bit-identically, so the calibration below is warm
+        // hits wherever the surface already reaches.
         replicas_.push_back(
             std::make_unique<serving::ServingSimulator>(
                 stored.system, llm_, stored.serving));
         serving::ServingSimulator &replica = *replicas_[index];
-        cacheGroupOf_.push_back(index);
-        for (std::size_t j = 0; j < index; ++j) {
-            if (cacheGroupOf_[j] == j &&
-                specs_[j].system == stored.system &&
-                specs_[j].serving == stored.serving) {
-                cacheGroupOf_[index] = j;
-                replica.shareCostCacheWith(*replicas_[j]);
-                break;
-            }
-        }
-        if (cacheGroupOf_[index] == index) {
-            // A novel spec still shares the anchor store with any
-            // replica whose physics match (same engine, model,
-            // seed — differing only in batch caps or bucketing),
-            // so even a cold spawn reuses every engine simulation
-            // already paid for.
-            for (std::size_t j = 0; j < index; ++j) {
-                if (replica.shareAnchorStoreWith(*replicas_[j]))
-                    break;
-            }
-        }
+        cacheGroupOf_.push_back(
+            joinCostGroup(replicas_, cacheGroupOf_, index));
 
         // Calibrate now — cold engine simulations (if any) bill to
         // the run's calibrationSeconds through the cache-group
         // accounting — and price the Warming phase on the freshly
         // warmed surface.
-        const std::uint32_t max_batch = std::max<std::uint32_t>(
-            stored.serving.maxBatch, 1);
-        models_.push_back(
-            calibrateReplicaModel(replica, max_batch, shape_));
-        const Seconds warmup =
-            warmupReplaySeconds(replica, max_batch, shape_);
+        models_.push_back(calibrateReplicaModel(replica, shape_));
+        const Seconds warmup = warmupReplaySeconds(replica, shape_);
 
         report_.replicaNames.push_back(stored.name);
         specs_.push_back(std::move(stored));
@@ -1342,7 +1340,6 @@ FleetSimulator::FleetSimulator(FleetConfig config,
         throw std::invalid_argument(
             "FleetSimulator: FleetConfig::control is required (e.g. "
             "sched::controlPolicyByName(\"jsq\"))");
-    cacheGroupOf_.resize(config_.replicas.size());
     for (std::size_t i = 0; i < config_.replicas.size(); ++i) {
         ReplicaConfig &replica = config_.replicas[i];
         if (replica.name.empty())
@@ -1351,32 +1348,8 @@ FleetSimulator::FleetSimulator(FleetConfig config,
         replicas_.push_back(
             std::make_unique<serving::ServingSimulator>(
                 replica.system, llm_, replica.serving));
-        // Equal-config replicas share one calibrated cost cache
-        // (bit-identical physics, see cacheGroupOf_): a uniform
-        // fleet pays each cold (batch, context) bucket one engine
-        // simulation instead of one per replica.
-        cacheGroupOf_[i] = i;
-        for (std::size_t j = 0; j < i; ++j) {
-            if (cacheGroupOf_[j] == j &&
-                config_.replicas[j].system == replica.system &&
-                config_.replicas[j].serving == replica.serving) {
-                cacheGroupOf_[i] = j;
-                replicas_[i]->shareCostCacheWith(*replicas_[j]);
-                break;
-            }
-        }
-        // A new group leader may still share *physics* with an
-        // earlier leader (differing only in serving-policy knobs
-        // like maxBatch or seqBucket): share the anchor store
-        // so both groups pay for each engine simulation once.
-        if (cacheGroupOf_[i] == i) {
-            for (std::size_t j = 0; j < i; ++j) {
-                if (cacheGroupOf_[j] == j &&
-                    replicas_[i]->shareAnchorStoreWith(
-                        *replicas_[j]))
-                    break;
-            }
-        }
+        cacheGroupOf_.push_back(
+            joinCostGroup(replicas_, cacheGroupOf_, i));
     }
 }
 
@@ -1386,18 +1359,15 @@ FleetSimulator::calibrateAll(const WorkloadShape &shape)
     const std::size_t count = replicas_.size();
     std::vector<sched::ReplicaModel> models(count);
     const auto calibrate = [&](std::size_t i) {
-        return calibrateReplicaModel(
-            *replicas_[i],
-            std::max<std::uint32_t>(
-                config_.replicas[i].serving.maxBatch, 1),
-            shape);
+        return calibrateReplicaModel(*replicas_[i], shape);
     };
 
-    // Only cache-group representatives run cold engine
-    // simulations; members re-probe afterwards against the warm
-    // shared cache — pure hits, and their own saturation flags
-    // latch exactly as if they had calibrated cold.  A uniform
-    // 1024-replica fleet calibrates once, not 1024 times.
+    // Cache-group leaders calibrate first; members re-probe
+    // afterwards, serially, against the warm shared surface — hits,
+    // except the rows a member wider than its leader adds, and
+    // their own saturation flags latch exactly as if they had
+    // calibrated cold.  A uniform 1024-replica fleet calibrates
+    // once, not 1024 times.
     std::vector<std::size_t> leaders;
     leaders.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
@@ -1412,15 +1382,13 @@ FleetSimulator::calibrateAll(const WorkloadShape &shape)
         for (const std::size_t i : leaders)
             models[i] = calibrate(i);
     } else {
-        // Each worker claims whole representatives, so one cost
-        // cache is only ever touched by one thread and the
-        // calibrated models are identical to the serial loop
-        // regardless of scheduling.  (Physics-equal leaders share a
-        // mutex-guarded anchor store across threads; its
-        // values are pure functions of the operating point, so the
-        // models stay interleaving-independent.)  Heterogeneous-
-        // fleet sweeps stop paying one engine simulation chain per
-        // group in series.
+        // Each worker claims whole leaders, and a leader is its
+        // surface's only one, so a cost surface is only ever
+        // touched by one thread: no lock, and the calibrated models
+        // and tape counts are identical to the serial loop
+        // regardless of scheduling.  Heterogeneous-fleet sweeps
+        // stop paying one engine simulation chain per group in
+        // series.
         std::atomic<std::size_t> next{0};
         std::vector<std::exception_ptr> errors(workers);
         std::vector<std::thread> pool;
@@ -1490,11 +1458,9 @@ FleetSimulator::warmSessionCosts(std::uint64_t max_context)
         if (cacheGroupOf_[i] != i)
             continue;
         const serving::ServingConfig &serving =
-            config_.replicas[i].serving;
-        const std::uint32_t max_batch =
-            std::max<std::uint32_t>(serving.maxBatch, 1);
-        const std::uint32_t bucket =
-            std::max<std::uint32_t>(serving.seqBucket, 1);
+            replicas_[i]->config();
+        const std::uint32_t max_batch = serving.maxBatch;
+        const std::uint32_t bucket = serving.seqBucket;
         const std::uint64_t max_column =
             std::max<std::uint64_t>(max_context, 1) / bucket;
         std::uint64_t rows = 0;

@@ -311,9 +311,9 @@ class FleetSimulator
     calibrateAll(const WorkloadShape &shape);
 
     /**
-     * Pre-warm every cache group's cost surface across the batch
-     * ramp and the full context trajectory a session trace will
-     * climb (columns 0..max_context/seqBucket), using the
+     * Pre-warm every cache group's cost surface across its
+     * leader's batch ramp and the full context trajectory a session
+     * trace will climb (columns 0..max_context/seqBucket), using the
      * calibration thread pool.  Grids over 4096 cells are skipped
      * (tiny seqBucket; the run would not touch most of them
      * either).  Warming is observable only as wall-clock time —
@@ -347,13 +347,16 @@ class FleetSimulator
         replicas_;
 
     /**
-     * Cost-cache sharing groups: replica i adopted the calibrated
-     * step-cost cache of replica cacheGroupOf_[i] (its own index
-     * when it leads a group).  Engine physics are pure functions of
-     * the (system, model, serving) configuration, so equal-config
-     * replicas share bit-identically — a uniform fleet pays each
-     * cold (batch, context) bucket once instead of once per
-     * replica, and calibration probes one representative per group.
+     * Cost-surface groups: replica i adopted the cost surface of
+     * replica cacheGroupOf_[i] (its own index when it leads a
+     * group), one surface per group and one leader per surface.  A
+     * cell is a pure function of the system, model, engine,
+     * calibrationTokens, seed and seqBucket
+     * (ServingSimulator::shareCostsWith), so replicas equal in
+     * those share bit-identically whatever their maxBatch, maxQueue
+     * or kvCapacityTokens — a uniform fleet pays each cold (batch,
+     * context) bucket once instead of once per replica, and
+     * calibration gives each leader to exactly one worker.
      */
     std::vector<std::size_t> cacheGroupOf_;
 };

@@ -34,6 +34,19 @@ powerOfTwoAtLeast(std::uint32_t value)
     return bucket;
 }
 
+/**
+ * Cost-surface row of `batch`: log2 of its power-of-two batch
+ * bucket, capped at the bucket holding `max_batch`.  Row r is batch
+ * bucket 2^r whatever the cap.
+ */
+std::size_t
+batchRow(std::uint32_t batch, std::uint32_t max_batch)
+{
+    return static_cast<std::size_t>(std::countr_zero(std::min(
+        powerOfTwoAtLeast(std::max<std::uint32_t>(batch, 1)),
+        powerOfTwoAtLeast(max_batch))));
+}
+
 } // namespace
 
 std::string
@@ -72,8 +85,7 @@ ServingSimulator::ServingSimulator(runtime::SystemConfig system,
                                    model::LlmConfig llm,
                                    ServingConfig config)
     : system_(std::move(system)), llm_(std::move(llm)),
-      config_(config), cache_(std::make_shared<CostCache>()),
-      anchors_(std::make_shared<AnchorStore>())
+      config_(config), cache_(std::make_shared<CostCache>())
 {
     // Explicit guards: degenerate policy values would otherwise
     // divide by zero or stall the admission loop.
@@ -87,24 +99,16 @@ ServingSimulator::ServingSimulator(runtime::SystemConfig system,
 ServingSimulator::StepCosts
 ServingSimulator::costs(std::uint32_t batch, std::uint64_t seq)
 {
-    const std::uint32_t batch_bucket = std::min(
-        powerOfTwoAtLeast(std::max<std::uint32_t>(batch, 1)),
-        powerOfTwoAtLeast(config_.maxBatch));
-    // Row by log2 of the power-of-two batch bucket; column by
-    // context bucket index, with the sorted per-row tail catching
-    // contexts past the dense cap.
-    const auto row =
-        static_cast<std::size_t>(std::countr_zero(batch_bucket));
+    // Column by context bucket index, with the sorted per-row tail
+    // catching contexts past the dense cap.
+    const std::size_t row = batchRow(batch, config_.maxBatch);
     const std::uint64_t column = seq / config_.seqBucket;
 
     if (const StepCosts *hit = findCosts(row, column)) {
         saturated_ |= hit->saturatedFallback;
         return *hit;
     }
-    const std::uint64_t seq_bucket =
-        (column + 1) * config_.seqBucket;
-    const StepCosts step = exactCosts(batch_bucket, seq_bucket);
-    storeCosts(row, column, step);
+    const StepCosts step = exactCosts(row, column);
     saturated_ |= step.saturatedFallback;
     return step;
 }
@@ -199,26 +203,16 @@ ServingSimulator::rowEngine(std::size_t row)
 }
 
 ServingSimulator::StepCosts
-ServingSimulator::exactCosts(std::uint32_t batch_bucket,
-                             std::uint64_t seq_bucket)
+ServingSimulator::exactCosts(std::size_t row, std::uint64_t column)
 {
-    // A physics-equal simulator (shareAnchorStoreWith) may already
-    // have simulated this operating point: adopt its result and
-    // bill nothing — the simulator that ran the engine already did.
-    const std::pair<std::uint32_t, std::uint64_t> key{batch_bucket,
-                                                      seq_bucket};
-    {
-        std::lock_guard<std::mutex> lock(anchors_->mutex);
-        const auto it = anchors_->entries.find(key);
-        if (it != anchors_->entries.end())
-            return it->second;
-    }
+    if (const StepCosts *hit = findCosts(row, column))
+        return *hit;
     CostCache &cache = *cache_;
-    runtime::InferenceEngine &engine = rowEngine(
-        static_cast<std::size_t>(std::countr_zero(batch_bucket)));
+    runtime::InferenceEngine &engine = rowEngine(row);
     const auto start = std::chrono::steady_clock::now();
     const std::optional<StepCosts> simulated = simulateCosts(
-        engine, llm_, config_, batch_bucket, seq_bucket);
+        engine, llm_, config_, std::uint32_t{1} << row,
+        (column + 1) * config_.seqBucket);
     cache.engineSeconds +=
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
@@ -232,46 +226,26 @@ ServingSimulator::exactCosts(std::uint32_t batch_bucket,
         // (KV cache grows with batch and context).  Serve it at the
         // largest supported batch bucket and flag it saturated
         // rather than at a corrupt zero cost.  The half-batch bucket
-        // is the row below's own operating point, so its engine (and
-        // tape) computes it, once.
-        step = exactCosts(batch_bucket / 2, seq_bucket);
+        // is the row below's own cell, so its engine (and tape)
+        // computes it, once.
+        step = exactCosts(row - 1, column);
         step.saturatedFallback = true;
     }
-    {
-        // First writer wins; a racing writer computed the identical
-        // value (pure function of the key), so keeping either is
-        // bit-identical.
-        std::lock_guard<std::mutex> lock(anchors_->mutex);
-        anchors_->entries.emplace(key, step);
-    }
+    storeCosts(row, column, step);
     return step;
 }
 
-void
-ServingSimulator::shareCostCacheWith(ServingSimulator &other)
-{
-    hermes_assert(system_ == other.system_ && llm_ == other.llm_ &&
-                      config_ == other.config_,
-                  "shareCostCacheWith across differing replica "
-                  "configurations: costs would not be identical");
-    cache_ = other.cache_;
-    // Equal full configurations imply equal physics: keep the
-    // group's anchor store coherent too, so a group member's exact
-    // simulation is visible to physics-equal simulators outside the
-    // group.
-    anchors_ = other.anchors_;
-}
-
 bool
-ServingSimulator::shareAnchorStoreWith(ServingSimulator &other)
+ServingSimulator::shareCostsWith(ServingSimulator &other)
 {
     if (!(system_ == other.system_) || !(llm_ == other.llm_) ||
         config_.engine != other.config_.engine ||
         config_.calibrationTokens !=
             other.config_.calibrationTokens ||
-        config_.seed != other.config_.seed)
+        config_.seed != other.config_.seed ||
+        config_.seqBucket != other.config_.seqBucket)
         return false;
-    anchors_ = other.anchors_;
+    cache_ = other.cache_;
     return true;
 }
 
@@ -303,61 +277,26 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
                             std::uint32_t threads)
 {
     // Reduce the probes to the distinct cost-surface cells they
-    // touch.  A row determines its batch bucket (row == log2), so
-    // (row, column) is the cell identity.
-    struct Key
-    {
-        std::size_t row;
-        std::uint32_t batchBucket;
-        std::uint64_t column;
-    };
-    const auto before = [](const Key &a, const Key &b) {
-        return a.row != b.row ? a.row < b.row : a.column < b.column;
-    };
-    const auto same = [](const Key &a, const Key &b) {
-        return a.row == b.row && a.column == b.column;
-    };
-    std::vector<Key> cells;
+    // touch, (row, column), sorted by row, minus the cells already
+    // computed.
+    std::vector<std::pair<std::size_t, std::uint64_t>> cells;
     cells.reserve(probes.size());
-    for (const CostProbe &probe : probes) {
-        const std::uint32_t batch_bucket = std::min(
-            powerOfTwoAtLeast(
-                std::max<std::uint32_t>(probe.batch, 1)),
-            powerOfTwoAtLeast(config_.maxBatch));
-        cells.push_back(Key{
-            static_cast<std::size_t>(
-                std::countr_zero(batch_bucket)),
-            batch_bucket, probe.seq / config_.seqBucket});
-    }
-    std::sort(cells.begin(), cells.end(), before);
-    cells.erase(std::unique(cells.begin(), cells.end(), same),
-                cells.end());
-
-    // Drop the cells already computed.
-    std::erase_if(cells, [&](const Key &key) {
-        if (findCosts(key.row, key.column) != nullptr)
-            return true;
-        // A physics-equal simulator may already have run this
-        // operating point: adopt from the shared anchor store
-        // instead of re-simulating (no engine time billed here —
-        // the simulator that ran it already paid).
-        std::lock_guard<std::mutex> lock(anchors_->mutex);
-        const auto it = anchors_->entries.find(
-            {key.batchBucket,
-             (key.column + 1) * config_.seqBucket});
-        if (it == anchors_->entries.end())
-            return false;
-        storeCosts(key.row, key.column, it->second);
-        return true;
+    for (const CostProbe &probe : probes)
+        cells.emplace_back(batchRow(probe.batch, config_.maxBatch),
+                           probe.seq / config_.seqBucket);
+    std::sort(cells.begin(), cells.end());
+    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+    std::erase_if(cells, [&](const auto &cell) {
+        return findCosts(cell.first, cell.second) != nullptr;
     });
 
     // Whole rows go to workers: a row's cells differ only in
     // context, so the row's engine records its tape once and replays
-    // it for every column.  `cells` is sorted by row; rows[k] is the
-    // start of the k-th row's run of cells.
+    // it for every column.  rows[k] is the start of the k-th row's
+    // run of cells.
     std::vector<std::size_t> rows;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i == 0 || cells[i].row != cells[i - 1].row)
+        if (i == 0 || cells[i].first != cells[i - 1].first)
             rows.push_back(i);
     }
     // `threads` arrives pre-resolved from the fleet layer, but a
@@ -365,87 +304,65 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
     // not a zero-thread pool.
     const auto workers = static_cast<std::uint32_t>(
         resolveWorkerCount(threads, 1, rows.size()));
-    if (workers > 1) {
-        // Parallel fill: each worker owns the rows it claims (their
-        // engines are built here, so workers never touch the engine
-        // table) and a private timing accumulator; results land in a
-        // slot array and are inserted sequentially afterwards, so
-        // the cache contents are independent of thread interleaving.
-        for (const std::size_t first : rows)
-            rowEngine(cells[first].row);
-        rows.push_back(cells.size());
-        std::vector<std::optional<StepCosts>> computed(cells.size());
-        std::vector<double> seconds(workers, 0.0);
-        std::atomic<std::size_t> cursor{0};
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::uint32_t w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                for (;;) {
-                    const std::size_t k =
-                        cursor.fetch_add(1,
-                                         std::memory_order_relaxed);
-                    if (k + 1 >= rows.size())
-                        break;
-                    runtime::InferenceEngine &engine =
-                        *cache_->engines[cells[rows[k]].row];
-                    const auto start =
-                        std::chrono::steady_clock::now();
-                    for (std::size_t i = rows[k]; i < rows[k + 1];
-                         ++i)
-                        computed[i] = simulateCosts(
-                            engine, llm_, config_,
-                            cells[i].batchBucket,
-                            (cells[i].column + 1) *
-                                config_.seqBucket);
-                    seconds[w] +=
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() -
-                            start)
-                            .count();
-                }
-            });
-        }
-        for (std::thread &thread : pool)
-            thread.join();
-        for (const double spent : seconds)
-            cache_->engineSeconds += spent;
-        cache_->engineRuns += cells.size();
-        // Publish to the shared anchor store so physics-equal
-        // simulators (shareAnchorStoreWith) skip these simulations.
-        const auto publish = [&](std::size_t i, const StepCosts &step) {
-            std::lock_guard<std::mutex> lock(anchors_->mutex);
-            anchors_->entries.emplace(
-                std::pair<std::uint32_t, std::uint64_t>{
-                    cells[i].batchBucket,
-                    (cells[i].column + 1) * config_.seqBucket},
-                step);
-        };
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (const std::optional<StepCosts> &step = computed[i])
-                publish(i, *step);
-        }
-        // Saturated cells fall back to the row below, in row order,
-        // exactly as the sequential fill resolves them.
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            StepCosts step;
-            if (const std::optional<StepCosts> &simulated = computed[i]) {
-                step = *simulated;
-            } else {
-                step = exactCosts(
-                    cells[i].batchBucket / 2,
-                    (cells[i].column + 1) * config_.seqBucket);
-                step.saturatedFallback = true;
-                publish(i, step);
+    if (workers <= 1) {
+        for (const auto &[row, column] : cells)
+            exactCosts(row, column);
+        return;
+    }
+    // Parallel fill: each worker owns the rows it claims (their
+    // engines are built here, so workers never touch the engine
+    // table) and a private timing accumulator; results land in a
+    // slot array and are inserted sequentially afterwards, so the
+    // surface's contents are independent of thread interleaving.
+    for (const std::size_t first : rows)
+        rowEngine(cells[first].first);
+    rows.push_back(cells.size());
+    std::vector<std::optional<StepCosts>> computed(cells.size());
+    std::vector<double> seconds(workers, 0.0);
+    std::atomic<std::size_t> cursor{0};
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::uint32_t w = 0; w < workers; ++w) {
+        pool.emplace_back([&, w] {
+            for (;;) {
+                const std::size_t k =
+                    cursor.fetch_add(1, std::memory_order_relaxed);
+                if (k + 1 >= rows.size())
+                    break;
+                const std::size_t row = cells[rows[k]].first;
+                runtime::InferenceEngine &engine =
+                    *cache_->engines[row];
+                const auto start = std::chrono::steady_clock::now();
+                for (std::size_t i = rows[k]; i < rows[k + 1]; ++i)
+                    computed[i] = simulateCosts(
+                        engine, llm_, config_,
+                        std::uint32_t{1} << row,
+                        (cells[i].second + 1) * config_.seqBucket);
+                seconds[w] +=
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
             }
-            storeCosts(cells[i].row, cells[i].column, step);
+        });
+    }
+    for (std::thread &thread : pool)
+        thread.join();
+    for (const double spent : seconds)
+        cache_->engineSeconds += spent;
+    cache_->engineRuns += cells.size();
+    // Insert in row order, so a saturated cell finds the row
+    // below's cell already stored (or computes it), exactly as the
+    // sequential fill resolves it.
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto [row, column] = cells[i];
+        StepCosts step;
+        if (computed[i]) {
+            step = *computed[i];
+        } else {
+            step = exactCosts(row - 1, column);
+            step.saturatedFallback = true;
         }
-    } else {
-        for (const Key &key : cells)
-            storeCosts(key.row, key.column,
-                       exactCosts(key.batchBucket,
-                                  (key.column + 1) *
-                                      config_.seqBucket));
+        storeCosts(row, column, step);
     }
 }
 

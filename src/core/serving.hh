@@ -56,9 +56,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -404,36 +402,23 @@ class ServingSimulator
     void reserveSession(std::size_t expected_requests);
 
     /**
-     * Adopt `other`'s calibrated step-cost cache (and drop this
-     * simulator's own).  Engine physics are pure functions of the
-     * (system, model, serving) configuration, so equal-config
-     * replicas sharing one cache get bit-identical costs while
-     * paying for each cold (batch, context) bucket once per fleet
-     * instead of once per replica — the difference between O(fleet)
-     * and O(replicas) engine simulations on the kernel hot path.
-     * Asserts the configurations are equal.  Not thread-safe
-     * against concurrent cost queries; the fleet calibrates one
-     * group representative per thread instead.
+     * Try to adopt `other`'s cost surface — its calibrated step-cost
+     * table, the per-row pooled engines behind it, and its billing
+     * — dropping this simulator's own.  A cell (row r is batch
+     * bucket 2^r, column c is context bucket c) is a pure function
+     * of the system, model, engine kind, calibrationTokens, seed and
+     * seqBucket, so simulators equal in those get bit-identical
+     * costs while paying for each cold cell once per surface instead
+     * of once per replica.  maxBatch, maxQueue and kvCapacityTokens
+     * only choose which cells a simulator touches, so they stay out
+     * of the key: a wider member fills rows its narrower siblings
+     * never reach.  Returns true (and shares) when the cells agree,
+     * false (and changes nothing) when they differ — callers probe
+     * candidates in a loop.  Not thread-safe: a surface must only
+     * ever be touched by one thread at a time (the fleet gives each
+     * surface's leader to exactly one calibration worker).
      */
-    void shareCostCacheWith(ServingSimulator &other);
-
-    /**
-     * Try to adopt `other`'s anchor store, the memo of exact engine
-     * simulations.  An engine simulation of a (batch bucket, context
-     * tokens) cell is a pure function of the *physics*
-     * configuration — (system, model, engine kind,
-     * calibrationTokens, seed) — and not of the serving-policy knobs
-     * (maxBatch, maxQueue, seqBucket, kvCapacityTokens), so replicas
-     * that differ only in policy can share every simulation they
-     * both touch instead of recomputing it per cost-cache group.  Returns true (and
-     * shares) when the physics match, false (and changes nothing)
-     * when they differ — callers probe candidates in a loop.  The
-     * store is mutex-guarded: values are pure, so concurrent fills
-     * are bit-identical no matter who wins.  An adopting simulator
-     * that finds a cell in the store bills no engine time for it —
-     * the simulator that ran it already did.
-     */
-    bool shareAnchorStoreWith(ServingSimulator &other);
+    bool shareCostsWith(ServingSimulator &other);
 
     /** Hand one arrival to the replica (admission decided later). */
     void deliver(const ServedRequest &request);
@@ -582,7 +567,7 @@ class ServingSimulator
                    std::uint32_t threads = 1);
 
     /**
-     * Wall-clock seconds this simulator's (shared) cost cache spent
+     * Wall-clock seconds this simulator's (shared) cost surface spent
      * inside engine simulations, and how many it ran.  The fleet
      * layer subtracts this from kernel-loop time so events/sec
      * measures the event loop, not the calibration wall.
@@ -616,14 +601,16 @@ class ServingSimulator
     };
 
     /**
-     * Calibrated step costs as a flat table: rows by log2(batch
+     * The cost surface, the only memo of engine simulations:
+     * calibrated step costs as a flat table with rows by log2(batch
      * bucket) — a handful, batch buckets are powers of two capped
      * at maxBatch — and columns by context bucket index
      * (seq / seqBucket), dense up to kMaxDenseColumns with a sorted
      * per-row tail for freak contexts so a tiny seqBucket cannot
-     * balloon the dense rows.  Replaces the ordered map the hot
-     * loop used to walk on every step; shared across equal-config
-     * replicas via shareCostCacheWith().
+     * balloon the dense rows.  Row r is batch bucket 2^r whatever
+     * the cap, so one surface serves every simulator whose cells
+     * are equal, whatever their scheduling knobs (shareCostsWith()).
+     * Unlocked: one thread at a time per surface.
      */
     struct CostCache
     {
@@ -654,23 +641,6 @@ class ServingSimulator
         std::uint64_t engineRuns = 0;
     };
 
-    /**
-     * Exact engine simulations shared across simulators whose
-     * physics agree (see shareAnchorStoreWith), keyed by the raw
-     * operating point (batch bucket, context tokens) — deliberately
-     * NOT by (row, column), which bake in this simulator's
-     * seqBucket.  An ordered map keeps iteration deterministic; the
-     * mutex covers concurrent group-representative calibration
-     * threads, and since every value is a pure function of its key,
-     * insert races are value-identical.
-     */
-    struct AnchorStore
-    {
-        std::mutex mutex;
-        std::map<std::pair<std::uint32_t, std::uint64_t>, StepCosts>
-            entries;
-    };
-
     /** Calibrated (batch bucket, seq bucket) -> step costs. */
     StepCosts costs(std::uint32_t batch, std::uint64_t seq);
 
@@ -688,14 +658,14 @@ class ServingSimulator
     runtime::InferenceEngine &rowEngine(std::size_t row);
 
     /**
-     * One exact engine simulation of (batch_bucket, seq_bucket) on
-     * the row's pooled engine, memoized in the anchor store.  A
-     * bucket past capacity takes the half-batch bucket's costs
-     * (computed the same way, by the row below) flagged as a
-     * saturated fallback.  Does not touch the cache or saturated_.
+     * Cell (row, column) of the surface: the stored entry, or one
+     * exact engine simulation of (batch bucket 2^row, context
+     * (column + 1) * seqBucket) on the row's pooled engine, stored
+     * before returning.  A bucket past capacity takes the row
+     * below's cell at the same column (computed the same way)
+     * flagged as a saturated fallback.  Does not touch saturated_.
      */
-    StepCosts exactCosts(std::uint32_t batch_bucket,
-                         std::uint64_t seq_bucket);
+    StepCosts exactCosts(std::size_t row, std::uint64_t column);
 
     /**
      * The raw engine simulation behind exactCosts(), on a
@@ -735,7 +705,6 @@ class ServingSimulator
     model::LlmConfig llm_;
     ServingConfig config_;
     std::shared_ptr<CostCache> cache_;
-    std::shared_ptr<AnchorStore> anchors_;
     bool saturated_ = false;
 
     /** Why an entry left this replica (excluded from its report). */

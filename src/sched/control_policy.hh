@@ -268,11 +268,13 @@ class FleetActions
      *
      * The warm-up replay is the same power-of-two batch ramp every
      * pre-configured replica pays during calibration, priced on the
-     * spawned replica's own cost surface.  A spec matching an
-     * existing replica's full serving config joins that replica's
-     * shared cost cache (warm — calibration already paid); a novel
-     * spec calibrates cold, billed to FleetReport::calibrationSeconds
-     * like any other calibration.
+     * spawned replica's own cost surface.  A spec whose cost cells
+     * match an existing replica's (same system, engine, seed,
+     * calibrationTokens and seqBucket) joins that replica's shared
+     * cost surface (warm wherever the surface already reaches —
+     * calibration already paid); a novel spec calibrates cold,
+     * billed to FleetReport::calibrationSeconds like any other
+     * calibration.
      */
     virtual std::uint32_t spawnReplica(const ReplicaSpec &spec) = 0;
 

@@ -50,8 +50,9 @@ heterogeneousFleet(std::uint32_t replicas)
         replicas, fastConfig(4), fastServing(2),
         sched::controlPolicyByName("jsq"), 120.0);
     for (std::uint32_t i = 0; i < replicas; ++i) {
-        // Distinct seqBucket per replica splits the cache groups
-        // without touching engine physics knobs shared by tests.
+        // seqBucket (i % 4) splits the cost surfaces without
+        // touching engine physics knobs shared by tests; maxBatch
+        // (i % 3) varies within each surface.
         config.replicas[i].serving.seqBucket =
             192 + 64 * (i % 4);
         config.replicas[i].serving.maxBatch = 1 + (i % 3);
@@ -80,10 +81,14 @@ expectIdenticalReports(const FleetReport &a, const FleetReport &b)
 
 TEST(CalibrationStress, ParallelRouterCalibrationManyGroups)
 {
-    // 8 cache-group leaders calibrated by an 8-thread pool: every
-    // worker claims whole leaders off the shared atomic cursor.
-    // Any cross-thread write to a shared cost cache or model slot
-    // is a TSan report; any physics difference fails the pin.
+    // 4 cost surfaces (seqBucket varies with i % 4), each shared by
+    // two replicas of differing maxBatch — replica 4's and 7's
+    // exceed their leaders' — calibrated by pools of up to 8
+    // threads: every worker claims whole leaders off the shared
+    // atomic cursor, so each surface has exactly one writer.  Any
+    // cross-thread write to a shared cost surface or model slot is
+    // a TSan report; any physics difference fails the pin, and the
+    // tape count must not depend on the thread count.
     serving::ScenarioConfig scenario;
     scenario.process = serving::ArrivalProcess::Poisson;
     scenario.requests = 24;
@@ -102,6 +107,9 @@ TEST(CalibrationStress, ParallelRouterCalibrationManyGroups)
         const auto pooled =
             FleetSimulator(config, model::opt13b()).run(trace);
         expectIdenticalReports(serial, pooled);
+        EXPECT_EQ(pooled.kernelStats.calibrationTapes,
+                  serial.kernelStats.calibrationTapes)
+            << threads << " threads";
     }
     EXPECT_EQ(serial.requests.size(), trace.size());
     EXPECT_GT(serial.completed, 0u);

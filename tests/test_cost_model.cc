@@ -87,7 +87,7 @@ TEST(CostModel, SharedCacheOverflowIsOrderIndependent)
                               config);
     ServingSimulator sharer(fastConfig(2), model::opt13b(),
                             config);
-    sharer.shareCostCacheWith(forward);
+    ASSERT_TRUE(sharer.shareCostsWith(forward));
     std::vector<double> first;
     for (const std::uint64_t seq : seqs)
         first.push_back(forward.tokenSeconds(1, seq));

@@ -211,25 +211,25 @@ TEST(Serving, CostProbesAgreeWithServingPhysics)
     EXPECT_DOUBLE_EQ(unservable.tokenSeconds(1, 64), 0.0);
 }
 
-TEST(Serving, AnchorStoreSharesExactSimulationsAcrossVariants)
+TEST(Serving, CostSurfaceSharedAcrossSchedulingKnobs)
 {
-    // Anchor cells are keyed by (batch bucket, raw context tokens),
-    // and the sharing predicate checks only the physics inputs of
-    // an engine simulation (system, model, engine kind,
-    // calibrationTokens, seed).  Scheduling knobs — maxBatch,
-    // seqBucket, queue depth — do not change what an exact
-    // simulation of a cell costs, so variants differing only in
-    // those answer from each other's anchors instead of re-running
-    // the engine.
+    // A cost-surface cell (row r = batch bucket 2^r, column c =
+    // context bucket c) is a pure function of the system, model,
+    // engine kind, calibrationTokens, seed and seqBucket.  maxBatch,
+    // maxQueue and kvCapacityTokens only decide which cells a
+    // simulator touches, so variants differing in those share one
+    // surface instead of re-running the engine.
     const auto system = fastConfig(4);
     const auto llm = model::opt13b();
-    ServingConfig wide = fastServing(8);
-    wide.seqBucket = 64;
-    ServingConfig narrow = wide;
-    narrow.maxBatch = 4; // The only difference: a scheduling knob.
+    ServingConfig base = fastServing(8);
+    base.seqBucket = 64;
+    ServingConfig variant = base;
+    variant.maxBatch = 16;
+    variant.maxQueue = base.maxQueue / 2;
+    variant.kvCapacityTokens = 4096;
 
-    // Warm the wide simulator over a probe grid.
-    ServingSimulator reference(system, llm, wide);
+    // Fill rows 0-2 (batch buckets 1, 2, 4) of the reference.
+    ServingSimulator reference(system, llm, base);
     const std::uint32_t batches[] = {1, 2, 4};
     const std::uint64_t seqs[] = {100, 1000, 2000, 3000};
     for (const std::uint32_t batch : batches)
@@ -241,46 +241,64 @@ TEST(Serving, AnchorStoreSharesExactSimulationsAcrossVariants)
     const std::uint64_t paid = reference.calibrationRuns();
     ASSERT_GT(paid, 0u);
 
-    // The narrow variant adopts the anchors; an independent twin
-    // of the narrow config recomputes everything from scratch.
-    ServingSimulator shared(system, llm, narrow);
-    ASSERT_TRUE(shared.shareAnchorStoreWith(reference));
-    ServingSimulator independent(system, llm, narrow);
-
+    // The variant adopts the surface; an unshared twin of the
+    // variant recomputes everything from scratch.
+    ServingSimulator shared(system, llm, variant);
+    ASSERT_TRUE(shared.shareCostsWith(reference));
+    ServingSimulator twin(system, llm, variant);
     for (const std::uint32_t batch : batches)
         for (const std::uint64_t seq : seqs) {
-            // Byte-identical costs: adopted anchors are the same
-            // exact simulations the independent twin runs.
             EXPECT_EQ(shared.prefillSeconds(batch, seq),
-                      independent.prefillSeconds(batch, seq))
+                      twin.prefillSeconds(batch, seq))
                 << "prefill(" << batch << ", " << seq << ")";
             EXPECT_EQ(shared.tokenSeconds(batch, seq),
-                      independent.tokenSeconds(batch, seq))
+                      twin.tokenSeconds(batch, seq))
                 << "token(" << batch << ", " << seq << ")";
         }
-    // The shared simulator answered entirely from adopted anchors —
-    // zero engine runs billed to it — while the independent twin
-    // paid for the full grid again.
-    EXPECT_EQ(shared.calibrationRuns(), 0u);
-    EXPECT_DOUBLE_EQ(shared.calibrationSeconds(), 0.0);
-    EXPECT_GT(independent.calibrationRuns(), 0u);
-    // Adoption bills nothing retroactively to the reference.
+    // Cells the reference filled are hits: the surface ran nothing
+    // more, while the twin paid for the grid again.
+    EXPECT_EQ(shared.calibrationRuns(), paid);
     EXPECT_EQ(reference.calibrationRuns(), paid);
+    EXPECT_GT(twin.calibrationRuns(), 0u);
 
-    // Physics differences refuse to share: the anchors would not
-    // be the simulations this configuration implies.
-    ServingConfig reseeded = narrow;
-    reseeded.seed = narrow.seed + 1;
+    // The variant reaches a row the reference never probed (batch
+    // bucket 8): one engine run, billed to the shared surface, and
+    // the reference then hits it.
+    EXPECT_EQ(shared.tokenSeconds(8, 1000), twin.tokenSeconds(8, 1000));
+    EXPECT_EQ(shared.calibrationRuns(), paid + 1);
+    EXPECT_EQ(reference.tokenSeconds(8, 1000),
+              twin.tokenSeconds(8, 1000));
+    EXPECT_EQ(reference.calibrationRuns(), paid + 1);
+
+    // Any difference in what a cell is refuses to share, and the
+    // refused simulator keeps its own, still empty, surface.
+    const auto expect_refused = [&](ServingSimulator &other,
+                                    const char *what) {
+        EXPECT_FALSE(other.shareCostsWith(reference)) << what;
+        EXPECT_EQ(other.calibrationRuns(), 0u) << what;
+    };
+    ServingConfig reseeded = variant;
+    reseeded.seed = variant.seed + 1;
     ServingSimulator other_seed(system, llm, reseeded);
-    EXPECT_FALSE(other_seed.shareAnchorStoreWith(reference));
+    expect_refused(other_seed, "seed");
 
-    ServingConfig recalibrated = narrow;
-    recalibrated.calibrationTokens = narrow.calibrationTokens + 2;
+    ServingConfig recalibrated = variant;
+    recalibrated.calibrationTokens = variant.calibrationTokens + 2;
     ServingSimulator other_tokens(system, llm, recalibrated);
-    EXPECT_FALSE(other_tokens.shareAnchorStoreWith(reference));
+    expect_refused(other_tokens, "calibrationTokens");
 
-    ServingSimulator other_system(fastConfig(2), llm, narrow);
-    EXPECT_FALSE(other_system.shareAnchorStoreWith(reference));
+    ServingSimulator other_system(fastConfig(2), llm, variant);
+    expect_refused(other_system, "system");
+
+    ServingConfig other_kind = variant;
+    other_kind.engine = runtime::EngineKind::HermesBase;
+    ServingSimulator other_engine(system, llm, other_kind);
+    expect_refused(other_engine, "engine");
+
+    ServingConfig rebucketed = variant;
+    rebucketed.seqBucket = variant.seqBucket * 2;
+    ServingSimulator other_bucket(system, llm, rebucketed);
+    expect_refused(other_bucket, "seqBucket");
 }
 
 TEST(Serving, StepwiseSessionMatchesClosedRun)
