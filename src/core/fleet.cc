@@ -338,7 +338,11 @@ class EventKernel final : public sched::FleetView,
           models_(std::move(models)), shape_(shape),
           report_(report), workload_(workload),
           control_(control), wants_(control.wants()),
-          sessions_(sessions), idIndex_(workload)
+          sessions_(sessions),
+          tracksChanges_(
+              (wants_ & (sched::ControlPolicy::kObservations |
+                         sched::ControlPolicy::kReplicaChanges)) != 0),
+          idIndex_(workload)
     {
         const std::size_t n = replicas_.size();
         // The kernel owns a mutable replica table: spawnReplica
@@ -360,13 +364,14 @@ class EventKernel final : public sched::FleetView,
         wakeScheduled_.assign(n, 0);
         draining_.assign(n, 0);
         deadNotified_.assign(n, 0);
-        if (wants_ & sched::ControlPolicy::kObservations) {
-            observed_.resize(n); // One buffer, reused per arrival.
-            // All replicas start dirty so the first gather samples
-            // everyone; afterwards only replicas the kernel touched
-            // since the last arrival are re-probed.
-            observedDirty_.assign(n, 1);
-        }
+        if (wants_ & sched::ControlPolicy::kObservations)
+            observed_.resize(n); // One buffer, refreshed per flush.
+        // The whole fleet starts changed, so the first flush
+        // samples everyone; afterwards only replicas the kernel
+        // touched since the previous flush are listed.
+        changedFlag_.assign(n, 0);
+        for (std::size_t r = 0; r < n; ++r)
+            markChanged(r);
     }
 
     /** Drive the whole co-simulation (see class doc). */
@@ -436,7 +441,7 @@ class EventKernel final : public sched::FleetView,
             case sim::EventKind::StepComplete: {
                 const auto r =
                     static_cast<std::size_t>(event.replica);
-                markObservedDirty(r);
+                markChanged(r);
                 for (const std::uint64_t id :
                      replicas_[r]->completeWork())
                     queue_.push(event.time,
@@ -446,6 +451,7 @@ class EventKernel final : public sched::FleetView,
                     sched::ControlPolicy::kReplicaEvents) {
                     const auto replica =
                         static_cast<std::uint32_t>(r);
+                    flushChanges();
                     if (event.kind ==
                         sim::EventKind::PrefillComplete)
                         control_.onPrefillComplete(
@@ -462,6 +468,7 @@ class EventKernel final : public sched::FleetView,
                 break;
             }
             case sim::EventKind::Tick:
+                flushChanges();
                 control_.onTick(event.time, *this, *this);
                 // The heartbeat sustains itself only while other
                 // work remains, so the loop always terminates.
@@ -647,13 +654,14 @@ class EventKernel final : public sched::FleetView,
         decided_ = true;
         report_.assignment[arrivalIndex_] =
             static_cast<int>(replica);
-        markObservedDirty(replica);
+        markChanged(replica);
         replicas_[replica]->deliver(workload_[arrivalIndex_]);
         // Wake an idle replica once all same-instant arrivals are
         // delivered (Wake sorts after Arrival at a tie), so a
         // simultaneous burst prefills as one group, exactly like
         // the closed loop.
         wakeIfIdle(replica);
+        flushChanges();
     }
 
     void
@@ -697,8 +705,8 @@ class EventKernel final : public sched::FleetView,
                 "requests (running requests cannot be stolen)");
         const std::vector<serving::ServedRequest> stolen =
             replicas_[victim]->stealQueued(max_count);
-        markObservedDirty(thief);
-        markObservedDirty(victim);
+        markChanged(thief);
+        markChanged(victim);
         ++report_.kernelStats.steals;
         report_.kernelStats.stolenRequests += stolen.size();
         for (const serving::ServedRequest &request : stolen) {
@@ -711,6 +719,7 @@ class EventKernel final : public sched::FleetView,
         if (!replicas_[thief]->busy())
             schedule(thief,
                      replicas_[thief]->startNextWork(queue_.now()));
+        flushChanges();
         return static_cast<std::uint32_t>(stolen.size());
     }
 
@@ -729,7 +738,7 @@ class EventKernel final : public sched::FleetView,
         // Throws on a queued/unknown id before any state changes.
         const serving::ResumableRequest resumed =
             replicas_[replica]->preempt(id);
-        markObservedDirty(replica);
+        markChanged(replica);
         ++report_.kernelStats.preemptions;
         // The KV stays cached on the replica: requeueing is free,
         // and the priority-aware admission decides who gets the
@@ -737,6 +746,7 @@ class EventKernel final : public sched::FleetView,
         replicas_[replica]->deliverResumed(resumed, queue_.now(),
                                            resumed.contextLength());
         wakeIfIdle(replica);
+        flushChanges();
     }
 
     void
@@ -807,7 +817,7 @@ class EventKernel final : public sched::FleetView,
                 " is neither queued nor running on its replica");
         }
         ++resumed.migrations;
-        markObservedDirty(from);
+        markChanged(from);
         ++report_.kernelStats.migrations;
         // The accumulated KV travels over the DIMM-link fabric; the
         // destination sees the arrival only when the transfer lands
@@ -822,6 +832,7 @@ class EventKernel final : public sched::FleetView,
                     sim::EventKind::ResumeReady, -1, id);
         resumesInFlight_.push_back(
             {id, PendingResume{std::move(resumed), to_replica}});
+        flushChanges();
     }
 
     std::uint32_t
@@ -864,10 +875,10 @@ class EventKernel final : public sched::FleetView,
         wakeScheduled_.push_back(0);
         draining_.push_back(0);
         deadNotified_.push_back(0);
-        if (!observedDirty_.empty()) {
+        if (wants_ & sched::ControlPolicy::kObservations)
             observed_.push_back(sched::ReplicaObservation{});
-            observedDirty_.push_back(1);
-        }
+        changedFlag_.push_back(0);
+        markChanged(index);
         replica.beginSession();
         replica.reserveSession(16);
         ++report_.kernelStats.spawnedReplicas;
@@ -879,6 +890,7 @@ class EventKernel final : public sched::FleetView,
                         std::max(spec.provisionSeconds, 0.0),
                     sim::EventKind::ReplicaReady,
                     static_cast<std::int32_t>(index), 0);
+        flushChanges();
         return index;
     }
 
@@ -896,10 +908,12 @@ class EventKernel final : public sched::FleetView,
                 sched::ReplicaLifecycle::Retired)
                 lifecycle_[replica] =
                     sched::ReplicaLifecycle::Draining;
+            markChanged(replica);
             // An empty idle replica (or one drained mid-spawn,
             // before it ever went Active) retires on the spot.
             maybeRetire(replica, queue_.now());
         }
+        flushChanges();
     }
 
   private:
@@ -911,15 +925,50 @@ class EventKernel final : public sched::FleetView,
     };
 
     /**
-     * The kernel is the only actor that mutates replicas, so any
-     * mutation marks the replica's cached observation stale; the
-     * per-arrival gather then refreshes only the marked ones.
+     * The kernel is the only actor that mutates replicas, so every
+     * mutation — deliver, steal, migrate, preempt, start/complete
+     * work (and the capability probe inside it), every lifecycle
+     * transition — lists the replica (once) on the change list.
+     * Kept only when a consumer exists (kObservations or
+     * kReplicaChanges).
      */
     void
-    markObservedDirty(std::size_t replica)
+    markChanged(std::size_t replica)
     {
-        if (!observedDirty_.empty())
-            observedDirty_[replica] = 1;
+        if (tracksChanges_ && !changedFlag_[replica]) {
+            changedFlag_[replica] = 1;
+            changed_.push_back(static_cast<std::uint32_t>(replica));
+        }
+    }
+
+    /**
+     * Hand the change list to its consumers — the observed_ rows
+     * behind ArrivalContext::observed, and the policy's
+     * onReplicasChanged — then clear it.  Called at every hook
+     * entry and after every FleetActions verb, so a policy always
+     * ranks on current state in O(changed replicas).
+     */
+    void
+    flushChanges()
+    {
+        if (changed_.empty())
+            return;
+        if (wants_ & sched::ControlPolicy::kObservations) {
+            // The two direct probes, not snapshot(): the one-call
+            // snapshot also copies the per-request lifecycle
+            // vectors, which this hot path does not want.
+            for (const std::uint32_t r : changed_) {
+                observed_[r].outstanding =
+                    replicas_[r]->observedOutstanding();
+                observed_[r].backlogTokens =
+                    replicas_[r]->observedBacklogTokens();
+            }
+        }
+        if (wants_ & sched::ControlPolicy::kReplicaChanges)
+            control_.onReplicasChanged(changed_, *this);
+        for (const std::uint32_t r : changed_)
+            changedFlag_[r] = 0;
+        changed_.clear();
     }
 
     /** Schedule a same-instant Wake for an idle replica (once). */
@@ -943,13 +992,14 @@ class EventKernel final : public sched::FleetView,
             // The instance is up: replay the batch-ramp warm-up as
             // its first (virtual) steps, then go Active.
             lifecycle_[replica] = sched::ReplicaLifecycle::Warming;
+            markChanged(replica);
             queue_.push(now + warmupSeconds_[replica],
                         sim::EventKind::ReplicaReady,
                         static_cast<std::int32_t>(replica), 0);
             break;
         case sched::ReplicaLifecycle::Warming:
             lifecycle_[replica] = sched::ReplicaLifecycle::Active;
-            markObservedDirty(replica);
+            markChanged(replica);
             // The replica is routable from this instant; take an
             // idle boundary now so onReplicaIdle subscribers
             // (stealers, drain-migrate) see the fresh capacity
@@ -983,6 +1033,7 @@ class EventKernel final : public sched::FleetView,
                 return; // Committed before the drain; wait for it.
         }
         lifecycle_[replica] = sched::ReplicaLifecycle::Retired;
+        markChanged(replica);
         retiredAt_[replica] = now;
         ++report_.kernelStats.retiredReplicas;
     }
@@ -1035,7 +1086,7 @@ class EventKernel final : public sched::FleetView,
         // before the drain, like in-flight routed work), and one
         // whose capability probe later fails holds it like any
         // other delivery.
-        markObservedDirty(pending.destination);
+        markChanged(pending.destination);
         replicas_[pending.destination]->deliverResumed(
             pending.resumed, event.time,
             pending.resumed.tokensGenerated == 0
@@ -1091,26 +1142,13 @@ class EventKernel final : public sched::FleetView,
         context.generateTokens = request.generateTokens;
         context.priority = request.priority;
         context.sessionId = request.sessionId;
-        if (wants_ & sched::ControlPolicy::kObservations) {
-            // Sample ground truth at the decision instant into the
-            // preallocated buffer.  The two direct probes, not
-            // snapshot(): the one-call snapshot now also copies the
-            // per-request lifecycle vectors, which this hot path
-            // does not want to allocate.  Only replicas the kernel
-            // touched since the last gather are re-probed — the
-            // values cannot have changed otherwise, so the refresh
-            // is bit-identical to a full rebuild.
-            for (std::size_t r = 0; r < replicas_.size(); ++r) {
-                if (!observedDirty_[r])
-                    continue;
-                observedDirty_[r] = 0;
-                observed_[r].outstanding =
-                    replicas_[r]->observedOutstanding();
-                observed_[r].backlogTokens =
-                    replicas_[r]->observedBacklogTokens();
-            }
+        // Ground truth at the decision instant: the flush
+        // re-probes only replicas the kernel touched since the
+        // previous one — the others cannot have changed, so the
+        // refresh is bit-identical to a full rebuild.
+        flushChanges();
+        if (wants_ & sched::ControlPolicy::kObservations)
             context.observed = &observed_;
-        }
         inArrival_ = true;
         decided_ = false;
         arrivalIndex_ = event.id;
@@ -1156,7 +1194,7 @@ class EventKernel final : public sched::FleetView,
     void
     advance(std::size_t replica, Seconds now)
     {
-        markObservedDirty(replica);
+        markChanged(replica);
         const serving::StepAction action =
             replicas_[replica]->startNextWork(now);
         schedule(replica, action);
@@ -1164,12 +1202,16 @@ class EventKernel final : public sched::FleetView,
         if (!deadNotified_[replica] &&
             replicas_[replica]->knownDead()) {
             deadNotified_[replica] = 1;
-            if (wants_ & sched::ControlPolicy::kDead)
+            if (wants_ & sched::ControlPolicy::kDead) {
+                flushChanges();
                 control_.onReplicaDead(r, now, *this, *this);
+            }
         }
         if (action.kind == serving::StepKind::Idle) {
-            if (wants_ & sched::ControlPolicy::kIdle)
+            if (wants_ & sched::ControlPolicy::kIdle) {
+                flushChanges();
                 control_.onReplicaIdle(r, now, *this, *this);
+            }
             // After the idle hook, so an evacuation policy
             // (drain-migrate) moves the replica's work out before
             // the retire check runs — a drained replica that just
@@ -1251,11 +1293,13 @@ class EventKernel final : public sched::FleetView,
     std::vector<Seconds> retiredAt_;
     std::vector<Seconds> warmupSeconds_;
 
+    /** ArrivalContext::observed (empty without kObservations). */
     std::vector<sched::ReplicaObservation> observed_;
 
-    /** Which observed_ rows are stale (empty without
-     * kObservations); see markObservedDirty(). */
-    std::vector<char> observedDirty_;
+    /** The change list and its dedup flags; see markChanged(). */
+    const bool tracksChanges_;
+    std::vector<std::uint32_t> changed_;
+    std::vector<char> changedFlag_;
 
     /** id -> workload index, for steal/migrate re-assignment. */
     const IdIndex idIndex_;

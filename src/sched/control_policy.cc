@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "sched/replica_index.hh"
+
 namespace hermes::sched {
 
 std::string
@@ -34,9 +36,14 @@ replicaLifecycleName(ReplicaLifecycle lifecycle)
 namespace {
 
 /**
- * The six legacy routing behaviors as one adapter: every arrival is
+ * The four estimate-based routing behaviors (round-robin, jsq,
+ * least-tokens, slo-aware) as one adapter: every arrival is
  * answered by the calibrated Router, so decisions are bit-identical
- * to the pre-API kernel (same inputs, same float sequence).
+ * to the pre-API kernel (same inputs, same float sequence).  jsq
+ * ranks through the Router's shortest-queue index, kept routable
+ * from the change list; the other three scan the fleet (their keys
+ * drift continuously with the arrival clock, or tie-break within
+ * an epsilon, so no exact tree order exists).
  */
 class RouterControlPolicy final : public ControlPolicy
 {
@@ -53,15 +60,26 @@ class RouterControlPolicy final : public ControlPolicy
 
     std::uint32_t wants() const override
     {
-        return routerPolicyNeedsObservations(policy_)
-                   ? kObservations
-                   : kNone;
+        return indexed() ? kReplicaChanges : kNone;
     }
 
     void begin(const ControlContext &context) override
     {
         router_ = std::make_unique<Router>(
             policy_, context.models, context.ttftDeadline);
+    }
+
+    void onReplicasChanged(const std::vector<std::uint32_t> &replicas,
+                           const FleetView &view) override
+    {
+        if (!router_)
+            throw std::logic_error(
+                "RouterControlPolicy: onReplicasChanged before "
+                "begin()");
+        grow(view);
+        for (const std::uint32_t r : replicas)
+            router_->setRoutable(
+                r, view.lifecycle(r) == ReplicaLifecycle::Active);
     }
 
     void onArrival(const ArrivalContext &context,
@@ -71,30 +89,33 @@ class RouterControlPolicy final : public ControlPolicy
         if (!router_)
             throw std::logic_error(
                 "RouterControlPolicy: onArrival before begin()");
-        // An autoscaler may have grown the fleet since begin():
-        // give the router an (empty) queueing model for every new
-        // replica, and mask replicas that are not routable — still
-        // provisioning or warming, draining, or retired.  A fixed
-        // all-Active fleet passes no mask at all, so its decision
-        // sequence is bit-identical to the legacy router.  Dead
-        // replicas stay UNmasked on purpose: estimate policies have
-        // historically kept routing to them (only the feedback
-        // policies starve them), and that contract is pinned.
-        const std::uint32_t n = view.replicaCount();
-        while (router_->replicaCount() < n)
-            router_->addReplica(
-                view.model(router_->replicaCount()));
-        eligible_.assign(n, 1);
-        bool restricted = false;
-        for (std::uint32_t r = 0; r < n; ++r) {
-            if (view.lifecycle(r) != ReplicaLifecycle::Active) {
-                eligible_[r] = 0;
-                restricted = true;
+        grow(view);
+        RouteDecision decision;
+        if (indexed()) {
+            decision = router_->routeShortestQueue(
+                context.arrival, context.generateTokens);
+        } else {
+            // Mask replicas that are not routable — still
+            // provisioning or warming, draining, or retired.  A
+            // fixed all-Active fleet passes no mask at all, so its
+            // decision sequence is bit-identical to the legacy
+            // router.  Dead replicas stay UNmasked on purpose:
+            // estimate policies have historically kept routing to
+            // them (only the feedback policies starve them), and
+            // that contract is pinned.
+            const std::uint32_t n = view.replicaCount();
+            eligible_.assign(n, 1);
+            bool restricted = false;
+            for (std::uint32_t r = 0; r < n; ++r) {
+                if (view.lifecycle(r) != ReplicaLifecycle::Active) {
+                    eligible_[r] = 0;
+                    restricted = true;
+                }
             }
+            decision = router_->route(
+                context.arrival, context.generateTokens, nullptr,
+                restricted ? &eligible_ : nullptr);
         }
-        const RouteDecision decision = router_->route(
-            context.arrival, context.generateTokens,
-            context.observed, restricted ? &eligible_ : nullptr);
         if (decision.replica < 0)
             actions.shed();
         else
@@ -103,22 +124,136 @@ class RouterControlPolicy final : public ControlPolicy
     }
 
   private:
+    bool indexed() const
+    {
+        return policy_ == RouterPolicy::JoinShortestQueue;
+    }
+
+    /**
+     * An autoscaler may have grown the fleet since begin(): give
+     * the router an (empty) queueing model for every new replica,
+     * routable once it is Active.
+     */
+    void grow(const FleetView &view)
+    {
+        while (router_->replicaCount() < view.replicaCount()) {
+            const std::uint32_t r = router_->replicaCount();
+            router_->addReplica(view.model(r));
+            router_->setRoutable(
+                r, view.lifecycle(r) == ReplicaLifecycle::Active);
+        }
+    }
+
     RouterPolicy policy_;
     std::unique_ptr<Router> router_;
     std::vector<char> eligible_; ///< Reused across arrivals.
 };
 
 /**
- * The legacy stealing hook, verbatim: deepest queue among stuck
- * (mid-step with a queue, or dead) victims, ceil(half), capped at
- * the thief's batch.
+ * The two feedback routers ("true-jsq", "least-backlog"): the
+ * Active replica with the fewest observed outstanding requests, or
+ * the smallest observed token backlog, lowest index on ties —
+ * exactly Router::route's TrueJsq / LeastActualBacklog scan with
+ * the non-Active mask, answered from an index the change list keeps
+ * current.  Dead replicas stay ranked, as in the scan.
  */
-class GreedyStealPolicy final : public ControlPolicy
+class ObservedArgminPolicy final : public ControlPolicy
 {
   public:
-    std::string name() const override { return "greedy-steal"; }
+    explicit ObservedArgminPolicy(RouterPolicy policy)
+        : policy_(policy)
+    {
+    }
 
-    std::uint32_t wants() const override { return kIdle; }
+    std::string name() const override
+    {
+        return routerPolicyName(policy_);
+    }
+
+    std::uint32_t wants() const override { return kReplicaChanges; }
+
+    void begin(const ControlContext &context) override
+    {
+        (void)context;
+        index_ = ReplicaIndex{};
+    }
+
+    void onReplicasChanged(const std::vector<std::uint32_t> &replicas,
+                           const FleetView &view) override
+    {
+        for (const std::uint32_t r : replicas) {
+            double key = ReplicaIndex::kAbsent;
+            if (view.lifecycle(r) == ReplicaLifecycle::Active)
+                key = policy_ == RouterPolicy::TrueJsq
+                          ? static_cast<double>(
+                                view.observedOutstanding(r))
+                          : view.observedBacklogTokens(r);
+            index_.set(r, key);
+        }
+    }
+
+    void onArrival(const ArrivalContext &context,
+                   const FleetView &view,
+                   FleetActions &actions) override
+    {
+        (void)context;
+        (void)view;
+        const std::uint32_t best = index_.argmin();
+        if (best == index_.size())
+            actions.shed(); // Nothing routable.
+        else
+            actions.routeTo(best);
+    }
+
+  private:
+    RouterPolicy policy_;
+    ReplicaIndex index_;
+};
+
+/**
+ * The two stealing policies over one victim index (see the factory
+ * docs in control_policy.hh): an idle servable replica steals
+ * ceil(half) of the top-ranked victim's queue, capped at its own
+ * batch.  A victim must be genuinely stuck — mid-step with a queue
+ * behind it, or known dead; an idle replica with fresh deliveries
+ * has a same-instant Wake coming and will serve them itself, so an
+ * idle thief is never its own victim.  greedy-steal ranks victims
+ * by queue depth; slo-steal by estimated wait, and steals only when
+ * the thief's own estimated TTFT strictly beats it.  Ties go to the
+ * lowest index.
+ */
+class StealPolicy final : public ControlPolicy
+{
+  public:
+    explicit StealPolicy(bool slo) : slo_(slo) {}
+
+    std::string name() const override
+    {
+        return slo_ ? "slo-steal" : "greedy-steal";
+    }
+
+    std::uint32_t wants() const override
+    {
+        return kIdle | kReplicaChanges;
+    }
+
+    void begin(const ControlContext &context) override
+    {
+        (void)context;
+        victims_ = ReplicaIndex{};
+    }
+
+    void onReplicasChanged(const std::vector<std::uint32_t> &replicas,
+                           const FleetView &view) override
+    {
+        // A max-ranking: negated scores.
+        for (const std::uint32_t v : replicas) {
+            const bool stuck = view.busy(v) || view.knownDead(v);
+            victims_.set(v, stuck && view.queuedCount(v) > 0
+                                ? -score(v, view)
+                                : ReplicaIndex::kAbsent);
+        }
+    }
 
     void onReplicaIdle(std::uint32_t replica, Seconds now,
                        const FleetView &view,
@@ -129,119 +264,51 @@ class GreedyStealPolicy final : public ControlPolicy
         // never-probed, or draining) replica would strand the work.
         if (!view.knownServable(replica) || view.draining(replica))
             return;
-        const std::uint32_t n = view.replicaCount();
-        std::uint32_t victim = n;
-        std::uint32_t deepest = 0;
-        for (std::uint32_t v = 0; v < n; ++v) {
-            if (v == replica)
-                continue;
-            // A victim must be genuinely stuck: mid-step with a
-            // queue behind it, or known dead.  An idle replica with
-            // fresh deliveries has a same-instant Wake coming and
-            // will serve them itself.
-            if (!view.busy(v) && !view.knownDead(v))
-                continue;
-            const std::uint32_t queued = view.queuedCount(v);
-            if (queued > deepest) {
-                deepest = queued;
-                victim = v;
-            }
-        }
-        if (victim == n || deepest == 0)
-            return;
-        const std::uint32_t cap =
-            std::max<std::uint32_t>(view.maxBatch(replica), 1);
-        actions.steal(replica, victim,
-                      std::min((deepest + 1) / 2, cap));
-    }
-};
-
-/**
- * SLO-aware stealing: steal only when the thief's estimated TTFT
- * for the stolen request beats the victim's (see the factory doc in
- * control_policy.hh).
- */
-class SloStealPolicy final : public ControlPolicy
-{
-  public:
-    std::string name() const override { return "slo-steal"; }
-
-    std::uint32_t wants() const override { return kIdle; }
-
-    void begin(const ControlContext &context) override
-    {
-        models_ = context.models;
-    }
-
-    void onReplicaIdle(std::uint32_t replica, Seconds now,
-                       const FleetView &view,
-                       FleetActions &actions) override
-    {
-        (void)now;
-        if (!view.knownServable(replica) || view.draining(replica))
-            return;
-        const std::uint32_t n = view.replicaCount();
-        std::uint32_t victim = n;
-        std::uint32_t victim_queued = 0;
-        Seconds worst_wait = 0.0;
-        for (std::uint32_t v = 0; v < n; ++v) {
-            if (v == replica)
-                continue;
-            // Same stuck-victim eligibility as greedy-steal; the
-            // ranking differs: worst estimated wait, not deepest
-            // queue.
-            if (!view.busy(v) && !view.knownDead(v))
-                continue;
-            const std::uint32_t queued = view.queuedCount(v);
-            if (queued == 0)
-                continue;
-            const Seconds wait = estimatedWait(v, view);
-            if (victim == n || wait > worst_wait) {
-                worst_wait = wait;
-                victim = v;
-                victim_queued = queued;
-            }
-        }
-        if (victim == n)
+        // A sibling policy's steal may already have restarted the
+        // thief, so it is left out of the ranking explicitly.
+        const std::uint32_t victim = victims_.argminExcept(replica);
+        if (victim == victims_.size())
             return;
         // The thief is idle: its estimated TTFT for stolen work is
-        // just its calibrated group prefill.  Steal only when that
-        // strictly beats the victim's estimated wait — a slow thief
-        // declines steals that would trade one queue's depth for a
-        // worse tail.
-        const Seconds thief_ttft =
-            models_[replica].prefillSeconds;
-        if (thief_ttft >= worst_wait)
+        // just its calibrated group prefill (view.model() covers
+        // spawned replicas too).  A slow thief declines steals that
+        // would trade one queue's depth for a worse tail.
+        if (slo_ && view.model(replica).prefillSeconds >=
+                        -victims_.key(victim))
             return;
         const std::uint32_t cap =
             std::max<std::uint32_t>(view.maxBatch(replica), 1);
         actions.steal(replica, victim,
-                      std::min((victim_queued + 1) / 2, cap));
+                      std::min((view.queuedCount(victim) + 1) / 2,
+                               cap));
     }
 
   private:
     /**
-     * Estimated TTFT a queued request faces on `replica`: observed
-     * token backlog over the calibrated full-batch drain rate, plus
-     * one prefill; infinite for a dead replica (its queue never
-     * drains).
+     * How badly `victim`'s queue needs help.  greedy: its depth.
+     * slo: the estimated TTFT a queued request faces there —
+     * observed token backlog over the calibrated full-batch drain
+     * rate, plus one prefill; infinite for a dead replica (its
+     * queue never drains).
      */
-    Seconds
-    estimatedWait(std::uint32_t replica,
-                  const FleetView &view) const
+    double
+    score(std::uint32_t victim, const FleetView &view) const
     {
-        if (view.knownDead(replica))
+        if (!slo_)
+            return static_cast<double>(view.queuedCount(victim));
+        if (view.knownDead(victim))
             return std::numeric_limits<double>::infinity();
-        const ReplicaModel &model = models_[replica];
+        const ReplicaModel &model = view.model(victim);
         const double drain_rate =
             std::max(model.slotTokensPerSecond, 1.0e-9) *
             static_cast<double>(
                 std::max<std::uint32_t>(model.maxBatch, 1));
-        return view.observedBacklogTokens(replica) / drain_rate +
+        return view.observedBacklogTokens(victim) / drain_rate +
                model.prefillSeconds;
     }
 
-    std::vector<ReplicaModel> models_;
+    bool slo_;
+    ReplicaIndex victims_;
 };
 
 /**
@@ -263,7 +330,6 @@ class PriorityPreemptPolicy final : public ControlPolicy
 
     void begin(const ControlContext &context) override
     {
-        models_ = context.models;
         deadline_ = context.ttftDeadline;
     }
 
@@ -332,7 +398,7 @@ class PriorityPreemptPolicy final : public ControlPolicy
         // is the least-remaining running request finishing at the
         // calibrated full-batch step rate; after that the request
         // still pays its admission prefill.
-        const ReplicaModel &model = models_[replica];
+        const ReplicaModel &model = view.model(replica);
         const Seconds step =
             model.slotTokensPerSecond > 0.0
                 ? 1.0 / model.slotTokensPerSecond
@@ -349,7 +415,6 @@ class PriorityPreemptPolicy final : public ControlPolicy
         actions.preempt(replica, victim->id);
     }
 
-    std::vector<ReplicaModel> models_;
     Seconds deadline_ = 0.0;
 };
 
@@ -804,6 +869,16 @@ CompositeControlPolicy::onReplicaDead(std::uint32_t replica,
 }
 
 void
+CompositeControlPolicy::onReplicasChanged(
+    const std::vector<std::uint32_t> &replicas, const FleetView &view)
+{
+    for (const auto &child : children_) {
+        if (child->wants() & kReplicaChanges)
+            child->onReplicasChanged(replicas, view);
+    }
+}
+
+void
 CompositeControlPolicy::onTick(Seconds now, const FleetView &view,
                                FleetActions &actions)
 {
@@ -816,19 +891,21 @@ CompositeControlPolicy::onTick(Seconds now, const FleetView &view,
 std::shared_ptr<ControlPolicy>
 makeRouterPolicy(RouterPolicy policy)
 {
+    if (routerPolicyNeedsObservations(policy))
+        return std::make_shared<ObservedArgminPolicy>(policy);
     return std::make_shared<RouterControlPolicy>(policy);
 }
 
 std::shared_ptr<ControlPolicy>
 makeGreedyStealPolicy()
 {
-    return std::make_shared<GreedyStealPolicy>();
+    return std::make_shared<StealPolicy>(false);
 }
 
 std::shared_ptr<ControlPolicy>
 makeSloStealPolicy()
 {
-    return std::make_shared<SloStealPolicy>();
+    return std::make_shared<StealPolicy>(true);
 }
 
 std::shared_ptr<ControlPolicy>

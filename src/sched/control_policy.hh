@@ -23,15 +23,41 @@
  * std::logic_error instead of corrupting kernel state.
  *
  * The wants() bitmask is both a subscription list and a performance
- * contract: the kernel skips the O(replicas) observation gather at
- * arrival events unless kObservations is declared, and never calls
- * hooks the policy did not subscribe to.
+ * contract: the kernel never calls hooks the policy did not
+ * subscribe to, and keeps its change list only for a policy that
+ * consumes it.
+ *
+ * The change list.  The kernel is the only actor that mutates
+ * replicas, and it lists every replica whose state a mutation may
+ * have changed — deliver, steal, migrate, preempt, start/complete
+ * work (with the capability probe inside it), and every lifecycle
+ * transition (spawn, Provisioning → Warming → Active, drain,
+ * retire) — once per flush.  The list is flushed at every hook
+ * entry and after every FleetActions verb, so whatever a hook reads
+ * reflects every change before it.  A flush feeds two consumers:
+ *
+ *   kObservations    the ArrivalContext::observed rows of the listed
+ *                    replicas are re-probed, so the gather costs
+ *                    O(changed replicas), not O(replicas);
+ *   kReplicaChanges  onReplicasChanged(replicas, view) hands the
+ *                    list to the policy, which keeps its own index
+ *                    (sched/replica_index.hh) current from it.
+ *
+ * The first flush of a run lists the whole fleet; a spawned replica
+ * is listed by the verb that created it.
  *
  * All six RouterPolicy behaviors and the occupancy-greedy stealing
  * heuristic are built-in ControlPolicy implementations behind a name
  * registry (controlPolicyByName, mirroring engineKindByName).
- * SloStealPolicy ("slo-steal") steals only when the thief's
- * estimated TTFT for the stolen request beats the victim's.
+ * true-jsq, least-backlog, jsq, greedy-steal and slo-steal decide
+ * in O(log replicas) from change-list-fed indices, each decision
+ * equal to the linear first-best scan (Router::route is that
+ * reference for the routers; tests/test_control_index.cc pins all
+ * five); least-tokens, slo-aware and affinity scan the fleet (their
+ * keys drift with the clock or tie-break within an epsilon — no
+ * exact tree order).
+ * "slo-steal" steals only when the thief's estimated TTFT for the
+ * stolen request beats the victim's.
  */
 
 #ifndef HERMES_SCHED_CONTROL_POLICY_HH
@@ -304,10 +330,10 @@ struct ArrivalContext
     std::uint64_t sessionId = 0;
 
     /**
-     * One ground-truth observation per replica, sampled at this
+     * One ground-truth observation per replica, current at this
      * instant — or nullptr when the policy did not declare
-     * kObservations (the gather is O(replicas), so it is skipped
-     * unless asked for).
+     * kObservations.  The kernel refreshes only the rows the change
+     * list names, at every flush (see the file header).
      */
     const std::vector<ReplicaObservation> *observed = nullptr;
 };
@@ -315,7 +341,11 @@ struct ArrivalContext
 /** Per-run binding handed to ControlPolicy::begin(). */
 struct ControlContext
 {
-    /** Calibrated queueing model of every replica, fleet order. */
+    /**
+     * Calibrated queueing model of every replica configured at the
+     * start of the run, fleet order.  Replicas spawned mid-run are
+     * not in it: look any replica up through FleetView::model(r).
+     */
     std::vector<ReplicaModel> models;
 
     Seconds ttftDeadline = 0.0;
@@ -334,7 +364,7 @@ class ControlPolicy
     {
         kNone = 0,
 
-        /** Gather ReplicaObservations before each onArrival. */
+        /** Keep ArrivalContext::observed current for onArrival. */
         kObservations = 1u << 0,
 
         /** Deliver onPrefillComplete / onStepComplete. */
@@ -357,6 +387,9 @@ class ControlPolicy
 
         /** May call FleetActions::spawnReplica (autoscaling). */
         kSpawn = 1u << 7,
+
+        /** Deliver onReplicasChanged (the kernel's change list). */
+        kReplicaChanges = 1u << 8,
     };
 
     virtual ~ControlPolicy() = default;
@@ -442,6 +475,23 @@ class ControlPolicy
         (void)view;
         (void)actions;
     }
+
+    /**
+     * The state of `replicas` (each listed once, in first-change
+     * order) may have changed since the previous call
+     * (kReplicaChanges): how a policy keeps its own replica index
+     * current.  Delivered at every hook entry and after every
+     * FleetActions verb, whenever anything changed; the first call
+     * of a run lists the whole fleet, and a spawned replica is
+     * listed by the verb that created it.  Read-only: no actions.
+     */
+    virtual void onReplicasChanged(
+        const std::vector<std::uint32_t> &replicas,
+        const FleetView &view)
+    {
+        (void)replicas;
+        (void)view;
+    }
 };
 
 /**
@@ -478,6 +528,8 @@ class CompositeControlPolicy : public ControlPolicy
                        FleetActions &actions) override;
     void onTick(Seconds now, const FleetView &view,
                 FleetActions &actions) override;
+    void onReplicasChanged(const std::vector<std::uint32_t> &replicas,
+                           const FleetView &view) override;
 
   private:
     std::vector<std::shared_ptr<ControlPolicy>> children_;

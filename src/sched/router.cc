@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -77,6 +78,12 @@ Router::Router(RouterPolicy policy,
         model.prefillSeconds = std::max(model.prefillSeconds, 0.0);
         state_[i].freeAt.assign(model.maxBatch, 0.0);
     }
+    if (indexed()) {
+        live_.assign(replicas_.size(), 0);
+        routable_.assign(replicas_.size(), 1);
+        for (std::uint32_t i = 0; i < replicas_.size(); ++i)
+            rekey(i);
+    }
 }
 
 void
@@ -90,6 +97,41 @@ Router::addReplica(const ReplicaModel &model)
     added.prefillSeconds = std::max(added.prefillSeconds, 0.0);
     state_.emplace_back();
     state_.back().freeAt.assign(added.maxBatch, 0.0);
+    if (indexed()) {
+        live_.push_back(0);
+        routable_.push_back(1);
+        rekey(replicaCount() - 1);
+    }
+}
+
+void
+Router::setRoutable(std::uint32_t replica, bool routable)
+{
+    if (!indexed() || routable_.at(replica) == (routable ? 1 : 0))
+        return;
+    routable_[replica] = routable ? 1 : 0;
+    rekey(replica);
+}
+
+void
+Router::rekey(std::uint32_t replica)
+{
+    shortest_.set(replica, routable_[replica]
+                               ? static_cast<double>(live_[replica])
+                               : ReplicaIndex::kAbsent);
+}
+
+void
+Router::expireThrough(Seconds now)
+{
+    while (!expiry_.empty() && expiry_.front().first <= now) {
+        const std::uint32_t replica = expiry_.front().second;
+        std::pop_heap(expiry_.begin(), expiry_.end(),
+                      std::greater<>{});
+        expiry_.pop_back();
+        --live_[replica];
+        rekey(replica);
+    }
 }
 
 std::uint32_t
@@ -190,6 +232,38 @@ Router::commit(std::uint32_t replica, Seconds arrival,
     state.commitments.push_back(
         Commitment{decode_start, *slot,
                    static_cast<double>(generate_tokens)});
+
+    // The index counts exactly what outstandingRequests(replica,
+    // arrival) counts: commitments finishing after the clock.
+    if (indexed()) {
+        expireThrough(arrival);
+        if (*slot > arrival) {
+            expiry_.emplace_back(*slot, replica);
+            std::push_heap(expiry_.begin(), expiry_.end(),
+                           std::greater<>{});
+            ++live_[replica];
+            rekey(replica);
+        }
+    }
+}
+
+RouteDecision
+Router::routeShortestQueue(Seconds arrival,
+                           std::uint32_t generate_tokens)
+{
+    if (!indexed())
+        throw std::logic_error(
+            "Router::routeShortestQueue: " + routerPolicyName(policy_) +
+            " router keeps no shortest-queue index");
+    expireThrough(arrival);
+    ++routed_;
+    const std::uint32_t chosen = shortest_.argmin();
+    if (chosen == shortest_.size())
+        return RouteDecision{-1,
+                             std::numeric_limits<double>::infinity()};
+    const Seconds ttft = estimateTtft(chosen, arrival);
+    commit(chosen, arrival, generate_tokens);
+    return RouteDecision{static_cast<int>(chosen), ttft};
 }
 
 RouteDecision

@@ -32,9 +32,12 @@
  * decision instant, closing the loop the estimate approximates.
  *
  * The Router is the calibrated *estimator* behind the built-in
- * routing ControlPolicy objects (sched/control_policy.hh); fleets
- * name their control plane through `controlPolicyByName` /
- * `FleetConfig::control`.
+ * estimate-based routing ControlPolicy objects
+ * (sched/control_policy.hh); fleets name their control plane through
+ * `controlPolicyByName` / `FleetConfig::control`.  route() is the
+ * linear reference for every policy: the built-in jsq answers from
+ * routeShortestQueue()'s index, and true-jsq / least-backlog from
+ * policy-owned indices, all bit-identical to it.
  *
  * Calibration probes go through ServingSimulator's cost surface, so
  * the router's estimates are built from the same exact costs the
@@ -47,9 +50,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hh"
+#include "sched/replica_index.hh"
 
 namespace hermes::sched {
 
@@ -181,6 +186,26 @@ class Router
           const std::vector<char> *eligible = nullptr);
 
     /**
+     * JoinShortestQueue in O(log replicas): the decision route()
+     * makes with a JoinShortestQueue router and an `eligible` mask
+     * equal to the setRoutable() flags, bit for bit, including the
+     * shed when no replica is routable.  The exact per-replica
+     * outstandingRequests(i, arrival) counts live in an index that
+     * commit() increments and a min-heap of commitment finish times
+     * decrements as the (non-decreasing) arrival clock passes each
+     * one.  Throws std::logic_error on any other policy.
+     */
+    RouteDecision routeShortestQueue(Seconds arrival,
+                                     std::uint32_t generate_tokens);
+
+    /**
+     * Whether routeShortestQueue may pick `replica` (every replica
+     * starts routable).  How the control plane masks replicas that
+     * are not Active without rebuilding a mask per arrival.
+     */
+    void setRoutable(std::uint32_t replica, bool routable);
+
+    /**
      * Append a replica to the routed set with an empty queueing
      * model — how the control plane keeps the router in sync when
      * an autoscaler spawns a replica mid-run.  Existing replicas'
@@ -253,11 +278,34 @@ class Router
     void commit(std::uint32_t replica, Seconds arrival,
                 std::uint32_t generate_tokens);
 
+    /** Whether this router keeps the shortest-queue index. */
+    bool indexed() const
+    {
+        return policy_ == RouterPolicy::JoinShortestQueue;
+    }
+
+    /** Retire every commitment finished by `now` from the index. */
+    void expireThrough(Seconds now);
+
+    /** Re-key `replica` in the shortest-queue index. */
+    void rekey(std::uint32_t replica);
+
     RouterPolicy policy_;
     std::vector<ReplicaModel> replicas_;
     std::vector<SlotState> state_;
     Seconds deadline_;
     std::uint64_t routed_ = 0; ///< RoundRobin cursor.
+
+    /**
+     * The shortest-queue index (JoinShortestQueue routers only):
+     * per replica the count of commitments finishing after the
+     * last arrival, the routable flag, the (count or kAbsent) tree
+     * over both, and a min-heap of (finish, replica) expiries.
+     */
+    std::vector<std::uint32_t> live_;
+    std::vector<char> routable_;
+    ReplicaIndex shortest_;
+    std::vector<std::pair<Seconds, std::uint32_t>> expiry_;
 };
 
 } // namespace hermes::sched

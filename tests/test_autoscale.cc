@@ -659,6 +659,59 @@ TEST(Autoscale, AffinityConvertsCachedTokensThroughThePrefillRate)
     EXPECT_EQ(stick.routes[0], 0u);
 }
 
+// ---- Stealing and preemption over spawned replicas ----------------
+
+/** The diurnal day the headline comparison below runs on. */
+std::vector<serving::ServedRequest>
+diurnalTrace()
+{
+    serving::ScenarioConfig scenario = serving::scenarioByName(
+        "diurnal", 384, 3.2, 11);
+    scenario.prompt = {64, 16, 0.0, 1.0};
+    scenario.generate = {24, 8, 0.0, 1.0};
+    scenario.diurnalPeriodSeconds = 120.0;
+    scenario.diurnalDepth = 0.9;
+    return serving::generateWorkload(scenario);
+}
+
+TEST(Autoscale, SloStealReadsSpawnedReplicaModels)
+{
+    // Regression: slo-steal used to copy ControlContext::models in
+    // begin() and index that copy by replica, so a thief spawned
+    // mid-run read past its end.  It reads view.model(r), which
+    // covers spawned replicas.
+    const auto trace = diurnalTrace();
+    FleetConfig config = uniformFleet(1, fastConfig(4), fastServing(),
+                                      nullptr, 10.0);
+    config.control = sched::controlPolicyByName(
+        "true-jsq+slo-steal+target-backlog");
+    const auto report =
+        FleetSimulator(config, model::opt13b()).run(trace);
+    checkReportInvariants(report, trace.size());
+    EXPECT_EQ(report.completed, trace.size());
+    EXPECT_GT(report.kernelStats.spawnedReplicas, 1u);
+    EXPECT_GT(report.kernelStats.steals, 0u);
+}
+
+TEST(Autoscale, PriorityPreemptReadsSpawnedReplicaModels)
+{
+    // The same regression for priority-preempt: over mixed
+    // priorities, a full spawned replica with a higher-priority
+    // request queued consults its model at every boundary.
+    auto trace = diurnalTrace();
+    for (std::size_t i = 0; i < trace.size(); i += 3)
+        trace[i].priority = 1;
+    FleetConfig config = uniformFleet(1, fastConfig(4), fastServing(),
+                                      nullptr, 10.0);
+    config.control = sched::controlPolicyByName(
+        "true-jsq+priority-preempt+target-backlog");
+    const auto report =
+        FleetSimulator(config, model::opt13b()).run(trace);
+    checkReportInvariants(report, trace.size());
+    EXPECT_EQ(report.completed, trace.size());
+    EXPECT_GT(report.kernelStats.spawnedReplicas, 1u);
+}
+
 // ---- The headline: scaler vs every fixed fleet size ---------------
 
 TEST(Autoscale, ScalerBeatsEveryFixedFleetOnDiurnal)
@@ -671,13 +724,7 @@ TEST(Autoscale, ScalerBeatsEveryFixedFleetOnDiurnal)
     // lower total replica-seconds than every fixed size in the
     // bracketing sweep that matches its SLO attainment, and no
     // fixed size Pareto-dominates it.
-    serving::ScenarioConfig scenario = serving::scenarioByName(
-        "diurnal", 384, 3.2, 11);
-    scenario.prompt = {64, 16, 0.0, 1.0};
-    scenario.generate = {24, 8, 0.0, 1.0};
-    scenario.diurnalPeriodSeconds = 120.0;
-    scenario.diurnalDepth = 0.9;
-    const auto trace = serving::generateWorkload(scenario);
+    const auto trace = diurnalTrace();
     const Seconds deadline = 10.0;
 
     const auto run_fixed = [&](std::uint32_t replicas) {

@@ -217,6 +217,238 @@ TEST(BenchArgsDeathTest, OutFlagMissingItsPathExits)
                 "unknown argument: --json");
 }
 
+/**
+ * Inverse of jsonEscape: decode the escapes inside a JSON string
+ * literal (without its surrounding quotes).  Returns false on a
+ * malformed escape; `\uXXXX` is supported for the Basic Latin
+ * range only — everything jsonEscape itself can produce.
+ */
+inline bool
+jsonUnescape(const std::string &text, std::string &decoded)
+{
+    decoded.clear();
+    decoded.reserve(text.size());
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] != '\\') {
+            decoded += text[i];
+            continue;
+        }
+        if (++i >= text.size())
+            return false;
+        switch (text[i]) {
+        case '"': decoded += '"'; break;
+        case '\\': decoded += '\\'; break;
+        case '/': decoded += '/'; break;
+        case 'b': decoded += '\b'; break;
+        case 'f': decoded += '\f'; break;
+        case 'n': decoded += '\n'; break;
+        case 'r': decoded += '\r'; break;
+        case 't': decoded += '\t'; break;
+        case 'u': {
+            if (i + 4 >= text.size())
+                return false;
+            unsigned code = 0;
+            for (int d = 0; d < 4; ++d) {
+                const char h = text[++i];
+                code <<= 4;
+                if (h >= '0' && h <= '9')
+                    code |= static_cast<unsigned>(h - '0');
+                else if (h >= 'a' && h <= 'f')
+                    code |= static_cast<unsigned>(h - 'a' + 10);
+                else if (h >= 'A' && h <= 'F')
+                    code |= static_cast<unsigned>(h - 'A' + 10);
+                else
+                    return false;
+            }
+            if (code > 0x7f)
+                return false;
+            decoded += static_cast<char>(code);
+            break;
+        }
+        default:
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * The test-side reader of what JsonObject::dump() writes: a flat
+ * JSON object of scalars, insertion order preserved.  The bench
+ * tools read these files with a real JSON parser; this one exists
+ * so the tests can pin the emitter's escaping and round-trip.
+ */
+class FlatJson
+{
+  public:
+    /**
+     * Parse a flat JSON object of scalars (what dump() emits).
+     * Returns false on nesting or malformed input.
+     */
+    static bool
+    parse(const std::string &text, FlatJson &object)
+    {
+        object.entries_.clear();
+        std::size_t i = 0;
+        const auto skipSpace = [&] {
+            while (i < text.size() &&
+                   (text[i] == ' ' || text[i] == '\t' ||
+                    text[i] == '\n' || text[i] == '\r'))
+                ++i;
+        };
+        // A JSON string literal starting at text[i] == '"';
+        // leaves `i` one past the closing quote.
+        const auto readString = [&](std::string &raw) {
+            raw.clear();
+            if (i >= text.size() || text[i] != '"')
+                return false;
+            for (++i; i < text.size(); ++i) {
+                if (text[i] == '\\') {
+                    if (i + 1 >= text.size())
+                        return false;
+                    raw += text[i];
+                    raw += text[++i];
+                } else if (text[i] == '"') {
+                    ++i;
+                    return true;
+                } else {
+                    raw += text[i];
+                }
+            }
+            return false;
+        };
+        skipSpace();
+        if (i >= text.size() || text[i] != '{')
+            return false;
+        ++i;
+        skipSpace();
+        if (i < text.size() && text[i] == '}')
+            return tail(text, i + 1);
+        while (true) {
+            skipSpace();
+            Entry entry;
+            std::string raw_key;
+            if (!readString(raw_key) ||
+                !jsonUnescape(raw_key, entry.key))
+                return false;
+            skipSpace();
+            if (i >= text.size() || text[i] != ':')
+                return false;
+            ++i;
+            skipSpace();
+            if (i >= text.size())
+                return false;
+            if (text[i] == '"') {
+                std::string raw;
+                if (!readString(raw))
+                    return false;
+                entry.raw = "\"" + raw + "\"";
+            } else if (text[i] == '{' || text[i] == '[') {
+                return false; // Flat objects only.
+            } else {
+                while (i < text.size() && text[i] != ',' &&
+                       text[i] != '}' && text[i] != ' ' &&
+                       text[i] != '\n' && text[i] != '\r' &&
+                       text[i] != '\t')
+                    entry.raw += text[i++];
+                if (entry.raw.empty())
+                    return false;
+            }
+            object.entries_.push_back(entry);
+            skipSpace();
+            if (i >= text.size())
+                return false;
+            if (text[i] == ',') {
+                ++i;
+                continue;
+            }
+            if (text[i] == '}')
+                return tail(text, i + 1);
+            return false;
+        }
+    }
+
+    std::size_t size() const { return entries_.size(); }
+
+    bool
+    has(const std::string &key) const
+    {
+        return findRaw(key) != nullptr;
+    }
+
+    /** Decoded string value; empty when absent or not a string. */
+    std::string
+    str(const std::string &key) const
+    {
+        const std::string *raw = findRaw(key);
+        std::string decoded;
+        if (raw == nullptr || raw->size() < 2 ||
+            raw->front() != '"' || raw->back() != '"' ||
+            !jsonUnescape(raw->substr(1, raw->size() - 2),
+                          decoded))
+            return std::string();
+        return decoded;
+    }
+
+    /** Numeric value (integers included); 0.0 when absent. */
+    double
+    number(const std::string &key) const
+    {
+        const std::string *raw = findRaw(key);
+        if (raw == nullptr || raw->empty() ||
+            raw->front() == '"')
+            return 0.0;
+        return std::strtod(raw->c_str(), nullptr);
+    }
+
+    /** Re-render exactly as JsonObject::dump() lays out. */
+    std::string
+    dump() const
+    {
+        std::string text = "{\n";
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            text += "  \"" + jsonEscape(entries_[i].key) +
+                    "\": " + entries_[i].raw;
+            if (i + 1 < entries_.size())
+                text += ",";
+            text += "\n";
+        }
+        text += "}\n";
+        return text;
+    }
+
+  private:
+    struct Entry
+    {
+        std::string key;
+        std::string raw; ///< Rendered token, quotes included.
+    };
+
+    /** Only whitespace may follow the closing brace. */
+    static bool
+    tail(const std::string &text, std::size_t i)
+    {
+        for (; i < text.size(); ++i) {
+            if (text[i] != ' ' && text[i] != '\t' &&
+                text[i] != '\n' && text[i] != '\r')
+                return false;
+        }
+        return true;
+    }
+
+    const std::string *
+    findRaw(const std::string &key) const
+    {
+        for (const Entry &entry : entries_) {
+            if (entry.key == key)
+                return &entry.raw;
+        }
+        return nullptr;
+    }
+
+    std::vector<Entry> entries_;
+};
+
 TEST(BenchJson, EscapeCoversQuotesBackslashesAndControls)
 {
     EXPECT_EQ(jsonEscape("plain"), "plain");
@@ -254,8 +486,8 @@ TEST(BenchJson, ObjectDumpAndParseRoundTrip)
     object.setF64("events_per_sec", 287697.25);
     object.setBool("smoke", true);
 
-    JsonObject parsed;
-    ASSERT_TRUE(JsonObject::parse(object.dump(), parsed));
+    FlatJson parsed;
+    ASSERT_TRUE(FlatJson::parse(object.dump(), parsed));
     EXPECT_EQ(parsed.size(), 6u);
     EXPECT_EQ(parsed.str("bench"), "bench_fleet");
     EXPECT_EQ(parsed.str("note"),
@@ -278,25 +510,25 @@ TEST(BenchJson, F64SurvivesADecimalRoundTrip)
     const double value = 29011.123456789012345;
     JsonObject object;
     object.setF64("events_per_sec", value);
-    JsonObject parsed;
-    ASSERT_TRUE(JsonObject::parse(object.dump(), parsed));
+    FlatJson parsed;
+    ASSERT_TRUE(FlatJson::parse(object.dump(), parsed));
     EXPECT_EQ(parsed.number("events_per_sec"), value);
 }
 
 TEST(BenchJson, ParseRejectsNestingAndTrailingGarbage)
 {
-    JsonObject parsed;
-    EXPECT_TRUE(JsonObject::parse("{}", parsed));
-    EXPECT_TRUE(JsonObject::parse("  { \"k\": 1 }\n", parsed));
-    EXPECT_FALSE(JsonObject::parse("", parsed));
-    EXPECT_FALSE(JsonObject::parse("[1, 2]", parsed));
+    FlatJson parsed;
+    EXPECT_TRUE(FlatJson::parse("{}", parsed));
+    EXPECT_TRUE(FlatJson::parse("  { \"k\": 1 }\n", parsed));
+    EXPECT_FALSE(FlatJson::parse("", parsed));
+    EXPECT_FALSE(FlatJson::parse("[1, 2]", parsed));
     EXPECT_FALSE(
-        JsonObject::parse("{\"k\": {\"nested\": 1}}", parsed));
-    EXPECT_FALSE(JsonObject::parse("{\"k\": [1]}", parsed));
-    EXPECT_FALSE(JsonObject::parse("{\"k\": 1} extra", parsed));
-    EXPECT_FALSE(JsonObject::parse("{\"k\": }", parsed));
-    EXPECT_FALSE(JsonObject::parse("{\"k\" 1}", parsed));
-    EXPECT_FALSE(JsonObject::parse("{\"k\": 1", parsed));
+        FlatJson::parse("{\"k\": {\"nested\": 1}}", parsed));
+    EXPECT_FALSE(FlatJson::parse("{\"k\": [1]}", parsed));
+    EXPECT_FALSE(FlatJson::parse("{\"k\": 1} extra", parsed));
+    EXPECT_FALSE(FlatJson::parse("{\"k\": }", parsed));
+    EXPECT_FALSE(FlatJson::parse("{\"k\" 1}", parsed));
+    EXPECT_FALSE(FlatJson::parse("{\"k\": 1", parsed));
 }
 
 } // namespace

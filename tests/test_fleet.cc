@@ -578,7 +578,13 @@ TEST(ControlPlane, RegistryRoundTripsAndComposes)
                 sched::ControlPolicy::kIdle);
     EXPECT_FALSE(composite->wants() &
                  sched::ControlPolicy::kObservations);
+    // The feedback routers rank from an index fed by the kernel's
+    // change list, not from a per-arrival observation gather.
     EXPECT_TRUE(sched::controlPolicyByName("true-jsq")->wants() &
+                sched::ControlPolicy::kReplicaChanges);
+    EXPECT_FALSE(sched::controlPolicyByName("true-jsq")->wants() &
+                 sched::ControlPolicy::kObservations);
+    EXPECT_TRUE(sched::controlPolicyByName("affinity")->wants() &
                 sched::ControlPolicy::kObservations);
     EXPECT_TRUE(
         sched::controlPolicyByName("priority-preempt")->wants() &

@@ -5,7 +5,11 @@ Two modes:
 
   check (default)
       Compare a fresh bench run against the committed baseline and
-      fail when events/sec regressed beyond the tolerance:
+      fail when events/sec regressed beyond the tolerance, or when a
+      deterministic work counter (the kernel's `events`) differs
+      from the baseline at all — the same tier simulates exactly
+      the same events on any hardware, so a mismatch means the
+      simulation itself changed:
 
           check_bench_regression.py --baseline BENCH_fleet.json \
               --current build/BENCH_fleet.json [--tolerance 0.2]
@@ -66,6 +70,27 @@ def flag_calibration_bound(tier, run):
     return True
 
 
+# Deterministic work counters every tier pins: hardware-independent,
+# so they must match the baseline exactly (events/sec, a timing, gets
+# the tolerance band instead).
+EXACT_COUNTERS = ("events",)
+
+
+def counter_mismatches(pinned, current):
+    """One message per exact counter present in both runs whose
+    values differ."""
+    mismatches = []
+    for name in EXACT_COUNTERS:
+        if name not in pinned or name not in current:
+            continue
+        if int(current[name]) != int(pinned[name]):
+            mismatches.append(
+                f"{name}: {int(current[name]):,} vs pinned "
+                f"{int(pinned[name]):,}"
+            )
+    return mismatches
+
+
 def check(args):
     current = load(args.current)
     baseline = load(args.baseline)
@@ -93,14 +118,27 @@ def check(args):
         f"tier {tier}: {now:,.0f} events/s vs pinned "
         f"{then:,.0f} ({ratio:.2f}x, floor {floor:,.0f})"
     )
+    failures = []
+    mismatches = counter_mismatches(pinned, current)
+    for mismatch in mismatches:
+        print(f"counter mismatch: {mismatch}")
+    if mismatches:
+        failures.append(
+            "COUNTER MISMATCH: deterministic work counters differ "
+            "from the committed baseline — the simulation did "
+            "different work; if that is intentional, regenerate "
+            "BENCH_fleet.json with --merge and commit it"
+        )
     if now < floor:
-        sys.exit(
+        failures.append(
             f"REGRESSION: events/sec fell more than "
             f"{args.tolerance:.0%} below the committed baseline — "
             "if the slowdown is intentional, regenerate "
             "BENCH_fleet.json with --merge and commit it"
         )
-    print("ok: within tolerance")
+    if failures:
+        sys.exit("\n".join(failures))
+    print("ok: within tolerance, counters exact")
 
 
 def merge(args):

@@ -56,6 +56,7 @@ class CheckMode(unittest.TestCase):
                 "tiers": {
                     "multiturn-scale": {
                         "tier": "multiturn-scale",
+                        "events": 5000,
                         "events_per_sec": 1000.0,
                     }
                 },
@@ -63,7 +64,11 @@ class CheckMode(unittest.TestCase):
         )
 
     def current(self, **fields):
-        payload = {"tier": "multiturn-scale", "events_per_sec": 990.0}
+        payload = {
+            "tier": "multiturn-scale",
+            "events": 5000,
+            "events_per_sec": 990.0,
+        }
         payload.update(fields)
         return write_json(self.dir.name, "current.json", payload)
 
@@ -75,6 +80,39 @@ class CheckMode(unittest.TestCase):
         with self.assertRaises(SystemExit) as caught:
             run_check(self.baseline, self.current(events_per_sec=700.0))
         self.assertIn("REGRESSION", str(caught.exception))
+
+    def test_exact_counters_pass(self):
+        out = run_check(self.baseline, self.current())
+        self.assertIn("counters exact", out)
+
+    def test_event_count_mismatch_fails_even_when_fast(self):
+        # Hardware-independent: one event more is a failure however
+        # fast the run was.
+        with self.assertRaises(SystemExit) as caught:
+            run_check(
+                self.baseline,
+                self.current(events=5001, events_per_sec=5000.0),
+            )
+        self.assertIn("COUNTER MISMATCH", str(caught.exception))
+        self.assertNotIn("REGRESSION", str(caught.exception))
+
+    def test_mismatch_and_regression_both_reported(self):
+        with self.assertRaises(SystemExit) as caught:
+            run_check(
+                self.baseline,
+                self.current(events=4999, events_per_sec=700.0),
+            )
+        self.assertIn("COUNTER MISMATCH", str(caught.exception))
+        self.assertIn("REGRESSION", str(caught.exception))
+
+    def test_runs_without_counters_skip_the_exact_gate(self):
+        current = self.current()
+        with open(current, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        del payload["events"]
+        current = write_json(self.dir.name, "current.json", payload)
+        out = run_check(self.baseline, current)
+        self.assertIn("ok: within tolerance", out)
 
     def test_unknown_tier_is_a_note_not_a_failure(self):
         out = run_check(
