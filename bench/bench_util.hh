@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -259,8 +260,12 @@ class JsonObject
     void
     set(const std::string &key, const std::string &value)
     {
-        entries_.push_back(
-            {key, "\"" + jsonEscape(value) + "\""});
+        // Appended, not `"\"" + ... + "\""`: GCC 12's -Wrestrict
+        // misfires on that concatenation under -O2.
+        std::string quoted(1, '"');
+        quoted += jsonEscape(value);
+        quoted += '"';
+        entries_.push_back({key, std::move(quoted)});
     }
 
     void

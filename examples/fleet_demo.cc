@@ -27,43 +27,39 @@ namespace {
  * A custom control policy no enum ever offered: long generations go
  * to the replica with the fastest calibrated decode, short ones
  * round-robin across the rest.  Subscribes to nothing beyond
- * arrivals, so the kernel skips every optional hook and the
- * observation gather.
+ * arrivals, so the kernel skips every optional hook and keeps no
+ * change list; it reads the calibrated models through the view.
  */
 class LongToFastestPolicy final : public sched::ControlPolicy
 {
   public:
     std::string name() const override { return "long-to-fastest"; }
 
-    void begin(const sched::ControlContext &context) override
-    {
-        fastest_ = 0;
-        for (std::uint32_t r = 1; r < context.models.size(); ++r) {
-            if (context.models[r].slotTokensPerSecond >
-                context.models[fastest_].slotTokensPerSecond)
-                fastest_ = r;
-        }
-        next_ = 0;
-    }
+    void begin(const sched::ControlContext &) override { next_ = 0; }
 
     void onArrival(const sched::ArrivalContext &context,
                    const sched::FleetView &view,
                    sched::FleetActions &actions) override
     {
+        std::uint32_t fastest = 0;
+        for (std::uint32_t r = 1; r < view.replicaCount(); ++r) {
+            if (view.model(r).slotTokensPerSecond >
+                view.model(fastest).slotTokensPerSecond)
+                fastest = r;
+        }
         if (context.generateTokens >= 24 ||
             view.replicaCount() <= 1) {
-            actions.routeTo(fastest_);
+            actions.routeTo(fastest);
             return;
         }
         // Round-robin over the other replicas.
         std::uint32_t replica = next_++ % (view.replicaCount() - 1);
-        if (replica >= fastest_)
+        if (replica >= fastest)
             ++replica;
         actions.routeTo(replica);
     }
 
   private:
-    std::uint32_t fastest_ = 0;
     std::uint32_t next_ = 0;
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Worker-pool sizing helpers.
+ * Worker-pool sizing helpers and the one pool, parallelFor().
  *
  * Every thread pool in the simulator (router calibration, shared
  * cost-cache warming) sizes itself from a user request with a
@@ -17,9 +17,12 @@
 #define HERMES_COMMON_THREADS_HH
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <thread>
+#include <vector>
 
 namespace hermes {
 
@@ -61,6 +64,49 @@ resolveWorkerCount(std::uint32_t requested, unsigned probed,
 {
     return std::min<std::size_t>(jobs,
                                  effectiveThreads(requested, probed));
+}
+
+/**
+ * Run fn(job) once for every job in [0, jobs).  With `workers` <= 1
+ * the jobs run inline, in order, on the caller; otherwise `workers`
+ * threads claim jobs from a shared cursor in no fixed order, so each
+ * job must touch only state no other job touches.  A throwing job
+ * stops its worker from claiming more; once every worker has
+ * joined, the exception of the lowest-numbered failed worker is
+ * rethrown on the caller.
+ */
+template <typename Fn>
+void
+parallelFor(std::size_t workers, std::size_t jobs, Fn &&fn)
+{
+    if (workers <= 1) {
+        for (std::size_t job = 0; job < jobs; ++job)
+            fn(job);
+        return;
+    }
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(workers);
+    // jthreads, so a failed spawn still joins the workers already
+    // running before `next` and `errors` go out of scope.
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+        pool.emplace_back([&, w] {
+            try {
+                for (std::size_t job = next.fetch_add(1); job < jobs;
+                     job = next.fetch_add(1))
+                    fn(job);
+            } catch (...) {
+                errors[w] = std::current_exception();
+            }
+        });
+    }
+    for (std::jthread &thread : pool)
+        thread.join();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
 }
 
 } // namespace hermes

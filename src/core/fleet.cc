@@ -1,7 +1,6 @@
 #include "core/fleet.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -10,7 +9,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -209,14 +207,8 @@ warmupReplaySeconds(serving::ServingSimulator &simulator,
     double total = 0.0;
     for (std::uint32_t ramp = 1;; ramp *= 2) {
         const std::uint32_t batch = std::min(ramp, max_batch);
-        // Unservable probes return the -1 sentinel; they add no
-        // warm-up time (the replica will calibrate dead anyway).
-        total += std::max(
-            0.0,
-            simulator.prefillSeconds(batch, shape.typicalPrompt));
-        total += std::max(
-            0.0,
-            simulator.tokenSeconds(batch, shape.typicalContext));
+        total += simulator.prefillSeconds(batch, shape.typicalPrompt);
+        total += simulator.tokenSeconds(batch, shape.typicalContext);
         if (ramp >= max_batch)
             break;
     }
@@ -340,8 +332,7 @@ class EventKernel final : public sched::FleetView,
           control_(control), wants_(control.wants()),
           sessions_(sessions),
           tracksChanges_(
-              (wants_ & (sched::ControlPolicy::kObservations |
-                         sched::ControlPolicy::kReplicaChanges)) != 0),
+              (wants_ & sched::ControlPolicy::kReplicaChanges) != 0),
           idIndex_(workload)
     {
         const std::size_t n = replicas_.size();
@@ -362,13 +353,10 @@ class EventKernel final : public sched::FleetView,
         retiredAt_.assign(n, -1.0);
         warmupSeconds_.assign(n, 0.0);
         wakeScheduled_.assign(n, 0);
-        draining_.assign(n, 0);
         deadNotified_.assign(n, 0);
-        if (wants_ & sched::ControlPolicy::kObservations)
-            observed_.resize(n); // One buffer, refreshed per flush.
-        // The whole fleet starts changed, so the first flush
-        // samples everyone; afterwards only replicas the kernel
-        // touched since the previous flush are listed.
+        // The whole fleet starts changed, so the first flush lists
+        // everyone; afterwards only replicas the kernel touched
+        // since the previous flush are listed.
         changedFlag_.assign(n, 0);
         for (std::size_t r = 0; r < n; ++r)
             markChanged(r);
@@ -378,8 +366,7 @@ class EventKernel final : public sched::FleetView,
     void
     run()
     {
-        control_.begin(
-            sched::ControlContext{models_, config_.ttftDeadline});
+        control_.begin(sched::ControlContext{config_.ttftDeadline});
         // Pre-reserve the per-replica session tables for a fair
         // share of the trace (a hint: stealing and skew can exceed
         // it) so bulk phases do not reallocate them mid-run.
@@ -563,7 +550,9 @@ class EventKernel final : public sched::FleetView,
     bool
     draining(std::uint32_t replica) const override
     {
-        return draining_.at(replica) != 0;
+        const sched::ReplicaLifecycle lifecycle = lifecycle_.at(replica);
+        return lifecycle == sched::ReplicaLifecycle::Draining ||
+               lifecycle == sched::ReplicaLifecycle::Retired;
     }
 
     sched::ReplicaLifecycle
@@ -642,9 +631,6 @@ class EventKernel final : public sched::FleetView,
         if (replica >= replicas_.size())
             throw std::logic_error(
                 "FleetActions::routeTo: replica out of range");
-        if (draining_[replica])
-            throw std::logic_error(
-                "FleetActions::routeTo: replica is draining");
         if (lifecycle_[replica] != sched::ReplicaLifecycle::Active)
             throw std::logic_error(
                 "FleetActions::routeTo: replica is " +
@@ -690,10 +676,6 @@ class EventKernel final : public sched::FleetView,
             throw std::logic_error(
                 "FleetActions::steal: thief cannot serve (dead "
                 "or unprobed) — it would strand the work");
-        if (draining_[thief])
-            throw std::logic_error(
-                "FleetActions::steal: thief is draining — it "
-                "accepts no new work");
         if (lifecycle_[thief] != sched::ReplicaLifecycle::Active)
             throw std::logic_error(
                 "FleetActions::steal: thief is " +
@@ -757,10 +739,6 @@ class EventKernel final : public sched::FleetView,
         if (to_replica >= replicas_.size())
             throw std::logic_error(
                 "FleetActions::migrate: destination out of range");
-        if (draining_[to_replica])
-            throw std::logic_error(
-                "FleetActions::migrate: destination is draining — "
-                "it accepts no new work");
         if (lifecycle_[to_replica] !=
             sched::ReplicaLifecycle::Active)
             throw std::logic_error(
@@ -873,10 +851,7 @@ class EventKernel final : public sched::FleetView,
         retiredAt_.push_back(-1.0);
         warmupSeconds_.push_back(warmup);
         wakeScheduled_.push_back(0);
-        draining_.push_back(0);
         deadNotified_.push_back(0);
-        if (wants_ & sched::ControlPolicy::kObservations)
-            observed_.push_back(sched::ReplicaObservation{});
         changedFlag_.push_back(0);
         markChanged(index);
         replica.beginSession();
@@ -901,13 +876,9 @@ class EventKernel final : public sched::FleetView,
             throw std::logic_error(
                 "FleetActions::requestDrain: replica out of "
                 "range");
-        if (!draining_[replica]) {
-            draining_[replica] = 1;
+        if (!draining(replica)) {
             ++report_.kernelStats.drainRequests;
-            if (lifecycle_[replica] !=
-                sched::ReplicaLifecycle::Retired)
-                lifecycle_[replica] =
-                    sched::ReplicaLifecycle::Draining;
+            lifecycle_[replica] = sched::ReplicaLifecycle::Draining;
             markChanged(replica);
             // An empty idle replica (or one drained mid-spawn,
             // before it ever went Active) retires on the spot.
@@ -929,8 +900,7 @@ class EventKernel final : public sched::FleetView,
      * mutation — deliver, steal, migrate, preempt, start/complete
      * work (and the capability probe inside it), every lifecycle
      * transition — lists the replica (once) on the change list.
-     * Kept only when a consumer exists (kObservations or
-     * kReplicaChanges).
+     * Kept only when the policy consumes it (kReplicaChanges).
      */
     void
     markChanged(std::size_t replica)
@@ -942,30 +912,18 @@ class EventKernel final : public sched::FleetView,
     }
 
     /**
-     * Hand the change list to its consumers — the observed_ rows
-     * behind ArrivalContext::observed, and the policy's
-     * onReplicasChanged — then clear it.  Called at every hook
-     * entry and after every FleetActions verb, so a policy always
-     * ranks on current state in O(changed replicas).
+     * Hand the change list to the policy's onReplicasChanged, then
+     * clear it.  Called at every hook entry and after every
+     * FleetActions verb, so a policy always ranks on current state
+     * in O(changed replicas).  The list is only ever non-empty for
+     * a kReplicaChanges subscriber (markChanged).
      */
     void
     flushChanges()
     {
         if (changed_.empty())
             return;
-        if (wants_ & sched::ControlPolicy::kObservations) {
-            // The two direct probes, not snapshot(): the one-call
-            // snapshot also copies the per-request lifecycle
-            // vectors, which this hot path does not want.
-            for (const std::uint32_t r : changed_) {
-                observed_[r].outstanding =
-                    replicas_[r]->observedOutstanding();
-                observed_[r].backlogTokens =
-                    replicas_[r]->observedBacklogTokens();
-            }
-        }
-        if (wants_ & sched::ControlPolicy::kReplicaChanges)
-            control_.onReplicasChanged(changed_, *this);
+        control_.onReplicasChanged(changed_, *this);
         for (const std::uint32_t r : changed_)
             changedFlag_[r] = 0;
         changed_.clear();
@@ -1128,8 +1086,8 @@ class EventKernel final : public sched::FleetView,
         onArrivalEvent(event);
     }
 
-    /** Arrival event: gather observations (if wanted), ask the
-     * policy for exactly one decision. */
+    /** Arrival event: flush the change list, ask the policy for
+     * exactly one decision. */
     void
     onArrivalEvent(const sim::Event &event)
     {
@@ -1142,13 +1100,7 @@ class EventKernel final : public sched::FleetView,
         context.generateTokens = request.generateTokens;
         context.priority = request.priority;
         context.sessionId = request.sessionId;
-        // Ground truth at the decision instant: the flush
-        // re-probes only replicas the kernel touched since the
-        // previous one — the others cannot have changed, so the
-        // refresh is bit-identical to a full rebuild.
         flushChanges();
-        if (wants_ & sched::ControlPolicy::kObservations)
-            context.observed = &observed_;
         inArrival_ = true;
         decided_ = false;
         arrivalIndex_ = event.id;
@@ -1276,7 +1228,6 @@ class EventKernel final : public sched::FleetView,
 
     sim::EventQueue queue_;
     std::vector<char> wakeScheduled_;
-    std::vector<char> draining_;
     std::vector<char> deadNotified_;
 
     /**
@@ -1292,9 +1243,6 @@ class EventKernel final : public sched::FleetView,
     std::vector<Seconds> activeStart_;
     std::vector<Seconds> retiredAt_;
     std::vector<Seconds> warmupSeconds_;
-
-    /** ArrivalContext::observed (empty without kObservations). */
-    std::vector<sched::ReplicaObservation> observed_;
 
     /** The change list and its dedup flags; see markChanged(). */
     const bool tracksChanges_;
@@ -1419,44 +1367,17 @@ FleetSimulator::calibrateAll(const WorkloadShape &shape)
             leaders.push_back(i);
     }
 
-    const std::size_t workers = resolveWorkerCount(
-        config_.calibrationThreads, hardwareThreads(),
-        leaders.size());
-    if (workers <= 1) {
-        for (const std::size_t i : leaders)
-            models[i] = calibrate(i);
-    } else {
-        // Each worker claims whole leaders, and a leader is its
-        // surface's only one, so a cost surface is only ever
-        // touched by one thread: no lock, and the calibrated models
-        // and tape counts are identical to the serial loop
-        // regardless of scheduling.  Heterogeneous-fleet sweeps
-        // stop paying one engine simulation chain per group in
-        // series.
-        std::atomic<std::size_t> next{0};
-        std::vector<std::exception_ptr> errors(workers);
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                try {
-                    for (std::size_t k = next.fetch_add(1);
-                         k < leaders.size();
-                         k = next.fetch_add(1))
-                        models[leaders[k]] =
-                            calibrate(leaders[k]);
-                } catch (...) {
-                    errors[w] = std::current_exception();
-                }
-            });
-        }
-        for (std::thread &thread : pool)
-            thread.join();
-        for (const std::exception_ptr &error : errors) {
-            if (error)
-                std::rethrow_exception(error);
-        }
-    }
+    // Each job is one whole leader, and a leader is its surface's
+    // only one, so a cost surface is only ever touched by one
+    // thread: no lock, and the calibrated models and tape counts
+    // are identical to the serial loop regardless of scheduling.
+    // Heterogeneous-fleet sweeps stop paying one engine simulation
+    // chain per group in series.
+    parallelFor(resolveWorkerCount(config_.calibrationThreads,
+                                   hardwareThreads(), leaders.size()),
+                leaders.size(), [&](std::size_t k) {
+                    models[leaders[k]] = calibrate(leaders[k]);
+                });
     for (std::size_t i = 0; i < count; ++i) {
         if (cacheGroupOf_[i] != i)
             models[i] = calibrate(i);

@@ -35,8 +35,11 @@
  * Replica ServingSimulators (and their calibrated cost caches)
  * persist across run() calls, so sweeping scenarios over one fleet
  * re-simulates engines only for unseen (batch, context) buckets.
- * Router calibration probes all replicas in parallel on a small
- * thread pool (each thread only touches its own replica's cache).
+ * Replicas whose cost cells match share one cost surface, led by
+ * the first of them.  Router calibration runs the surface leaders
+ * in parallel on a small thread pool — each thread owns whole
+ * leaders, so no surface is touched by two threads — then each
+ * other replica re-probes its leader's warm surface serially.
  */
 
 #ifndef HERMES_CORE_FLEET_HH
@@ -281,8 +284,9 @@ class FleetSimulator
      * Serve a multi-turn session trace (core/workload.hh).  Only
      * each session's first turn is scheduled up front; every
      * follow-up turn arrives think-time after its predecessor
-     * completes — a closed-loop arrival process.  Follow-up turns whose predecessor was shed or rejected never
-     * arrive and are reported as rejected (the conversation ended).
+     * completes — a closed-loop arrival process.  Follow-up turns
+     * whose predecessor was shed or rejected never arrive and are
+     * reported as rejected (the conversation ended).
      */
     FleetReport run(const serving::SessionTrace &sessions);
 

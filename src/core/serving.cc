@@ -1,7 +1,6 @@
 #include "core/serving.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -11,7 +10,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -299,54 +297,32 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
         if (i == 0 || cells[i].first != cells[i - 1].first)
             rows.push_back(i);
     }
-    // `threads` arrives pre-resolved from the fleet layer, but a
-    // direct warmCosts(probes, 0) call must still get one worker,
-    // not a zero-thread pool.
-    const auto workers = static_cast<std::uint32_t>(
-        resolveWorkerCount(threads, 1, rows.size()));
-    if (workers <= 1) {
-        for (const auto &[row, column] : cells)
-            exactCosts(row, column);
-        return;
-    }
-    // Parallel fill: each worker owns the rows it claims (their
-    // engines are built here, so workers never touch the engine
-    // table) and a private timing accumulator; results land in a
-    // slot array and are inserted sequentially afterwards, so the
-    // surface's contents are independent of thread interleaving.
+    // Each job owns one row: its engine is built here, so jobs
+    // never touch the engine table, and its timing and results land
+    // in its own slots.  The results are inserted sequentially
+    // afterwards, so the surface's contents are independent of
+    // thread interleaving.  `threads` arrives pre-resolved from the
+    // fleet layer, but a direct warmCosts(probes, 0) call must
+    // still get one worker, not a zero-thread pool.
     for (const std::size_t first : rows)
         rowEngine(cells[first].first);
+    const std::size_t jobs = rows.size();
     rows.push_back(cells.size());
     std::vector<std::optional<StepCosts>> computed(cells.size());
-    std::vector<double> seconds(workers, 0.0);
-    std::atomic<std::size_t> cursor{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            for (;;) {
-                const std::size_t k =
-                    cursor.fetch_add(1, std::memory_order_relaxed);
-                if (k + 1 >= rows.size())
-                    break;
-                const std::size_t row = cells[rows[k]].first;
-                runtime::InferenceEngine &engine =
-                    *cache_->engines[row];
-                const auto start = std::chrono::steady_clock::now();
-                for (std::size_t i = rows[k]; i < rows[k + 1]; ++i)
-                    computed[i] = simulateCosts(
-                        engine, llm_, config_,
-                        std::uint32_t{1} << row,
-                        (cells[i].second + 1) * config_.seqBucket);
-                seconds[w] +=
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-            }
-        });
-    }
-    for (std::thread &thread : pool)
-        thread.join();
+    std::vector<double> seconds(jobs, 0.0);
+    const auto fill_row = [&](std::size_t k) {
+        const std::size_t row = cells[rows[k]].first;
+        runtime::InferenceEngine &engine = *cache_->engines[row];
+        const auto start = std::chrono::steady_clock::now();
+        for (std::size_t i = rows[k]; i < rows[k + 1]; ++i)
+            computed[i] = simulateCosts(
+                engine, llm_, config_, std::uint32_t{1} << row,
+                (cells[i].second + 1) * config_.seqBucket);
+        seconds[k] = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    };
+    parallelFor(resolveWorkerCount(threads, 1, jobs), jobs, fill_row);
     for (const double spent : seconds)
         cache_->engineSeconds += spent;
     cache_->engineRuns += cells.size();
@@ -995,22 +971,6 @@ ServingSimulator::queuedCount() const
 {
     return static_cast<std::uint32_t>(waiting_.size() +
                                       pending_.size());
-}
-
-ReplicaSnapshot
-ServingSimulator::snapshot() const
-{
-    ReplicaSnapshot snap;
-    snap.outstanding = observedOutstanding();
-    snap.queued = queuedCount();
-    snap.backlogTokens = observedBacklogTokens();
-    snap.busy = busy();
-    snap.knownServable = knownServable();
-    snap.knownDead = knownDead();
-    snap.runningRequests = runningInfos();
-    snap.queuedRequests = queuedInfos();
-    snap.cachedSessions = sessionKv_;
-    return snap;
 }
 
 std::vector<ServedRequest>

@@ -292,43 +292,6 @@ struct SessionKv
     std::uint64_t tokens = 0;
 };
 
-/**
- * One-call observed-state snapshot of a replica at a boundary
- * instant: everything the fleet control plane (routing feedback,
- * stealing, future autoscaling) reads about a replica, gathered
- * together so the kernel pays one call per replica instead of a
- * probe per field.
- */
-struct ReplicaSnapshot
-{
-    /** Requests on the replica: running + queued + undecided. */
-    std::uint32_t outstanding = 0;
-
-    /** Requests queued but not yet in the running batch. */
-    std::uint32_t queued = 0;
-
-    /** Tokens still owed to requests on the replica. */
-    double backlogTokens = 0.0;
-
-    /** A prefill or decode step is in flight. */
-    bool busy = false;
-
-    /** Capability probe ran and passed. */
-    bool knownServable = false;
-
-    /** Capability probe ran and failed (dead replica). */
-    bool knownDead = false;
-
-    /** The running batch, batch order (== runningInfos()). */
-    std::vector<RequestInfo> runningRequests;
-
-    /** Queued requests, admission order (== queuedInfos()). */
-    std::vector<RequestInfo> queuedRequests;
-
-    /** Resident session KV, LRU first (== the eviction order). */
-    std::vector<SessionKv> cachedSessions;
-};
-
 /** What a replica does next on the shared clock. */
 enum class StepKind
 {
@@ -503,14 +466,11 @@ class ServingSimulator
     /** Queued requests in admission order (waiting, then pending). */
     std::vector<RequestInfo> queuedInfos() const;
 
-    /** All observed-state probes in one call (ReplicaSnapshot). */
-    ReplicaSnapshot snapshot() const;
-
     /**
      * KV context tokens of `session` resident here (0 when absent
      * or evicted).  A follow-up turn routed here prefills only its
      * prompt minus this prefix; the affinity policy scores replicas
-     * by exactly this probe (through the snapshot).
+     * by exactly this probe.
      */
     std::uint64_t cachedSessionTokens(std::uint64_t session) const;
 
@@ -552,16 +512,16 @@ class ServingSimulator
 
     /**
      * Fill the cost cache for the given operating points before an
-     * event loop touches them.  With `threads` > 1 the missing
-     * engine simulations run on a local thread pool that hands out
-     * whole rows, each on the row's pooled engine, so a row records
-     * its tape once; results are inserted sequentially in a fixed
-     * order afterwards, and cache fills are order-independent, so
-     * warmed and unwarmed runs are
-     * bit-identical — warming changes wall-clock time and nothing
-     * else.  In particular it never latches saturated(): a warmed
-     * bucket's fallback flag is only observed when a run actually
-     * touches the bucket, exactly as if it had been a cold miss.
+     * event loop touches them.  The missing engine simulations run
+     * as one job per row on up to `threads` threads (parallelFor),
+     * each on the row's pooled engine, so a row records its tape
+     * once; results are inserted sequentially in a fixed order
+     * afterwards, and cache fills are order-independent, so warmed
+     * and unwarmed runs are bit-identical — warming changes
+     * wall-clock time and nothing else.  In particular it never
+     * latches saturated(): a warmed bucket's fallback flag is only
+     * observed when a run actually touches the bucket, exactly as if
+     * it had been a cold miss.
      */
     void warmCosts(const std::vector<CostProbe> &probes,
                    std::uint32_t threads = 1);

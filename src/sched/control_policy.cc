@@ -39,9 +39,13 @@ namespace {
  * The four estimate-based routing behaviors (round-robin, jsq,
  * least-tokens, slo-aware) as one adapter: every arrival is
  * answered by the calibrated Router, so decisions are bit-identical
- * to the pre-API kernel (same inputs, same float sequence).  jsq
- * ranks through the Router's shortest-queue index, kept routable
- * from the change list; the other three scan the fleet (their keys
+ * to the pre-API kernel (same inputs, same float sequence).  The
+ * change list keeps the Router's replica set and routable flags
+ * current: only Active replicas are routable.  Dead replicas stay
+ * routable on purpose — estimate policies have historically kept
+ * routing to them (only the feedback policies starve them), and
+ * that contract is pinned.  jsq ranks through the Router's
+ * shortest-queue index; the other three scan the fleet (their keys
  * drift continuously with the arrival clock, or tie-break within
  * an epsilon, so no exact tree order exists).
  */
@@ -58,25 +62,31 @@ class RouterControlPolicy final : public ControlPolicy
         return routerPolicyName(policy_);
     }
 
-    std::uint32_t wants() const override
-    {
-        return indexed() ? kReplicaChanges : kNone;
-    }
+    std::uint32_t wants() const override { return kReplicaChanges; }
 
     void begin(const ControlContext &context) override
     {
-        router_ = std::make_unique<Router>(
-            policy_, context.models, context.ttftDeadline);
+        deadline_ = context.ttftDeadline;
+        router_.reset();
     }
 
     void onReplicasChanged(const std::vector<std::uint32_t> &replicas,
                            const FleetView &view) override
     {
-        if (!router_)
-            throw std::logic_error(
-                "RouterControlPolicy: onReplicasChanged before "
-                "begin()");
-        grow(view);
+        // The run's first flush lists the whole fleet: build the
+        // Router over it.  Later flushes list spawned replicas.
+        const std::uint32_t n = view.replicaCount();
+        if (!router_) {
+            std::vector<ReplicaModel> models;
+            models.reserve(n);
+            for (std::uint32_t r = 0; r < n; ++r)
+                models.push_back(view.model(r));
+            router_ = std::make_unique<Router>(policy_,
+                                               std::move(models),
+                                               deadline_);
+        }
+        while (router_->replicaCount() < n)
+            router_->addReplica(view.model(router_->replicaCount()));
         for (const std::uint32_t r : replicas)
             router_->setRoutable(
                 r, view.lifecycle(r) == ReplicaLifecycle::Active);
@@ -86,36 +96,17 @@ class RouterControlPolicy final : public ControlPolicy
                    const FleetView &view,
                    FleetActions &actions) override
     {
+        (void)view;
         if (!router_)
             throw std::logic_error(
-                "RouterControlPolicy: onArrival before begin()");
-        grow(view);
-        RouteDecision decision;
-        if (indexed()) {
-            decision = router_->routeShortestQueue(
-                context.arrival, context.generateTokens);
-        } else {
-            // Mask replicas that are not routable — still
-            // provisioning or warming, draining, or retired.  A
-            // fixed all-Active fleet passes no mask at all, so its
-            // decision sequence is bit-identical to the legacy
-            // router.  Dead replicas stay UNmasked on purpose:
-            // estimate policies have historically kept routing to
-            // them (only the feedback policies starve them), and
-            // that contract is pinned.
-            const std::uint32_t n = view.replicaCount();
-            eligible_.assign(n, 1);
-            bool restricted = false;
-            for (std::uint32_t r = 0; r < n; ++r) {
-                if (view.lifecycle(r) != ReplicaLifecycle::Active) {
-                    eligible_[r] = 0;
-                    restricted = true;
-                }
-            }
-            decision = router_->route(
-                context.arrival, context.generateTokens, nullptr,
-                restricted ? &eligible_ : nullptr);
-        }
+                "RouterControlPolicy: onArrival before the first "
+                "onReplicasChanged");
+        const RouteDecision decision =
+            policy_ == RouterPolicy::JoinShortestQueue
+                ? router_->routeShortestQueue(context.arrival,
+                                              context.generateTokens)
+                : router_->route(context.arrival,
+                                 context.generateTokens);
         if (decision.replica < 0)
             actions.shed();
         else
@@ -124,29 +115,9 @@ class RouterControlPolicy final : public ControlPolicy
     }
 
   private:
-    bool indexed() const
-    {
-        return policy_ == RouterPolicy::JoinShortestQueue;
-    }
-
-    /**
-     * An autoscaler may have grown the fleet since begin(): give
-     * the router an (empty) queueing model for every new replica,
-     * routable once it is Active.
-     */
-    void grow(const FleetView &view)
-    {
-        while (router_->replicaCount() < view.replicaCount()) {
-            const std::uint32_t r = router_->replicaCount();
-            router_->addReplica(view.model(r));
-            router_->setRoutable(
-                r, view.lifecycle(r) == ReplicaLifecycle::Active);
-        }
-    }
-
     RouterPolicy policy_;
+    Seconds deadline_ = 0.0;
     std::unique_ptr<Router> router_;
-    std::vector<char> eligible_; ///< Reused across arrivals.
 };
 
 /**
@@ -527,8 +498,6 @@ class AffinityPolicy final : public ControlPolicy
   public:
     std::string name() const override { return "affinity"; }
 
-    std::uint32_t wants() const override { return kObservations; }
-
     void onArrival(const ArrivalContext &context,
                    const FleetView &view,
                    FleetActions &actions) override
@@ -545,9 +514,8 @@ class AffinityPolicy final : public ControlPolicy
             if (view.knownDead(r) ||
                 view.lifecycle(r) != ReplicaLifecycle::Active)
                 continue;
-            if (least == n ||
-                (*context.observed)[r].outstanding <
-                    (*context.observed)[least].outstanding)
+            if (least == n || view.observedOutstanding(r) <
+                                  view.observedOutstanding(least))
                 least = r;
         }
         if (least == n) {
@@ -595,9 +563,8 @@ class AffinityPolicy final : public ControlPolicy
         const double saved_seconds =
             static_cast<double>(cached) /
             std::max(holder_model.prefillTokensPerSecond, 1.0e-9);
-        const double gap =
-            (*context.observed)[holder].backlogTokens -
-            (*context.observed)[least].backlogTokens;
+        const double gap = view.observedBacklogTokens(holder) -
+                           view.observedBacklogTokens(least);
         const double drain_rate =
             std::max(holder_model.slotTokensPerSecond, 1.0e-9) *
             static_cast<double>(std::max<std::uint32_t>(

@@ -27,24 +27,23 @@
  * subscribe to, and keeps its change list only for a policy that
  * consumes it.
  *
- * The change list.  The kernel is the only actor that mutates
- * replicas, and it lists every replica whose state a mutation may
- * have changed — deliver, steal, migrate, preempt, start/complete
- * work (with the capability probe inside it), and every lifecycle
- * transition (spawn, Provisioning → Warming → Active, drain,
- * retire) — once per flush.  The list is flushed at every hook
- * entry and after every FleetActions verb, so whatever a hook reads
- * reflects every change before it.  A flush feeds two consumers:
+ * FleetView is the only read surface: every per-replica fact a
+ * policy ranks by — including the calibrated model of a replica
+ * spawned mid-run — is a live FleetView probe.
  *
- *   kObservations    the ArrivalContext::observed rows of the listed
- *                    replicas are re-probed, so the gather costs
- *                    O(changed replicas), not O(replicas);
- *   kReplicaChanges  onReplicasChanged(replicas, view) hands the
- *                    list to the policy, which keeps its own index
- *                    (sched/replica_index.hh) current from it.
- *
- * The first flush of a run lists the whole fleet; a spawned replica
- * is listed by the verb that created it.
+ * The change list (kReplicaChanges).  The kernel is the only actor
+ * that mutates replicas, and it lists every replica whose state a
+ * mutation may have changed — deliver, steal, migrate, preempt,
+ * start/complete work (with the capability probe inside it), and
+ * every lifecycle transition (spawn, Provisioning → Warming →
+ * Active, drain, retire) — once per flush.  The list is flushed at
+ * every hook entry and after every FleetActions verb, into
+ * onReplicasChanged(replicas, view), so a policy that keeps its own
+ * replica state — an index (sched/replica_index.hh), a Router's
+ * routable flags — refreshes it in O(changed replicas) and whatever
+ * a hook reads reflects every change before it.  The first flush of
+ * a run lists the whole fleet, before any arrival; a spawned
+ * replica is listed by the verb that created it.
  *
  * All six RouterPolicy behaviors and the occupancy-greedy stealing
  * heuristic are built-in ControlPolicy implementations behind a name
@@ -328,26 +327,14 @@ struct ArrivalContext
 
     /** Conversation this request belongs to; 0 = standalone. */
     std::uint64_t sessionId = 0;
-
-    /**
-     * One ground-truth observation per replica, current at this
-     * instant — or nullptr when the policy did not declare
-     * kObservations.  The kernel refreshes only the rows the change
-     * list names, at every flush (see the file header).
-     */
-    const std::vector<ReplicaObservation> *observed = nullptr;
 };
 
-/** Per-run binding handed to ControlPolicy::begin(). */
+/**
+ * Per-run binding handed to ControlPolicy::begin().  Replica state
+ * is not in it: read it through FleetView.
+ */
 struct ControlContext
 {
-    /**
-     * Calibrated queueing model of every replica configured at the
-     * start of the run, fleet order.  Replicas spawned mid-run are
-     * not in it: look any replica up through FleetView::model(r).
-     */
-    std::vector<ReplicaModel> models;
-
     Seconds ttftDeadline = 0.0;
 };
 
@@ -363,9 +350,6 @@ class ControlPolicy
     enum Wants : std::uint32_t
     {
         kNone = 0,
-
-        /** Keep ArrivalContext::observed current for onArrival. */
-        kObservations = 1u << 0,
 
         /** Deliver onPrefillComplete / onStepComplete. */
         kReplicaEvents = 1u << 1,

@@ -78,9 +78,10 @@ Router::Router(RouterPolicy policy,
         model.prefillSeconds = std::max(model.prefillSeconds, 0.0);
         state_[i].freeAt.assign(model.maxBatch, 0.0);
     }
+    routable_.assign(replicas_.size(), 1);
+    routableCount_ = replicaCount();
     if (indexed()) {
         live_.assign(replicas_.size(), 0);
-        routable_.assign(replicas_.size(), 1);
         for (std::uint32_t i = 0; i < replicas_.size(); ++i)
             rekey(i);
     }
@@ -97,9 +98,10 @@ Router::addReplica(const ReplicaModel &model)
     added.prefillSeconds = std::max(added.prefillSeconds, 0.0);
     state_.emplace_back();
     state_.back().freeAt.assign(added.maxBatch, 0.0);
+    routable_.push_back(1);
+    ++routableCount_;
     if (indexed()) {
         live_.push_back(0);
-        routable_.push_back(1);
         rekey(replicaCount() - 1);
     }
 }
@@ -107,10 +109,15 @@ Router::addReplica(const ReplicaModel &model)
 void
 Router::setRoutable(std::uint32_t replica, bool routable)
 {
-    if (!indexed() || routable_.at(replica) == (routable ? 1 : 0))
+    if (routable_.at(replica) == (routable ? 1 : 0))
         return;
     routable_[replica] = routable ? 1 : 0;
-    rekey(replica);
+    if (routable)
+        ++routableCount_;
+    else
+        --routableCount_;
+    if (indexed())
+        rekey(replica);
 }
 
 void
@@ -268,8 +275,7 @@ Router::routeShortestQueue(Seconds arrival,
 
 RouteDecision
 Router::route(Seconds arrival, std::uint32_t generate_tokens,
-              const std::vector<ReplicaObservation> *observed,
-              const std::vector<char> *eligible)
+              const std::vector<ReplicaObservation> *observed)
 {
     const auto n =
         static_cast<std::uint32_t>(replicas_.size());
@@ -283,30 +289,25 @@ Router::route(Seconds arrival, std::uint32_t generate_tokens,
             std::to_string(n) + " replicas, " +
             std::to_string(observed == nullptr ? 0 : observed->size()) +
             " observations)");
-    // With a mask and no eligible replica there is nowhere legal to
-    // send the request: shed.  (With at least one eligible replica
-    // every ranking below finds a candidate, since the first
-    // eligible entry always beats the infinite initial best.)
-    const auto allowed = [eligible](std::uint32_t i) {
-        return eligible == nullptr || (*eligible)[i] != 0;
-    };
-    if (eligible != nullptr) {
-        bool any = false;
-        for (std::uint32_t i = 0; i < n && !any; ++i)
-            any = (*eligible)[i] != 0;
-        if (!any) {
-            ++routed_;
-            return RouteDecision{
-                -1, std::numeric_limits<double>::infinity()};
-        }
+    // With no routable replica there is nowhere legal to send the
+    // request: shed.  (With at least one, every ranking below finds
+    // a candidate, since the first routable entry always beats the
+    // infinite initial best.)
+    if (routableCount_ == 0) {
+        ++routed_;
+        return RouteDecision{-1,
+                             std::numeric_limits<double>::infinity()};
     }
+    const auto allowed = [this](std::uint32_t i) {
+        return routable_[i] != 0;
+    };
     std::uint32_t chosen = 0;
     switch (policy_) {
     case RouterPolicy::RoundRobin:
         chosen = static_cast<std::uint32_t>(routed_ % n);
-        // The cursor position may be masked: take the next eligible
-        // replica at or after it, preserving the interleave over
-        // the eligible set.
+        // The cursor position may be unroutable: take the next
+        // routable replica at or after it, preserving the
+        // interleave over the routable set.
         while (!allowed(chosen))
             chosen = (chosen + 1) % n;
         break;

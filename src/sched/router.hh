@@ -21,8 +21,8 @@
  *  - TrueJsq / LeastActualBacklog: the feedback twins of
  *    JoinShortestQueue / LeastOutstandingTokens.  Instead of the
  *    calibrated estimate they rank replicas by *observed* state
- *    (actual occupancy / actual token backlog), which the fleet's
- *    event kernel samples at the arrival instant and passes into
+ *    (actual occupancy / actual token backlog), which the caller
+ *    samples from FleetView at the arrival instant and passes into
  *    route().  Routing them without observations throws.
  *
  * The model is an estimate: the replica's own ServingSimulator run
@@ -37,7 +37,10 @@
  * `controlPolicyByName` / `FleetConfig::control`.  route() is the
  * linear reference for every policy: the built-in jsq answers from
  * routeShortestQueue()'s index, and true-jsq / least-backlog from
- * policy-owned indices, all bit-identical to it.
+ * policy-owned indices, all bit-identical to it.  Which replicas
+ * may be picked is router state, not a per-call argument: the
+ * control plane flips setRoutable() from the kernel's change list
+ * as replicas enter and leave the Active lifecycle.
  *
  * Calibration probes go through ServingSimulator's cost surface, so
  * the router's estimates are built from the same exact costs the
@@ -85,9 +88,10 @@ RouterPolicy routerPolicyByName(const std::string &name);
 bool routerPolicyNeedsObservations(RouterPolicy policy);
 
 /**
- * Ground-truth replica state sampled at a routing instant by the
- * fleet event kernel (core/event_sim.hh): what the estimate-based
- * policies approximate, the feedback policies consume directly.
+ * Ground-truth replica state sampled at a routing instant
+ * (FleetView::observedOutstanding / observedBacklogTokens): what
+ * the estimate-based policies approximate, the feedback policies
+ * consume directly.
  */
 struct ReplicaObservation
 {
@@ -172,24 +176,19 @@ class Router
      * policy ignores it.  Routing a feedback policy without exactly
      * one observation per replica throws std::invalid_argument.
      *
-     * `eligible`, when provided, restricts every ranking to the
-     * replicas whose entry is non-zero — how the control plane
-     * masks replicas that exist but are not routable (still
-     * provisioning or warming after an autoscaler spawn, draining,
-     * retired).  With no eligible replica at all the request is
-     * shed (replica < 0).  Passing nullptr (or an all-true mask)
-     * reproduces the unmasked decision sequence bit for bit.
+     * Every ranking skips replicas flagged unroutable
+     * (setRoutable); with none routable the request is shed
+     * (replica < 0).  A router whose replicas are all routable —
+     * the default — makes the unrestricted decision sequence.
      */
     RouteDecision
     route(Seconds arrival, std::uint32_t generate_tokens,
-          const std::vector<ReplicaObservation> *observed = nullptr,
-          const std::vector<char> *eligible = nullptr);
+          const std::vector<ReplicaObservation> *observed = nullptr);
 
     /**
      * JoinShortestQueue in O(log replicas): the decision route()
-     * makes with a JoinShortestQueue router and an `eligible` mask
-     * equal to the setRoutable() flags, bit for bit, including the
-     * shed when no replica is routable.  The exact per-replica
+     * makes with a JoinShortestQueue router, bit for bit, including
+     * the shed when no replica is routable.  The exact per-replica
      * outstandingRequests(i, arrival) counts live in an index that
      * commit() increments and a min-heap of commitment finish times
      * decrements as the (non-decreasing) arrival clock passes each
@@ -199,9 +198,11 @@ class Router
                                      std::uint32_t generate_tokens);
 
     /**
-     * Whether routeShortestQueue may pick `replica` (every replica
-     * starts routable).  How the control plane masks replicas that
-     * are not Active without rebuilding a mask per arrival.
+     * Whether route() and routeShortestQueue() may pick `replica`
+     * (every replica starts routable).  How the control plane
+     * masks replicas that are not Active — still provisioning or
+     * warming after an autoscaler spawn, draining, retired —
+     * without rebuilding a mask per arrival.
      */
     void setRoutable(std::uint32_t replica, bool routable);
 
@@ -296,14 +297,17 @@ class Router
     Seconds deadline_;
     std::uint64_t routed_ = 0; ///< RoundRobin cursor.
 
+    /** setRoutable() flags, and how many are set. */
+    std::vector<char> routable_;
+    std::uint32_t routableCount_ = 0;
+
     /**
      * The shortest-queue index (JoinShortestQueue routers only):
      * per replica the count of commitments finishing after the
-     * last arrival, the routable flag, the (count or kAbsent) tree
-     * over both, and a min-heap of (finish, replica) expiries.
+     * last arrival, the (count, or kAbsent when unroutable) tree
+     * over it, and a min-heap of (finish, replica) expiries.
      */
     std::vector<std::uint32_t> live_;
-    std::vector<char> routable_;
     ReplicaIndex shortest_;
     std::vector<std::pair<Seconds, std::uint32_t>> expiry_;
 };

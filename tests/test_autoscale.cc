@@ -552,7 +552,6 @@ TEST(Autoscale, ScalerSpawnsWithHysteresisAndCooldown)
     EXPECT_GT(scaler->tickPeriod(), 0.0);
 
     sched::ControlContext context;
-    context.models = {unitModel()};
     context.ttftDeadline = 2.0;
     scaler->begin(context);
 
@@ -580,7 +579,6 @@ TEST(Autoscale, ScalerDrainsLeastLoadedButNeverTheLastActive)
 {
     auto scaler = sched::makeTargetBacklogPolicy();
     sched::ControlContext context;
-    context.models = {unitModel(), unitModel()};
     context.ttftDeadline = 2.0;
     scaler->begin(context);
 
@@ -622,7 +620,6 @@ TEST(Autoscale, AffinityConvertsCachedTokensThroughThePrefillRate)
     // (cached >= gap) would stick far more eagerly.
     auto affinity = sched::makeAffinityPolicy();
     sched::ControlContext context;
-    context.models = {unitModel(), unitModel()};
     context.ttftDeadline = 2.0;
     affinity->begin(context);
 
@@ -633,13 +630,10 @@ TEST(Autoscale, AffinityConvertsCachedTokensThroughThePrefillRate)
     view.replicas.push_back({unitModel(),
                              sched::ReplicaLifecycle::Active,
                              false, 0, 0.0, 0});
-    std::vector<sched::ReplicaObservation> observed{
-        {3, 100.0}, {0, 0.0}};
 
     sched::ArrivalContext arrival;
     arrival.requestId = 7;
     arrival.sessionId = 1;
-    arrival.observed = &observed;
 
     // Gap 100 tokens = 2.5 s of extra queueing against 0.2 s of
     // saved prefill: leave the holder (the old 1:1 rule, 512 >= 100,
@@ -652,7 +646,6 @@ TEST(Autoscale, AffinityConvertsCachedTokensThroughThePrefillRate)
     // Gap 6 tokens = 0.15 s: the resident prefix now pays for the
     // deeper queue — stick.
     view.replicas[0].backlogTokens = 6.0;
-    observed[0].backlogTokens = 6.0;
     RecordingActions stick;
     affinity->onArrival(arrival, view, stick);
     ASSERT_EQ(stick.routes.size(), 1u);
@@ -676,7 +669,7 @@ diurnalTrace()
 
 TEST(Autoscale, SloStealReadsSpawnedReplicaModels)
 {
-    // Regression: slo-steal used to copy ControlContext::models in
+    // Regression: slo-steal used to copy the start-of-run models in
     // begin() and index that copy by replica, so a thief spawned
     // mid-run read past its end.  It reads view.model(r), which
     // covers spawned replicas.

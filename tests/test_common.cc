@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common substrate: units, RNG, stats, tables,
- * and worker-pool sizing clamps.
+ * worker-pool sizing clamps and the parallelFor pool.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -228,6 +229,31 @@ TEST(Threads, WorkerCountCappedByJobsAndNeverZeroWithWork)
     EXPECT_EQ(resolveWorkerCount(2, 64, 100), 2u);
     // Fallback path follows the probe when no request is given.
     EXPECT_EQ(resolveWorkerCount(0, 6, 100), 6u);
+}
+
+TEST(Threads, ParallelForRunsEveryJobOnceAndRethrowsOnTheCaller)
+{
+    for (const std::size_t workers : {0u, 1u, 4u}) {
+        std::vector<int> runs(100, 0);
+        parallelFor(workers, runs.size(),
+                    [&](std::size_t job) { ++runs[job]; });
+        EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), 100)
+            << workers << " workers";
+    }
+    // Inline (<= 1 worker) the jobs run in order on the caller.
+    std::vector<std::size_t> order;
+    parallelFor(1, 5, [&](std::size_t job) { order.push_back(job); });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+    for (const std::size_t workers : {1u, 4u}) {
+        const auto failing = [](std::size_t job) {
+            if (job == 7)
+                throw std::runtime_error("job 7");
+        };
+        EXPECT_THROW(parallelFor(workers, 20, failing),
+                     std::runtime_error)
+            << workers << " workers";
+    }
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -132,7 +133,6 @@ TEST(RouterIndex, ShortestQueueIndexMatchesTheLinearJsqScan)
             models.push_back(randomModel(rng));
         Router indexed(RouterPolicy::JoinShortestQueue, models, 2.0);
         Router linear(RouterPolicy::JoinShortestQueue, models, 2.0);
-        std::vector<char> routable(n, 1);
         const double unroutable = rng.chance(0.5) ? 0.0 : 0.3;
         Seconds now = 0.0;
         const std::uint32_t arrivals = std::min(4 * n + 64, 3000u);
@@ -146,20 +146,20 @@ TEST(RouterIndex, ShortestQueueIndexMatchesTheLinearJsqScan)
                 const ReplicaModel model = randomModel(rng);
                 indexed.addReplica(model);
                 linear.addReplica(model);
-                routable.push_back(1);
             }
             if (rng.chance(0.2)) {
                 const auto r = static_cast<std::uint32_t>(
-                    rng.below(routable.size()));
-                routable[r] = rng.chance(unroutable) ? 0 : 1;
-                indexed.setRoutable(r, routable[r] != 0);
+                    rng.below(indexed.replicaCount()));
+                const bool routable = !rng.chance(unroutable);
+                indexed.setRoutable(r, routable);
+                linear.setRoutable(r, routable);
             }
             const auto tokens =
                 static_cast<std::uint32_t>(rng.below(40));
             const RouteDecision got =
                 indexed.routeShortestQueue(now, tokens);
             const RouteDecision want =
-                linear.route(now, tokens, nullptr, &routable);
+                linear.route(now, tokens);
             ASSERT_EQ(got.replica, want.replica)
                 << n << " replicas, arrival " << a;
             ASSERT_EQ(got.estimatedTtft, want.estimatedTtft);
@@ -425,7 +425,7 @@ TEST(PolicyIndex, RoutingAndStealingMatchTheLinearScans)
         std::vector<ReplicaModel> models;
         for (const auto &replica : fleet.replicas)
             models.push_back(replica.model);
-        const ControlContext context{models, 2.0};
+        const ControlContext context{2.0};
 
         const auto true_jsq = controlPolicyByName("true-jsq");
         const auto backlog = controlPolicyByName("least-backlog");
@@ -459,13 +459,14 @@ TEST(PolicyIndex, RoutingAndStealingMatchTheLinearScans)
             fleet.changed.clear();
 
             std::vector<ReplicaObservation> observed;
-            std::vector<char> active;
             for (std::uint32_t r = 0; r < fleet.replicaCount(); ++r) {
                 observed.push_back(
                     {fleet.observedOutstanding(r),
                      fleet.observedBacklogTokens(r)});
-                active.push_back(fleet.lifecycle(r) ==
-                                 ReplicaLifecycle::Active);
+                const bool active =
+                    fleet.lifecycle(r) == ReplicaLifecycle::Active;
+                ref_jsq.setRoutable(r, active);
+                ref_backlog.setRoutable(r, active);
             }
             const ArrivalContext arrival{};
             for (const auto &[policy, reference] :
@@ -474,8 +475,7 @@ TEST(PolicyIndex, RoutingAndStealingMatchTheLinearScans)
                 DecisionRecorder got;
                 policy->onArrival(arrival, fleet, got);
                 const int want =
-                    reference->route(0.0, 1, &observed, &active)
-                        .replica;
+                    reference->route(0.0, 1, &observed).replica;
                 ASSERT_EQ(got.routed, want)
                     << policy->name() << ", " << n
                     << " replicas, round " << round;
@@ -504,9 +504,9 @@ TEST(PolicyIndex, RoutingAndStealingMatchTheLinearScans)
 // ---- Whole fleet runs against linear reference policies -----------
 
 /**
- * The pre-index routing adapter: a Router over the observation
- * gather (feedback policies) or its own estimates, with a
- * per-arrival non-Active mask.
+ * The pre-index routing adapter: a Router that rebuilds its routable
+ * flags and, for the feedback policies, its observations from the
+ * view on every arrival — no change list.
  */
 class LinearRouterPolicy final : public ControlPolicy
 {
@@ -519,30 +519,33 @@ class LinearRouterPolicy final : public ControlPolicy
     {
         return routerPolicyName(policy_);
     }
-    std::uint32_t wants() const override
-    {
-        return routerPolicyNeedsObservations(policy_) ? kObservations
-                                                      : kNone;
-    }
     void begin(const ControlContext &context) override
     {
-        router_ = std::make_unique<Router>(policy_, context.models,
-                                           context.ttftDeadline);
+        deadline_ = context.ttftDeadline;
+        router_.reset();
     }
     void onArrival(const ArrivalContext &context,
                    const FleetView &view,
                    FleetActions &actions) override
     {
         const std::uint32_t n = view.replicaCount();
+        if (!router_)
+            router_ = std::make_unique<Router>(
+                policy_, std::vector<ReplicaModel>{view.model(0)},
+                deadline_);
         while (router_->replicaCount() < n)
             router_->addReplica(view.model(router_->replicaCount()));
-        std::vector<char> eligible(n, 1);
-        for (std::uint32_t r = 0; r < n; ++r)
-            eligible[r] = view.lifecycle(r) == ReplicaLifecycle::Active;
+        std::vector<ReplicaObservation> observed(n);
+        for (std::uint32_t r = 0; r < n; ++r) {
+            router_->setRoutable(
+                r, view.lifecycle(r) == ReplicaLifecycle::Active);
+            observed[r] = {view.observedOutstanding(r),
+                           view.observedBacklogTokens(r)};
+        }
         const int chosen =
             router_
                 ->route(context.arrival, context.generateTokens,
-                        context.observed, &eligible)
+                        &observed)
                 .replica;
         if (chosen < 0)
             actions.shed();
@@ -552,6 +555,7 @@ class LinearRouterPolicy final : public ControlPolicy
 
   private:
     RouterPolicy policy_;
+    Seconds deadline_ = 0.0;
     std::unique_ptr<Router> router_;
 };
 
@@ -622,6 +626,33 @@ expectSameRun(const fleet::FleetReport &got,
     EXPECT_EQ(got.replicaSeconds, want.replicaSeconds);
 }
 
+/**
+ * Run `name` under the target-backlog autoscaling stack, check it
+ * spawned and matches the same stack over the linear references,
+ * and return the run.
+ */
+fleet::FleetReport
+runAutoscaled(const fleet::FleetConfig &config, const std::string &name,
+              RouterPolicy router,
+              const std::vector<serving::ServedRequest> &trace)
+{
+    const auto got = runFleet(
+        config,
+        controlPolicyByName(name +
+                            "+slo-steal+target-backlog+drain-migrate"),
+        trace);
+    EXPECT_GT(got.kernelStats.spawnedReplicas, 0u);
+    expectSameRun(
+        got, runFleet(config,
+                      composeControlPolicies(
+                          {std::make_shared<LinearRouterPolicy>(router),
+                           std::make_shared<LinearStealPolicy>(true),
+                           makeTargetBacklogPolicy(),
+                           makeDrainMigratePolicy()}),
+                      trace));
+    return got;
+}
+
 TEST(PolicyIndex, FleetRunsMatchLinearReferencePolicies)
 {
     // A bursty trace over a heterogeneous fleet with a dead replica
@@ -668,7 +699,14 @@ TEST(PolicyIndex, FleetRunsMatchLinearReferencePolicies)
                            {false, true})},
           std::pair{"jsq+greedy-steal",
                     linear(RouterPolicy::JoinShortestQueue,
-                           {false})}}) {
+                           {false})},
+          std::pair{"round-robin+greedy-steal",
+                    linear(RouterPolicy::RoundRobin, {false})},
+          std::pair{"least-tokens+slo-steal",
+                    linear(RouterPolicy::LeastOutstandingTokens,
+                           {true})},
+          std::pair{"slo-aware+greedy-steal",
+                    linear(RouterPolicy::SloAware, {false})}}) {
         SCOPED_TRACE(name);
         const auto got =
             runFleet(fixed, controlPolicyByName(name), trace);
@@ -677,32 +715,36 @@ TEST(PolicyIndex, FleetRunsMatchLinearReferencePolicies)
     }
 
     // Autoscaled: the target-backlog scaler spawns replicas that
-    // walk Provisioning → Warming → Active and drains them back
-    // (drain-migrate evacuates, the kernel retires) — every
-    // lifecycle transition rides the change list.
+    // walk Provisioning → Warming → Active — every lifecycle
+    // transition rides the change list.  On the burst above the
+    // backlog outruns the spawns, so they drain back (drain-migrate
+    // evacuates, the kernel retires) — except under slo-aware, which
+    // sheds most of the burst at the door instead.  Arrivals end
+    // before any spawn goes Active, so a slower stream, still
+    // arriving once they are, checks that the routers pick them up.
     fleet::FleetConfig scaled = fixed;
     scaled.replicas = {fast};
-    for (const auto &[name, router] :
-         {std::pair{"true-jsq", RouterPolicy::TrueJsq},
-          std::pair{"jsq", RouterPolicy::JoinShortestQueue}}) {
+    serving::ScenarioConfig slower = scenario;
+    slower.ratePerSecond = 6.0;
+    const auto stream = serving::generateWorkload(slower);
+    for (const auto &[name, router, sheds] :
+         {std::tuple{"true-jsq", RouterPolicy::TrueJsq, false},
+          std::tuple{"jsq", RouterPolicy::JoinShortestQueue, false},
+          std::tuple{"round-robin", RouterPolicy::RoundRobin, false},
+          std::tuple{"least-tokens",
+                     RouterPolicy::LeastOutstandingTokens, false},
+          std::tuple{"slo-aware", RouterPolicy::SloAware, true}}) {
         SCOPED_TRACE(name);
-        const auto got = runFleet(
-            scaled,
-            controlPolicyByName(std::string(name) +
-                                "+slo-steal+target-backlog+"
-                                "drain-migrate"),
-            trace);
-        EXPECT_GT(got.kernelStats.spawnedReplicas, 0u);
-        EXPECT_GT(got.kernelStats.drainRequests, 0u);
-        expectSameRun(
-            got,
-            runFleet(scaled,
-                     composeControlPolicies(
-                         {std::make_shared<LinearRouterPolicy>(router),
-                          std::make_shared<LinearStealPolicy>(true),
-                          makeTargetBacklogPolicy(),
-                          makeDrainMigratePolicy()}),
-                     trace));
+        const auto burst = runAutoscaled(scaled, name, router, trace);
+        if (sheds)
+            EXPECT_GT(burst.shed, 0u);
+        else
+            EXPECT_GT(burst.kernelStats.drainRequests, 0u);
+        const auto steady = runAutoscaled(scaled, name, router, stream);
+        EXPECT_GT(std::count_if(steady.assignment.begin(),
+                                steady.assignment.end(),
+                                [](int replica) { return replica > 0; }),
+                  0);
     }
 }
 

@@ -576,16 +576,15 @@ TEST(ControlPlane, RegistryRoundTripsAndComposes)
     EXPECT_EQ(composite->name(), "least-tokens+slo-steal");
     EXPECT_TRUE(composite->wants() &
                 sched::ControlPolicy::kIdle);
-    EXPECT_FALSE(composite->wants() &
-                 sched::ControlPolicy::kObservations);
-    // The feedback routers rank from an index fed by the kernel's
-    // change list, not from a per-arrival observation gather.
-    EXPECT_TRUE(sched::controlPolicyByName("true-jsq")->wants() &
-                sched::ControlPolicy::kReplicaChanges);
-    EXPECT_FALSE(sched::controlPolicyByName("true-jsq")->wants() &
-                 sched::ControlPolicy::kObservations);
-    EXPECT_TRUE(sched::controlPolicyByName("affinity")->wants() &
-                sched::ControlPolicy::kObservations);
+    // Every router keeps its routable set (and the feedback routers
+    // their index) current from the kernel's change list; affinity
+    // reads the view live and subscribes to nothing.
+    for (const sched::RouterPolicy policy : sched::allRouterPolicies())
+        EXPECT_TRUE(sched::makeRouterPolicy(policy)->wants() &
+                    sched::ControlPolicy::kReplicaChanges)
+            << sched::routerPolicyName(policy);
+    EXPECT_EQ(sched::controlPolicyByName("affinity")->wants(),
+              sched::ControlPolicy::kNone);
     EXPECT_TRUE(
         sched::controlPolicyByName("priority-preempt")->wants() &
         sched::ControlPolicy::kPreempt);

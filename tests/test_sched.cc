@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -974,6 +975,37 @@ TEST(Router, FeedbackPoliciesThrowWithoutOneObservationPerReplica)
     // Estimate policies ignore observations entirely.
     Router estimate(RouterPolicy::JoinShortestQueue, models);
     EXPECT_EQ(estimate.route(0.0, 8).replica, 0);
+}
+
+TEST(Router, RoutingSkipsUnroutableReplicasAndShedsWhenNoneRemain)
+{
+    // Round-robin's cursor never lands on an unroutable replica: a
+    // position it would take falls through to the next routable
+    // one, so with replica 1 unroutable the cursor 0, 1, 2, 0 picks
+    // 0, 2, 2, 0.
+    Router router(RouterPolicy::RoundRobin,
+                  std::vector<ReplicaModel>(3));
+    router.setRoutable(1, false);
+    std::vector<int> picks;
+    for (int k = 0; k < 4; ++k)
+        picks.push_back(router.route(0.0, 8).replica);
+    EXPECT_EQ(picks, (std::vector<int>{0, 2, 2, 0}));
+
+    // Routable again: the cursor lands on it.
+    router.setRoutable(1, true);
+    EXPECT_EQ(router.route(0.0, 8).replica, 1);
+
+    // Nothing routable: every policy sheds, with an infinite TTFT.
+    for (const RouterPolicy policy : allRouterPolicies()) {
+        Router none(policy, std::vector<ReplicaModel>(2));
+        none.setRoutable(0, false);
+        none.setRoutable(1, false);
+        const std::vector<ReplicaObservation> observed(2);
+        const RouteDecision decision = none.route(0.0, 8, &observed);
+        EXPECT_LT(decision.replica, 0) << routerPolicyName(policy);
+        EXPECT_EQ(decision.estimatedTtft,
+                  std::numeric_limits<double>::infinity());
+    }
 }
 
 } // namespace
