@@ -469,6 +469,7 @@ main(int argc, char **argv)
             json.setF64("loop_ms", meter.seconds * 1e3);
             json.setF64("calibration_ms",
                         meter.calibrationSeconds * 1e3);
+            json.setU64("calibration_tapes", meter.calibrationTapes);
             json.setF64("events_per_sec",
                         meter.seconds > 0.0
                             ? static_cast<double>(meter.events) /
@@ -603,6 +604,7 @@ main(int argc, char **argv)
             json.setF64("loop_ms", meter.seconds * 1e3);
             json.setF64("calibration_ms",
                         meter.calibrationSeconds * 1e3);
+            json.setU64("calibration_tapes", meter.calibrationTapes);
             json.setF64("events_per_sec",
                         meter.seconds > 0.0
                             ? static_cast<double>(meter.events) /
@@ -741,6 +743,7 @@ main(int argc, char **argv)
         json.setF64("loop_ms", meter.seconds * 1e3);
         json.setF64("calibration_ms",
                     meter.calibrationSeconds * 1e3);
+        json.setU64("calibration_tapes", meter.calibrationTapes);
         json.setF64("events_per_sec",
                     meter.seconds > 0.0
                         ? static_cast<double>(meter.events) /

@@ -195,8 +195,13 @@ ServingSimulator::rowEngine(std::size_t row)
     auto &engines = cache_->engines;
     if (engines.size() <= row)
         engines.resize(row + 1);
-    if (!engines[row])
-        engines[row] = runtime::makeEngine(config_.engine, system_);
+    if (!engines[row]) {
+        if (!cache_->probe)
+            cache_->probe = std::make_shared<dram::BandwidthProbe>(
+                system_.dimm.dimm);
+        engines[row] =
+            runtime::makeEngine(config_.engine, system_, cache_->probe);
+    }
     return *engines[row];
 }
 
@@ -268,6 +273,12 @@ ServingSimulator::calibrationTapes() const
             tapes += engine->tapesBuilt();
     }
     return tapes;
+}
+
+std::uint64_t
+ServingSimulator::calibrationRankSimulations() const
+{
+    return cache_->probe ? cache_->probe->simulations() : 0;
 }
 
 void

@@ -63,6 +63,7 @@
 #include <vector>
 
 #include "common/units.hh"
+#include "dram/bandwidth_probe.hh"
 #include "model/llm_config.hh"
 #include "runtime/factory.hh"
 #include "runtime/system_config.hh"
@@ -541,6 +542,14 @@ class ServingSimulator
      */
     std::uint64_t calibrationTapes() const;
 
+    /**
+     * Command-level DRAM rank simulations behind those runs: misses
+     * of the surface's shared bandwidth probe, at most one per
+     * access pattern its engines read (0 for engines without
+     * NDP-DIMMs, or before the first engine is built).
+     */
+    std::uint64_t calibrationRankSimulations() const;
+
   private:
     struct StepCosts
     {
@@ -595,6 +604,16 @@ class ServingSimulator
          * cells computed, never of which thread computed them.
          */
         std::vector<std::unique_ptr<runtime::InferenceEngine>> engines;
+
+        /**
+         * The DRAM bandwidth probe every row engine shares, built
+         * with the first engine.  Surfaces are shared only between
+         * simulators with equal system configs, so one probe per
+         * surface is exact; it is thread-safe, so rows recorded in
+         * parallel by warmCosts() each miss it at most once per
+         * access pattern between them.
+         */
+        std::shared_ptr<dram::BandwidthProbe> probe;
 
         /** Wall-clock spent in engine simulations, and how many. */
         double engineSeconds = 0.0;

@@ -1,15 +1,30 @@
 #include "dram/bandwidth_probe.hh"
 
 #include <cstdint>
+#include <mutex>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
 
 namespace hermes::dram {
 
+namespace {
+
+std::invalid_argument
+unknownPattern(AccessPattern pattern)
+{
+    return std::invalid_argument(
+        "BandwidthProbe: unknown access pattern " +
+        std::to_string(static_cast<int>(pattern)));
+}
+
+} // namespace
+
 std::vector<RowRead>
 BandwidthProbe::buildPattern(AccessPattern pattern,
-                             std::uint64_t sample_rows)
+                             std::uint64_t sample_rows) const
 {
     AddressMapper mapper(config_);
     const auto bursts_per_row =
@@ -40,7 +55,7 @@ BandwidthProbe::buildPattern(AccessPattern pattern,
             bursts = 1;
             break;
           default:
-            hermes_panic("unknown access pattern");
+            throw unknownPattern(pattern);
         }
         reads.push_back(mapper.mapRowChunk(idx, bursts));
     }
@@ -53,6 +68,9 @@ BandwidthProbe::rankBandwidth(AccessPattern pattern,
 {
     const auto key = std::make_pair(static_cast<int>(pattern),
                                     sample_rows);
+    // Held across a miss's simulation: a concurrent caller of the
+    // same entry waits for it rather than simulating it again.
+    const std::lock_guard<std::mutex> lock(mutex_);
     auto it = cache_.find(key);
     if (it != cache_.end())
         return it->second;
@@ -60,8 +78,16 @@ BandwidthProbe::rankBandwidth(AccessPattern pattern,
     RankController controller(config_);
     const BytesPerSecond bw =
         controller.measuredBandwidth(buildPattern(pattern, sample_rows));
+    ++simulations_;
     cache_.emplace(key, bw);
     return bw;
+}
+
+std::uint64_t
+BandwidthProbe::simulations() const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return simulations_;
 }
 
 BytesPerSecond

@@ -9,6 +9,13 @@
  * provided by the address mapper.  Probes run the command-level
  * simulation once per distinct access shape and memoize the result, so
  * engine-level simulations stay fast.
+ *
+ * One probe may be shared by every device model of one DIMM
+ * configuration (the serving layer gives each cost surface one, used
+ * by all its row engines, which record on several threads).  A
+ * single mutex guards the memo and is held across a miss's
+ * simulation, so each (pattern, sample_rows) entry is simulated
+ * exactly once per probe whatever the thread count or interleaving.
  */
 
 #ifndef HERMES_DRAM_BANDWIDTH_PROBE_HH
@@ -16,7 +23,7 @@
 
 #include <cstdint>
 #include <map>
-#include <tuple>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -37,7 +44,8 @@ enum class AccessPattern
 
 /**
  * Measures and memoizes sustained per-rank bandwidth for a DIMM
- * configuration and access pattern.
+ * configuration and access pattern.  Thread-safe: every query takes
+ * the memo's lock.
  */
 class BandwidthProbe
 {
@@ -50,6 +58,7 @@ class BandwidthProbe
      * @param pattern      Access-pattern family.
      * @param sample_rows  Number of row-chunks to simulate (larger
      *                     values amortize the cold-start transient).
+     * @throws std::invalid_argument on an unknown pattern.
      */
     BytesPerSecond rankBandwidth(AccessPattern pattern,
                                  std::uint64_t sample_rows = 512);
@@ -68,12 +77,17 @@ class BandwidthProbe
 
     const DimmConfig &config() const { return config_; }
 
+    /** Command-level rank simulations run so far (memo misses). */
+    std::uint64_t simulations() const;
+
   private:
     std::vector<RowRead> buildPattern(AccessPattern pattern,
-                                      std::uint64_t sample_rows);
+                                      std::uint64_t sample_rows) const;
 
-    DimmConfig config_;
+    const DimmConfig config_;
+    mutable std::mutex mutex_; ///< Guards cache_ and simulations_.
     std::map<std::pair<int, std::uint64_t>, BytesPerSecond> cache_;
+    std::uint64_t simulations_ = 0;
 };
 
 } // namespace hermes::dram

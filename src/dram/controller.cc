@@ -1,9 +1,12 @@
 #include "dram/controller.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -13,6 +16,17 @@ namespace hermes::dram {
 namespace {
 
 constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
+
+std::invalid_argument
+outsideGeometry(const RowRead &read, const DimmConfig &config)
+{
+    return std::invalid_argument(
+        "RankController::simulate: read at bank group " +
+        std::to_string(read.bankGroup) + ", bank " +
+        std::to_string(read.bank) + " is outside the rank geometry (" +
+        std::to_string(config.bankGroups) + " bank groups x " +
+        std::to_string(config.banksPerGroup) + " banks)");
+}
 
 } // namespace
 
@@ -34,23 +48,34 @@ RankController::simulate(const std::vector<RowRead> &reads)
     const std::uint32_t num_banks = config_.banksPerRank();
 
     std::vector<BankState> banks(num_banks);
-    std::deque<PendingRead> queue;
+    // Pending reads in age order live in queue[head, end).  Retiring
+    // the entry at head + k shifts the k older window entries up one
+    // slot and advances head: O(window), age order kept.
+    std::vector<PendingRead> queue;
+    queue.reserve(reads.size());
     for (const auto &read : reads) {
-        hermes_assert(read.bankGroup < config_.bankGroups &&
-                      read.bank < config_.banksPerGroup,
-                      "request outside rank geometry");
-        queue.push_back(PendingRead{read, 0});
+        if (read.bankGroup >= config_.bankGroups ||
+            read.bank >= config_.banksPerGroup)
+            throw outsideGeometry(read, config_);
+        queue.push_back(
+            PendingRead{read, flatBank(read.bankGroup, read.bank), 0});
     }
+    std::size_t head = 0;
+
+    // Per bank, rebuilt at every issue step: does some window entry
+    // hit the bank's open row?  A row-conflict entry only precharges
+    // a bank nobody in the window still wants.
+    std::vector<char> open_row_wanted(num_banks, 0);
 
     ControllerStats stats;
     Cycles now = 0;
 
     // Rank-wide constraint trackers.
-    std::deque<Cycles> act_window;       // Last ACT times, for tFAW.
+    std::array<Cycles, 4> act_times{}; // Last 4 ACTs (ring), for tFAW.
+    std::uint64_t acts_issued = 0;
     Cycles last_act = 0;                 // For tRRD_S.
-    bool any_act = false;
     std::vector<Cycles> last_act_group(config_.bankGroups, 0);
-    std::vector<bool> any_act_group(config_.bankGroups, false);
+    std::vector<char> any_act_group(config_.bankGroups, 0);
     Cycles last_read = 0;                // For tCCD.
     std::uint32_t last_read_group = 0;
     bool any_read = false;
@@ -77,12 +102,14 @@ RankController::simulate(const std::vector<RowRead> &reads)
     // rank-wide activate constraints.
     auto act_ready = [&](std::uint32_t bg, Cycles bank_ready) {
         Cycles ready = std::max(now, bank_ready);
-        if (any_act)
+        if (acts_issued > 0)
             ready = std::max(ready, last_act + t.tRRD_S);
         if (any_act_group[bg])
             ready = std::max(ready, last_act_group[bg] + t.tRRD_L);
-        if (act_window.size() >= 4)
-            ready = std::max(ready, act_window.front() + t.tFAW);
+        // The slot the next ACT overwrites holds the oldest of the
+        // last four.
+        if (acts_issued >= 4)
+            ready = std::max(ready, act_times[acts_issued % 4] + t.tFAW);
         return ready;
     };
 
@@ -101,22 +128,30 @@ RankController::simulate(const std::vector<RowRead> &reads)
         return ready;
     };
 
-    while (!queue.empty()) {
+    while (head < queue.size()) {
         const std::size_t scan =
-            fcfs_ ? 1 : std::min<std::size_t>(queue.size(), window_);
+            fcfs_ ? 1 : std::min<std::size_t>(queue.size() - head,
+                                              window_);
+        const PendingRead *window = queue.data() + head;
 
-        // Pass 1: find the best issuable command in the window.
-        // FR-FCFS: row-hit reads first (earliest ready; ties to the
-        // oldest), otherwise the oldest request's next command.
+        for (std::size_t i = 0; i < scan; ++i) {
+            const PendingRead &pending = window[i];
+            if (banks[pending.bank].openRow ==
+                static_cast<std::int64_t>(pending.request.row))
+                open_row_wanted[pending.bank] = 1;
+        }
+
+        // Find the best issuable command in the window.  FR-FCFS:
+        // row-hit reads first (earliest ready; ties to the oldest),
+        // otherwise the oldest request's next command.
         std::size_t best_idx = scan;
         Cycles best_time = kNever;
         bool best_is_hit = false;
 
         for (std::size_t i = 0; i < scan; ++i) {
-            const PendingRead &pending = queue[i];
+            const PendingRead &pending = window[i];
             const RowRead &req = pending.request;
-            const BankState &bank =
-                banks[flatBank(req.bankGroup, req.bank)];
+            const BankState &bank = banks[pending.bank];
             const bool hit =
                 bank.openRow == static_cast<std::int64_t>(req.row);
 
@@ -126,18 +161,10 @@ RankController::simulate(const std::vector<RowRead> &reads)
             } else if (bank.openRow < 0) {
                 when = act_ready(req.bankGroup, bank.nextActivate);
             } else {
-                // Row conflict: only precharge if no younger window
-                // entry still wants the open row in this bank.
-                bool wanted = false;
-                for (std::size_t j = 0; j < scan && !wanted; ++j) {
-                    const RowRead &other = queue[j].request;
-                    wanted = j != i &&
-                             other.bankGroup == req.bankGroup &&
-                             other.bank == req.bank &&
-                             static_cast<std::int64_t>(other.row) ==
-                                 bank.openRow;
-                }
-                if (wanted && !fcfs_)
+                // Row conflict: only precharge if no other window
+                // entry still wants the open row in this bank (this
+                // entry's own row is not the open one).
+                if (open_row_wanted[pending.bank])
                     continue;
                 when = std::max(now, bank.nextPrecharge);
             }
@@ -156,11 +183,14 @@ RankController::simulate(const std::vector<RowRead> &reads)
             }
         }
 
+        for (std::size_t i = 0; i < scan; ++i)
+            open_row_wanted[window[i].bank] = 0;
+
         hermes_assert(best_idx < scan, "scheduler deadlock");
 
-        PendingRead &pending = queue[best_idx];
+        PendingRead &pending = queue[head + best_idx];
         const RowRead &req = pending.request;
-        BankState &bank = banks[flatBank(req.bankGroup, req.bank)];
+        BankState &bank = banks[pending.bank];
         const bool hit =
             bank.openRow == static_cast<std::int64_t>(req.row);
 
@@ -177,9 +207,11 @@ RankController::simulate(const std::vector<RowRead> &reads)
             bank.nextPrecharge =
                 std::max(bank.nextPrecharge, issue + t.tRTP);
             ++stats.reads;
-            if (++pending.burstsDone >= req.bursts)
-                queue.erase(queue.begin() +
-                            static_cast<std::ptrdiff_t>(best_idx));
+            if (++pending.burstsDone >= req.bursts) {
+                for (std::size_t k = head + best_idx; k > head; --k)
+                    queue[k] = queue[k - 1];
+                ++head;
+            }
         } else if (bank.openRow < 0) {
             const Cycles issue =
                 act_ready(req.bankGroup, bank.nextActivate);
@@ -189,12 +221,10 @@ RankController::simulate(const std::vector<RowRead> &reads)
             bank.nextPrecharge = issue + t.tRAS;
             bank.nextActivate = issue + t.tRC;
             last_act = issue;
-            any_act = true;
             last_act_group[req.bankGroup] = issue;
-            any_act_group[req.bankGroup] = true;
-            act_window.push_back(issue);
-            while (act_window.size() > 4)
-                act_window.pop_front();
+            any_act_group[req.bankGroup] = 1;
+            act_times[acts_issued % 4] = issue;
+            ++acts_issued;
             ++stats.activates;
         } else {
             const Cycles issue = std::max(now, bank.nextPrecharge);

@@ -16,13 +16,17 @@
  * Inputs are streams of row-read requests (a row id plus a burst
  * count); the output is the cycle at which the last data beat leaves
  * the rank, from which sustained bandwidth is derived.
+ *
+ * Cost: O(window) per issued command (one command per RD burst, ACT
+ * or PRE), plus O(banks) per refresh.  Each issue step flags, per
+ * bank, whether some window entry hits the open row, so the
+ * row-conflict test is one lookup rather than a rescan of the window.
  */
 
 #ifndef HERMES_DRAM_CONTROLLER_HH
 #define HERMES_DRAM_CONTROLLER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/stats.hh"
@@ -94,6 +98,8 @@ class RankController
      *
      * @param reads Row reads, in arrival order.  FR-FCFS may reorder
      *              service within the lookahead window.
+     * @throws std::invalid_argument if a read names a bank group or
+     *         bank outside the rank geometry.
      */
     ControllerStats simulate(const std::vector<RowRead> &reads);
 
@@ -118,6 +124,7 @@ class RankController
     struct PendingRead
     {
         RowRead request;
+        std::uint32_t bank = 0; ///< flatBank() of the request.
         std::uint32_t burstsDone = 0;
     };
 

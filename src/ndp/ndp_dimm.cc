@@ -2,21 +2,31 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace hermes::ndp {
 
-NdpDimm::NdpDimm(NdpDimmConfig config)
+NdpDimm::NdpDimm(NdpDimmConfig config,
+                 std::shared_ptr<dram::BandwidthProbe> probe)
     : config_(config), gemvUnit_(config.gemv),
-      activationUnit_(config.activation), probe_(config.dimm)
+      activationUnit_(config.activation), probe_(std::move(probe))
 {
+    if (!probe_)
+        probe_ = std::make_shared<dram::BandwidthProbe>(config_.dimm);
+    else if (!(probe_->config() == config_.dimm))
+        throw std::invalid_argument(
+            "NdpDimm: shared bandwidth probe measures a different "
+            "DimmConfig");
 }
 
 BytesPerSecond
 NdpDimm::internalBandwidth()
 {
-    return probe_.internalBandwidth(dram::AccessPattern::ScatteredRows);
+    return probe_->internalBandwidth(dram::AccessPattern::ScatteredRows);
 }
 
 NdpKernelTime
@@ -34,8 +44,8 @@ NdpDimm::sparseGemv(std::uint64_t active_rows, std::uint64_t row_values,
         active_rows * static_cast<Bytes>(batch) * kFp16Bytes;
     const Bytes spill = gemvUnit_.spillBytes(output_bytes);
 
-    time.memory = probe_.streamTime(weight_bytes + spill,
-                                    dram::AccessPattern::ScatteredRows);
+    time.memory = probe_->streamTime(weight_bytes + spill,
+                                     dram::AccessPattern::ScatteredRows);
     const auto macs = static_cast<std::uint64_t>(
         static_cast<double>(active_rows * row_values) * batch *
         compute_scale);
@@ -58,7 +68,7 @@ NdpDimm::attention(std::uint32_t batch, std::uint32_t kv_heads,
     // KV cache is written/read sequentially per head.
     const Bytes kv_bytes = 2ULL * batch * kv_heads * seq_len * head_dim *
                            kFp16Bytes;
-    time.memory = probe_.streamTime(
+    time.memory = probe_->streamTime(
         kv_bytes, dram::AccessPattern::SequentialRows);
 
     // Each query head does QK^T + PV over the cache; kv_heads *
@@ -84,7 +94,7 @@ NdpDimm::merge(Bytes bytes)
     if (bytes == 0)
         return time;
     time.memory =
-        probe_.streamTime(bytes, dram::AccessPattern::SequentialRows);
+        probe_->streamTime(bytes, dram::AccessPattern::SequentialRows);
     // Adder lanes consume 256 values * 2 B per cycle; never the
     // bottleneck but accounted for completeness.
     const std::uint64_t values = bytes / kFp16Bytes;

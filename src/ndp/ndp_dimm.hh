@@ -11,12 +11,17 @@
  * probe; datapath time comes from the cycle models of the units; the
  * two overlap (double-buffered streaming), so kernel time is their
  * maximum plus fixed launch overhead from the host command interface.
+ *
+ * The probe is held through a shared_ptr: devices of one DIMM
+ * configuration may share one (thread-safe) probe, so the rank is
+ * simulated once per access pattern for all of them.
  */
 
 #ifndef HERMES_NDP_NDP_DIMM_HH
 #define HERMES_NDP_NDP_DIMM_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "common/units.hh"
 #include "dram/bandwidth_probe.hh"
@@ -52,7 +57,15 @@ struct NdpKernelTime
 class NdpDimm
 {
   public:
-    explicit NdpDimm(NdpDimmConfig config = NdpDimmConfig{});
+    /**
+     * @param probe Bandwidth probe to share with other devices of the
+     *        same DIMM configuration; nullptr builds a private one.
+     * @throws std::invalid_argument if `probe` measures a different
+     *         DimmConfig than `config.dimm`.
+     */
+    explicit NdpDimm(NdpDimmConfig config = NdpDimmConfig{},
+                     std::shared_ptr<dram::BandwidthProbe> probe =
+                         nullptr);
 
     const NdpDimmConfig &config() const { return config_; }
     Bytes capacity() const { return config_.dimm.capacity; }
@@ -98,7 +111,7 @@ class NdpDimm
     NdpDimmConfig config_;
     GemvUnit gemvUnit_;
     ActivationUnit activationUnit_;
-    dram::BandwidthProbe probe_;
+    std::shared_ptr<dram::BandwidthProbe> probe_;
 };
 
 } // namespace hermes::ndp

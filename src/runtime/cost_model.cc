@@ -2,8 +2,7 @@
 
 #include <cstdint>
 #include <stdexcept>
-
-#include "common/logging.hh"
+#include <string>
 
 namespace hermes::runtime {
 
@@ -46,7 +45,9 @@ platformPriceUsd(EngineKind kind, const SystemConfig &config,
         return gpuPrice(config.gpu, prices) + prices.hostSystem +
                config.numDimms * prices.dimm32gb;
     }
-    hermes_panic("unknown engine kind");
+    throw std::invalid_argument(
+        "platformPriceUsd: unknown engine kind " +
+        std::to_string(static_cast<int>(kind)));
 }
 
 double

@@ -63,7 +63,10 @@ struct EnergyParams
     double dimmLinkJoulePerBit = 1.17e-12; ///< Table II.
 };
 
-/** Platform price for one engine kind. */
+/**
+ * Platform price for one engine kind.  Throws std::invalid_argument
+ * on an unknown kind or a GPU with no list price.
+ */
 double platformPriceUsd(EngineKind kind, const SystemConfig &config,
                         std::uint32_t tensorrt_gpus = 5,
                         PriceList prices = PriceList{});

@@ -4,9 +4,9 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/logging.hh"
 #include "runtime/accelerate_engine.hh"
 #include "runtime/dejavu_engine.hh"
 #include "runtime/flexgen_engine.hh"
@@ -18,7 +18,8 @@
 namespace hermes::runtime {
 
 std::unique_ptr<InferenceEngine>
-makeEngine(EngineKind kind, const SystemConfig &config)
+makeEngine(EngineKind kind, const SystemConfig &config,
+           std::shared_ptr<dram::BandwidthProbe> probe)
 {
     switch (kind) {
       case EngineKind::Accelerate:
@@ -30,13 +31,16 @@ makeEngine(EngineKind kind, const SystemConfig &config)
       case EngineKind::HermesHost:
         return std::make_unique<HermesHostEngine>(config);
       case EngineKind::HermesBase:
-        return std::make_unique<HermesBaseEngine>(config);
+        return std::make_unique<HermesBaseEngine>(config,
+                                                  std::move(probe));
       case EngineKind::Hermes:
-        return std::make_unique<HermesEngine>(config);
+        return std::make_unique<HermesEngine>(config, "Hermes",
+                                              std::move(probe));
       case EngineKind::TensorRtLlm:
         return std::make_unique<TensorRtLlmEngine>(config);
     }
-    hermes_panic("unknown engine kind");
+    throw std::invalid_argument("makeEngine: unknown engine kind " +
+                                std::to_string(static_cast<int>(kind)));
 }
 
 std::vector<EngineKind>
@@ -67,7 +71,8 @@ engineKindName(EngineKind kind)
       case EngineKind::TensorRtLlm:
         return "TensorRT-LLM";
     }
-    hermes_panic("unknown engine kind");
+    throw std::invalid_argument("engineKindName: unknown engine kind " +
+                                std::to_string(static_cast<int>(kind)));
 }
 
 EngineKind

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "dram/bandwidth_probe.hh"
 #include "runtime/engine.hh"
 #include "runtime/system_config.hh"
 
@@ -41,9 +42,19 @@ enum class EngineKind
  * any engine, constructed anywhere, warm or fresh, must return
  * identical results for identical requests.  An engine is not
  * thread-safe; give each thread its own.
+ *
+ * `probe` is a DRAM bandwidth probe for `config.dimm.dimm` to share
+ * with other engines (it is thread-safe): a cost surface passes one
+ * to all its row engines, so the rank is simulated once per access
+ * pattern per surface.  Only the engines that hold an NdpDimm
+ * (Hermes, Hermes-base) use it; nullptr gives each its own.
+ *
+ * @throws std::invalid_argument on an unknown kind, or when `probe`
+ *         measures a different DimmConfig than `config.dimm.dimm`.
  */
-std::unique_ptr<InferenceEngine> makeEngine(EngineKind kind,
-                                            const SystemConfig &config);
+std::unique_ptr<InferenceEngine>
+makeEngine(EngineKind kind, const SystemConfig &config,
+           std::shared_ptr<dram::BandwidthProbe> probe = nullptr);
 
 /** All engine kinds in the order the figures list them. */
 std::vector<EngineKind> allEngineKinds();

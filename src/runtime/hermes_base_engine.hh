@@ -11,6 +11,7 @@
 #ifndef HERMES_RUNTIME_HERMES_BASE_ENGINE_HH
 #define HERMES_RUNTIME_HERMES_BASE_ENGINE_HH
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -24,8 +25,11 @@ namespace hermes::runtime {
 class HermesBaseEngine : public InferenceEngine
 {
   public:
-    explicit HermesBaseEngine(SystemConfig config)
-        : config_(std::move(config)), ndp_(config_.dimm)
+    /** @param probe As for HermesEngine: shared, or nullptr. */
+    explicit HermesBaseEngine(
+        SystemConfig config,
+        std::shared_ptr<dram::BandwidthProbe> probe = nullptr)
+        : config_(std::move(config)), ndp_(config_.dimm, std::move(probe))
     {
     }
 

@@ -30,6 +30,7 @@
 #define HERMES_RUNTIME_HERMES_ENGINE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,10 +47,16 @@ namespace hermes::runtime {
 class HermesEngine : public InferenceEngine
 {
   public:
-    explicit HermesEngine(SystemConfig config,
-                          std::string name = "Hermes")
+    /**
+     * @param probe DRAM bandwidth probe shared with other engines of
+     *        the same DIMM configuration (ndp::NdpDimm); nullptr
+     *        builds a private one.
+     */
+    explicit HermesEngine(
+        SystemConfig config, std::string name = "Hermes",
+        std::shared_ptr<dram::BandwidthProbe> probe = nullptr)
         : config_(std::move(config)), name_(std::move(name)),
-          ndp_(config_.dimm)
+          ndp_(config_.dimm, std::move(probe))
     {
     }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the calibrated step-cost surface: saturation handling,
- * engine pooling, parallel cache warming, and the overflow tail of
- * the cost cache.
+ * engine pooling, parallel cache warming, the row engines' shared
+ * DRAM bandwidth probe, and the overflow tail of the cost cache.
  */
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -144,6 +145,71 @@ TEST(CostModel, WarmCostsIsInvisibleExceptForWallClock)
     // Every probe after warming was a pure hit.
     EXPECT_EQ(warmed.calibrationRuns(), warm_runs);
     EXPECT_EQ(parallel_warmed.calibrationRuns(), warm_runs);
+}
+
+TEST(CostModel, RowEnginesShareOneBandwidthProbe)
+{
+    // A Hermes surface whose first touch is a 4-thread warm-up of
+    // all four rows: the row engines record concurrently against
+    // one shared probe, which simulates the rank once per access
+    // pattern they read (scattered rows for cold-neuron GEMVs,
+    // sequential rows for attention and merges), not once per
+    // engine.  Costs must be bitwise those of a serially warmed
+    // surface and of engines that each probe on their own, with
+    // one tape per row either way.
+    const ServingConfig config = costServing(256, 8);
+    std::vector<CostProbe> probes;
+    for (const std::uint32_t batch : {1u, 2u, 4u, 8u}) {
+        for (std::uint64_t column = 0; column <= 2; ++column)
+            probes.push_back(CostProbe{batch, column * 256});
+    }
+    ServingSimulator parallel(fastConfig(4), model::opt13b(), config);
+    ServingSimulator serial(fastConfig(4), model::opt13b(), config);
+    EXPECT_EQ(parallel.calibrationRankSimulations(), 0u);
+    parallel.warmCosts(probes, 4);
+    serial.warmCosts(probes, 1);
+    EXPECT_EQ(parallel.calibrationRankSimulations(), 2u);
+    EXPECT_EQ(serial.calibrationRankSimulations(), 2u);
+    EXPECT_EQ(parallel.calibrationTapes(), 4u);
+    EXPECT_EQ(serial.calibrationTapes(), 4u);
+
+    for (const std::uint32_t batch : {1u, 2u, 4u, 8u}) {
+        // The unshared twin: a fresh engine per row with its own
+        // probe, asked what the surface asks for each cell.
+        auto engine =
+            runtime::makeEngine(config.engine, fastConfig(4));
+        for (const CostProbe &probe : probes) {
+            if (probe.batch != batch)
+                continue;
+            runtime::InferenceRequest request;
+            request.llm = model::opt13b();
+            request.batch = batch;
+            request.promptTokens = static_cast<std::uint32_t>(
+                (probe.seq / config.seqBucket + 1) * config.seqBucket);
+            request.generateTokens = config.calibrationTokens;
+            request.profileTokens = 24;
+            request.seed = config.seed;
+            const runtime::InferenceResult result =
+                engine->run(request);
+            ASSERT_TRUE(result.supported);
+            const double token =
+                result.generateTime / config.calibrationTokens;
+            for (ServingSimulator *surface : {&parallel, &serial}) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              surface->tokenSeconds(batch, probe.seq)),
+                          std::bit_cast<std::uint64_t>(token))
+                    << "batch " << batch << " seq " << probe.seq;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              surface->prefillSeconds(batch, probe.seq)),
+                          std::bit_cast<std::uint64_t>(
+                              result.prefillTime))
+                    << "batch " << batch << " seq " << probe.seq;
+            }
+        }
+    }
+    // Every probe above was a hit: no further rank simulations.
+    EXPECT_EQ(parallel.calibrationRankSimulations(), 2u);
+    EXPECT_EQ(parallel.calibrationTapes(), 4u);
 }
 
 } // namespace

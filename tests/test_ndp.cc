@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+
+#include "dram/bandwidth_probe.hh"
 #include "ndp/activation_unit.hh"
 #include "ndp/gemv_unit.hh"
 #include "ndp/ndp_dimm.hh"
@@ -174,6 +178,29 @@ TEST(GemvDseTest, Batch16KeepsScalingTo512)
     const Seconds t_small = a.sparseGemv(2048, 8192, 16).total;
     const Seconds t_large = b.sparseGemv(2048, 8192, 16).total;
     EXPECT_GT(t_small, 1.5 * t_large);
+}
+
+TEST(NdpDimmTest, SharedProbeIsUsedAndMustMatchTheDimm)
+{
+    // Two devices on one probe simulate the rank once between them
+    // and agree with a device that probes on its own; a probe of
+    // another DIMM configuration is rejected.
+    auto probe =
+        std::make_shared<dram::BandwidthProbe>(dram::DimmConfig{});
+    NdpDimm a(NdpDimmConfig{}, probe);
+    NdpDimm b(NdpDimmConfig{}, probe);
+    NdpDimm own;
+    EXPECT_DOUBLE_EQ(a.sparseGemv(2048, 8192, 4).total,
+                     own.sparseGemv(2048, 8192, 4).total);
+    EXPECT_DOUBLE_EQ(b.internalBandwidth(), own.internalBandwidth());
+    EXPECT_EQ(probe->simulations(), 1u);
+
+    dram::DimmConfig other;
+    other.rankParallelism = 2;
+    EXPECT_THROW(
+        NdpDimm(NdpDimmConfig{},
+                std::make_shared<dram::BandwidthProbe>(other)),
+        std::invalid_argument);
 }
 
 } // namespace

@@ -245,6 +245,13 @@ TEST(Engines, FactoryCoversAllKinds)
     }
 }
 
+TEST(Engines, UnknownKindThrows)
+{
+    const auto bogus = static_cast<EngineKind>(99);
+    EXPECT_THROW(makeEngine(bogus, fastPlatform()), std::invalid_argument);
+    EXPECT_THROW(engineKindName(bogus), std::invalid_argument);
+}
+
 TEST(Engines, DeterministicAcrossRuns)
 {
     const SystemConfig config = fastPlatform();
@@ -344,6 +351,13 @@ TEST(CostModel, UnpricedGpuThrowsNamingIt)
     } catch (const std::invalid_argument &error) {
         EXPECT_STREQ(error.what(), "no price for GPU 'H100'");
     }
+}
+
+TEST(CostModel, UnknownEngineKindThrows)
+{
+    EXPECT_THROW(platformPriceUsd(static_cast<EngineKind>(99),
+                                  SystemConfig{}),
+                 std::invalid_argument);
 }
 
 TEST(CostModel, DimmCountScalesPrice)

@@ -6,10 +6,12 @@ Two modes:
   check (default)
       Compare a fresh bench run against the committed baseline and
       fail when events/sec regressed beyond the tolerance, or when a
-      deterministic work counter (the kernel's `events`) differs
-      from the baseline at all — the same tier simulates exactly
-      the same events on any hardware, so a mismatch means the
-      simulation itself changed:
+      deterministic work counter (the kernel's `events`, the
+      `calibration_tapes` recorded) differs from the baseline at
+      all — the same tier simulates exactly
+      the same events and records exactly the same calibration
+      tapes on any hardware, so a mismatch means the simulation
+      itself changed:
 
           check_bench_regression.py --baseline BENCH_fleet.json \
               --current build/BENCH_fleet.json [--tolerance 0.2]
@@ -72,8 +74,10 @@ def flag_calibration_bound(tier, run):
 
 # Deterministic work counters every tier pins: hardware-independent,
 # so they must match the baseline exactly (events/sec, a timing, gets
-# the tolerance band instead).
-EXACT_COUNTERS = ("events",)
+# the tolerance band instead).  `events` counts the kernel's events,
+# `calibration_tapes` the full trace-driven engine simulations behind
+# the tier's cost surfaces.
+EXACT_COUNTERS = ("events", "calibration_tapes")
 
 
 def counter_mismatches(pinned, current):

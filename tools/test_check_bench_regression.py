@@ -57,6 +57,7 @@ class CheckMode(unittest.TestCase):
                     "multiturn-scale": {
                         "tier": "multiturn-scale",
                         "events": 5000,
+                        "calibration_tapes": 12,
                         "events_per_sec": 1000.0,
                     }
                 },
@@ -67,6 +68,7 @@ class CheckMode(unittest.TestCase):
         payload = {
             "tier": "multiturn-scale",
             "events": 5000,
+            "calibration_tapes": 12,
             "events_per_sec": 990.0,
         }
         payload.update(fields)
@@ -113,6 +115,39 @@ class CheckMode(unittest.TestCase):
         current = write_json(self.dir.name, "current.json", payload)
         out = run_check(self.baseline, current)
         self.assertIn("ok: within tolerance", out)
+
+    def test_tape_count_mismatch_fails_naming_the_counter(self):
+        # A tier that recorded one tape more or less simulated
+        # different calibration work, whatever the timings say.
+        args = types.SimpleNamespace(
+            baseline=self.baseline,
+            current=self.current(calibration_tapes=11),
+            tolerance=0.2,
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            with self.assertRaises(SystemExit) as caught:
+                TOOL.check(args)
+        self.assertIn("COUNTER MISMATCH", str(caught.exception))
+        self.assertIn("calibration_tapes: 11 vs pinned 12", out.getvalue())
+
+    def test_tape_count_absent_from_either_side_is_skipped(self):
+        # Baselines pinned before the key existed, and runs that do
+        # not emit it, compare only the counters both carry.
+        current = self.current()
+        with open(current, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        del payload["calibration_tapes"]
+        current = write_json(self.dir.name, "current.json", payload)
+        out = run_check(self.baseline, current)
+        self.assertIn("counters exact", out)
+
+        with open(self.baseline, "r", encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        del baseline["tiers"]["multiturn-scale"]["calibration_tapes"]
+        old = write_json(self.dir.name, "old.json", baseline)
+        out = run_check(old, self.current(calibration_tapes=99))
+        self.assertIn("counters exact", out)
 
     def test_unknown_tier_is_a_note_not_a_failure(self):
         out = run_check(
