@@ -30,6 +30,7 @@
  */
 
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -143,6 +144,67 @@ struct LoopMeter
                     static_cast<unsigned long long>(calibrationTapes));
     }
 };
+
+/**
+ * The machine-readable run summary every tier writes under --json
+ * (tools/check_bench_regression.py compares it against the
+ * committed BENCH_fleet.json in CI).  `extra` appends tier-specific
+ * keys just before peak_rss_kib.  True when nothing was asked for
+ * or the file was written.
+ */
+bool
+writeRunJson(const std::string &path, const std::string &tier,
+             std::uint64_t replicas, std::uint32_t requests,
+             double rate, std::uint64_t seed,
+             const std::string &scenario, const std::string &policy,
+             const LoopMeter &meter,
+             const std::function<void(JsonObject &)> &extra = {})
+{
+    if (path.empty())
+        return true;
+    JsonObject json;
+    json.set("bench", "bench_fleet");
+    json.set("tier", tier);
+    json.set("model", "OPT-13B");
+    json.setU64("replicas", replicas);
+    json.setU64("requests", requests);
+    json.setF64("rate_per_sec", rate);
+    json.setU64("seed", seed);
+    json.set("scenario", scenario);
+    json.set("policy", policy);
+    json.setU64("events", meter.events);
+    json.setF64("loop_ms", meter.seconds * 1e3);
+    json.setF64("calibration_ms", meter.calibrationSeconds * 1e3);
+    json.setU64("calibration_tapes", meter.calibrationTapes);
+    json.setF64("events_per_sec",
+                meter.seconds > 0.0
+                    ? static_cast<double>(meter.events) /
+                          meter.seconds
+                    : 0.0);
+    if (extra)
+        extra(json);
+    json.setU64("peak_rss_kib", peakRssKib());
+    return json.writeFile(path);
+}
+
+/**
+ * The reproducibility check closing every tier: render one cell
+ * twice from scratch (`trial` builds a fresh fleet each call) and
+ * compare the rendered rows byte for byte.  Prints both rows and
+ * the verdict; true when they match.
+ */
+bool
+sameTwice(const std::function<std::string()> &trial)
+{
+    banner("Fleet", "determinism: same seed, fresh fleet");
+    const std::string first = trial();
+    std::printf("trial 0: %s\n", first.c_str());
+    const std::string second = trial();
+    std::printf("trial 1: %s\n", second.c_str());
+    const bool identical = second == first;
+    std::printf("byte-identical: %s\n", identical ? "yes" : "NO");
+    return identical;
+}
 
 /**
  * The policy-comparison sections beside the sweep: SLO-aware vs
@@ -449,54 +511,19 @@ main(int argc, char **argv)
                     "the cached history outweighs the backlog "
                     "gap\n");
 
-        bool json_ok = true;
-        if (!json_path.empty()) {
-            std::string tier =
-                scale ? "multiturn-scale" : "multiturn";
-            if (smoke)
-                tier += "-smoke";
-            JsonObject json;
-            json.set("bench", "bench_fleet");
-            json.set("tier", tier);
-            json.set("model", "OPT-13B");
-            json.setU64("replicas", sizes.front());
-            json.setU64("requests", requests);
-            json.setF64("rate_per_sec", rate);
-            json.setU64("seed", seed);
-            json.set("scenario", scenario_name);
-            json.set("policy", policy_name);
-            json.setU64("events", meter.events);
-            json.setF64("loop_ms", meter.seconds * 1e3);
-            json.setF64("calibration_ms",
-                        meter.calibrationSeconds * 1e3);
-            json.setU64("calibration_tapes", meter.calibrationTapes);
-            json.setF64("events_per_sec",
-                        meter.seconds > 0.0
-                            ? static_cast<double>(meter.events) /
-                                  meter.seconds
-                            : 0.0);
-            json.setU64("peak_rss_kib", peakRssKib());
-            json_ok = json.writeFile(json_path);
-        }
+        std::string tier = scale ? "multiturn-scale" : "multiturn";
+        if (smoke)
+            tier += "-smoke";
+        const bool json_ok =
+            writeRunJson(json_path, tier, sizes.front(), requests,
+                         rate, seed, scenario_name, policy_name, meter);
 
-        banner("Fleet", "determinism: same seed, fresh fleet");
-        std::string first;
-        bool identical = true;
-        for (int trial = 0; trial < 2; ++trial) {
-            const auto report =
-                run_control(sizes.front(), "affinity");
-            const std::string row =
-                fleetRow(report) + " e2eP99=" +
-                TextTable::num(
-                    fleet::latencyPercentile(report, 99.0), 4);
-            std::printf("trial %d: %s\n", trial, row.c_str());
-            if (trial == 0)
-                first = row;
-            else
-                identical = row == first;
-        }
-        std::printf("byte-identical: %s\n",
-                    identical ? "yes" : "NO");
+        const bool identical = sameTwice([&] {
+            const auto report = run_control(sizes.front(), "affinity");
+            return fleetRow(report) + " e2eP99=" +
+                   TextTable::num(
+                       fleet::latencyPercentile(report, 99.0), 4);
+        });
         return identical && json_ok ? 0 : 1;
     }
 
@@ -587,61 +614,27 @@ main(int argc, char **argv)
                     "bills each replica from activation to "
                     "retirement\n");
 
-        bool json_ok = true;
-        if (!json_path.empty()) {
-            JsonObject json;
-            json.set("bench", "bench_fleet");
-            json.set("tier",
-                     smoke ? "autoscale-smoke" : "autoscale");
-            json.set("model", "OPT-13B");
-            json.setU64("replicas", 1);
-            json.setU64("requests", requests);
-            json.setF64("rate_per_sec", rate);
-            json.setU64("seed", seed);
-            json.set("scenario", scenario_name);
-            json.set("policy", "true-jsq+target-backlog");
-            json.setU64("events", meter.events);
-            json.setF64("loop_ms", meter.seconds * 1e3);
-            json.setF64("calibration_ms",
-                        meter.calibrationSeconds * 1e3);
-            json.setU64("calibration_tapes", meter.calibrationTapes);
-            json.setF64("events_per_sec",
-                        meter.seconds > 0.0
-                            ? static_cast<double>(meter.events) /
-                                  meter.seconds
-                            : 0.0);
-            // The autoscaling cost accounting: what the scaler
-            // run actually paid, so the frontier point is
-            // machine-readable alongside the kernel throughput.
-            json.setF64("replica_seconds", scaled.replicaSeconds);
-            json.setF64("cost_per_request",
-                        scaled.costPerRequest);
-            json.setU64("spawned_replicas",
-                        scaled.kernelStats.spawnedReplicas);
-            json.setU64("retired_replicas",
-                        scaled.kernelStats.retiredReplicas);
-            json.setU64("peak_rss_kib", peakRssKib());
-            json_ok = json.writeFile(json_path);
-        }
+        const bool json_ok = writeRunJson(
+            json_path, smoke ? "autoscale-smoke" : "autoscale", 1,
+            requests, rate, seed, scenario_name,
+            "true-jsq+target-backlog", meter, [&](JsonObject &json) {
+                // The autoscaling cost accounting: what the scaler
+                // run actually paid, so the frontier point is
+                // machine-readable alongside the kernel throughput.
+                json.setF64("replica_seconds", scaled.replicaSeconds);
+                json.setF64("cost_per_request", scaled.costPerRequest);
+                json.setU64("spawned_replicas",
+                            scaled.kernelStats.spawnedReplicas);
+                json.setU64("retired_replicas",
+                            scaled.kernelStats.retiredReplicas);
+            });
 
-        banner("Fleet", "determinism: same seed, fresh fleet");
-        std::string first;
-        bool identical = true;
-        for (int trial = 0; trial < 2; ++trial) {
+        const bool identical = sameTwice([&] {
             const auto report = run_scaled();
-            const std::string row =
-                fleetRow(report) + " rs=" +
-                TextTable::num(report.replicaSeconds, 4) +
-                " cost=" +
-                TextTable::num(report.costPerRequest, 6);
-            std::printf("trial %d: %s\n", trial, row.c_str());
-            if (trial == 0)
-                first = row;
-            else
-                identical = row == first;
-        }
-        std::printf("byte-identical: %s\n",
-                    identical ? "yes" : "NO");
+            return fleetRow(report) + " rs=" +
+                   TextTable::num(report.replicaSeconds, 4) +
+                   " cost=" + TextTable::num(report.costPerRequest, 6);
+        });
         return identical && json_ok ? 0 : 1;
     }
 
@@ -720,38 +713,13 @@ main(int argc, char **argv)
         "misses the deadline;\ntrue-jsq/least-backlog route on "
         "observed replica state at the arrival event\n");
 
-    bool json_ok = true;
-    if (!json_path.empty()) {
-        // Machine-readable mirror of the kernel-loop measurement;
-        // tools/check_bench_regression.py compares events_per_sec
-        // against the committed BENCH_fleet.json in CI.
-        std::string tier =
-            huge ? "huge" : (scale ? "scale" : "default");
-        if (smoke)
-            tier += "-smoke";
-        JsonObject json;
-        json.set("bench", "bench_fleet");
-        json.set("tier", tier);
-        json.set("model", "OPT-13B");
-        json.setU64("replicas", sweep.fleetSizes.front());
-        json.setU64("requests", requests);
-        json.setF64("rate_per_sec", rate);
-        json.setU64("seed", seed);
-        json.set("scenario", scenario_name);
-        json.set("policy", policy_name);
-        json.setU64("events", meter.events);
-        json.setF64("loop_ms", meter.seconds * 1e3);
-        json.setF64("calibration_ms",
-                    meter.calibrationSeconds * 1e3);
-        json.setU64("calibration_tapes", meter.calibrationTapes);
-        json.setF64("events_per_sec",
-                    meter.seconds > 0.0
-                        ? static_cast<double>(meter.events) /
-                              meter.seconds
-                        : 0.0);
-        json.setU64("peak_rss_kib", peakRssKib());
-        json_ok = json.writeFile(json_path);
-    }
+    std::string tier = huge ? "huge" : (scale ? "scale" : "default");
+    if (smoke)
+        tier += "-smoke";
+    const bool json_ok =
+        writeRunJson(json_path, tier, sweep.fleetSizes.front(),
+                     requests, rate, seed, scenario_name, policy_name,
+                     meter);
     if (huge) {
         // The huge tier exists to prove the kernel completes a
         // million-request fleet; the policy-comparison sections
@@ -760,26 +728,15 @@ main(int argc, char **argv)
     }
     compareLifecycle(sweep, platform, llm, requests);
 
-    banner("Fleet", "determinism: same seed, fresh fleet");
     const auto scenario = sweep.scenarios.back();
-    const sched::RouterPolicy check_policy =
-        sweep.policies.front();
-    std::string first;
-    bool identical = true;
-    for (int trial = 0; trial < 2; ++trial) {
+    const sched::RouterPolicy check_policy = sweep.policies.front();
+    const bool identical = sameTwice([&] {
         fleet::FleetSimulator simulator(
             fleetConfig(sweep, platform, sweep.fleetSizes.front(),
                         check_policy),
             llm);
-        const std::string row =
-            fleetRow(simulator.run(
-                serving::generateWorkload(scenario)));
-        std::printf("trial %d: %s\n", trial, row.c_str());
-        if (trial == 0)
-            first = row;
-        else
-            identical = row == first;
-    }
-    std::printf("byte-identical: %s\n", identical ? "yes" : "NO");
+        return fleetRow(
+            simulator.run(serving::generateWorkload(scenario)));
+    });
     return identical && json_ok ? 0 : 1;
 }

@@ -35,7 +35,7 @@ class LongToFastestPolicy final : public sched::ControlPolicy
   public:
     std::string name() const override { return "long-to-fastest"; }
 
-    void begin(const sched::ControlContext &) override { next_ = 0; }
+    void begin() override { next_ = 0; }
 
     void onArrival(const sched::ArrivalContext &context,
                    const sched::FleetView &view,

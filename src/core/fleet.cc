@@ -92,24 +92,51 @@ spawnedReplicaName(std::uint64_t index)
 }
 
 /**
- * Cost group of the newly constructed replicas[index]: the first
- * earlier group leader whose cost surface it can share
- * (ServingSimulator::shareCostsWith), else its own index — it leads
- * a new group.  One loop for the configured fleet and mid-run
- * spawns alike.
+ * Append a replica built from (system, serving) to the table and
+ * join it to the first earlier cost-surface leader whose surface it
+ * can share (ServingSimulator::shareCostsWith), else let it lead a
+ * new group.  One path for the configured fleet and mid-run spawns
+ * alike.  Returns the new replica's simulator.
  */
-std::size_t
-joinCostGroup(
-    const std::vector<std::unique_ptr<serving::ServingSimulator>>
-        &replicas,
-    const std::vector<std::size_t> &cache_group_of, std::size_t index)
+serving::ServingSimulator &
+appendReplica(std::vector<FleetSimulator::Replica> &replicas,
+              const runtime::SystemConfig &system,
+              const model::LlmConfig &llm,
+              const serving::ServingConfig &serving)
 {
+    const std::size_t index = replicas.size();
+    replicas.push_back(FleetSimulator::Replica{
+        std::make_unique<serving::ServingSimulator>(system, llm,
+                                                    serving),
+        index});
+    FleetSimulator::Replica &replica = replicas.back();
     for (std::size_t j = 0; j < index; ++j) {
-        if (cache_group_of[j] == j &&
-            replicas[index]->shareCostsWith(*replicas[j]))
-            return j;
+        if (replicas[j].leadsCostGroup(j) &&
+            replica.simulator->shareCostsWith(*replicas[j].simulator)) {
+            replica.costLeader = j;
+            break;
+        }
     }
-    return index;
+    return *replica.simulator;
+}
+
+/**
+ * The power-of-two batch ramp up to `max_batch`: 1, 2, 4, ...,
+ * ending at `max_batch` itself (capped when it is not a power of
+ * two).  The batch buckets the admission loop touches as batches
+ * grow, which calibration probes and a spawned replica's warm-up
+ * replays.
+ */
+std::vector<std::uint32_t>
+batchRamp(std::uint32_t max_batch)
+{
+    std::vector<std::uint32_t> ramp;
+    for (std::uint32_t batch = 1;; batch *= 2) {
+        ramp.push_back(std::min(batch, max_batch));
+        if (batch >= max_batch)
+            break;
+    }
+    return ramp;
 }
 
 /**
@@ -179,14 +206,11 @@ calibrateReplicaModel(serving::ServingSimulator &simulator,
         std::max<std::uint64_t>(shape.maxPrompt, 1);
     const std::uint64_t far_context =
         std::max<std::uint64_t>(shape.maxContext, 1);
-    for (std::uint32_t ramp = 1;; ramp *= 2) {
-        const std::uint32_t batch = std::min(ramp, max_batch);
+    for (const std::uint32_t batch : batchRamp(max_batch)) {
         simulator.prefillSeconds(batch, shape.typicalPrompt);
         simulator.tokenSeconds(batch, shape.typicalContext);
         simulator.prefillSeconds(batch, far_prompt);
         simulator.tokenSeconds(batch, far_context);
-        if (ramp >= max_batch)
-            break;
     }
     return model;
 }
@@ -203,14 +227,11 @@ Seconds
 warmupReplaySeconds(serving::ServingSimulator &simulator,
                     const WorkloadShape &shape)
 {
-    const std::uint32_t max_batch = simulator.config().maxBatch;
     double total = 0.0;
-    for (std::uint32_t ramp = 1;; ramp *= 2) {
-        const std::uint32_t batch = std::min(ramp, max_batch);
+    for (const std::uint32_t batch :
+         batchRamp(simulator.config().maxBatch)) {
         total += simulator.prefillSeconds(batch, shape.typicalPrompt);
         total += simulator.tokenSeconds(batch, shape.typicalContext);
-        if (ramp >= max_batch)
-            break;
     }
     return total;
 }
@@ -295,9 +316,9 @@ class IdIndex
 /** The merge joins replica rows back to the trace by request id;
  * duplicates would make the join ambiguous. */
 void
-requireUniqueIds(const std::vector<serving::ServedRequest> &workload)
+requireUniqueIds(const IdIndex &ids)
 {
-    if (IdIndex(workload).hasDuplicateIds())
+    if (ids.hasDuplicateIds())
         throw std::invalid_argument(
             "FleetSimulator: request ids must be unique "
             "(the report merge joins by id)");
@@ -315,49 +336,37 @@ class EventKernel final : public sched::FleetView,
                           public sched::FleetActions
 {
   public:
-    EventKernel(
-        const FleetConfig &config, const model::LlmConfig &llm,
-        std::vector<std::unique_ptr<serving::ServingSimulator>>
-            &replicas,
-        std::vector<std::size_t> &cache_group_of,
-        std::vector<sched::ReplicaModel> models,
-        const WorkloadShape &shape, FleetReport &report,
-        std::vector<serving::ServedRequest> &workload,
-        sched::ControlPolicy &control,
-        const serving::SessionTrace *sessions)
+    EventKernel(const FleetConfig &config, const model::LlmConfig &llm,
+                std::vector<FleetSimulator::Replica> &replicas,
+                std::vector<sched::ReplicaModel> models,
+                const WorkloadShape &shape, FleetReport &report,
+                std::vector<serving::ServedRequest> &workload,
+                const IdIndex &ids, sched::ControlPolicy &control,
+                const serving::SessionTrace *sessions)
         : config_(config), llm_(llm), replicas_(replicas),
-          cacheGroupOf_(cache_group_of),
-          models_(std::move(models)), shape_(shape),
-          report_(report), workload_(workload),
-          control_(control), wants_(control.wants()),
+          shape_(shape), report_(report), workload_(workload),
+          ids_(ids), control_(control), wants_(control.wants()),
           sessions_(sessions),
           tracksChanges_(
-              (wants_ & sched::ControlPolicy::kReplicaChanges) != 0),
-          idIndex_(workload)
+              (wants_ & sched::ControlPolicy::kReplicaChanges) != 0)
     {
+        // The configured fleet is born Active; spawnReplica appends
+        // a record per spawned replica, so every per-replica lookup
+        // reads runs_, never config_.replicas.
         const std::size_t n = replicas_.size();
-        // The kernel owns a mutable replica table: spawnReplica
-        // appends to it mid-run, so every per-replica lookup reads
-        // specs_ (seeded from the configured fleet), never
-        // config_.replicas.
-        specs_.reserve(n);
-        for (const ReplicaConfig &replica : config_.replicas) {
-            sched::ReplicaSpec spec;
-            spec.name = replica.name;
-            spec.system = replica.system;
-            spec.serving = replica.serving;
-            specs_.push_back(std::move(spec));
+        runs_.reserve(n);
+        for (std::size_t r = 0; r < n; ++r) {
+            const ReplicaConfig &replica = config_.replicas[r];
+            ReplicaRun run;
+            run.model = models[r];
+            run.spec.name = replica.name;
+            run.spec.system = replica.system;
+            run.spec.serving = replica.serving;
+            runs_.push_back(std::move(run));
         }
-        lifecycle_.assign(n, sched::ReplicaLifecycle::Active);
-        activeStart_.assign(n, 0.0);
-        retiredAt_.assign(n, -1.0);
-        warmupSeconds_.assign(n, 0.0);
-        wakeScheduled_.assign(n, 0);
-        deadNotified_.assign(n, 0);
         // The whole fleet starts changed, so the first flush lists
         // everyone; afterwards only replicas the kernel touched
         // since the previous flush are listed.
-        changedFlag_.assign(n, 0);
         for (std::size_t r = 0; r < n; ++r)
             markChanged(r);
     }
@@ -366,15 +375,15 @@ class EventKernel final : public sched::FleetView,
     void
     run()
     {
-        control_.begin(sched::ControlContext{config_.ttftDeadline});
+        control_.begin();
         // Pre-reserve the per-replica session tables for a fair
         // share of the trace (a hint: stealing and skew can exceed
         // it) so bulk phases do not reallocate them mid-run.
         const std::size_t expected =
             workload_.size() / replicas_.size() + 16;
-        for (auto &replica : replicas_) {
-            replica->beginSession();
-            replica->reserveSession(expected);
+        for (FleetSimulator::Replica &replica : replicas_) {
+            replica.simulator->beginSession();
+            replica.simulator->reserveSession(expected);
         }
         report_.assignment.assign(workload_.size(), -1);
         // Shard the event queue per replica and pre-reserve every
@@ -419,8 +428,8 @@ class EventKernel final : public sched::FleetView,
             case sim::EventKind::Wake: {
                 const auto r =
                     static_cast<std::size_t>(event.replica);
-                wakeScheduled_[r] = 0;
-                if (!replicas_[r]->busy())
+                runs_[r].wakeScheduled = false;
+                if (!simulator(r).busy())
                     advance(r, event.time);
                 break;
             }
@@ -429,8 +438,7 @@ class EventKernel final : public sched::FleetView,
                 const auto r =
                     static_cast<std::size_t>(event.replica);
                 markChanged(r);
-                for (const std::uint64_t id :
-                     replicas_[r]->completeWork())
+                for (const std::uint64_t id : simulator(r).completeWork())
                     queue_.push(event.time,
                                 sim::EventKind::RequestDone,
                                 event.replica, id);
@@ -450,7 +458,7 @@ class EventKernel final : public sched::FleetView,
                 // A hook may have restarted this very replica (a
                 // steal into the replica that just finished); only
                 // an idle replica takes a fresh boundary.
-                if (!replicas_[r]->busy())
+                if (!simulator(r).busy())
                     advance(r, event.time);
                 break;
             }
@@ -494,19 +502,17 @@ class EventKernel final : public sched::FleetView,
         // never retired.  Provisioning and warming time is billable
         // — the instance is up.
         const Seconds end = queue_.now();
-        report_.replicaActiveSeconds.reserve(replicas_.size());
-        for (std::size_t r = 0; r < replicas_.size(); ++r) {
+        for (std::size_t r = 0; r < runs_.size(); ++r) {
+            const ReplicaRun &run = runs_[r];
             const Seconds stop =
-                retiredAt_[r] >= 0.0 ? retiredAt_[r] : end;
+                run.retiredAt >= 0.0 ? run.retiredAt : end;
+            report_.replicaNames.push_back(run.spec.name);
             report_.replicaActiveSeconds.push_back(
-                std::max(0.0, stop - activeStart_[r]));
+                std::max(0.0, stop - run.activeStart));
             report_.replicaSeconds +=
                 report_.replicaActiveSeconds.back();
+            report_.replicaReports.push_back(simulator(r).finishSession());
         }
-
-        for (auto &replica : replicas_)
-            report_.replicaReports.push_back(
-                replica->finishSession());
     }
 
     // ---- sched::FleetView ----
@@ -514,51 +520,37 @@ class EventKernel final : public sched::FleetView,
     std::uint32_t
     replicaCount() const override
     {
-        return static_cast<std::uint32_t>(replicas_.size());
+        return static_cast<std::uint32_t>(runs_.size());
     }
 
     const sched::ReplicaModel &
     model(std::uint32_t replica) const override
     {
-        return models_.at(replica);
-    }
-
-    std::uint32_t
-    maxBatch(std::uint32_t replica) const override
-    {
-        return specs_.at(replica).serving.maxBatch;
+        return runs_.at(replica).model;
     }
 
     bool
     busy(std::uint32_t replica) const override
     {
-        return replicas_.at(replica)->busy();
+        return simulator(replica).busy();
     }
 
     bool
     knownServable(std::uint32_t replica) const override
     {
-        return replicas_.at(replica)->knownServable();
+        return simulator(replica).knownServable();
     }
 
     bool
     knownDead(std::uint32_t replica) const override
     {
-        return replicas_.at(replica)->knownDead();
-    }
-
-    bool
-    draining(std::uint32_t replica) const override
-    {
-        const sched::ReplicaLifecycle lifecycle = lifecycle_.at(replica);
-        return lifecycle == sched::ReplicaLifecycle::Draining ||
-               lifecycle == sched::ReplicaLifecycle::Retired;
+        return simulator(replica).knownDead();
     }
 
     sched::ReplicaLifecycle
     lifecycle(std::uint32_t replica) const override
     {
-        return lifecycle_.at(replica);
+        return runs_.at(replica).lifecycle;
     }
 
     sched::ReplicaSpec
@@ -567,7 +559,7 @@ class EventKernel final : public sched::FleetView,
         // The name identifies the instance, not the spec template:
         // a scaler cloning this spec gets a fresh "s<k>" default
         // instead of a report full of duplicate names.
-        sched::ReplicaSpec spec = specs_.at(replica);
+        sched::ReplicaSpec spec = runs_.at(replica).spec;
         spec.name.clear();
         return spec;
     }
@@ -575,45 +567,45 @@ class EventKernel final : public sched::FleetView,
     std::uint32_t
     queuedCount(std::uint32_t replica) const override
     {
-        return replicas_.at(replica)->queuedCount();
+        return simulator(replica).queuedCount();
     }
 
     std::uint32_t
     observedOutstanding(std::uint32_t replica) const override
     {
-        return replicas_.at(replica)->observedOutstanding();
+        return simulator(replica).observedOutstanding();
     }
 
     double
     observedBacklogTokens(std::uint32_t replica) const override
     {
-        return replicas_.at(replica)->observedBacklogTokens();
+        return simulator(replica).observedBacklogTokens();
     }
 
     std::vector<serving::RequestInfo>
     runningRequests(std::uint32_t replica) const override
     {
-        return replicas_.at(replica)->runningInfos();
+        return simulator(replica).runningInfos();
     }
 
     std::vector<serving::RequestInfo>
     queuedRequests(std::uint32_t replica) const override
     {
-        return replicas_.at(replica)->queuedInfos();
+        return simulator(replica).queuedInfos();
     }
 
     serving::RequestState
     requestState(std::uint32_t replica,
                  std::uint64_t id) const override
     {
-        return replicas_.at(replica)->stateOf(id);
+        return simulator(replica).stateOf(id);
     }
 
     std::uint64_t
     cachedSessionTokens(std::uint32_t replica,
                         std::uint64_t session) const override
     {
-        return replicas_.at(replica)->cachedSessionTokens(session);
+        return simulator(replica).cachedSessionTokens(session);
     }
 
     Seconds
@@ -628,20 +620,20 @@ class EventKernel final : public sched::FleetView,
     routeTo(std::uint32_t replica) override
     {
         requireArrival("routeTo");
-        if (replica >= replicas_.size())
+        if (replica >= runs_.size())
             throw std::logic_error(
                 "FleetActions::routeTo: replica out of range");
-        if (lifecycle_[replica] != sched::ReplicaLifecycle::Active)
+        if (runs_[replica].lifecycle != sched::ReplicaLifecycle::Active)
             throw std::logic_error(
                 "FleetActions::routeTo: replica is " +
-                sched::replicaLifecycleName(lifecycle_[replica]) +
+                sched::replicaLifecycleName(runs_[replica].lifecycle) +
                 ", not active — only Active replicas are "
                 "routable");
         decided_ = true;
         report_.assignment[arrivalIndex_] =
             static_cast<int>(replica);
         markChanged(replica);
-        replicas_[replica]->deliver(workload_[arrivalIndex_]);
+        simulator(replica).deliver(workload_[arrivalIndex_]);
         // Wake an idle replica once all same-instant arrivals are
         // delivered (Wake sorts after Arrival at a tie), so a
         // simultaneous burst prefills as one group, exactly like
@@ -662,8 +654,7 @@ class EventKernel final : public sched::FleetView,
     steal(std::uint32_t thief, std::uint32_t victim,
           std::uint32_t max_count) override
     {
-        if (thief >= replicas_.size() ||
-            victim >= replicas_.size())
+        if (thief >= runs_.size() || victim >= runs_.size())
             throw std::logic_error(
                 "FleetActions::steal: replica out of range");
         if (thief == victim)
@@ -672,35 +663,35 @@ class EventKernel final : public sched::FleetView,
         if (max_count == 0)
             throw std::logic_error(
                 "FleetActions::steal: zero count");
-        if (!replicas_[thief]->knownServable())
+        if (!simulator(thief).knownServable())
             throw std::logic_error(
                 "FleetActions::steal: thief cannot serve (dead "
                 "or unprobed) — it would strand the work");
-        if (lifecycle_[thief] != sched::ReplicaLifecycle::Active)
+        if (runs_[thief].lifecycle != sched::ReplicaLifecycle::Active)
             throw std::logic_error(
                 "FleetActions::steal: thief is " +
-                sched::replicaLifecycleName(lifecycle_[thief]) +
+                sched::replicaLifecycleName(runs_[thief].lifecycle) +
                 ", not active — it accepts no new work");
-        if (replicas_[victim]->queuedCount() == 0)
+        if (simulator(victim).queuedCount() == 0)
             throw std::logic_error(
                 "FleetActions::steal: victim has no queued "
                 "requests (running requests cannot be stolen)");
         const std::vector<serving::ServedRequest> stolen =
-            replicas_[victim]->stealQueued(max_count);
+            simulator(victim).stealQueued(max_count);
         markChanged(thief);
         markChanged(victim);
         ++report_.kernelStats.steals;
         report_.kernelStats.stolenRequests += stolen.size();
         for (const serving::ServedRequest &request : stolen) {
-            report_.assignment[idIndex_.at(request.id)] =
+            report_.assignment[ids_.at(request.id)] =
                 static_cast<int>(thief);
-            replicas_[thief]->deliver(request);
+            simulator(thief).deliver(request);
         }
         // An idle thief starts the stolen group at once, exactly
         // like the legacy stealing hook.
-        if (!replicas_[thief]->busy())
+        if (!simulator(thief).busy())
             schedule(thief,
-                     replicas_[thief]->startNextWork(queue_.now()));
+                     simulator(thief).startNextWork(queue_.now()));
         flushChanges();
         return static_cast<std::uint32_t>(stolen.size());
     }
@@ -710,23 +701,23 @@ class EventKernel final : public sched::FleetView,
     {
         requireCapability(sched::ControlPolicy::kPreempt,
                           "preempt", "kPreempt");
-        if (replica >= replicas_.size())
+        if (replica >= runs_.size())
             throw std::logic_error(
                 "FleetActions::preempt: replica out of range");
-        if (replicas_[replica]->busy())
+        if (simulator(replica).busy())
             throw std::logic_error(
                 "FleetActions::preempt: replica is mid-step — "
                 "preemption happens at decode boundaries");
         // Throws on a queued/unknown id before any state changes.
         const serving::ResumableRequest resumed =
-            replicas_[replica]->preempt(id);
+            simulator(replica).preempt(id);
         markChanged(replica);
         ++report_.kernelStats.preemptions;
         // The KV stays cached on the replica: requeueing is free,
         // and the priority-aware admission decides who gets the
         // freed slot at the next boundary.
-        replicas_[replica]->deliverResumed(resumed, queue_.now(),
-                                           resumed.contextLength());
+        simulator(replica).deliverResumed(resumed, queue_.now(),
+                                          resumed.contextLength());
         wakeIfIdle(replica);
         flushChanges();
     }
@@ -736,17 +727,17 @@ class EventKernel final : public sched::FleetView,
     {
         requireCapability(sched::ControlPolicy::kMigrate,
                           "migrate", "kMigrate");
-        if (to_replica >= replicas_.size())
+        if (to_replica >= runs_.size())
             throw std::logic_error(
                 "FleetActions::migrate: destination out of range");
-        if (lifecycle_[to_replica] !=
+        if (runs_[to_replica].lifecycle !=
             sched::ReplicaLifecycle::Active)
             throw std::logic_error(
                 "FleetActions::migrate: destination is " +
                 sched::replicaLifecycleName(
-                    lifecycle_[to_replica]) +
+                    runs_[to_replica].lifecycle) +
                 ", not active — it accepts no new work");
-        if (replicas_[to_replica]->knownDead())
+        if (simulator(to_replica).knownDead())
             throw std::logic_error(
                 "FleetActions::migrate: destination is dead — the "
                 "request would strand again");
@@ -755,7 +746,7 @@ class EventKernel final : public sched::FleetView,
                 "FleetActions::migrate: request " +
                 std::to_string(id) +
                 " is already migrating (KV in flight)");
-        const std::size_t workload_index = idIndex_.find(id);
+        const std::size_t workload_index = ids_.find(id);
         if (workload_index == IdIndex::npos)
             throw std::logic_error(
                 "FleetActions::migrate: unknown request " +
@@ -774,7 +765,7 @@ class EventKernel final : public sched::FleetView,
                 std::to_string(id) +
                 " is already on the destination");
 
-        serving::ServingSimulator &source = *replicas_[from];
+        serving::ServingSimulator &source = simulator(from);
         serving::ResumableRequest resumed;
         switch (source.stateOf(id)) {
         case serving::RequestState::Queued:
@@ -802,7 +793,7 @@ class EventKernel final : public sched::FleetView,
         // (zero-length context — a request that never started —
         // moves instantly).
         const Seconds transfer = kvMigrationSeconds(
-            specs_[from].system, llm_,
+            runs_[from].spec.system, llm_,
             resumed.tokensGenerated == 0 ? 0
                                          : resumed.contextLength());
         report_.kernelStats.kvTransferSeconds += transfer;
@@ -818,11 +809,11 @@ class EventKernel final : public sched::FleetView,
     {
         requireCapability(sched::ControlPolicy::kSpawn,
                           "spawnReplica", "kSpawn");
-        const auto index =
-            static_cast<std::uint32_t>(replicas_.size());
-        sched::ReplicaSpec stored = spec;
-        if (stored.name.empty())
-            stored.name = spawnedReplicaName(
+        const auto index = static_cast<std::uint32_t>(runs_.size());
+        ReplicaRun run;
+        run.spec = spec;
+        if (run.spec.name.empty())
+            run.spec.name = spawnedReplicaName(
                 report_.kernelStats.spawnedReplicas);
 
         // Construct the replica and join a matching cost surface,
@@ -830,29 +821,18 @@ class EventKernel final : public sched::FleetView,
         // cells match an existing replica's shares its calibrated
         // surface bit-identically, so the calibration below is warm
         // hits wherever the surface already reaches.
-        replicas_.push_back(
-            std::make_unique<serving::ServingSimulator>(
-                stored.system, llm_, stored.serving));
-        serving::ServingSimulator &replica = *replicas_[index];
-        cacheGroupOf_.push_back(
-            joinCostGroup(replicas_, cacheGroupOf_, index));
+        serving::ServingSimulator &replica = appendReplica(
+            replicas_, run.spec.system, llm_, run.spec.serving);
 
         // Calibrate now — cold engine simulations (if any) bill to
         // the run's calibrationSeconds through the cache-group
         // accounting — and price the Warming phase on the freshly
         // warmed surface.
-        models_.push_back(calibrateReplicaModel(replica, shape_));
-        const Seconds warmup = warmupReplaySeconds(replica, shape_);
-
-        report_.replicaNames.push_back(stored.name);
-        specs_.push_back(std::move(stored));
-        lifecycle_.push_back(sched::ReplicaLifecycle::Provisioning);
-        activeStart_.push_back(queue_.now());
-        retiredAt_.push_back(-1.0);
-        warmupSeconds_.push_back(warmup);
-        wakeScheduled_.push_back(0);
-        deadNotified_.push_back(0);
-        changedFlag_.push_back(0);
+        run.model = calibrateReplicaModel(replica, shape_);
+        run.warmupSeconds = warmupReplaySeconds(replica, shape_);
+        run.lifecycle = sched::ReplicaLifecycle::Provisioning;
+        run.activeStart = queue_.now();
+        runs_.push_back(std::move(run));
         markChanged(index);
         replica.beginSession();
         replica.reserveSession(16);
@@ -872,13 +852,13 @@ class EventKernel final : public sched::FleetView,
     void
     requestDrain(std::uint32_t replica) override
     {
-        if (replica >= replicas_.size())
+        if (replica >= runs_.size())
             throw std::logic_error(
                 "FleetActions::requestDrain: replica out of "
                 "range");
         if (!draining(replica)) {
             ++report_.kernelStats.drainRequests;
-            lifecycle_[replica] = sched::ReplicaLifecycle::Draining;
+            runs_[replica].lifecycle = sched::ReplicaLifecycle::Draining;
             markChanged(replica);
             // An empty idle replica (or one drained mid-spawn,
             // before it ever went Active) retires on the spot.
@@ -896,6 +876,38 @@ class EventKernel final : public sched::FleetView,
     };
 
     /**
+     * Everything the kernel knows about one replica during a run,
+     * in one place: the per-event flags first (they are read on
+     * every event), then the lifecycle (configured replicas are
+     * born Active; spawned ones walk Provisioning → Warming →
+     * Active) with its cost-accounting clock — the spawn instant,
+     * the retire instant (-1 while alive) and the Warming phase's
+     * replay length — and finally the calibrated model and the spec
+     * the replica was built from, so model / replicaSpec / migrate
+     * lookups cover spawned replicas too.
+     */
+    struct ReplicaRun
+    {
+        bool wakeScheduled = false; ///< A same-instant Wake is queued.
+        bool deadNotified = false;  ///< onReplicaDead already fired.
+        bool changed = false;       ///< Listed on the change list.
+        sched::ReplicaLifecycle lifecycle =
+            sched::ReplicaLifecycle::Active;
+        Seconds activeStart = 0.0;
+        Seconds retiredAt = -1.0;
+        Seconds warmupSeconds = 0.0;
+        sched::ReplicaModel model;
+        sched::ReplicaSpec spec;
+    };
+
+    /** Replica `r`'s simulator (bounds-checked: policies pass ids). */
+    serving::ServingSimulator &
+    simulator(std::size_t replica) const
+    {
+        return *replicas_.at(replica).simulator;
+    }
+
+    /**
      * The kernel is the only actor that mutates replicas, so every
      * mutation — deliver, steal, migrate, preempt, start/complete
      * work (and the capability probe inside it), every lifecycle
@@ -905,8 +917,8 @@ class EventKernel final : public sched::FleetView,
     void
     markChanged(std::size_t replica)
     {
-        if (tracksChanges_ && !changedFlag_[replica]) {
-            changedFlag_[replica] = 1;
+        if (tracksChanges_ && !runs_[replica].changed) {
+            runs_[replica].changed = true;
             changed_.push_back(static_cast<std::uint32_t>(replica));
         }
     }
@@ -925,7 +937,7 @@ class EventKernel final : public sched::FleetView,
             return;
         control_.onReplicasChanged(changed_, *this);
         for (const std::uint32_t r : changed_)
-            changedFlag_[r] = 0;
+            runs_[r].changed = false;
         changed_.clear();
     }
 
@@ -933,11 +945,11 @@ class EventKernel final : public sched::FleetView,
     void
     wakeIfIdle(std::uint32_t replica)
     {
-        if (!replicas_[replica]->busy() &&
-            !wakeScheduled_[replica]) {
+        if (!simulator(replica).busy() &&
+            !runs_[replica].wakeScheduled) {
             queue_.push(queue_.now(), sim::EventKind::Wake,
                         static_cast<std::int32_t>(replica), 0);
-            wakeScheduled_[replica] = 1;
+            runs_[replica].wakeScheduled = true;
         }
     }
 
@@ -945,18 +957,18 @@ class EventKernel final : public sched::FleetView,
     void
     onReplicaReadyEvent(std::size_t replica, Seconds now)
     {
-        switch (lifecycle_[replica]) {
+        switch (runs_[replica].lifecycle) {
         case sched::ReplicaLifecycle::Provisioning:
             // The instance is up: replay the batch-ramp warm-up as
             // its first (virtual) steps, then go Active.
-            lifecycle_[replica] = sched::ReplicaLifecycle::Warming;
+            runs_[replica].lifecycle = sched::ReplicaLifecycle::Warming;
             markChanged(replica);
-            queue_.push(now + warmupSeconds_[replica],
+            queue_.push(now + runs_[replica].warmupSeconds,
                         sim::EventKind::ReplicaReady,
                         static_cast<std::int32_t>(replica), 0);
             break;
         case sched::ReplicaLifecycle::Warming:
-            lifecycle_[replica] = sched::ReplicaLifecycle::Active;
+            runs_[replica].lifecycle = sched::ReplicaLifecycle::Active;
             markChanged(replica);
             // The replica is routable from this instant; take an
             // idle boundary now so onReplicaIdle subscribers
@@ -980,19 +992,19 @@ class EventKernel final : public sched::FleetView,
     void
     maybeRetire(std::size_t replica, Seconds now)
     {
-        if (lifecycle_[replica] !=
+        if (runs_[replica].lifecycle !=
             sched::ReplicaLifecycle::Draining)
             return;
-        if (replicas_[replica]->busy() ||
-            replicas_[replica]->observedOutstanding() > 0)
+        if (simulator(replica).busy() ||
+            simulator(replica).observedOutstanding() > 0)
             return;
         for (const auto &entry : resumesInFlight_) {
             if (entry.second.destination == replica)
                 return; // Committed before the drain; wait for it.
         }
-        lifecycle_[replica] = sched::ReplicaLifecycle::Retired;
+        runs_[replica].lifecycle = sched::ReplicaLifecycle::Retired;
         markChanged(replica);
-        retiredAt_[replica] = now;
+        runs_[replica].retiredAt = now;
         ++report_.kernelStats.retiredReplicas;
     }
 
@@ -1032,7 +1044,7 @@ class EventKernel final : public sched::FleetView,
         // migrations, and nothing orders the pending list.
         *it = std::move(resumesInFlight_.back());
         resumesInFlight_.pop_back();
-        report_.assignment[idIndex_.at(event.id)] =
+        report_.assignment[ids_.at(event.id)] =
             static_cast<int>(pending.destination);
         // A never-started request (tokensGenerated == 0) carries no
         // KV, so nothing was cached by the transfer and it re-runs
@@ -1045,7 +1057,7 @@ class EventKernel final : public sched::FleetView,
         // whose capability probe later fails holds it like any
         // other delivery.
         markChanged(pending.destination);
-        replicas_[pending.destination]->deliverResumed(
+        simulator(pending.destination).deliverResumed(
             pending.resumed, event.time,
             pending.resumed.tokensGenerated == 0
                 ? 0
@@ -1057,7 +1069,7 @@ class EventKernel final : public sched::FleetView,
     void
     onRequestDoneEvent(const sim::Event &event)
     {
-        const std::size_t index = idIndex_.at(event.id);
+        const std::size_t index = ids_.at(event.id);
         const std::int64_t next = sessions_->successor[index];
         if (next < 0)
             return;
@@ -1065,7 +1077,7 @@ class EventKernel final : public sched::FleetView,
         // its event id is the successor's workload index, exactly
         // like a preloaded arrival's.
         const std::size_t next_index =
-            idIndex_.at(static_cast<std::uint64_t>(next));
+            ids_.at(static_cast<std::uint64_t>(next));
         queue_.push(event.time + sessions_->thinkAfter[index],
                     sim::EventKind::SessionContinue, -1,
                     next_index);
@@ -1148,12 +1160,12 @@ class EventKernel final : public sched::FleetView,
     {
         markChanged(replica);
         const serving::StepAction action =
-            replicas_[replica]->startNextWork(now);
+            simulator(replica).startNextWork(now);
         schedule(replica, action);
         const auto r = static_cast<std::uint32_t>(replica);
-        if (!deadNotified_[replica] &&
-            replicas_[replica]->knownDead()) {
-            deadNotified_[replica] = 1;
+        if (!runs_[replica].deadNotified &&
+            simulator(replica).knownDead()) {
+            runs_[replica].deadNotified = true;
             if (wants_ & sched::ControlPolicy::kDead) {
                 flushChanges();
                 control_.onReplicaDead(r, now, *this, *this);
@@ -1192,17 +1204,12 @@ class EventKernel final : public sched::FleetView,
     const model::LlmConfig &llm_;
 
     /**
-     * The fleet's replica table and cost-cache grouping, owned by
-     * FleetSimulator and borrowed mutably: spawnReplica appends to
-     * both (the simulator trims spawned replicas after the run —
-     * they are run state, not configuration).
+     * The fleet's replica table (simulator + cost-surface leader),
+     * owned by FleetSimulator and borrowed mutably: spawnReplica
+     * appends to it (the simulator trims spawned replicas after the
+     * run — they are run state, not configuration).
      */
-    std::vector<std::unique_ptr<serving::ServingSimulator>>
-        &replicas_;
-    std::vector<std::size_t> &cacheGroupOf_;
-
-    /** Calibrated models; spawnReplica appends the new replica's. */
-    std::vector<sched::ReplicaModel> models_;
+    std::vector<FleetSimulator::Replica> &replicas_;
 
     /** Calibration operating point, for spawn-time calibration. */
     const WorkloadShape shape_;
@@ -1215,6 +1222,10 @@ class EventKernel final : public sched::FleetView,
      * done + think.
      */
     std::vector<serving::ServedRequest> &workload_;
+
+    /** id -> workload index, for steal/migrate re-assignment. */
+    const IdIndex &ids_;
+
     sched::ControlPolicy &control_;
     const std::uint32_t wants_;
 
@@ -1227,35 +1238,102 @@ class EventKernel final : public sched::FleetView,
         resumesInFlight_;
 
     sim::EventQueue queue_;
-    std::vector<char> wakeScheduled_;
-    std::vector<char> deadNotified_;
 
-    /**
-     * Per-replica lifecycle (configured replicas are born Active;
-     * spawned ones walk Provisioning → Warming → Active) and its
-     * cost-accounting clock: the spawn instant, the retire instant
-     * (-1 while alive), and the Warming phase's replay length.
-     * specs_ mirrors the construction parameters so maxBatch /
-     * migrate / replicaSpec lookups cover spawned replicas too.
-     */
-    std::vector<sched::ReplicaSpec> specs_;
-    std::vector<sched::ReplicaLifecycle> lifecycle_;
-    std::vector<Seconds> activeStart_;
-    std::vector<Seconds> retiredAt_;
-    std::vector<Seconds> warmupSeconds_;
+    /** One record per replica, fleet order (see ReplicaRun). */
+    std::vector<ReplicaRun> runs_;
 
-    /** The change list and its dedup flags; see markChanged(). */
+    /** The change list (deduplicated by ReplicaRun::changed); see
+     * markChanged(). */
     const bool tracksChanges_;
     std::vector<std::uint32_t> changed_;
-    std::vector<char> changedFlag_;
-
-    /** id -> workload index, for steal/migrate re-assignment. */
-    const IdIndex idIndex_;
 
     bool inArrival_ = false;
     bool decided_ = false;
     std::uint64_t arrivalIndex_ = 0;
 };
+
+/**
+ * Join replica report rows back to the trace by request id and fill
+ * the fleet aggregates (counts, percentiles, SLO attainment against
+ * `ttft_deadline`).
+ */
+void
+mergeReports(FleetReport &report,
+             const std::vector<serving::ServedRequest> &workload,
+             const IdIndex &ids, Seconds ttft_deadline)
+{
+    for (const serving::ServingReport &replica :
+         report.replicaReports) {
+        report.completed += replica.completed;
+        report.rejected += replica.rejected;
+        report.makespan =
+            std::max(report.makespan, replica.makespan);
+        report.throughputTps += replica.throughputTps;
+        report.costModelSaturated |= replica.costModelSaturated;
+    }
+    report.rejected += report.shed;
+
+    // Merge per-request metrics back into arrival order with an
+    // explicit request-id join — replica report rows are found by
+    // id, never by slot position, so the merge cannot silently
+    // misalign when a replica reorders, drops, or (under work
+    // stealing) gains rows relative to the router's bookkeeping.
+    std::vector<std::pair<std::size_t, std::size_t>> row_of(
+        workload.size(), {IdIndex::npos, IdIndex::npos});
+    for (std::size_t r = 0; r < report.replicaReports.size();
+         ++r) {
+        const auto &rows = report.replicaReports[r].requests;
+        for (std::size_t j = 0; j < rows.size(); ++j) {
+            const std::size_t slot = ids.find(rows[j].id);
+            if (slot != IdIndex::npos)
+                row_of[slot] = {r, j};
+        }
+    }
+
+    report.requests.resize(workload.size());
+    std::vector<Seconds> ttft_samples;
+    std::uint64_t within_deadline = 0;
+    for (std::size_t i = 0; i < workload.size(); ++i) {
+        if (report.assignment[i] < 0) {
+            serving::RequestMetrics &metrics = report.requests[i];
+            metrics.id = workload[i].id;
+            metrics.arrival = workload[i].arrival;
+            metrics.rejected = true;
+            continue;
+        }
+        const std::pair<std::size_t, std::size_t> row = row_of[i];
+        hermes_assert(
+            row.first == static_cast<std::size_t>(
+                             report.assignment[i]),
+            "fleet merge: request ", workload[i].id,
+            " missing from its replica report");
+        report.requests[i] =
+            report.replicaReports[row.first].requests[row.second];
+        const serving::RequestMetrics &metrics =
+            report.requests[i];
+        if (!metrics.rejected) {
+            ttft_samples.push_back(metrics.ttft());
+            within_deadline +=
+                metrics.ttft() <= ttft_deadline ? 1 : 0;
+        }
+    }
+    report.p50Ttft = serving::percentile(ttft_samples, 50.0);
+    report.p99Ttft = serving::percentile(ttft_samples, 99.0);
+    report.sloAttainment =
+        workload.empty()
+            ? 1.0
+            : static_cast<double>(within_deadline) /
+                  static_cast<double>(workload.size());
+
+    // The autoscaling scorecard: replica-seconds bought per request
+    // completed.  A scaler wins when it holds this below every fixed
+    // fleet size at equal-or-better SLO attainment.
+    report.costPerRequest =
+        report.completed > 0
+            ? report.replicaSeconds /
+                  static_cast<double>(report.completed)
+            : 0.0;
+}
 
 } // namespace
 
@@ -1337,11 +1415,7 @@ FleetSimulator::FleetSimulator(FleetConfig config,
         if (replica.name.empty())
             replica.name =
                 defaultReplicaName(static_cast<std::uint32_t>(i));
-        replicas_.push_back(
-            std::make_unique<serving::ServingSimulator>(
-                replica.system, llm_, replica.serving));
-        cacheGroupOf_.push_back(
-            joinCostGroup(replicas_, cacheGroupOf_, i));
+        appendReplica(replicas_, replica.system, llm_, replica.serving);
     }
 }
 
@@ -1351,7 +1425,7 @@ FleetSimulator::calibrateAll(const WorkloadShape &shape)
     const std::size_t count = replicas_.size();
     std::vector<sched::ReplicaModel> models(count);
     const auto calibrate = [&](std::size_t i) {
-        return calibrateReplicaModel(*replicas_[i], shape);
+        return calibrateReplicaModel(*replicas_[i].simulator, shape);
     };
 
     // Cache-group leaders calibrate first; members re-probe
@@ -1363,7 +1437,7 @@ FleetSimulator::calibrateAll(const WorkloadShape &shape)
     std::vector<std::size_t> leaders;
     leaders.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-        if (cacheGroupOf_[i] == i)
+        if (replicas_[i].leadsCostGroup(i))
             leaders.push_back(i);
     }
 
@@ -1379,7 +1453,7 @@ FleetSimulator::calibrateAll(const WorkloadShape &shape)
                     models[leaders[k]] = calibrate(leaders[k]);
                 });
     for (std::size_t i = 0; i < count; ++i) {
-        if (cacheGroupOf_[i] != i)
+        if (!replicas_[i].leadsCostGroup(i))
             models[i] = calibrate(i);
     }
     return models;
@@ -1390,8 +1464,8 @@ FleetSimulator::totalCalibrationSeconds() const
 {
     double total = 0.0;
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
-        if (cacheGroupOf_[i] == i)
-            total += replicas_[i]->calibrationSeconds();
+        if (replicas_[i].leadsCostGroup(i))
+            total += replicas_[i].simulator->calibrationSeconds();
     }
     return total;
 }
@@ -1401,8 +1475,8 @@ FleetSimulator::totalCalibrationTapes() const
 {
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
-        if (cacheGroupOf_[i] == i)
-            total += replicas_[i]->calibrationTapes();
+        if (replicas_[i].leadsCostGroup(i))
+            total += replicas_[i].simulator->calibrationTapes();
     }
     return total;
 }
@@ -1420,124 +1494,34 @@ FleetSimulator::warmSessionCosts(std::uint64_t max_context)
     if (threads <= 1)
         return;
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
-        if (cacheGroupOf_[i] != i)
+        if (!replicas_[i].leadsCostGroup(i))
             continue;
-        const serving::ServingConfig &serving =
-            replicas_[i]->config();
-        const std::uint32_t max_batch = serving.maxBatch;
-        const std::uint32_t bucket = serving.seqBucket;
+        serving::ServingSimulator &leader = *replicas_[i].simulator;
+        const std::uint32_t bucket = leader.config().seqBucket;
         const std::uint64_t max_column =
             std::max<std::uint64_t>(max_context, 1) / bucket;
-        std::uint64_t rows = 0;
-        for (std::uint32_t ramp = 1;; ramp *= 2) {
-            ++rows;
-            if (ramp >= max_batch)
-                break;
-        }
+        const std::vector<std::uint32_t> ramp =
+            batchRamp(leader.config().maxBatch);
         // The whole grid is simulated: skip oversized ones (tiny
         // seqBucket).
-        if (rows * (max_column + 1) > 4096)
+        if (ramp.size() * (max_column + 1) > 4096)
             continue;
         std::vector<serving::CostProbe> probes;
-        probes.reserve(rows * (max_column + 1));
-        for (std::uint32_t ramp = 1;; ramp *= 2) {
-            const std::uint32_t batch =
-                std::min(ramp, max_batch);
+        probes.reserve(ramp.size() * (max_column + 1));
+        for (const std::uint32_t batch : ramp) {
             for (std::uint64_t column = 0; column <= max_column;
                  ++column)
                 probes.push_back(serving::CostProbe{
                     batch, column * bucket});
-            if (ramp >= max_batch)
-                break;
         }
-        replicas_[i]->warmCosts(probes, threads);
+        leader.warmCosts(probes, threads);
     }
-}
-
-void
-FleetSimulator::mergeReports(
-    FleetReport &report,
-    const std::vector<serving::ServedRequest> &workload)
-{
-    for (const serving::ServingReport &replica :
-         report.replicaReports) {
-        report.completed += replica.completed;
-        report.rejected += replica.rejected;
-        report.makespan =
-            std::max(report.makespan, replica.makespan);
-        report.throughputTps += replica.throughputTps;
-        report.costModelSaturated |= replica.costModelSaturated;
-    }
-    report.rejected += report.shed;
-
-    // Merge per-request metrics back into arrival order with an
-    // explicit request-id join — replica report rows are found by
-    // id, never by slot position, so the merge cannot silently
-    // misalign when a replica reorders, drops, or (under work
-    // stealing) gains rows relative to the router's bookkeeping.
-    const IdIndex ids(workload);
-    std::vector<std::pair<std::size_t, std::size_t>> row_of(
-        workload.size(), {IdIndex::npos, IdIndex::npos});
-    for (std::size_t r = 0; r < report.replicaReports.size();
-         ++r) {
-        const auto &rows = report.replicaReports[r].requests;
-        for (std::size_t j = 0; j < rows.size(); ++j) {
-            const std::size_t slot = ids.find(rows[j].id);
-            if (slot != IdIndex::npos)
-                row_of[slot] = {r, j};
-        }
-    }
-
-    report.requests.resize(workload.size());
-    std::vector<Seconds> ttft_samples;
-    std::uint64_t within_deadline = 0;
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        if (report.assignment[i] < 0) {
-            serving::RequestMetrics &metrics = report.requests[i];
-            metrics.id = workload[i].id;
-            metrics.arrival = workload[i].arrival;
-            metrics.rejected = true;
-            continue;
-        }
-        const std::pair<std::size_t, std::size_t> row = row_of[i];
-        hermes_assert(
-            row.first == static_cast<std::size_t>(
-                             report.assignment[i]),
-            "fleet merge: request ", workload[i].id,
-            " missing from its replica report");
-        report.requests[i] =
-            report.replicaReports[row.first].requests[row.second];
-        const serving::RequestMetrics &metrics =
-            report.requests[i];
-        if (!metrics.rejected) {
-            ttft_samples.push_back(metrics.ttft());
-            within_deadline +=
-                metrics.ttft() <= config_.ttftDeadline ? 1 : 0;
-        }
-    }
-    report.p50Ttft = serving::percentile(ttft_samples, 50.0);
-    report.p99Ttft = serving::percentile(ttft_samples, 99.0);
-    report.sloAttainment =
-        workload.empty()
-            ? 1.0
-            : static_cast<double>(within_deadline) /
-                  static_cast<double>(workload.size());
-
-    // The autoscaling scorecard: replica-seconds bought per request
-    // completed.  A scaler wins when it holds this below every fixed
-    // fleet size at equal-or-better SLO attainment.
-    report.costPerRequest =
-        report.completed > 0
-            ? report.replicaSeconds /
-                  static_cast<double>(report.completed)
-            : 0.0;
 }
 
 FleetReport
 FleetSimulator::run(std::vector<serving::ServedRequest> workload)
 {
     serving::sortByArrival(workload);
-    requireUniqueIds(workload);
     return runTrace(workload, nullptr);
 }
 
@@ -1551,7 +1535,6 @@ FleetSimulator::run(const serving::SessionTrace &sessions)
         throw std::invalid_argument(
             "FleetSimulator: session trace parallel arrays "
             "disagree on size");
-    requireUniqueIds(sessions.requests);
     // The kernel preloads first turns as a presorted stream, so
     // their arrivals must be nondecreasing in trace order (the
     // generator's natural order; follow-up arrivals are decided by
@@ -1578,12 +1561,16 @@ FleetReport
 FleetSimulator::runTrace(std::vector<serving::ServedRequest> &workload,
                          const serving::SessionTrace *sessions)
 {
+    // One id index per run: the duplicate check, the kernel's
+    // steal/migrate/session lookups and the report merge all read
+    // it (the kernel rewrites arrivals, never ids).
+    const IdIndex ids(workload);
+    requireUniqueIds(ids);
+
     sched::ControlPolicy &control = *config_.control;
     FleetReport report;
     report.policy = control.name();
     report.ttftDeadline = config_.ttftDeadline;
-    for (const ReplicaConfig &replica : config_.replicas)
-        report.replicaNames.push_back(replica.name);
 
     const WorkloadShape shape = workloadShape(workload);
     const double calibration_start = totalCalibrationSeconds();
@@ -1600,9 +1587,8 @@ FleetSimulator::runTrace(std::vector<serving::ServedRequest> &workload,
     // The shape travels into the kernel so replicas spawned mid-run
     // calibrate against the same operating point the configured
     // fleet did.
-    EventKernel(config_, llm_, replicas_, cacheGroupOf_,
-                std::move(models), shape, report, workload, control,
-                sessions)
+    EventKernel(config_, llm_, replicas_, std::move(models), shape,
+                report, workload, ids, control, sessions)
         .run();
 
     // Cold buckets the loop still hit ran engine simulations on the
@@ -1624,12 +1610,11 @@ FleetSimulator::runTrace(std::vector<serving::ServedRequest> &workload,
     // fleet.  Buckets a spawn contributed to a *shared* cost cache
     // are pure-function values a rerun recomputes bit-identically.
     replicas_.resize(config_.replicas.size());
-    cacheGroupOf_.resize(config_.replicas.size());
 
     // Merge against the run's copy, so served follow-up turns carry
     // their true arrival instants (turns whose predecessor was shed
     // never arrived and merge as rejected).
-    mergeReports(report, workload);
+    mergeReports(report, workload, ids, config_.ttftDeadline);
     return report;
 }
 

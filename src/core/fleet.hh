@@ -40,6 +40,14 @@
  * in parallel on a small thread pool — each thread owns whole
  * leaders, so no surface is touched by two threads — then each
  * other replica re-probes its leader's warm surface serially.
+ *
+ * Per-replica state lives in exactly two tables, one row per
+ * replica: FleetSimulator's replica table (simulator + cost-surface
+ * leader), which persists across runs, and the event kernel's
+ * run-state record (spec, calibrated model, lifecycle, billing
+ * clock, event flags), which lives for one run.  A mid-run spawn
+ * appends one row to each; the run's end reads the report's names
+ * and billing from the records and trims the spawned rows.
  */
 
 #ifndef HERMES_CORE_FLEET_HH
@@ -292,14 +300,41 @@ class FleetSimulator
 
     const FleetConfig &config() const { return config_; }
 
+    /**
+     * One row of the replica table: the replica's simulator and the
+     * cost-surface group it joined.  Replicas whose cost cells match
+     * share one surface, led by the first of them: costLeader is
+     * that leader's index (the replica's own when it leads).  A cell
+     * is a pure function of the system, model, engine,
+     * calibrationTokens, seed and seqBucket
+     * (ServingSimulator::shareCostsWith), so replicas equal in those
+     * share bit-identically whatever their maxBatch, maxQueue or
+     * kvCapacityTokens — a uniform fleet pays each cold (batch,
+     * context) bucket once instead of once per replica, and
+     * calibration gives each leader to exactly one worker.
+     */
+    struct Replica
+    {
+        std::unique_ptr<serving::ServingSimulator> simulator;
+        std::size_t costLeader = 0;
+
+        /** This row (at `index`) leads its cost-surface group. */
+        bool
+        leadsCostGroup(std::size_t index) const
+        {
+            return costLeader == index;
+        }
+    };
+
   private:
     /**
      * The body both run() overloads share once their input checks
-     * pass: calibrate, warm (session traces only), drive the event
-     * kernel, bill calibration, and merge.  `sessions` switches the
-     * kernel into session mode (first turns only are preloaded;
-     * follow-ups are scheduled as SessionContinue events at done +
-     * think, overwriting their placeholder arrival in `workload`).
+     * pass: index the request ids (rejecting duplicates), calibrate,
+     * warm (session traces only), drive the event kernel, bill
+     * calibration, and merge.  `sessions` switches the kernel into
+     * session mode (first turns only are preloaded; follow-ups are
+     * scheduled as SessionContinue events at done + think,
+     * overwriting their placeholder arrival in `workload`).
      */
     FleetReport runTrace(std::vector<serving::ServedRequest> &workload,
                          const serving::SessionTrace *sessions);
@@ -337,32 +372,15 @@ class FleetSimulator
     /** Tapes recorded by every cache group's engines so far. */
     std::uint64_t totalCalibrationTapes() const;
 
-    /**
-     * Join replica report rows back to the trace by request id and
-     * fill the fleet aggregates (counts, percentiles, SLO).
-     */
-    void mergeReports(
-        FleetReport &report,
-        const std::vector<serving::ServedRequest> &workload);
-
     FleetConfig config_;
     model::LlmConfig llm_;
-    std::vector<std::unique_ptr<serving::ServingSimulator>>
-        replicas_;
 
     /**
-     * Cost-surface groups: replica i adopted the cost surface of
-     * replica cacheGroupOf_[i] (its own index when it leads a
-     * group), one surface per group and one leader per surface.  A
-     * cell is a pure function of the system, model, engine,
-     * calibrationTokens, seed and seqBucket
-     * (ServingSimulator::shareCostsWith), so replicas equal in
-     * those share bit-identically whatever their maxBatch, maxQueue
-     * or kvCapacityTokens — a uniform fleet pays each cold (batch,
-     * context) bucket once instead of once per replica, and
-     * calibration gives each leader to exactly one worker.
+     * The replica table, fleet order: the configured fleet, plus
+     * the replicas a run spawns (the event kernel appends one row
+     * per spawn; runTrace trims them after the run).
      */
-    std::vector<std::size_t> cacheGroupOf_;
+    std::vector<Replica> replicas_;
 };
 
 } // namespace hermes::fleet

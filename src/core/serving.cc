@@ -376,12 +376,7 @@ ServingSimulator::servable(std::uint32_t batch, std::uint64_t seq)
 void
 ServingSimulator::beginSession()
 {
-    requests_.clear();
-    metrics_.clear();
-    moved_.clear();
-    resumed_.clear();
-    resumedTokens_.clear();
-    cachedTokens_.clear();
+    entries_.clear();
     pending_.clear();
     waiting_.clear();
     active_.clear();
@@ -412,12 +407,7 @@ ServingSimulator::beginSession()
 void
 ServingSimulator::reserveSession(std::size_t expected_requests)
 {
-    requests_.reserve(expected_requests);
-    metrics_.reserve(expected_requests);
-    moved_.reserve(expected_requests);
-    resumed_.reserve(expected_requests);
-    resumedTokens_.reserve(expected_requests);
-    cachedTokens_.reserve(expected_requests);
+    entries_.reserve(expected_requests);
     active_.reserve(config_.maxBatch);
     inflightGroup_.reserve(config_.maxBatch);
     retired_.reserve(config_.maxBatch);
@@ -426,17 +416,12 @@ ServingSimulator::reserveSession(std::size_t expected_requests)
 void
 ServingSimulator::deliver(const ServedRequest &request)
 {
-    const std::size_t index = requests_.size();
-    requests_.push_back(request);
-    RequestMetrics metrics;
-    metrics.id = request.id;
-    metrics.arrival = request.arrival;
-    metrics.priority = request.priority;
-    metrics_.push_back(metrics);
-    moved_.push_back(Moved::No);
-    resumed_.push_back(0);
-    resumedTokens_.push_back(0);
-    cachedTokens_.push_back(0);
+    const std::size_t index = entries_.size();
+    Entry &entry = entries_.emplace_back();
+    entry.request = request;
+    entry.metrics.id = request.id;
+    entry.metrics.arrival = request.arrival;
+    entry.metrics.priority = request.priority;
     prioritized_ |= request.priority != 0;
     backlogOwed_ += request.generateTokens;
     pending_.push_back(index);
@@ -452,13 +437,13 @@ ServingSimulator::deliverResumed(const ResumableRequest &resumed,
                           resumed.request.generateTokens,
                   "deliverResumed: request ", resumed.request.id,
                   " has no tokens left to generate");
-    const std::size_t index = requests_.size();
+    const std::size_t index = entries_.size();
+    Entry &entry = entries_.emplace_back();
     // The stored copy carries the re-arrival instant for queue
     // ordering; the original arrival lives on in the metrics row.
-    ServedRequest stored = resumed.request;
-    stored.arrival = now;
-    requests_.push_back(stored);
-    RequestMetrics metrics;
+    entry.request = resumed.request;
+    entry.request.arrival = now;
+    RequestMetrics &metrics = entry.metrics;
     metrics.id = resumed.request.id;
     metrics.arrival = resumed.request.arrival;
     metrics.priority = resumed.request.priority;
@@ -467,12 +452,10 @@ ServingSimulator::deliverResumed(const ResumableRequest &resumed,
     metrics.tokens = resumed.tokensGenerated;
     metrics.preemptions = resumed.preemptions;
     metrics.migrations = resumed.migrations;
-    metrics_.push_back(metrics);
-    moved_.push_back(Moved::No);
-    resumed_.push_back(1);
-    resumedTokens_.push_back(resumed.tokensGenerated);
-    cachedTokens_.push_back(
-        std::min(cached_tokens, resumed.contextLength()));
+    entry.resumed = true;
+    entry.resumedTokens = resumed.tokensGenerated;
+    entry.cachedTokens =
+        std::min(cached_tokens, resumed.contextLength());
     prioritized_ |= resumed.request.priority != 0;
     backlogOwed_ += resumed.request.generateTokens -
                     resumed.tokensGenerated;
@@ -534,14 +517,15 @@ ServingSimulator::cachedSessionTokens(std::uint64_t session) const
 ResumableRequest
 ServingSimulator::resumableAt(std::size_t index) const
 {
+    const RequestMetrics &metrics = entries_[index].metrics;
     ResumableRequest out;
-    out.request = requests_[index];
-    out.request.arrival = metrics_[index].arrival;
-    out.tokensGenerated = metrics_[index].tokens;
-    out.admitted = metrics_[index].admitted;
-    out.firstToken = metrics_[index].firstToken;
-    out.preemptions = metrics_[index].preemptions;
-    out.migrations = metrics_[index].migrations;
+    out.request = entries_[index].request;
+    out.request.arrival = metrics.arrival;
+    out.tokensGenerated = metrics.tokens;
+    out.admitted = metrics.admitted;
+    out.firstToken = metrics.firstToken;
+    out.preemptions = metrics.preemptions;
+    out.migrations = metrics.migrations;
     return out;
 }
 
@@ -552,14 +536,14 @@ ServingSimulator::preempt(std::uint64_t id)
                            "at decode boundaries");
     for (auto it = active_.begin(); it != active_.end(); ++it) {
         const std::size_t index = it->index;
-        if (metrics_[index].id != id)
+        if (entries_[index].metrics.id != id)
             continue;
         ResumableRequest out = resumableAt(index);
         ++out.preemptions;
-        moved_[index] = Moved::Preempted;
+        entries_[index].moved = Moved::Preempted;
         hermes_assert(backlogOwed_ >= it->remaining,
                       "backlog underflow preempting request ",
-                      metrics_[index].id);
+                      entries_[index].metrics.id);
         backlogOwed_ -= it->remaining;
         active_.erase(it);
         return out;
@@ -577,7 +561,7 @@ ServingSimulator::takeQueued(std::uint64_t id)
         [&](std::deque<std::size_t> &queue) -> std::ptrdiff_t {
         for (std::size_t k = 0; k < queue.size(); ++k) {
             const std::size_t index = queue[k];
-            if (metrics_[index].id != id)
+            if (entries_[index].metrics.id != id)
                 continue;
             queue.erase(queue.begin() +
                         static_cast<std::ptrdiff_t>(k));
@@ -594,15 +578,16 @@ ServingSimulator::takeQueued(std::uint64_t id)
             std::to_string(id) + " is not queued here");
     const auto index = static_cast<std::size_t>(found);
     ResumableRequest out = resumableAt(index);
-    moved_[index] = Moved::Stolen;
+    Entry &entry = entries_[index];
+    entry.moved = Moved::Stolen;
     // A resumed entry contributed only its un-generated remainder
     // at delivery; subtract exactly that so the counter returns to
     // its pre-delivery value.
-    const std::uint64_t owed = requests_[index].generateTokens -
-                               resumedTokens_[index];
+    const std::uint64_t owed =
+        entry.request.generateTokens - entry.resumedTokens;
     hermes_assert(backlogOwed_ >= owed,
                   "backlog underflow taking queued request ",
-                  metrics_[index].id);
+                  entry.metrics.id);
     backlogOwed_ -= owed;
     return out;
 }
@@ -612,12 +597,13 @@ ServingSimulator::stateOf(std::uint64_t id) const
 {
     // Newest entry wins: a locally resumed request shadows the
     // Preempted entry it left behind.
-    for (std::size_t i = metrics_.size(); i-- > 0;) {
-        if (metrics_[i].id != id)
+    for (std::size_t i = entries_.size(); i-- > 0;) {
+        const Entry &entry = entries_[i];
+        if (entry.metrics.id != id)
             continue;
-        if (moved_[i] == Moved::Preempted)
+        if (entry.moved == Moved::Preempted)
             return RequestState::Preempted;
-        if (moved_[i] == Moved::Stolen)
+        if (entry.moved == Moved::Stolen)
             return RequestState::Unknown;
         for (const std::size_t index : inflightGroup_) {
             if (index == i)
@@ -635,8 +621,8 @@ ServingSimulator::stateOf(std::uint64_t id) const
             if (index == i)
                 return RequestState::Queued;
         }
-        return metrics_[i].rejected ? RequestState::Shed
-                                    : RequestState::Done;
+        return entry.metrics.rejected ? RequestState::Shed
+                                      : RequestState::Done;
     }
     return RequestState::Unknown;
 }
@@ -657,7 +643,7 @@ ServingSimulator::startNextWork(Seconds now)
     if (!deadChecked_ && !pending_.empty()) {
         deadChecked_ = true;
         dead_ =
-            costs(1, requests_[pending_.front()].promptTokens)
+            costs(1, entries_[pending_.front()].request.promptTokens)
                 .token < 0.0;
     }
     if (dead_)
@@ -675,23 +661,23 @@ ServingSimulator::startNextWork(Seconds now)
             ? config_.maxBatch - active_.size()
             : 0;
     while (!pending_.empty() &&
-           requests_[pending_.front()].arrival <= clock_) {
+           entries_[pending_.front()].request.arrival <= clock_) {
         const std::size_t index = pending_.front();
         pending_.pop_front();
+        Entry &entry = entries_[index];
         // Resumed entries held queue capacity once already — a
         // preempted request is never dropped at its own requeue.
         // Discriminated by the explicit flag: a zero-token resumed
         // entry (taken from a queue before its first prefill) is
         // just as exempt as one with progress.
-        if (!resumed_[index] &&
+        if (!entry.resumed &&
             waiting_.size() >= config_.maxQueue + free_slots) {
-            metrics_[index].rejected = true;
+            entry.metrics.rejected = true;
             ++sessionRejected_;
-            hermes_assert(backlogOwed_ >=
-                              requests_[index].generateTokens,
+            hermes_assert(backlogOwed_ >= entry.request.generateTokens,
                           "backlog underflow shedding request ",
-                          metrics_[index].id);
-            backlogOwed_ -= requests_[index].generateTokens;
+                          entry.metrics.id);
+            backlogOwed_ -= entry.request.generateTokens;
         } else {
             waiting_.push_back(index);
         }
@@ -702,7 +688,7 @@ ServingSimulator::startNextWork(Seconds now)
             return StepAction{StepKind::Idle, clock_};
         return StepAction{
             StepKind::WaitArrival,
-            requests_[pending_.front()].arrival};
+            entries_[pending_.front()].request.arrival};
     }
 
     // Continuous batching: fill free slots from the queue — highest
@@ -719,23 +705,21 @@ ServingSimulator::startNextWork(Seconds now)
         std::size_t pick = 0;
         if (prioritized_) {
             for (std::size_t k = 1; k < waiting_.size(); ++k) {
-                if (requests_[waiting_[k]].priority >
-                    requests_[waiting_[pick]].priority)
+                if (entries_[waiting_[k]].request.priority >
+                    entries_[waiting_[pick]].request.priority)
                     pick = k;
             }
         }
         const std::size_t index = waiting_[pick];
         waiting_.erase(waiting_.begin() +
                        static_cast<std::ptrdiff_t>(pick));
-        if (resumedTokens_[index] == 0)
-            metrics_[index].admitted = clock_;
+        Entry &entry = entries_[index];
+        if (entry.resumedTokens == 0)
+            entry.metrics.admitted = clock_;
         inflightGroup_.push_back(index);
         active_.push_back(Running{
-            index,
-            requests_[index].generateTokens -
-                resumedTokens_[index],
-            requests_[index].promptTokens +
-                resumedTokens_[index]});
+            index, entry.request.generateTokens - entry.resumedTokens,
+            entry.request.promptTokens + entry.resumedTokens});
     }
     if (!inflightGroup_.empty()) {
         // A fresh request prefills its whole prompt; a resumed one
@@ -749,26 +733,19 @@ ServingSimulator::startNextWork(Seconds now)
         // the turn retires.)
         std::uint64_t max_prompt = 0;
         for (const std::size_t index : inflightGroup_) {
+            const Entry &entry = entries_[index];
+            const std::uint64_t prompt = entry.request.promptTokens;
             std::uint64_t charged;
-            if (resumedTokens_[index] == 0) {
-                charged = std::max<std::uint64_t>(
-                    requests_[index].promptTokens, 1);
-                if (!resumed_[index] &&
-                    requests_[index].sessionId != 0) {
+            if (entry.resumedTokens == 0) {
+                charged = std::max<std::uint64_t>(prompt, 1);
+                if (!entry.resumed && entry.request.sessionId != 0) {
                     const std::uint64_t cached = consumeSessionKv(
-                        requests_[index].sessionId,
-                        requests_[index].promptTokens);
-                    charged = requests_[index].promptTokens > cached
-                                  ? requests_[index].promptTokens -
-                                        cached
-                                  : 0;
+                        entry.request.sessionId, prompt);
+                    charged = prompt > cached ? prompt - cached : 0;
                 }
             } else {
-                const std::uint64_t context =
-                    static_cast<std::uint64_t>(
-                        requests_[index].promptTokens) +
-                    resumedTokens_[index];
-                charged = context - cachedTokens_[index];
+                charged = prompt + entry.resumedTokens -
+                          entry.cachedTokens;
             }
             max_prompt = std::max(max_prompt, charged);
         }
@@ -810,9 +787,10 @@ ServingSimulator::completeWork()
         for (const std::size_t index : inflightGroup_) {
             // A resumed request already emitted its first token on
             // some earlier admission; its TTFT is sampled once.
-            if (resumedTokens_[index] == 0) {
-                metrics_[index].firstToken = clock_;
-                ttftSamples_.push_back(metrics_[index].ttft());
+            Entry &entry = entries_[index];
+            if (entry.resumedTokens == 0) {
+                entry.metrics.firstToken = clock_;
+                ttftSamples_.push_back(entry.metrics.ttft());
             }
         }
         // Prefill produces the (next) token.  The admitted group
@@ -822,7 +800,7 @@ ServingSimulator::completeWork()
              k < active_.size(); ++k) {
             Running &running = active_[k];
             if (running.remaining > 0) {
-                ++metrics_[running.index].tokens;
+                ++entries_[running.index].metrics.tokens;
                 --running.remaining;
                 ++running.seq;
                 ++generated_;
@@ -840,7 +818,7 @@ ServingSimulator::completeWork()
         hermes_assert(backlogOwed_ >= active_.size(),
                       "backlog underflow in decode step");
         for (Running &running : active_) {
-            ++metrics_[running.index].tokens;
+            ++entries_[running.index].metrics.tokens;
             --running.remaining;
             ++running.seq;
             ++generated_;
@@ -858,15 +836,15 @@ ServingSimulator::completeWork()
     for (std::size_t read = 0; read < active_.size(); ++read) {
         const Running &running = active_[read];
         if (running.remaining == 0) {
-            metrics_[running.index].completed = clock_;
+            Entry &entry = entries_[running.index];
+            entry.metrics.completed = clock_;
             ++sessionCompleted_;
-            retired_.push_back(metrics_[running.index].id);
+            retired_.push_back(entry.metrics.id);
             // The turn's full context (running.seq = prompt +
             // generated) stays warm for the session's next turn,
             // subject to the KV budget.
-            if (requests_[running.index].sessionId != 0)
-                retireSessionKv(requests_[running.index].sessionId,
-                                running.seq);
+            if (entry.request.sessionId != 0)
+                retireSessionKv(entry.request.sessionId, running.seq);
         } else {
             active_[write++] = running;
         }
@@ -884,11 +862,11 @@ ServingSimulator::finishSession()
     // Whatever is still queued was never served (only a dead
     // replica ends a drained session with holdovers).
     for (const std::size_t index : pending_) {
-        metrics_[index].rejected = true;
+        entries_[index].metrics.rejected = true;
         ++sessionRejected_;
     }
     for (const std::size_t index : waiting_) {
-        metrics_[index].rejected = true;
+        entries_[index].metrics.rejected = true;
         ++sessionRejected_;
     }
     pending_.clear();
@@ -897,10 +875,10 @@ ServingSimulator::finishSession()
 
     ServingReport report;
     report.engine = runtime::engineKindName(config_.engine);
-    report.requests.reserve(metrics_.size());
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-        if (moved_[i] == Moved::No)
-            report.requests.push_back(metrics_[i]);
+    report.requests.reserve(entries_.size());
+    for (const Entry &entry : entries_) {
+        if (entry.moved == Moved::No)
+            report.requests.push_back(entry.metrics);
     }
     report.completed = sessionCompleted_;
     report.rejected = sessionRejected_;
@@ -943,11 +921,12 @@ ServingSimulator::runningInfos() const
     std::vector<RequestInfo> out;
     out.reserve(active_.size());
     for (const Running &running : active_) {
+        const Entry &entry = entries_[running.index];
         RequestInfo info;
-        info.id = metrics_[running.index].id;
-        info.priority = requests_[running.index].priority;
-        info.arrival = metrics_[running.index].arrival;
-        info.tokensGenerated = metrics_[running.index].tokens;
+        info.id = entry.metrics.id;
+        info.priority = entry.request.priority;
+        info.arrival = entry.metrics.arrival;
+        info.tokensGenerated = entry.metrics.tokens;
         info.remainingTokens = running.remaining;
         out.push_back(info);
     }
@@ -961,14 +940,14 @@ ServingSimulator::queuedInfos() const
     out.reserve(waiting_.size() + pending_.size());
     const auto append = [&](const std::deque<std::size_t> &queue) {
         for (const std::size_t index : queue) {
+            const Entry &entry = entries_[index];
             RequestInfo info;
-            info.id = metrics_[index].id;
-            info.priority = requests_[index].priority;
-            info.arrival = metrics_[index].arrival;
-            info.tokensGenerated = metrics_[index].tokens;
+            info.id = entry.metrics.id;
+            info.priority = entry.request.priority;
+            info.arrival = entry.metrics.arrival;
+            info.tokensGenerated = entry.metrics.tokens;
             info.remainingTokens =
-                requests_[index].generateTokens -
-                resumedTokens_[index];
+                entry.request.generateTokens - entry.resumedTokens;
             out.push_back(info);
         }
     };
@@ -996,18 +975,17 @@ ServingSimulator::stealQueued(std::uint32_t count)
     const auto take_from = [&](std::deque<std::size_t> &queue) {
         for (std::size_t k = queue.size();
              k-- > 0 && out.size() < count;) {
-            const std::size_t index = queue[k];
-            if (resumed_[index])
+            Entry &entry = entries_[queue[k]];
+            if (entry.resumed)
                 continue;
             queue.erase(queue.begin() +
                         static_cast<std::ptrdiff_t>(k));
-            moved_[index] = Moved::Stolen;
-            hermes_assert(backlogOwed_ >=
-                              requests_[index].generateTokens,
+            entry.moved = Moved::Stolen;
+            hermes_assert(backlogOwed_ >= entry.request.generateTokens,
                           "backlog underflow stealing request ",
-                          metrics_[index].id);
-            backlogOwed_ -= requests_[index].generateTokens;
-            out.push_back(requests_[index]);
+                          entry.metrics.id);
+            backlogOwed_ -= entry.request.generateTokens;
+            out.push_back(entry.request);
         }
     };
     take_from(pending_);

@@ -48,6 +48,11 @@
  * priority-aware — higher ServedRequest::priority requests leave the
  * queue first, FIFO among equals, so all-default-priority traffic is
  * bit-identical to the historical FIFO order.
+ *
+ * Inside a session every delivery is one record — the request as
+ * delivered, its metrics row and its resume state — in one vector,
+ * delivery order; the admission queues and the running batch hold
+ * indices into it, and the report is its unmoved metrics rows.
  */
 
 #ifndef HERMES_CORE_SERVING_HH
@@ -564,7 +569,7 @@ class ServingSimulator
     /** One request in the running batch. */
     struct Running
     {
-        std::size_t index;       ///< Into requests_ / metrics_.
+        std::size_t index;       ///< Into entries_.
         std::uint32_t remaining; ///< Decode steps still owed.
         std::uint64_t seq;       ///< Current context length.
     };
@@ -694,28 +699,39 @@ class ServingSimulator
         Preempted,
     };
 
+    /** One delivery to this replica: everything known about it. */
+    struct Entry
+    {
+        /** The request as delivered (a resumed entry's arrival is
+         * its re-arrival instant, for queue ordering). */
+        ServedRequest request;
+
+        /** Its report row (original arrival and timestamps). */
+        RequestMetrics metrics;
+
+        Moved moved = Moved::No; ///< Excluded from the report.
+
+        /**
+         * Arrived via deliverResumed() (it carries resume state and
+         * its KV must never be silently dropped).  This is the
+         * discriminator — resumedTokens can legitimately be 0 for a
+         * resumed entry that never started (takeQueued before its
+         * first prefill), so token counts must not double as the
+         * fresh/resumed flag.
+         */
+        bool resumed = false;
+
+        /** Tokens a resumed entry generated before (re)delivery. */
+        std::uint32_t resumedTokens = 0;
+
+        /** KV context tokens resident here at delivery (resumed
+         * entries only); the admission prefill charges context
+         * minus this. */
+        std::uint64_t cachedTokens = 0;
+    };
+
     // ---- Session state (reset by beginSession) ----
-    std::vector<ServedRequest> requests_; ///< Delivery order.
-    std::vector<RequestMetrics> metrics_; ///< Parallel to requests_.
-    std::vector<Moved> moved_;            ///< Excluded from report.
-
-    /**
-     * Entry arrived via deliverResumed() (it carries resume state
-     * and its KV must never be silently dropped).  Parallel to
-     * requests_.  This is the discriminator — resumedTokens_ can
-     * legitimately be 0 for a resumed entry that never started
-     * (takeQueued before its first prefill), so token counts must
-     * not double as the fresh/resumed flag.
-     */
-    std::vector<char> resumed_;
-
-    /** Tokens a resumed entry generated before (re)delivery here.
-     * Parallel to requests_. */
-    std::vector<std::uint32_t> resumedTokens_;
-
-    /** KV context tokens resident here at delivery (resumed entries
-     * only); the admission prefill charges context minus this. */
-    std::vector<std::uint64_t> cachedTokens_;
+    std::vector<Entry> entries_; ///< Delivery order.
 
     std::deque<std::size_t> pending_;     ///< Delivered, unobserved.
     std::deque<std::size_t> waiting_;     ///< In the admission queue.

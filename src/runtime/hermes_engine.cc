@@ -114,47 +114,16 @@ HermesEngine::record(const InferenceRequest &request)
     const interconnect::DimmLinkNetwork link_net(config_.numDimms,
                                                  config_.link);
 
-    // ---- Offline profiling: per-block activation frequencies. ----
-    std::vector<std::vector<double>> attn_freq(sim_layers);
-    std::vector<std::vector<double>> mlp_freq(sim_layers);
-    for (std::uint32_t l = 0; l < sim_layers; ++l) {
-        attn_freq[l].assign(trace.attn(l).neurons(), 0.0);
-        mlp_freq[l].assign(trace.mlp(l).neurons(), 0.0);
-    }
-    const std::uint32_t profile_tokens =
-        std::max<std::uint32_t>(request.profileTokens, 1);
-    trace.reset(0);
-    for (std::uint32_t t = 0; t < profile_tokens; ++t) {
-        trace.nextToken();
-        for (std::uint32_t l = 0; l < sim_layers; ++l) {
-            for (const auto id : trace.attn(l).activeList)
-                attn_freq[l][id] += 1.0;
-            for (const auto id : trace.mlp(l).activeList)
-                mlp_freq[l][id] += 1.0;
-        }
-    }
-    for (std::uint32_t l = 0; l < sim_layers; ++l) {
-        for (auto &f : attn_freq[l])
-            f /= profile_tokens;
-        for (auto &f : mlp_freq[l])
-            f /= profile_tokens;
-    }
-
-    // ---- Predictor setup. ----
-    // The compute-set predictor always combines token- and layer-wise
-    // signals; the Fig. 13 ablation flags select which signals feed
-    // the *adjustment* scores (Sec. V-C evaluates prediction variants
-    // as guides for online adjustment).
-    sched::PredictorConfig predictor_config;
-    sched::ModelPredictor predictor(sim_llm, predictor_config);
-    for (std::uint32_t l = 0; l < sim_layers; ++l) {
-        predictor.attn(l).initFromFrequency(attn_freq[l]);
-        predictor.mlp(l).initFromFrequency(mlp_freq[l]);
-        predictor.attn(l).setCorrelation(trace.attn(l).parent1,
-                                         trace.attn(l).parent2);
-        predictor.mlp(l).setCorrelation(trace.mlp(l).parent1,
-                                        trace.mlp(l).parent2);
-    }
+    // ---- Offline profiling and predictor setup. ----
+    // Per-block activation frequencies seed the predictor and feed
+    // the partition below.  The compute-set predictor always
+    // combines token- and layer-wise signals; the Fig. 13 ablation
+    // flags select which signals feed the *adjustment* scores
+    // (Sec. V-C evaluates prediction variants as guides for online
+    // adjustment).
+    sched::ModelPredictor predictor(sim_llm, sched::PredictorConfig{});
+    const sched::ActivationProfile profile =
+        predictor.calibrate(trace, request.profileTokens);
 
     // ---- Offline partition (Sec. IV-B). ----
     const GpuResidency residency = computeResidency(config_, llm, 0);
@@ -200,14 +169,14 @@ HermesEngine::record(const InferenceRequest &request)
             dimm_marginal(mlp_values, trace.mlp(0).computeScale);
         for (std::uint32_t l = 0; l < sim_layers; ++l) {
             sched::BlockProblem attn_block;
-            attn_block.frequency = attn_freq[l];
+            attn_block.frequency = profile.attn[l];
             attn_block.neuronBytes = llm.attnNeuronBytes();
             attn_block.gpuTimePerNeuron = gpu_per_attn;
             attn_block.dimmTimePerNeuron = dimm_per_attn;
             problem.blocks.push_back(std::move(attn_block));
 
             sched::BlockProblem mlp_block;
-            mlp_block.frequency = mlp_freq[l];
+            mlp_block.frequency = profile.mlp[l];
             mlp_block.neuronBytes = llm.mlpNeuronBytes();
             mlp_block.gpuTimePerNeuron = gpu_per_mlp;
             mlp_block.dimmTimePerNeuron = dimm_per_mlp;

@@ -1,6 +1,7 @@
 #include "runtime/hermes_host_engine.hh"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "interconnect/pcie.hh"
 #include "runtime/common_costs.hh"
 #include "runtime/decode_pipeline.hh"
+#include "sched/predictor.hh"
 #include "sparsity/trace.hh"
 
 namespace hermes::runtime {
@@ -16,26 +18,19 @@ namespace hermes::runtime {
 HermesHostEngine::Tape
 HermesHostEngine::record(const InferenceRequest &request) const
 {
-    // Profile a representative layer to find how much activation mass
-    // the hot budget covers.
+    // Profile a representative layer (the second; the only one of a
+    // one-layer model) to find how much activation mass the hot
+    // budget covers.
     model::LlmConfig sim_llm = request.llm;
     sim_llm.layers = std::min<std::uint32_t>(request.llm.layers, 4);
     sparsity::SparsityConfig sparsity_config = config_.sparsity;
     sparsity_config.seed = request.seed;
     sparsity::ActivationTrace trace(sim_llm, sparsity_config,
                                     request.batch);
-    std::vector<double> attn_freq(trace.attn(1).neurons(), 0.0);
-    std::vector<double> mlp_freq(trace.mlp(1).neurons(), 0.0);
-    for (std::uint32_t t = 0; t < request.profileTokens; ++t) {
-        trace.nextToken();
-        for (const auto id : trace.attn(1).activeList)
-            attn_freq[id] += 1.0;
-        for (const auto id : trace.mlp(1).activeList)
-            mlp_freq[id] += 1.0;
-    }
-    auto runs = [&](std::vector<double> &freq) {
-        for (auto &f : freq)
-            f /= request.profileTokens;
+    sched::ActivationProfile profile =
+        sched::ModelPredictor(sim_llm, sched::PredictorConfig{})
+            .calibrate(trace, request.profileTokens);
+    auto runs = [](std::vector<double> &freq) {
         std::sort(freq.begin(), freq.end(), std::greater<>());
         std::vector<FreqRun> coded;
         for (const double f : freq) {
@@ -45,9 +40,10 @@ HermesHostEngine::record(const InferenceRequest &request) const
         }
         return coded;
     };
+    const std::size_t layer = sim_llm.layers > 1 ? 1 : 0;
     Tape tape;
-    tape.attnFreq = runs(attn_freq);
-    tape.mlpFreq = runs(mlp_freq);
+    tape.attnFreq = runs(profile.attn.at(layer));
+    tape.mlpFreq = runs(profile.mlp.at(layer));
     return tape;
 }
 

@@ -49,9 +49,11 @@ class HermesHostEngine : public InferenceEngine
     };
 
     /**
-     * A representative layer's profiled frequencies, descending,
-     * run-length coded: a frequency is (activations / profiled
-     * tokens), so a block has at most profileTokens + 1 runs.
+     * A representative layer's profiled frequencies
+     * (sched::ModelPredictor::calibrate, which profiles at least one
+     * token), descending, run-length coded: a frequency is
+     * (activations / profiled tokens), so a block has at most
+     * max(profileTokens, 1) + 1 runs.
      */
     struct Tape
     {

@@ -64,11 +64,7 @@ class RouterControlPolicy final : public ControlPolicy
 
     std::uint32_t wants() const override { return kReplicaChanges; }
 
-    void begin(const ControlContext &context) override
-    {
-        deadline_ = context.ttftDeadline;
-        router_.reset();
-    }
+    void begin() override { router_.reset(); }
 
     void onReplicasChanged(const std::vector<std::uint32_t> &replicas,
                            const FleetView &view) override
@@ -83,7 +79,7 @@ class RouterControlPolicy final : public ControlPolicy
                 models.push_back(view.model(r));
             router_ = std::make_unique<Router>(policy_,
                                                std::move(models),
-                                               deadline_);
+                                               view.ttftDeadline());
         }
         while (router_->replicaCount() < n)
             router_->addReplica(view.model(router_->replicaCount()));
@@ -116,7 +112,6 @@ class RouterControlPolicy final : public ControlPolicy
 
   private:
     RouterPolicy policy_;
-    Seconds deadline_ = 0.0;
     std::unique_ptr<Router> router_;
 };
 
@@ -143,11 +138,7 @@ class ObservedArgminPolicy final : public ControlPolicy
 
     std::uint32_t wants() const override { return kReplicaChanges; }
 
-    void begin(const ControlContext &context) override
-    {
-        (void)context;
-        index_ = ReplicaIndex{};
-    }
+    void begin() override { index_ = ReplicaIndex{}; }
 
     void onReplicasChanged(const std::vector<std::uint32_t> &replicas,
                            const FleetView &view) override
@@ -208,11 +199,7 @@ class StealPolicy final : public ControlPolicy
         return kIdle | kReplicaChanges;
     }
 
-    void begin(const ControlContext &context) override
-    {
-        (void)context;
-        victims_ = ReplicaIndex{};
-    }
+    void begin() override { victims_ = ReplicaIndex{}; }
 
     void onReplicasChanged(const std::vector<std::uint32_t> &replicas,
                            const FleetView &view) override
@@ -299,11 +286,6 @@ class PriorityPreemptPolicy final : public ControlPolicy
         return kReplicaEvents | kPreempt;
     }
 
-    void begin(const ControlContext &context) override
-    {
-        deadline_ = context.ttftDeadline;
-    }
-
     void onPrefillComplete(std::uint32_t replica, Seconds now,
                            const FleetView &view,
                            FleetActions &actions) override
@@ -370,10 +352,11 @@ class PriorityPreemptPolicy final : public ControlPolicy
         // calibrated full-batch step rate; after that the request
         // still pays its admission prefill.
         const ReplicaModel &model = view.model(replica);
+        const Seconds deadline = view.ttftDeadline();
         const Seconds step =
             model.slotTokensPerSecond > 0.0
                 ? 1.0 / model.slotTokensPerSecond
-                : deadline_;
+                : deadline;
         std::uint32_t soonest = running.front().remainingTokens;
         for (const serving::RequestInfo &info : running)
             soonest = std::min(soonest, info.remainingTokens);
@@ -381,12 +364,10 @@ class PriorityPreemptPolicy final : public ControlPolicy
         const Seconds natural =
             age + static_cast<double>(soonest) * step +
             model.prefillSeconds;
-        if (natural <= deadline_)
+        if (natural <= deadline)
             return;
         actions.preempt(replica, victim->id);
     }
-
-    Seconds deadline_ = 0.0;
 };
 
 /**
@@ -591,11 +572,8 @@ class TargetBacklogScalerPolicy final : public ControlPolicy
 
     Seconds tickPeriod() const override { return 1.0; }
 
-    void begin(const ControlContext &context) override
+    void begin() override
     {
-        deadline_ = context.ttftDeadline > 0.0
-                        ? context.ttftDeadline
-                        : 2.0;
         upTicks_ = 0;
         downTicks_ = 0;
         cooldownUntil_ = 0.0;
@@ -655,9 +633,11 @@ class TargetBacklogScalerPolicy final : public ControlPolicy
         }
         // Replicas needed to drain the backlog within one deadline
         // window at the reference replica's sustained rate.
+        const Seconds deadline =
+            view.ttftDeadline() > 0.0 ? view.ttftDeadline() : 2.0;
         const std::uint32_t desired = std::clamp<std::uint32_t>(
             static_cast<std::uint32_t>(
-                std::ceil(backlog / (rate * deadline_))),
+                std::ceil(backlog / (rate * deadline))),
             kMinReplicas, kMaxReplicas);
 
         if (desired > provisioned) {
@@ -715,7 +695,6 @@ class TargetBacklogScalerPolicy final : public ControlPolicy
     /** Quiet period after any scale action. */
     static constexpr Seconds kCooldownSeconds = 5.0;
 
-    Seconds deadline_ = 2.0;
     std::uint32_t upTicks_ = 0;
     std::uint32_t downTicks_ = 0;
     Seconds cooldownUntil_ = 0.0;
@@ -772,10 +751,10 @@ CompositeControlPolicy::tickPeriod() const
 }
 
 void
-CompositeControlPolicy::begin(const ControlContext &context)
+CompositeControlPolicy::begin()
 {
     for (const auto &child : children_)
-        child->begin(context);
+        child->begin();
 }
 
 void

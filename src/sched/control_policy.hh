@@ -29,7 +29,11 @@
  *
  * FleetView is the only read surface: every per-replica fact a
  * policy ranks by — including the calibrated model of a replica
- * spawned mid-run — is a live FleetView probe.
+ * spawned mid-run — is a live FleetView probe, and each fact has
+ * exactly one: maxBatch and draining are non-virtual helpers derived
+ * from model(r).maxBatch and lifecycle(r), so no implementation can
+ * let them disagree.  The run's TTFT deadline is a probe too
+ * (ttftDeadline); begin() takes no argument.
  *
  * The change list (kReplicaChanges).  The kernel is the only actor
  * that mutates replicas, and it lists every replica whose state a
@@ -136,8 +140,12 @@ class FleetView
     /** The router-calibrated queueing model of a replica. */
     virtual const ReplicaModel &model(std::uint32_t replica) const = 0;
 
-    /** Continuous-batching slot count of a replica. */
-    virtual std::uint32_t maxBatch(std::uint32_t replica) const = 0;
+    /** Continuous-batching slot count of a replica (its model's). */
+    std::uint32_t
+    maxBatch(std::uint32_t replica) const
+    {
+        return model(replica).maxBatch;
+    }
 
     /** Whether a prefill or decode step is in flight right now. */
     virtual bool busy(std::uint32_t replica) const = 0;
@@ -148,12 +156,21 @@ class FleetView
     /** Capability probe ran and failed (replica is dead). */
     virtual bool knownDead(std::uint32_t replica) const = 0;
 
-    /** A drain was requested; the replica accepts no new routes. */
-    virtual bool draining(std::uint32_t replica) const = 0;
-
     /** Lifecycle state (spawned replicas walk the whole machine). */
     virtual ReplicaLifecycle
     lifecycle(std::uint32_t replica) const = 0;
+
+    /**
+     * A drain was requested (lifecycle Draining or Retired); the
+     * replica accepts no new routes.
+     */
+    bool
+    draining(std::uint32_t replica) const
+    {
+        const ReplicaLifecycle state = lifecycle(replica);
+        return state == ReplicaLifecycle::Draining ||
+               state == ReplicaLifecycle::Retired;
+    }
 
     /**
      * The spec `replica` was built from — what a scaler clones to
@@ -330,15 +347,6 @@ struct ArrivalContext
 };
 
 /**
- * Per-run binding handed to ControlPolicy::begin().  Replica state
- * is not in it: read it through FleetView.
- */
-struct ControlContext
-{
-    Seconds ttftDeadline = 0.0;
-};
-
-/**
  * One control-plane behavior (see file header).  Policies are
  * stateful across one run and reset in begin(); the same object may
  * drive many runs and many fleets sequentially.
@@ -387,11 +395,12 @@ class ControlPolicy
     /** Virtual-time heartbeat period; <= 0 disables onTick. */
     virtual Seconds tickPeriod() const { return 0.0; }
 
-    /** Reset per-run state; called once before each fleet run. */
-    virtual void begin(const ControlContext &context)
-    {
-        (void)context;
-    }
+    /**
+     * Reset per-run state; called once before each fleet run.  The
+     * run's parameters (the TTFT deadline included) are FleetView
+     * probes, read when a hook runs.
+     */
+    virtual void begin() {}
 
     /**
      * Place (or shed) one arriving request.  Exactly one decision —
@@ -494,7 +503,7 @@ class CompositeControlPolicy : public ControlPolicy
     std::string name() const override;
     std::uint32_t wants() const override;
     Seconds tickPeriod() const override;
-    void begin(const ControlContext &context) override;
+    void begin() override;
     void onArrival(const ArrivalContext &context,
                    const FleetView &view,
                    FleetActions &actions) override;

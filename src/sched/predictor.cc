@@ -208,36 +208,38 @@ ModelPredictor::mlp(std::uint32_t layer)
     return mlp_[layer];
 }
 
-void
+ActivationProfile
 ModelPredictor::calibrate(sparsity::ActivationTrace &trace,
                           std::uint32_t prefill_tokens)
 {
-    hermes_assert(prefill_tokens > 0, "prefill must cover tokens");
+    const std::uint32_t tokens =
+        std::max<std::uint32_t>(prefill_tokens, 1);
     trace.reset(0);
 
-    std::vector<std::vector<double>> attn_freq(llm_.layers);
-    std::vector<std::vector<double>> mlp_freq(llm_.layers);
+    ActivationProfile profile;
+    profile.attn.resize(llm_.layers);
+    profile.mlp.resize(llm_.layers);
     for (std::uint32_t l = 0; l < llm_.layers; ++l) {
-        attn_freq[l].assign(trace.attn(l).neurons(), 0.0);
-        mlp_freq[l].assign(trace.mlp(l).neurons(), 0.0);
+        profile.attn[l].assign(trace.attn(l).neurons(), 0.0);
+        profile.mlp[l].assign(trace.mlp(l).neurons(), 0.0);
     }
 
-    for (std::uint32_t t = 0; t < prefill_tokens; ++t) {
+    for (std::uint32_t t = 0; t < tokens; ++t) {
         trace.nextToken();
         for (std::uint32_t l = 0; l < llm_.layers; ++l) {
             for (const auto id : trace.attn(l).activeList)
-                attn_freq[l][id] += 1.0;
+                profile.attn[l][id] += 1.0;
             for (const auto id : trace.mlp(l).activeList)
-                mlp_freq[l][id] += 1.0;
+                profile.mlp[l][id] += 1.0;
         }
     }
     for (std::uint32_t l = 0; l < llm_.layers; ++l) {
-        for (auto &f : attn_freq[l])
-            f /= prefill_tokens;
-        for (auto &f : mlp_freq[l])
-            f /= prefill_tokens;
-        attn_[l].initFromFrequency(attn_freq[l]);
-        mlp_[l].initFromFrequency(mlp_freq[l]);
+        for (auto &f : profile.attn[l])
+            f /= tokens;
+        for (auto &f : profile.mlp[l])
+            f /= tokens;
+        attn_[l].initFromFrequency(profile.attn[l]);
+        mlp_[l].initFromFrequency(profile.mlp[l]);
         // Offline-sampled correlation tables: the trace exposes its
         // wiring, standing in for the paper's profiling pass (the
         // sampling estimator is validated separately in the tests).
@@ -246,6 +248,7 @@ ModelPredictor::calibrate(sparsity::ActivationTrace &trace,
         mlp_[l].setCorrelation(trace.mlp(l).parent1,
                                trace.mlp(l).parent2);
     }
+    return profile;
 }
 
 void

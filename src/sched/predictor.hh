@@ -184,6 +184,17 @@ class BlockPredictor
 };
 
 /**
+ * Per-neuron activation frequencies of a profiling pass, one vector
+ * per layer and block kind: what the predictor's state tables, the
+ * offline partition and hot-set sizing are built from.
+ */
+struct ActivationProfile
+{
+    std::vector<std::vector<double>> attn;
+    std::vector<std::vector<double>> mlp;
+};
+
+/**
  * Whole-model predictor: one BlockPredictor per block, chained so
  * each block's prediction consumes the previous block's actuals.
  */
@@ -193,12 +204,16 @@ class ModelPredictor
     ModelPredictor(const model::LlmConfig &llm, PredictorConfig config);
 
     /**
-     * Install state and correlation tables from a prefill profile:
-     * runs `prefill_tokens` tokens of the trace, gathers frequencies,
-     * and wires correlations from the trace's offline tables.
+     * The frequency-profiling pass: rewinds the trace to its first
+     * token, runs `prefill_tokens` tokens of it (at least one — a
+     * profile of no tokens has no frequencies), installs the state
+     * tables from each block's activation frequency and wires
+     * correlations from the trace's offline tables.  Returns the
+     * frequencies for the other offline consumers (the partition,
+     * hot-set sizing).
      */
-    void calibrate(sparsity::ActivationTrace &trace,
-                   std::uint32_t prefill_tokens);
+    ActivationProfile calibrate(sparsity::ActivationTrace &trace,
+                                std::uint32_t prefill_tokens);
 
     BlockPredictor &attn(std::uint32_t layer);
     BlockPredictor &mlp(std::uint32_t layer);

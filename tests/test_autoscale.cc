@@ -108,7 +108,7 @@ class SpawnOncePolicy : public sched::ControlPolicy
 
     std::uint32_t wants() const override { return kSpawn; }
 
-    void begin(const sched::ControlContext &) override
+    void begin() override
     {
         spawned_ = -1;
         spawnTime_ = -1.0;
@@ -262,9 +262,9 @@ class SpawnThenDrainPolicy final : public SpawnOncePolicy
 
     std::string name() const override { return "spawn-drain"; }
 
-    void begin(const sched::ControlContext &context) override
+    void begin() override
     {
-        SpawnOncePolicy::begin(context);
+        SpawnOncePolicy::begin();
         served_ = 0;
         drained_ = false;
     }
@@ -434,10 +434,6 @@ class FakeFleetView final : public sched::FleetView
     {
         return replicas[replica].model;
     }
-    std::uint32_t maxBatch(std::uint32_t replica) const override
-    {
-        return replicas[replica].model.maxBatch;
-    }
     bool busy(std::uint32_t) const override { return false; }
     bool knownServable(std::uint32_t replica) const override
     {
@@ -446,11 +442,6 @@ class FakeFleetView final : public sched::FleetView
     bool knownDead(std::uint32_t replica) const override
     {
         return replicas[replica].dead;
-    }
-    bool draining(std::uint32_t replica) const override
-    {
-        return replicas[replica].lifecycle ==
-               sched::ReplicaLifecycle::Draining;
     }
     sched::ReplicaLifecycle
     lifecycle(std::uint32_t replica) const override
@@ -551,9 +542,7 @@ TEST(Autoscale, ScalerSpawnsWithHysteresisAndCooldown)
     EXPECT_TRUE(scaler->wants() & sched::ControlPolicy::kTick);
     EXPECT_GT(scaler->tickPeriod(), 0.0);
 
-    sched::ControlContext context;
-    context.ttftDeadline = 2.0;
-    scaler->begin(context);
+    scaler->begin();
 
     FakeFleetView view;
     view.replicas.push_back({unitModel(),
@@ -578,9 +567,7 @@ TEST(Autoscale, ScalerSpawnsWithHysteresisAndCooldown)
 TEST(Autoscale, ScalerDrainsLeastLoadedButNeverTheLastActive)
 {
     auto scaler = sched::makeTargetBacklogPolicy();
-    sched::ControlContext context;
-    context.ttftDeadline = 2.0;
-    scaler->begin(context);
+    scaler->begin();
 
     // Two Active replicas, no backlog: scale down after hysteresis,
     // draining the least-outstanding replica (ties break to the
@@ -602,7 +589,7 @@ TEST(Autoscale, ScalerDrainsLeastLoadedButNeverTheLastActive)
     // One Active + one Warming over-provisioned fleet: warming
     // capacity cannot take traffic yet, so the scaler must not
     // drain the last routable replica.
-    scaler->begin(context);
+    scaler->begin();
     view.replicas[0].lifecycle = sched::ReplicaLifecycle::Warming;
     RecordingActions guarded;
     scaler->onTick(1.0, view, guarded);
@@ -619,9 +606,7 @@ TEST(Autoscale, AffinityConvertsCachedTokensThroughThePrefillRate)
     // most an 8-token backlog gap.  A raw 1:1 token comparison
     // (cached >= gap) would stick far more eagerly.
     auto affinity = sched::makeAffinityPolicy();
-    sched::ControlContext context;
-    context.ttftDeadline = 2.0;
-    affinity->begin(context);
+    affinity->begin();
 
     FakeFleetView view;
     view.replicas.push_back({unitModel(),

@@ -259,10 +259,6 @@ class RandomFleet final : public FleetView
     {
         return replicas.at(r).model;
     }
-    std::uint32_t maxBatch(std::uint32_t r) const override
-    {
-        return replicas.at(r).model.maxBatch;
-    }
     bool busy(std::uint32_t r) const override
     {
         return replicas.at(r).busy;
@@ -274,12 +270,6 @@ class RandomFleet final : public FleetView
     bool knownDead(std::uint32_t r) const override
     {
         return replicas.at(r).probed && replicas.at(r).dead;
-    }
-    bool draining(std::uint32_t r) const override
-    {
-        return replicas.at(r).lifecycle ==
-                   ReplicaLifecycle::Draining ||
-               replicas.at(r).lifecycle == ReplicaLifecycle::Retired;
     }
     ReplicaLifecycle lifecycle(std::uint32_t r) const override
     {
@@ -425,7 +415,6 @@ TEST(PolicyIndex, RoutingAndStealingMatchTheLinearScans)
         std::vector<ReplicaModel> models;
         for (const auto &replica : fleet.replicas)
             models.push_back(replica.model);
-        const ControlContext context{2.0};
 
         const auto true_jsq = controlPolicyByName("true-jsq");
         const auto backlog = controlPolicyByName("least-backlog");
@@ -436,7 +425,7 @@ TEST(PolicyIndex, RoutingAndStealingMatchTheLinearScans)
         for (ControlPolicy *policy : indexed) {
             ASSERT_TRUE(policy->wants() &
                         ControlPolicy::kReplicaChanges);
-            policy->begin(context);
+            policy->begin();
         }
         Router ref_jsq(RouterPolicy::TrueJsq, models, 2.0);
         Router ref_backlog(RouterPolicy::LeastActualBacklog, models,
@@ -519,11 +508,7 @@ class LinearRouterPolicy final : public ControlPolicy
     {
         return routerPolicyName(policy_);
     }
-    void begin(const ControlContext &context) override
-    {
-        deadline_ = context.ttftDeadline;
-        router_.reset();
-    }
+    void begin() override { router_.reset(); }
     void onArrival(const ArrivalContext &context,
                    const FleetView &view,
                    FleetActions &actions) override
@@ -532,7 +517,7 @@ class LinearRouterPolicy final : public ControlPolicy
         if (!router_)
             router_ = std::make_unique<Router>(
                 policy_, std::vector<ReplicaModel>{view.model(0)},
-                deadline_);
+                view.ttftDeadline());
         while (router_->replicaCount() < n)
             router_->addReplica(view.model(router_->replicaCount()));
         std::vector<ReplicaObservation> observed(n);
@@ -555,7 +540,6 @@ class LinearRouterPolicy final : public ControlPolicy
 
   private:
     RouterPolicy policy_;
-    Seconds deadline_ = 0.0;
     std::unique_ptr<Router> router_;
 };
 
@@ -781,7 +765,7 @@ class ChangeListAuditor final : public ControlPolicy
         return kReplicaEvents | kIdle | kDead | kTick |
                kReplicaChanges;
     }
-    void begin(const ControlContext &) override { shadow_.clear(); }
+    void begin() override { shadow_.clear(); }
     void onReplicasChanged(const std::vector<std::uint32_t> &replicas,
                            const FleetView &view) override
     {
@@ -858,7 +842,7 @@ class DrainHoldingReplicaOnce final : public ControlPolicy
   public:
     std::string name() const override { return "drain-holding"; }
     std::uint32_t wants() const override { return kReplicaEvents; }
-    void begin(const ControlContext &) override { done_ = false; }
+    void begin() override { done_ = false; }
     void onStepComplete(std::uint32_t replica, Seconds,
                         const FleetView &view,
                         FleetActions &actions) override

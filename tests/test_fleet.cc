@@ -5,6 +5,7 @@
  */
 
 #include <array>
+#include <optional>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -863,6 +864,149 @@ TEST(ControlPlane, AutoscalingIntentsAreRecorded)
     EXPECT_EQ(report.kernelStats.drainRequests, 1u);
     for (const int replica : report.assignment)
         EXPECT_EQ(replica, 0);
+}
+
+/**
+ * What a policy sees of replica `replica` through the view: the
+ * per-replica facts that live in the kernel's run-state record.
+ */
+struct RecordProbe
+{
+    sched::ReplicaModel model;
+    std::uint32_t maxBatch = 0;
+    sched::ReplicaLifecycle lifecycle =
+        sched::ReplicaLifecycle::Active;
+    sched::ReplicaSpec spec;
+};
+
+RecordProbe
+probeRecord(const sched::FleetView &view, std::uint32_t replica)
+{
+    return RecordProbe{view.model(replica), view.maxBatch(replica),
+                       view.lifecycle(replica),
+                       view.replicaSpec(replica)};
+}
+
+/**
+ * Routes every arrival to replica 0 or 1 by id parity, optionally
+ * spawning `spawn` at the first arrival, and probes every replica's
+ * record at every arrival.
+ */
+class ProbeRecordsPolicy final : public sched::ControlPolicy
+{
+  public:
+    explicit ProbeRecordsPolicy(std::optional<sched::ReplicaSpec> spawn)
+        : spawn_(std::move(spawn))
+    {
+    }
+
+    std::string name() const override { return "probe-records"; }
+    std::uint32_t wants() const override { return kSpawn; }
+    void begin() override
+    {
+        spawned = -1;
+        probes.clear();
+    }
+    void onArrival(const sched::ArrivalContext &context,
+                   const sched::FleetView &view,
+                   sched::FleetActions &actions) override
+    {
+        if (spawn_ && spawned < 0)
+            spawned = static_cast<int>(actions.spawnReplica(*spawn_));
+        std::vector<RecordProbe> sample;
+        for (std::uint32_t r = 0; r < view.replicaCount(); ++r)
+            sample.push_back(probeRecord(view, r));
+        probes.push_back(std::move(sample));
+        actions.routeTo(static_cast<std::uint32_t>(context.requestId % 2));
+    }
+
+    int spawned = -1;
+    std::vector<std::vector<RecordProbe>> probes; ///< Per arrival.
+
+  private:
+    std::optional<sched::ReplicaSpec> spawn_;
+};
+
+TEST(ControlPlane, SpawnedReplicaReadsItsOwnRecord)
+{
+    // A spawned replica whose spec differs from the configured
+    // fleet in maxBatch and engine: every per-replica fact a policy
+    // reads of it must come from its own record, never from a
+    // configured replica's slot.
+    sched::ReplicaSpec spec;
+    spec.system = fastConfig(4);
+    spec.serving = fastServing(3);
+    spec.serving.engine = runtime::EngineKind::HermesBase;
+    spec.provisionSeconds = 0.05;
+
+    FleetConfig config =
+        uniformFleet(2, fastConfig(4), fastServing(4), nullptr, 30.0);
+    auto spawner = std::make_shared<ProbeRecordsPolicy>(spec);
+    config.control = spawner;
+    const auto trace = smallTrace();
+    const auto report =
+        FleetSimulator(config, model::opt13b()).run(trace);
+    checkReportInvariants(report, trace.size());
+    ASSERT_EQ(spawner->spawned, 2);
+    ASSERT_EQ(report.replicaNames.size(), 3u);
+    EXPECT_EQ(report.replicaNames[2], "s0");
+    EXPECT_EQ(report.replicaReports[2].engine, "Hermes-base");
+    EXPECT_EQ(report.replicaReports[0].engine, "Hermes");
+
+    // The model a configured replica built from the same spec gets:
+    // calibration is a function of the replica and the workload
+    // only, so the spawned replica's record must hold exactly this.
+    FleetConfig reference_config = config;
+    ReplicaConfig third;
+    third.name = "third";
+    third.system = spec.system;
+    third.serving = spec.serving;
+    reference_config.replicas.push_back(third);
+    auto reference = std::make_shared<ProbeRecordsPolicy>(std::nullopt);
+    reference_config.control = reference;
+    FleetSimulator(reference_config, model::opt13b()).run(trace);
+    ASSERT_FALSE(reference->probes.empty());
+    const sched::ReplicaModel expected = reference->probes[0][2].model;
+    // Sanity: the engines differ, so a slot mix-up is visible.
+    ASSERT_NE(expected.slotTokensPerSecond,
+              reference->probes[0][0].model.slotTokensPerSecond);
+
+    ASSERT_EQ(spawner->probes.size(), trace.size());
+    sched::ReplicaLifecycle last = sched::ReplicaLifecycle::Provisioning;
+    for (const auto &sample : spawner->probes) {
+        ASSERT_EQ(sample.size(), 3u);
+        const RecordProbe &spawned = sample[2];
+        EXPECT_EQ(spawned.model.maxBatch, 3u);
+        EXPECT_EQ(spawned.maxBatch, 3u);
+        EXPECT_EQ(spawned.model.prefillSeconds, expected.prefillSeconds);
+        EXPECT_EQ(spawned.model.slotTokensPerSecond,
+                  expected.slotTokensPerSecond);
+        EXPECT_EQ(spawned.model.prefillTokensPerSecond,
+                  expected.prefillTokensPerSecond);
+        EXPECT_EQ(spawned.spec.serving.maxBatch, 3u);
+        EXPECT_EQ(spawned.spec.serving.engine,
+                  runtime::EngineKind::HermesBase);
+        EXPECT_EQ(spawned.spec.provisionSeconds, 0.05);
+        EXPECT_TRUE(spawned.spec.name.empty());
+        // The lifecycle walks forward from Provisioning, never past
+        // Active (nothing drains it).
+        EXPECT_GE(spawned.lifecycle, last);
+        EXPECT_LE(spawned.lifecycle, sched::ReplicaLifecycle::Active);
+        last = spawned.lifecycle;
+        for (std::uint32_t r = 0; r < 2; ++r) {
+            EXPECT_EQ(sample[r].maxBatch, 4u);
+            EXPECT_EQ(sample[r].model.maxBatch, 4u);
+            EXPECT_EQ(sample[r].lifecycle,
+                      sched::ReplicaLifecycle::Active);
+            EXPECT_EQ(sample[r].spec.serving.engine,
+                      runtime::EngineKind::Hermes);
+        }
+    }
+    // The spawning arrival saw it Provisioning; by the end it went
+    // Active on the clock.
+    EXPECT_EQ(spawner->probes.front()[2].lifecycle,
+              sched::ReplicaLifecycle::Provisioning);
+    EXPECT_EQ(last, sched::ReplicaLifecycle::Active);
 }
 
 TEST(ControlPlane, TickHeartbeatFiresWithoutPerturbingPhysics)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -525,6 +526,51 @@ TEST(TapeReplay, WarmedEngineMatchesFreshRunEveryKind)
     }
     EXPECT_TRUE(saturated);
     EXPECT_TRUE(unservable);
+}
+
+TEST(Engines, ZeroProfileTokensProfileOneToken)
+{
+    // A profile over no tokens has no frequencies: Hermes-host used
+    // to divide 0 by 0 there (NaN hot masses, a NaN cast to a neuron
+    // count, ~1e-11 tokens/s).  The one profiling pass
+    // (sched::ModelPredictor::calibrate) profiles at least one
+    // token, so both profiling engines run the 0-token request
+    // exactly like the 1-token one.
+    for (const EngineKind kind :
+         {EngineKind::Hermes, EngineKind::HermesHost}) {
+        InferenceRequest request = requestFor("OPT-13B");
+        request.profileTokens = 0;
+        const InferenceResult zero =
+            makeEngine(kind, fastPlatform())->run(request);
+        request.profileTokens = 1;
+        const InferenceResult one =
+            makeEngine(kind, fastPlatform())->run(request);
+        const std::string where = engineKindName(kind);
+        ASSERT_TRUE(zero.supported) << where;
+        EXPECT_TRUE(std::isfinite(zero.tokensPerSecond)) << where;
+        EXPECT_GT(zero.tokensPerSecond, 1.0) << where;
+        if (kind == EngineKind::HermesHost) {
+            EXPECT_TRUE(std::isfinite(
+                zero.stats.counterValue("hot.mass.attn")));
+            EXPECT_TRUE(std::isfinite(
+                zero.stats.counterValue("hot.mass.mlp")));
+        }
+        expectBitwiseEqual(zero, one, where + " profile 0 vs 1");
+    }
+}
+
+TEST(Engines, HermesHostServesAOneLayerModel)
+{
+    // The representative profiled layer is the second one; a
+    // one-layer model profiles its only layer instead of reading
+    // past the profile.
+    InferenceRequest request = requestFor("OPT-13B");
+    request.llm.layers = 1;
+    const InferenceResult result =
+        makeEngine(EngineKind::HermesHost, SystemConfig{})->run(request);
+    ASSERT_TRUE(result.supported);
+    EXPECT_GT(result.tokensPerSecond, 0.0);
+    EXPECT_GT(result.stats.counterValue("hot.mass.attn"), 0.0);
 }
 
 TEST(TapeReplay, OneTapePerRowOnTraceDrivenEngines)
