@@ -36,12 +36,8 @@ main()
 
     // --- 1. Offline partition (Sec. IV-B). ---
     std::printf("== offline ILP partition ==\n");
-    std::vector<double> freq(trace.mlp(0).neurons(), 0.0);
-    for (int t = 0; t < 64; ++t) {
-        trace.nextToken();
-        for (const auto id : trace.mlp(0).activeList)
-            freq[id] += 1.0 / 64.0;
-    }
+    const std::vector<double> freq =
+        profileActivations(trace, 64, 1).mlp[0];
     PartitionProblem problem;
     BlockProblem block;
     block.frequency = freq;
@@ -61,6 +57,7 @@ main()
     // --- 2. Online prediction (Sec. IV-C). ---
     std::printf("\n== lightweight predictor ==\n");
     ModelPredictor predictor(llm, PredictorConfig{});
+    trace.reset(0);
     predictor.calibrate(trace, 64);
     trace.reset(1);
     std::vector<std::vector<std::uint8_t>> attn_masks, mlp_masks;
@@ -76,10 +73,15 @@ main()
 
     // --- 3. Online adjustment (Sec. IV-C2). ---
     std::printf("\n== online hot/cold adjustment ==\n");
+    // The GPU starts out holding section 1's ILP hot set; the live
+    // scores then swap neurons in and out of it.
     BlockPlacement block_placement(trace.mlp(0).neurons(), 4);
-    for (std::uint32_t i = 0; i < block_placement.neurons(); ++i)
+    for (std::uint32_t i = 0; i < block_placement.neurons(); ++i) {
         block_placement.setHomeDimm(
             i, static_cast<std::uint16_t>(i % 4));
+        block_placement.setOnGpu(
+            i, partition.assignment.location[0][i] < 0);
+    }
     std::vector<std::uint32_t> hot_scores;
     predictor.mlp(0).hotScores(&trace.attn(0).mask, true, true,
                                hot_scores);

@@ -1,11 +1,12 @@
 /**
  * @file
- * Worker-pool sizing helpers and the one pool, parallelFor().
+ * Worker-pool sizing helpers, the one job pool, parallelFor(), and the
+ * one producer/consumer pipeline, pipelineFor().
  *
  * Every thread pool in the simulator (router calibration, shared
- * cost-cache warming) sizes itself from a user request with a
- * hardware-probe fallback.  The standard allows
- * std::thread::hardware_concurrency() to return 0 ("not
+ * cost-cache warming, the layer-parallel Hermes record) sizes itself
+ * from a user request with a hardware-probe fallback.  The standard
+ * allows std::thread::hardware_concurrency() to return 0 ("not
  * computable"); these helpers clamp that case in exactly one place
  * so no caller can ever end up with a zero-thread pool or divide by
  * zero.  The clamp logic is pure (the probe value is a parameter)
@@ -20,7 +21,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -103,6 +106,117 @@ parallelFor(std::size_t workers, std::size_t jobs, Fn &&fn)
     }
     for (std::jthread &thread : pool)
         thread.join();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+}
+
+/**
+ * A bounded one-producer pipeline over `items` items, for work whose
+ * items must be made in order on one thread (a serial RNG stream)
+ * but whose use splits into independent lanes.  produce(item, slot)
+ * runs on the caller for item = 0, 1, ..., items - 1, in order, and
+ * fills ring slot `slot` (item % depth); consume(lane, item, slot)
+ * then runs once for every lane in [0, lanes), each lane on its own
+ * thread and taking the items in order.  A slot goes back to
+ * produce() only once every lane has consumed the item it held, so
+ * at most `depth` items are in flight and lanes read a slot in place.
+ * Lanes must touch disjoint state.
+ *
+ * With `lanes` <= 1 nothing is spawned: each item runs inline,
+ * produce(item, 0) then consume(0, item, 0), as parallelFor does at
+ * one worker.  Errors as in parallelFor: a throwing lane stops and
+ * the producer stops waiting for it; a throwing produce() stops
+ * every lane before its next item; once all have joined, the
+ * producer's exception, or else the lowest-numbered failed lane's,
+ * is rethrown on the caller.
+ */
+template <typename Produce, typename Consume>
+void
+pipelineFor(std::size_t lanes, std::size_t depth, std::size_t items,
+            Produce &&produce, Consume &&consume)
+{
+    if (lanes <= 1) {
+        for (std::size_t item = 0; item < items; ++item) {
+            produce(item, std::size_t{0});
+            consume(std::size_t{0}, item, std::size_t{0});
+        }
+        return;
+    }
+    depth = std::max<std::size_t>(depth, 1);
+    std::mutex mutex; // Guards published, stop and done.
+    std::condition_variable produced;
+    std::condition_variable consumed;
+    std::size_t published = 0;
+    bool stop = false;
+    // Items each lane has finished; `items` once it failed.
+    std::vector<std::size_t> done(lanes, 0);
+    std::vector<std::exception_ptr> errors(lanes);
+    std::exception_ptr producer_error;
+    const auto finish = [&](std::size_t lane, std::size_t count) {
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            done[lane] = count;
+        }
+        consumed.notify_one();
+    };
+    const auto lane_loop = [&](std::size_t lane) {
+        try {
+            for (std::size_t item = 0; item < items; ++item) {
+                {
+                    std::unique_lock<std::mutex> lock(mutex);
+                    produced.wait(lock, [&] {
+                        return stop || published > item;
+                    });
+                    if (stop)
+                        return;
+                }
+                consume(lane, item, item % depth);
+                finish(lane, item + 1);
+            }
+        } catch (...) {
+            errors[lane] = std::current_exception();
+            finish(lane, items);
+        }
+    };
+    {
+        // Declared before the spawns, so the lanes join (on scope
+        // exit) only after a failed producer has released them.
+        std::vector<std::jthread> pool;
+        try {
+            pool.reserve(lanes);
+            for (std::size_t lane = 0; lane < lanes; ++lane)
+                pool.emplace_back(lane_loop, lane);
+            for (std::size_t item = 0; item < items; ++item) {
+                if (item >= depth) {
+                    std::unique_lock<std::mutex> lock(mutex);
+                    consumed.wait(lock, [&] {
+                        return std::all_of(
+                            done.begin(), done.end(),
+                            [&](std::size_t count) {
+                                return count + depth > item;
+                            });
+                    });
+                }
+                produce(item, item % depth);
+                {
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    published = item + 1;
+                }
+                produced.notify_all();
+            }
+        } catch (...) {
+            producer_error = std::current_exception();
+            {
+                const std::lock_guard<std::mutex> lock(mutex);
+                stop = true;
+            }
+            produced.notify_all();
+        }
+    }
+    if (producer_error)
+        std::rethrow_exception(producer_error);
     for (const std::exception_ptr &error : errors) {
         if (error)
             std::rethrow_exception(error);

@@ -201,6 +201,10 @@ ServingSimulator::rowEngine(std::size_t row)
                 system_.dimm.dimm);
         engines[row] =
             runtime::makeEngine(config_.engine, system_, cache_->probe);
+        // Cost-cell records decode few tokens, and run either on the
+        // event thread or on a calibration worker that already owns
+        // a core: they record inline.
+        engines[row]->setRecordThreads(1);
     }
     return *engines[row];
 }

@@ -638,7 +638,8 @@ class ServingSimulator
     void storeCosts(std::size_t row, std::uint64_t column,
                     const StepCosts &step);
 
-    /** Row `row`'s pooled engine, constructed on first use. */
+    /** Row `row`'s pooled engine, constructed on first use; its
+     * records run inline on the calling thread. */
     runtime::InferenceEngine &rowEngine(std::size_t row);
 
     /**

@@ -108,6 +108,13 @@ class InferenceEngine
      */
     virtual std::uint64_t tapesBuilt() const { return 0; }
 
+    /**
+     * Threads a trace-driven record may use, the calling thread
+     * included (0 = hardwareThreads()).  Results never depend on it;
+     * engines that record serially ignore it.
+     */
+    virtual void setRecordThreads(std::uint32_t) {}
+
   protected:
     /** Fill the derived totals of a result. */
     static void

@@ -10,6 +10,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "common/threads.hh"
 #include "gpu/kernels.hh"
 #include "interconnect/dimm_link.hh"
 #include "interconnect/pcie.hh"
@@ -54,6 +55,37 @@ countLocations(const std::vector<std::uint8_t> &mask,
     counts.gpu = gpu;
     return counts;
 }
+
+/**
+ * Token slots between the trace and the layer lanes of a record: the
+ * producer runs up to this many tokens ahead, which absorbs the
+ * jitter of lanes whose layers cost more on some tokens (window
+ * boundaries) than on others.
+ */
+constexpr std::size_t kRingDepth = 4;
+
+/** What a layer step adds to the record's counters besides its times. */
+struct LayerTally
+{
+    std::uint64_t transfers = 0;      ///< Window-rebalance migrations.
+    std::uint64_t mlpGpuRows = 0;     ///< Predicted-active MLP rows on GPU.
+    std::uint64_t mlpDimmRowsMax = 0; ///< Busiest DIMM's MLP rows.
+};
+
+/**
+ * One record lane's scratch and integer totals, a cache line apart
+ * from the next lane's: each lane updates its totals every step.
+ */
+struct alignas(64) LaneState
+{
+    std::vector<std::uint8_t> attnPred;
+    std::vector<std::uint8_t> mlpPred;
+    std::vector<std::uint32_t> hotScores;
+    sched::PredictionMetrics metrics;
+    std::uint64_t promotions = 0;
+    Bytes promotionBytes = 0;
+    Bytes migrationBytes = 0;
+};
 
 /** Layers a run simulates; costs extrapolate to the full depth. */
 std::uint32_t
@@ -222,117 +254,161 @@ HermesEngine::record(const InferenceRequest &request)
         sched::WindowSet::Policy{config_.sched.windowRebalance,
                                  config_.sched.oracleRebalance});
 
+    // The trace is one serial RNG stream and stays on this thread;
+    // everything a layer's stages touch (its predictor FSMs,
+    // placement blocks and windows) belongs to one lane, which takes
+    // the layer's tokens in order.  So each layer sees exactly the
+    // serial sequence of operations, whatever the thread count; the
+    // `double` counters, whose sums depend on order, are added after
+    // the join in (token, layer) order.
+    const std::uint32_t lanes = std::max<std::uint32_t>(
+        std::min(effectiveThreads(recordThreads_, hardwareThreads()) - 1,
+                 sim_layers),
+        1);
+    const std::size_t step_count =
+        static_cast<std::size_t>(request.generateTokens) * sim_layers;
     Tape tape;
-    tape.steps.reserve(static_cast<std::size_t>(request.generateTokens) *
-                       sim_layers);
-    StatSet &stats = tape.stats;
-    std::vector<std::uint8_t> attn_pred;
-    std::vector<std::uint8_t> mlp_pred;
-    std::vector<std::uint32_t> hot_scores;
-    sched::PredictionMetrics metrics;
-    std::uint64_t promotions = 0;
-    Bytes promotion_bytes = 0;
-    Bytes migration_bytes = 0;
-    // The decode loop's counters, looked up once; a run that decodes
-    // no token creates none of them.
-    auto decode_counter = [&](const char *name) {
-        return request.generateTokens > 0 ? &stats.counter(name)
-                                          : nullptr;
-    };
-    Counter *const qkv_gpu_time = decode_counter("time.qkv.gpu");
-    Counter *const qkv_dimm_time = decode_counter("time.qkv.dimm");
-    Counter *const transfers = decode_counter("migration.transfers");
-    Counter *const mlp_gpu_time = decode_counter("time.mlp.gpu");
-    Counter *const mlp_dimm_time = decode_counter("time.mlp.dimm");
-    Counter *const mlp_gpu_count = decode_counter("count.mlp.gpu");
-    Counter *const mlp_dimm_max = decode_counter("count.mlp.dimm.max");
+    tape.steps.resize(step_count);
+    std::vector<LayerTally> tallies(step_count);
+    std::vector<LaneState> lane_states(lanes);
+    std::vector<double> attn_scale(sim_layers);
+    std::vector<double> mlp_scale(sim_layers);
+    for (std::uint32_t l = 0; l < sim_layers; ++l) {
+        attn_scale[l] = trace.attn(l).computeScale;
+        mlp_scale[l] = trace.mlp(l).computeScale;
+    }
+    // Slot s holds one token's activations of every layer; a slot
+    // stays empty until its first use.
+    std::vector<std::vector<sparsity::LayerActivations>> ring(
+        kRingDepth, std::vector<sparsity::LayerActivations>(sim_layers));
+    // The lanes share the bandwidth probe; miss it here, not under
+    // its lock while the other lanes wait.
+    if (request.generateTokens > 0)
+        ndp_.internalBandwidth();
 
-    for (std::uint32_t t = 0; t < request.generateTokens; ++t) {
+    const auto produce = [&](std::size_t, std::size_t slot) {
         trace.nextToken();
-
-        for (std::uint32_t l = 0; l < sim_layers; ++l) {
-            const sparsity::BlockTrace &attn_actual = trace.attn(l);
-            const sparsity::BlockTrace &mlp_actual = trace.mlp(l);
-            LayerStep &step = tape.steps.emplace_back();
+        for (std::uint32_t l = 0; l < sim_layers; ++l)
+            trace.swapActivations(l, ring[slot][l]);
+    };
+    const auto consume = [&](std::size_t lane, std::size_t t,
+                             std::size_t slot) {
+        const std::vector<sparsity::LayerActivations> &token =
+            ring[slot];
+        LaneState &own = lane_states[lane];
+        for (auto l = static_cast<std::uint32_t>(lane); l < sim_layers;
+             l += lanes) {
+            const sparsity::LayerActivations &actual = token[l];
+            const std::size_t index = t * sim_layers + l;
+            LayerStep &step = tape.steps[index];
+            LayerTally &tally = tallies[index];
 
             // 1. Prediction (parents' actuals are available in
             // execution order).
             const std::vector<std::uint8_t> *attn_parent =
-                l == 0 ? nullptr : &trace.mlp(l - 1).mask;
-            predictor.attn(l).predict(attn_parent, attn_pred);
-            predictor.mlp(l).predict(&attn_actual.mask, mlp_pred);
+                l == 0 ? nullptr : &token[l - 1].mlpMask;
+            predictor.attn(l).predict(attn_parent, own.attnPred);
+            predictor.mlp(l).predict(&actual.attnMask, own.mlpPred);
 
             // 2. QKV generation split (Fig. 6b).
             const LocationCounts qkv_counts =
-                countLocations(attn_pred, placement.attn[l]);
+                countLocations(own.attnPred, placement.attn[l]);
             step.qkvGpu = gpu_model.sparseGemv(
                 qkv_counts.gpu, attn_values, request.batch);
-            step.qkvLanes = dimmLaneTimes(ndp_, qkv_counts.dimm,
-                                          attn_values, request.batch,
-                                          attn_actual.computeScale);
-            qkv_gpu_time->add(step.qkvGpu);
-            qkv_dimm_time->add(*std::max_element(
-                step.qkvLanes.begin(), step.qkvLanes.end()));
+            step.qkvLanes =
+                dimmLaneTimes(ndp_, qkv_counts.dimm, attn_values,
+                              request.batch, attn_scale[l]);
 
             // 4. Hot/cold swaps and rebalancing, shadowed by the
             // projection at replay.
             if (config_.sched.onlineAdjustment) {
-                const bool token = config_.sched.tokenWisePrediction;
-                const bool layer = config_.sched.layerWisePrediction;
-                predictor.attn(l).hotScores(attn_parent, token, layer,
-                                            hot_scores);
+                const bool token_wise = config_.sched.tokenWisePrediction;
+                const bool layer_wise = config_.sched.layerWisePrediction;
+                predictor.attn(l).hotScores(attn_parent, token_wise,
+                                            layer_wise, own.hotScores);
                 const sched::AdjustmentResult adj_attn =
                     sched::NeuronMapper::adjustBlock(
-                        placement.attn[l], hot_scores,
+                        placement.attn[l], own.hotScores,
                         llm.attnNeuronBytes());
-                predictor.mlp(l).hotScores(&attn_actual.mask, token,
-                                           layer, hot_scores);
+                predictor.mlp(l).hotScores(&actual.attnMask, token_wise,
+                                           layer_wise, own.hotScores);
                 const sched::AdjustmentResult adj_mlp =
                     sched::NeuronMapper::adjustBlock(
-                        placement.mlp[l], hot_scores,
+                        placement.mlp[l], own.hotScores,
                         llm.mlpNeuronBytes());
                 const Bytes upload =
                     adj_attn.pcieBytes + adj_mlp.pcieBytes;
-                promotions +=
+                own.promotions +=
                     adj_attn.promotions + adj_mlp.promotions;
-                promotion_bytes += upload;
+                own.promotionBytes += upload;
                 if (upload > 0)
                     step.upload = pcie.transferTime(upload);
             }
 
-            windows.observe(l, attn_actual.activeList,
-                            mlp_actual.activeList);
+            windows.observe(l, actual.attnActive, actual.mlpActive);
             const sched::WindowSet::RebalanceOutcome rebalance =
                 windows.maybeRebalance(
                     l, placement.attn[l], placement.mlp[l],
                     llm.attnNeuronBytes(), llm.mlpNeuronBytes(),
                     link_net);
-            migration_bytes += rebalance.migrationBytes;
-            transfers->add(static_cast<double>(rebalance.transfers));
+            own.migrationBytes += rebalance.migrationBytes;
+            tally.transfers = rebalance.transfers;
             step.migration = rebalance.migrationTime;
 
             // 5. MLP split.
             const LocationCounts mlp_counts =
-                countLocations(mlp_pred, placement.mlp[l]);
+                countLocations(own.mlpPred, placement.mlp[l]);
             step.mlpGpu = gpu_model.sparseGemv(
                 mlp_counts.gpu, mlp_values, request.batch);
-            step.mlpLanes = dimmLaneTimes(ndp_, mlp_counts.dimm,
-                                          mlp_values, request.batch,
-                                          mlp_actual.computeScale);
-            mlp_gpu_time->add(step.mlpGpu);
-            mlp_dimm_time->add(*std::max_element(
-                step.mlpLanes.begin(), step.mlpLanes.end()));
-            mlp_gpu_count->add(static_cast<double>(mlp_counts.gpu));
-            mlp_dimm_max->add(
-                static_cast<double>(*std::max_element(
-                    mlp_counts.dimm.begin(), mlp_counts.dimm.end())));
+            step.mlpLanes =
+                dimmLaneTimes(ndp_, mlp_counts.dimm, mlp_values,
+                              request.batch, mlp_scale[l]);
+            tally.mlpGpuRows = mlp_counts.gpu;
+            tally.mlpDimmRowsMax = *std::max_element(
+                mlp_counts.dimm.begin(), mlp_counts.dimm.end());
 
             // Predictor bookkeeping (metrics + FSM update).
-            metrics.tallyMasks(attn_pred, attn_actual.mask);
-            metrics.tallyMasks(mlp_pred, mlp_actual.mask);
-            predictor.attn(l).update(attn_actual.mask);
-            predictor.mlp(l).update(mlp_actual.mask);
+            own.metrics.tallyMasks(own.attnPred, actual.attnMask);
+            own.metrics.tallyMasks(own.mlpPred, actual.mlpMask);
+            predictor.attn(l).update(actual.attnMask);
+            predictor.mlp(l).update(actual.mlpMask);
         }
+    };
+    pipelineFor(lanes, kRingDepth, request.generateTokens, produce,
+                consume);
+
+    StatSet &stats = tape.stats;
+    if (step_count > 0) {
+        Counter &qkv_gpu_time = stats.counter("time.qkv.gpu");
+        Counter &qkv_dimm_time = stats.counter("time.qkv.dimm");
+        Counter &transfers = stats.counter("migration.transfers");
+        Counter &mlp_gpu_time = stats.counter("time.mlp.gpu");
+        Counter &mlp_dimm_time = stats.counter("time.mlp.dimm");
+        Counter &mlp_gpu_count = stats.counter("count.mlp.gpu");
+        Counter &mlp_dimm_max = stats.counter("count.mlp.dimm.max");
+        for (std::size_t i = 0; i < step_count; ++i) {
+            const LayerStep &step = tape.steps[i];
+            const LayerTally &tally = tallies[i];
+            qkv_gpu_time.add(step.qkvGpu);
+            qkv_dimm_time.add(*std::max_element(step.qkvLanes.begin(),
+                                                step.qkvLanes.end()));
+            transfers.add(static_cast<double>(tally.transfers));
+            mlp_gpu_time.add(step.mlpGpu);
+            mlp_dimm_time.add(*std::max_element(step.mlpLanes.begin(),
+                                                step.mlpLanes.end()));
+            mlp_gpu_count.add(static_cast<double>(tally.mlpGpuRows));
+            mlp_dimm_max.add(static_cast<double>(tally.mlpDimmRowsMax));
+        }
+    }
+    sched::PredictionMetrics metrics;
+    std::uint64_t promotions = 0;
+    Bytes promotion_bytes = 0;
+    Bytes migration_bytes = 0;
+    for (const LaneState &own : lane_states) {
+        metrics += own.metrics;
+        promotions += own.promotions;
+        promotion_bytes += own.promotionBytes;
+        migration_bytes += own.migrationBytes;
     }
 
     stats.counter("predictor.accuracy").set(metrics.accuracy());
@@ -360,8 +436,7 @@ HermesEngine::run(const InferenceRequest &request)
                 : "model exceeds NDP-DIMM capacity";
         return result;
     }
-    const Tape &tape =
-        tapes_.get(request, [&] { return record(request); });
+    const Tape &tape = this->tape(request);
 
     const model::LlmConfig &llm = request.llm;
     const std::uint32_t sim_layers = simulatedLayers(config_, llm);

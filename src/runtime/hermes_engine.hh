@@ -19,7 +19,11 @@
  * Steps 1, 2, 4 and 5 do not depend on the context length: they are
  * recorded once per (model, batch, seed, token counts) as a tape
  * (runtime/tape.hh) and replayed with each context's prefill and KV
- * attention, bit-identically to a full simulation.
+ * attention, bit-identically to a full simulation.  The record is
+ * layer-parallel: the calling thread steps the activation trace (one
+ * serial RNG stream) while worker threads run steps 1, 2, 4 and 5 of
+ * the layers they own, and the tape is bitwise the same at any
+ * thread count (setRecordThreads).
  *
  * Scheduling toggles in SystemConfig::sched select the Fig. 13
  * ablation variants (Hermes-random / -partition / -token- /
@@ -68,9 +72,14 @@ class HermesEngine : public InferenceEngine
 
     std::uint64_t tapesBuilt() const override { return tapes_.built(); }
 
+    void
+    setRecordThreads(std::uint32_t threads) override
+    {
+        recordThreads_ = threads;
+    }
+
     const SystemConfig &config() const { return config_; }
 
-  private:
     /** One simulated layer of one token: the context-free stages. */
     struct LayerStep
     {
@@ -88,6 +97,17 @@ class HermesEngine : public InferenceEngine
         StatSet stats;                ///< The run's finished counters.
     };
 
+    /**
+     * The context-free record of `request` that run() replays,
+     * recorded on a miss.  Valid until the next call.
+     */
+    const Tape &
+    tape(const InferenceRequest &request)
+    {
+        return tapes_.get(request, [&] { return record(request); });
+    }
+
+  private:
     /** Trace, predictor, partition and remapping for `request`. */
     Tape record(const InferenceRequest &request);
 
@@ -95,6 +115,7 @@ class HermesEngine : public InferenceEngine
     std::string name_;
     ndp::NdpDimm ndp_; ///< Holds the bandwidth-probe memo across runs.
     TapeMemo<Tape> tapes_;
+    std::uint32_t recordThreads_ = 0; ///< 0 = hardwareThreads().
 };
 
 } // namespace hermes::runtime

@@ -1,7 +1,6 @@
 #include "runtime/hermes_host_engine.hh"
 
 #include <algorithm>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -19,17 +18,17 @@ HermesHostEngine::Tape
 HermesHostEngine::record(const InferenceRequest &request) const
 {
     // Profile a representative layer (the second; the only one of a
-    // one-layer model) to find how much activation mass the hot
-    // budget covers.
+    // one-layer model) of a 4-layer trace to find how much activation
+    // mass the hot budget covers.
     model::LlmConfig sim_llm = request.llm;
     sim_llm.layers = std::min<std::uint32_t>(request.llm.layers, 4);
     sparsity::SparsityConfig sparsity_config = config_.sparsity;
     sparsity_config.seed = request.seed;
     sparsity::ActivationTrace trace(sim_llm, sparsity_config,
                                     request.batch);
-    sched::ActivationProfile profile =
-        sched::ModelPredictor(sim_llm, sched::PredictorConfig{})
-            .calibrate(trace, request.profileTokens);
+    const std::uint32_t layer = sim_llm.layers > 1 ? 1 : 0;
+    sched::ActivationProfile profile = sched::profileActivations(
+        trace, request.profileTokens, layer + 1);
     auto runs = [](std::vector<double> &freq) {
         std::sort(freq.begin(), freq.end(), std::greater<>());
         std::vector<FreqRun> coded;
@@ -40,7 +39,6 @@ HermesHostEngine::record(const InferenceRequest &request) const
         }
         return coded;
     };
-    const std::size_t layer = sim_llm.layers > 1 ? 1 : 0;
     Tape tape;
     tape.attnFreq = runs(profile.attn.at(layer));
     tape.mlpFreq = runs(profile.mlp.at(layer));

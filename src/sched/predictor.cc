@@ -209,35 +209,43 @@ ModelPredictor::mlp(std::uint32_t layer)
 }
 
 ActivationProfile
-ModelPredictor::calibrate(sparsity::ActivationTrace &trace,
-                          std::uint32_t prefill_tokens)
+profileActivations(sparsity::ActivationTrace &trace,
+                   std::uint32_t tokens, std::uint32_t layers)
 {
-    const std::uint32_t tokens =
-        std::max<std::uint32_t>(prefill_tokens, 1);
-    trace.reset(0);
-
+    hermes_assert(layers <= trace.llm().layers);
+    tokens = std::max<std::uint32_t>(tokens, 1);
     ActivationProfile profile;
-    profile.attn.resize(llm_.layers);
-    profile.mlp.resize(llm_.layers);
-    for (std::uint32_t l = 0; l < llm_.layers; ++l) {
+    profile.attn.resize(layers);
+    profile.mlp.resize(layers);
+    for (std::uint32_t l = 0; l < layers; ++l) {
         profile.attn[l].assign(trace.attn(l).neurons(), 0.0);
         profile.mlp[l].assign(trace.mlp(l).neurons(), 0.0);
     }
-
     for (std::uint32_t t = 0; t < tokens; ++t) {
         trace.nextToken();
-        for (std::uint32_t l = 0; l < llm_.layers; ++l) {
+        for (std::uint32_t l = 0; l < layers; ++l) {
             for (const auto id : trace.attn(l).activeList)
                 profile.attn[l][id] += 1.0;
             for (const auto id : trace.mlp(l).activeList)
                 profile.mlp[l][id] += 1.0;
         }
     }
-    for (std::uint32_t l = 0; l < llm_.layers; ++l) {
+    for (std::uint32_t l = 0; l < layers; ++l) {
         for (auto &f : profile.attn[l])
             f /= tokens;
         for (auto &f : profile.mlp[l])
             f /= tokens;
+    }
+    return profile;
+}
+
+ActivationProfile
+ModelPredictor::calibrate(sparsity::ActivationTrace &trace,
+                          std::uint32_t prefill_tokens)
+{
+    ActivationProfile profile =
+        profileActivations(trace, prefill_tokens, llm_.layers);
+    for (std::uint32_t l = 0; l < llm_.layers; ++l) {
         attn_[l].initFromFrequency(profile.attn[l]);
         mlp_[l].initFromFrequency(profile.mlp[l]);
         // Offline-sampled correlation tables: the trace exposes its

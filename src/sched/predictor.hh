@@ -72,6 +72,16 @@ struct PredictionMetrics
     void tallyMasks(const std::vector<std::uint8_t> &predicted,
                     const std::vector<std::uint8_t> &actual);
 
+    PredictionMetrics &
+    operator+=(const PredictionMetrics &other)
+    {
+        truePositive += other.truePositive;
+        trueNegative += other.trueNegative;
+        falsePositive += other.falsePositive;
+        falseNegative += other.falseNegative;
+        return *this;
+    }
+
     std::uint64_t
     total() const
     {
@@ -195,6 +205,18 @@ struct ActivationProfile
 };
 
 /**
+ * The frequency-profiling pass: runs the next `tokens` tokens of the
+ * trace (at least one — a profile of no tokens has no frequencies; a
+ * fresh trace starts at its first token) and returns the activation
+ * frequency of every block of the first `layers` layers.  The later
+ * layers still step, the trace being one RNG stream, but go
+ * uncounted.
+ */
+ActivationProfile profileActivations(sparsity::ActivationTrace &trace,
+                                     std::uint32_t tokens,
+                                     std::uint32_t layers);
+
+/**
  * Whole-model predictor: one BlockPredictor per block, chained so
  * each block's prediction consumes the previous block's actuals.
  */
@@ -204,13 +226,11 @@ class ModelPredictor
     ModelPredictor(const model::LlmConfig &llm, PredictorConfig config);
 
     /**
-     * The frequency-profiling pass: rewinds the trace to its first
-     * token, runs `prefill_tokens` tokens of it (at least one — a
-     * profile of no tokens has no frequencies), installs the state
-     * tables from each block's activation frequency and wires
-     * correlations from the trace's offline tables.  Returns the
-     * frequencies for the other offline consumers (the partition,
-     * hot-set sizing).
+     * Offline setup: profiles the next `prefill_tokens` tokens of the
+     * trace (profileActivations), installs the state tables from each
+     * block's activation frequency and wires correlations from the
+     * trace's offline tables.  Returns the frequencies for the other
+     * offline consumers (the partition, hot-set sizing).
      */
     ActivationProfile calibrate(sparsity::ActivationTrace &trace,
                                 std::uint32_t prefill_tokens);

@@ -428,6 +428,23 @@ ActivationTrace::nextToken()
     ++tokenIndex_;
 }
 
+void
+ActivationTrace::swapActivations(std::uint32_t layer,
+                                 LayerActivations &out)
+{
+    hermes_assert(layer < model_.layers);
+    auto swap_block = [](BlockTrace &block,
+                         std::vector<std::uint8_t> &mask,
+                         std::vector<std::uint32_t> &active) {
+        // stepBlock() writes every mask entry through a raw pointer.
+        mask.resize(block.neurons());
+        block.mask.swap(mask);
+        block.activeList.swap(active);
+    };
+    swap_block(attnBlocks_[layer], out.attnMask, out.attnActive);
+    swap_block(mlpBlocks_[layer], out.mlpMask, out.mlpActive);
+}
+
 const BlockTrace &
 ActivationTrace::attn(std::uint32_t layer) const
 {

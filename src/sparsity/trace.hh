@@ -134,6 +134,18 @@ struct BlockTrace
 };
 
 /**
+ * One layer's activations of one token, held apart from the trace
+ * (ActivationTrace::swapActivations).
+ */
+struct LayerActivations
+{
+    std::vector<std::uint8_t> attnMask;
+    std::vector<std::uint32_t> attnActive;
+    std::vector<std::uint8_t> mlpMask;
+    std::vector<std::uint32_t> mlpActive;
+};
+
+/**
  * Streaming trace generator: one instance produces the activation
  * masks of every layer, one token at a time.
  */
@@ -148,6 +160,15 @@ class ActivationTrace
 
     /** Advance every layer to the next token. */
     void nextToken();
+
+    /**
+     * Hand the current token's activations of `layer` to the caller
+     * without copying: swaps both blocks' masks and active lists with
+     * `out`'s (a mask of the wrong size is resized first).  Until the
+     * next nextToken() — which overwrites every entry it receives —
+     * the layer's `mask` and `activeList` hold what `out` held.
+     */
+    void swapActivations(std::uint32_t layer, LayerActivations &out);
 
     /** Tokens generated since reset(). */
     std::uint64_t tokenIndex() const { return tokenIndex_; }

@@ -256,5 +256,70 @@ TEST(Threads, ParallelForRunsEveryJobOnceAndRethrowsOnTheCaller)
     }
 }
 
+TEST(Threads, PipelineForHandsEveryLaneEveryItemInOrder)
+{
+    // Each slot holds the item it was produced for; a lane that saw
+    // a slot before its item landed, or after the producer reused
+    // it, would record a wrong value.
+    for (const std::size_t lanes : {0u, 1u, 3u}) {
+        for (const std::size_t depth : {1u, 2u, 3u}) {
+            constexpr std::size_t kItems = 200;
+            std::vector<std::size_t> slots(depth, 0);
+            // At 0 or 1 lanes the one lane runs inline.
+            std::vector<std::vector<std::size_t>> seen(
+                std::max<std::size_t>(lanes, 1));
+            pipelineFor(
+                lanes, depth, kItems,
+                [&](std::size_t item, std::size_t slot) {
+                    slots[slot] = item;
+                },
+                [&](std::size_t lane, std::size_t item,
+                    std::size_t slot) {
+                    EXPECT_EQ(slots[slot], item);
+                    seen[lane].push_back(item);
+                });
+            for (const std::vector<std::size_t> &items : seen) {
+                ASSERT_EQ(items.size(), kItems);
+                for (std::size_t i = 0; i < kItems; ++i)
+                    EXPECT_EQ(items[i], i);
+            }
+        }
+    }
+}
+
+TEST(Threads, PipelineForRethrowsProducerAndLaneErrorsOnTheCaller)
+{
+    for (const std::size_t lanes : {1u, 2u}) {
+        const auto consume_all = [](std::size_t, std::size_t,
+                                    std::size_t) {};
+        EXPECT_THROW(
+            pipelineFor(lanes, 2, 50,
+                        [](std::size_t item, std::size_t) {
+                            if (item == 7)
+                                throw std::runtime_error("item 7");
+                        },
+                        consume_all),
+            std::runtime_error)
+            << lanes << " lanes";
+        // A failed lane stops; the producer and the other lane run
+        // to the end instead of waiting on it forever.
+        std::size_t other_lane_items = 0;
+        EXPECT_THROW(
+            pipelineFor(lanes, 2, 50, [](std::size_t, std::size_t) {},
+                        [&](std::size_t lane, std::size_t item,
+                            std::size_t) {
+                            if (lane == 0 && item == 7)
+                                throw std::runtime_error("lane 0");
+                            if (lane == 1)
+                                ++other_lane_items;
+                        }),
+            std::runtime_error)
+            << lanes << " lanes";
+        if (lanes == 2) {
+            EXPECT_EQ(other_lane_items, 50u);
+        }
+    }
+}
+
 } // namespace
 } // namespace hermes

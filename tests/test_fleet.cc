@@ -1682,6 +1682,38 @@ TEST(Sessions, CalibrationThreadsDoNotChangeThePhysics)
                      latencyPercentile(warmed, 99.0));
 }
 
+TEST(Sessions, CalibrationThreadsAcrossCostGroupsMatchTheSerialRun)
+{
+    // Two cost groups calibrate side by side on the pool, and session
+    // warming splits its rows, while each record runs inline on its
+    // worker.  Reports and tape counts match the serial run, at the
+    // hardware default and at an explicit 4.
+    const auto trace = conversationalTrace(6, 1.0, 17);
+    const auto run = [&](std::uint32_t threads) {
+        FleetConfig config;
+        config.control = sched::controlPolicyByName("jsq");
+        config.ttftDeadline = 120.0;
+        config.calibrationThreads = threads;
+        for (const char *preset : {"default", "budget", "default"}) {
+            ReplicaConfig replica;
+            replica.system = runtime::platformPreset(preset, 4);
+            replica.serving = fastServing(2);
+            config.replicas.push_back(std::move(replica));
+        }
+        return FleetSimulator(config, model::opt13b()).run(trace);
+    };
+    const FleetReport serial = run(1);
+    checkReportInvariants(serial, trace.requests.size());
+    EXPECT_GT(serial.kernelStats.calibrationTapes, 0u);
+    for (const std::uint32_t threads : {0u, 4u}) {
+        SCOPED_TRACE(threads);
+        const FleetReport parallel = run(threads);
+        expectIdenticalReports(serial, parallel);
+        EXPECT_EQ(parallel.kernelStats.calibrationTapes,
+                  serial.kernelStats.calibrationTapes);
+    }
+}
+
 TEST(Sessions, AffinityFallsBackWhenTheStickyReplicaDrains)
 {
     // KV residency must not pin a conversation to a replica on its

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -528,12 +529,143 @@ TEST(TapeReplay, WarmedEngineMatchesFreshRunEveryKind)
     EXPECT_TRUE(unservable);
 }
 
+void
+expectSameTape(const HermesEngine::Tape &got,
+                const HermesEngine::Tape &want, const std::string &where)
+{
+    ASSERT_EQ(got.steps.size(), want.steps.size()) << where;
+    for (std::size_t i = 0; i < got.steps.size(); ++i) {
+        const HermesEngine::LayerStep &a = got.steps[i];
+        const HermesEngine::LayerStep &b = want.steps[i];
+        const std::string at = where + " step " + std::to_string(i);
+        EXPECT_EQ(bits(a.qkvGpu), bits(b.qkvGpu)) << at;
+        EXPECT_EQ(bits(a.upload), bits(b.upload)) << at;
+        EXPECT_EQ(bits(a.migration), bits(b.migration)) << at;
+        EXPECT_EQ(bits(a.mlpGpu), bits(b.mlpGpu)) << at;
+        ASSERT_EQ(a.qkvLanes.size(), b.qkvLanes.size()) << at;
+        for (std::size_t k = 0; k < a.qkvLanes.size(); ++k)
+            EXPECT_EQ(bits(a.qkvLanes[k]), bits(b.qkvLanes[k])) << at;
+        ASSERT_EQ(a.mlpLanes.size(), b.mlpLanes.size()) << at;
+        for (std::size_t k = 0; k < a.mlpLanes.size(); ++k)
+            EXPECT_EQ(bits(a.mlpLanes[k]), bits(b.mlpLanes[k])) << at;
+    }
+    const auto &got_counters = got.stats.counters();
+    const auto &want_counters = want.stats.counters();
+    ASSERT_EQ(got_counters.size(), want_counters.size()) << where;
+    auto it = want_counters.begin();
+    for (const auto &[name, counter] : got_counters) {
+        EXPECT_EQ(name, it->first) << where;
+        EXPECT_EQ(bits(counter.value()), bits(it->second.value()))
+            << where << " " << name;
+        EXPECT_EQ(counter.samples(), it->second.samples())
+            << where << " " << name;
+        ++it;
+    }
+}
+
+TEST(TapeReplay, LayerParallelRecordIsBitIdentical)
+{
+    // The record steps the trace on the calling thread and hands each
+    // token to layer lanes; every record budget, including more
+    // threads than layers, must reproduce the inline (budget 1) tape
+    // bit for bit, on every scheduling branch.  On the default
+    // platform OPT-13B is part hot, part cold, so the DIMM lanes,
+    // promotions and window migrations all do work.
+    SystemConfig base;
+    base.simulatedLayers = 4;
+    struct Variant
+    {
+        std::string name;
+        SystemConfig config;
+        std::uint32_t layers = 0; ///< 0 = the model's own.
+        std::uint32_t generate = 6;
+    };
+    std::vector<Variant> variants;
+    variants.push_back({"default", base});
+    variants.push_back({"no-online-adjustment", base});
+    variants.back().config.sched.onlineAdjustment = false;
+    variants.push_back({"no-window-rebalance", base});
+    variants.back().config.sched.windowRebalance = false;
+    variants.push_back({"oracle-rebalance", base});
+    variants.back().config.sched.oracleRebalance = true;
+    variants.push_back({"random-partition", base});
+    variants.back().config.sched.offlinePartition = false;
+    variants.push_back({"one-layer", base, 1});
+    variants.push_back({"generate-0", base, 0, 0});
+    variants.push_back({"generate-1", base, 0, 1});
+
+    for (const Variant &variant : variants) {
+        for (const std::uint32_t batch : {1u, 16u}) {
+            InferenceRequest request;
+            request.llm = model::opt13b();
+            if (variant.layers > 0)
+                request.llm.layers = variant.layers;
+            request.batch = batch;
+            request.promptTokens = 128;
+            request.generateTokens = variant.generate;
+            request.profileTokens = 8;
+            request.seed = 5;
+            const std::string where =
+                variant.name + " b" + std::to_string(batch);
+
+            HermesEngine inline_engine(variant.config);
+            inline_engine.setRecordThreads(1);
+            const HermesEngine::Tape &want = inline_engine.tape(request);
+            // The order-sensitive counters are the token-major sums
+            // of the tape, as a serial record adds them step by step.
+            double qkv_gpu = 0.0;
+            double qkv_dimm = 0.0;
+            double mlp_gpu = 0.0;
+            double mlp_dimm = 0.0;
+            for (const HermesEngine::LayerStep &step : want.steps) {
+                qkv_gpu += step.qkvGpu;
+                qkv_dimm += *std::max_element(step.qkvLanes.begin(),
+                                              step.qkvLanes.end());
+                mlp_gpu += step.mlpGpu;
+                mlp_dimm += *std::max_element(step.mlpLanes.begin(),
+                                              step.mlpLanes.end());
+            }
+            if (!want.steps.empty()) {
+                const StatSet &stats = want.stats;
+                EXPECT_EQ(bits(stats.counterValue("time.qkv.gpu")),
+                          bits(qkv_gpu))
+                    << where;
+                EXPECT_EQ(bits(stats.counterValue("time.qkv.dimm")),
+                          bits(qkv_dimm))
+                    << where;
+                EXPECT_EQ(bits(stats.counterValue("time.mlp.gpu")),
+                          bits(mlp_gpu))
+                    << where;
+                EXPECT_EQ(bits(stats.counterValue("time.mlp.dimm")),
+                          bits(mlp_dimm))
+                    << where;
+            }
+            if (variant.name == "default") {
+                EXPECT_GT(want.stats.counterValue("time.mlp.dimm"), 0.0)
+                    << where;
+                EXPECT_GT(want.stats.counterValue("promotions"), 0.0)
+                    << where;
+                EXPECT_GT(want.stats.counterValue("migration.bytes"),
+                          0.0)
+                    << where;
+            }
+            for (const std::uint32_t threads : {2u, 3u, 4u, 8u}) {
+                HermesEngine engine(variant.config);
+                engine.setRecordThreads(threads);
+                expectSameTape(engine.tape(request), want,
+                               where + " threads " +
+                                   std::to_string(threads));
+            }
+        }
+    }
+}
+
 TEST(Engines, ZeroProfileTokensProfileOneToken)
 {
     // A profile over no tokens has no frequencies: Hermes-host used
     // to divide 0 by 0 there (NaN hot masses, a NaN cast to a neuron
     // count, ~1e-11 tokens/s).  The one profiling pass
-    // (sched::ModelPredictor::calibrate) profiles at least one
+    // (sched::profileActivations) profiles at least one
     // token, so both profiling engines run the 0-token request
     // exactly like the 1-token one.
     for (const EngineKind kind :
