@@ -1,8 +1,11 @@
 #include "runtime/dejavu_engine.hh"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
+#include "common/threads.hh"
 #include "gpu/kernels.hh"
 #include "interconnect/pcie.hh"
 #include "runtime/common_costs.hh"
@@ -18,13 +21,36 @@ DejaVuEngine::record(const InferenceRequest &request) const
     sim_llm.layers = std::min<std::uint32_t>(request.llm.layers, 4);
     sparsity::SparsityConfig sparsity_config = config_.sparsity;
     sparsity_config.seed = request.seed;
+    const std::uint32_t threads =
+        effectiveThreads(recordThreads_, hardwareThreads());
     sparsity::ActivationTrace trace(sim_llm, sparsity_config,
-                                    request.batch);
-    Tape tape;
+                                    request.batch, threads);
+    // Each lane counts its own layers' activations per token; the
+    // per-token fractions are summed in token order after the join,
+    // as currentActiveFraction() after each nextToken() would give.
     const std::uint32_t probe_tokens = 16;
+    const std::uint32_t layers = trace.layers();
+    std::vector<std::uint64_t> active(
+        static_cast<std::size_t>(probe_tokens) * layers);
+    trace.stepTokens(probe_tokens, threads,
+                     [&](std::uint32_t t, std::uint32_t l) {
+                         active[static_cast<std::size_t>(t) * layers + l] =
+                             trace.attn(l).activeCount() +
+                             trace.mlp(l).activeCount();
+                     });
+    std::uint64_t neurons = 0;
+    for (std::uint32_t l = 0; l < layers; ++l)
+        neurons += trace.attn(l).neurons() + trace.mlp(l).neurons();
+    Tape tape;
     for (std::uint32_t t = 0; t < probe_tokens; ++t) {
-        trace.nextToken();
-        tape.activeFraction += trace.currentActiveFraction();
+        std::uint64_t token_active = 0;
+        for (std::uint32_t l = 0; l < layers; ++l)
+            token_active +=
+                active[static_cast<std::size_t>(t) * layers + l];
+        tape.activeFraction +=
+            neurons == 0 ? 0.0
+                         : static_cast<double>(token_active) /
+                               static_cast<double>(neurons);
     }
     tape.activeFraction /= probe_tokens;
     return tape;

@@ -10,7 +10,8 @@
  *
  * The probe trace's active fraction does not depend on the context;
  * it is recorded once per (model, batch, seed, token counts) as a
- * tape (runtime/tape.hh).
+ * tape (runtime/tape.hh), layer-parallel (setRecordThreads) and
+ * bitwise the same at any thread count.
  */
 
 #ifndef HERMES_RUNTIME_DEJAVU_ENGINE_HH
@@ -40,6 +41,12 @@ class DejaVuEngine : public InferenceEngine
     InferenceResult run(const InferenceRequest &request) override;
     std::uint64_t tapesBuilt() const override { return tapes_.built(); }
 
+    void
+    setRecordThreads(std::uint32_t threads) override
+    {
+        recordThreads_ = threads;
+    }
+
     /** Hidden width of each per-layer MLP predictor. */
     static constexpr std::uint32_t kPredictorRank = 1024;
 
@@ -54,6 +61,7 @@ class DejaVuEngine : public InferenceEngine
 
     SystemConfig config_;
     TapeMemo<Tape> tapes_;
+    std::uint32_t recordThreads_ = 0; ///< 0 = hardwareThreads().
 };
 
 } // namespace hermes::runtime

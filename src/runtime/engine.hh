@@ -111,7 +111,7 @@ class InferenceEngine
     /**
      * Threads a trace-driven record may use, the calling thread
      * included (0 = hardwareThreads()).  Results never depend on it;
-     * engines that record serially ignore it.
+     * the analytic engines, which record nothing, ignore it.
      */
     virtual void setRecordThreads(std::uint32_t) {}
 

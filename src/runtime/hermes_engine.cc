@@ -138,8 +138,10 @@ HermesEngine::record(const InferenceRequest &request)
 
     sparsity::SparsityConfig sparsity_config = config_.sparsity;
     sparsity_config.seed = request.seed;
+    const std::uint32_t threads =
+        effectiveThreads(recordThreads_, hardwareThreads());
     sparsity::ActivationTrace trace(sim_llm, sparsity_config,
-                                    request.batch);
+                                    request.batch, threads);
 
     const gpu::GpuModel gpu_model(config_.gpu);
     const interconnect::PcieBus pcie(config_.pcie);
@@ -155,7 +157,7 @@ HermesEngine::record(const InferenceRequest &request)
     // adjustment).
     sched::ModelPredictor predictor(sim_llm, sched::PredictorConfig{});
     const sched::ActivationProfile profile =
-        predictor.calibrate(trace, request.profileTokens);
+        predictor.calibrate(trace, request.profileTokens, threads);
 
     // ---- Offline partition (Sec. IV-B). ----
     const GpuResidency residency = computeResidency(config_, llm, 0);
@@ -261,10 +263,8 @@ HermesEngine::record(const InferenceRequest &request)
     // serial sequence of operations, whatever the thread count; the
     // `double` counters, whose sums depend on order, are added after
     // the join in (token, layer) order.
-    const std::uint32_t lanes = std::max<std::uint32_t>(
-        std::min(effectiveThreads(recordThreads_, hardwareThreads()) - 1,
-                 sim_layers),
-        1);
+    const std::uint32_t lanes =
+        std::max<std::uint32_t>(std::min(threads - 1, sim_layers), 1);
     const std::size_t step_count =
         static_cast<std::size_t>(request.generateTokens) * sim_layers;
     Tape tape;

@@ -20,10 +20,12 @@
  * recorded once per (model, batch, seed, token counts) as a tape
  * (runtime/tape.hh) and replayed with each context's prefill and KV
  * attention, bit-identically to a full simulation.  The record is
- * layer-parallel: the calling thread steps the activation trace (one
- * serial RNG stream) while worker threads run steps 1, 2, 4 and 5 of
- * the layers they own, and the tape is bitwise the same at any
- * thread count (setRecordThreads).
+ * layer-parallel: the trace's construction and profile run on lanes
+ * that each step their own layers of the one RNG stream
+ * (ActivationTrace::stepTokens); in the decode the calling thread
+ * steps the trace while worker threads run steps 1, 2, 4 and 5 of
+ * the layers they own.  The tape is bitwise the same at any thread
+ * count (setRecordThreads).
  *
  * Scheduling toggles in SystemConfig::sched select the Fig. 13
  * ablation variants (Hermes-random / -partition / -token- /

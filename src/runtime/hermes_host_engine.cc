@@ -5,6 +5,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/threads.hh"
 #include "gpu/kernels.hh"
 #include "interconnect/pcie.hh"
 #include "runtime/common_costs.hh"
@@ -19,16 +20,19 @@ HermesHostEngine::record(const InferenceRequest &request) const
 {
     // Profile a representative layer (the second; the only one of a
     // one-layer model) of a 4-layer trace to find how much activation
-    // mass the hot budget covers.
+    // mass the hot budget covers.  Only the layers up to it are
+    // built: the rest of the stream is skipped, not stepped.
     model::LlmConfig sim_llm = request.llm;
     sim_llm.layers = std::min<std::uint32_t>(request.llm.layers, 4);
     sparsity::SparsityConfig sparsity_config = config_.sparsity;
     sparsity_config.seed = request.seed;
-    sparsity::ActivationTrace trace(sim_llm, sparsity_config,
-                                    request.batch);
     const std::uint32_t layer = sim_llm.layers > 1 ? 1 : 0;
+    const std::uint32_t threads =
+        effectiveThreads(recordThreads_, hardwareThreads());
+    sparsity::ActivationTrace trace(sim_llm, sparsity_config,
+                                    request.batch, threads, layer + 1);
     sched::ActivationProfile profile = sched::profileActivations(
-        trace, request.profileTokens, layer + 1);
+        trace, request.profileTokens, layer + 1, threads);
     auto runs = [](std::vector<double> &freq) {
         std::sort(freq.begin(), freq.end(), std::greater<>());
         std::vector<FreqRun> coded;

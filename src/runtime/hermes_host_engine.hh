@@ -10,7 +10,9 @@
  * they are recorded once per (model, batch, seed, token counts) as a
  * tape (runtime/tape.hh).  The residency and the hot/cold split do —
  * attention keeps the KV cache in GPU memory — and are recomputed
- * on every run.
+ * on every run.  The record builds only the profiled prefix of the
+ * trace and profiles it layer-parallel (setRecordThreads); the tape
+ * is bitwise the same at any thread count.
  */
 
 #ifndef HERMES_RUNTIME_HERMES_HOST_ENGINE_HH
@@ -40,6 +42,12 @@ class HermesHostEngine : public InferenceEngine
     InferenceResult run(const InferenceRequest &request) override;
     std::uint64_t tapesBuilt() const override { return tapes_.built(); }
 
+    void
+    setRecordThreads(std::uint32_t threads) override
+    {
+        recordThreads_ = threads;
+    }
+
   private:
     /** `count` neurons of activation frequency `value`. */
     struct FreqRun
@@ -50,7 +58,7 @@ class HermesHostEngine : public InferenceEngine
 
     /**
      * A representative layer's profiled frequencies
-     * (sched::ModelPredictor::calibrate, which profiles at least one
+     * (sched::profileActivations, which profiles at least one
      * token), descending, run-length coded: a frequency is
      * (activations / profiled tokens), so a block has at most
      * max(profileTokens, 1) + 1 runs.
@@ -65,6 +73,7 @@ class HermesHostEngine : public InferenceEngine
 
     SystemConfig config_;
     TapeMemo<Tape> tapes_;
+    std::uint32_t recordThreads_ = 0; ///< 0 = hardwareThreads().
 };
 
 } // namespace hermes::runtime

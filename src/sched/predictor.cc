@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -210,9 +212,14 @@ ModelPredictor::mlp(std::uint32_t layer)
 
 ActivationProfile
 profileActivations(sparsity::ActivationTrace &trace,
-                   std::uint32_t tokens, std::uint32_t layers)
+                   std::uint32_t tokens, std::uint32_t layers,
+                   std::uint32_t threads)
 {
-    hermes_assert(layers <= trace.llm().layers);
+    if (layers > trace.layers())
+        throw std::invalid_argument(
+            "profileActivations: " + std::to_string(layers) +
+            " layers asked of a trace of " +
+            std::to_string(trace.layers()));
     tokens = std::max<std::uint32_t>(tokens, 1);
     ActivationProfile profile;
     profile.attn.resize(layers);
@@ -221,15 +228,16 @@ profileActivations(sparsity::ActivationTrace &trace,
         profile.attn[l].assign(trace.attn(l).neurons(), 0.0);
         profile.mlp[l].assign(trace.mlp(l).neurons(), 0.0);
     }
-    for (std::uint32_t t = 0; t < tokens; ++t) {
-        trace.nextToken();
-        for (std::uint32_t l = 0; l < layers; ++l) {
-            for (const auto id : trace.attn(l).activeList)
-                profile.attn[l][id] += 1.0;
-            for (const auto id : trace.mlp(l).activeList)
-                profile.mlp[l][id] += 1.0;
-        }
-    }
+    // Each lane counts the layers it steps, token by token.
+    trace.stepTokens(tokens, threads,
+                     [&](std::uint32_t, std::uint32_t l) {
+                         if (l >= layers)
+                             return;
+                         for (const auto id : trace.attn(l).activeList)
+                             profile.attn[l][id] += 1.0;
+                         for (const auto id : trace.mlp(l).activeList)
+                             profile.mlp[l][id] += 1.0;
+                     });
     for (std::uint32_t l = 0; l < layers; ++l) {
         for (auto &f : profile.attn[l])
             f /= tokens;
@@ -241,10 +249,11 @@ profileActivations(sparsity::ActivationTrace &trace,
 
 ActivationProfile
 ModelPredictor::calibrate(sparsity::ActivationTrace &trace,
-                          std::uint32_t prefill_tokens)
+                          std::uint32_t prefill_tokens,
+                          std::uint32_t threads)
 {
-    ActivationProfile profile =
-        profileActivations(trace, prefill_tokens, llm_.layers);
+    ActivationProfile profile = profileActivations(
+        trace, prefill_tokens, llm_.layers, threads);
     for (std::uint32_t l = 0; l < llm_.layers; ++l) {
         attn_[l].initFromFrequency(profile.attn[l]);
         mlp_[l].initFromFrequency(profile.mlp[l]);

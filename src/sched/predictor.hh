@@ -209,12 +209,17 @@ struct ActivationProfile
  * trace (at least one — a profile of no tokens has no frequencies; a
  * fresh trace starts at its first token) and returns the activation
  * frequency of every block of the first `layers` layers.  The later
- * layers still step, the trace being one RNG stream, but go
- * uncounted.
+ * built layers still step, the trace being one RNG stream, but go
+ * uncounted.  The trace steps on up to `threads` lanes
+ * (ActivationTrace::stepTokens), each counting its own layers; the
+ * profile never depends on the thread count.
+ *
+ * @throws std::invalid_argument if `layers` exceeds trace.layers().
  */
 ActivationProfile profileActivations(sparsity::ActivationTrace &trace,
                                      std::uint32_t tokens,
-                                     std::uint32_t layers);
+                                     std::uint32_t layers,
+                                     std::uint32_t threads = 1);
 
 /**
  * Whole-model predictor: one BlockPredictor per block, chained so
@@ -227,13 +232,15 @@ class ModelPredictor
 
     /**
      * Offline setup: profiles the next `prefill_tokens` tokens of the
-     * trace (profileActivations), installs the state tables from each
-     * block's activation frequency and wires correlations from the
-     * trace's offline tables.  Returns the frequencies for the other
-     * offline consumers (the partition, hot-set sizing).
+     * trace (profileActivations, on up to `threads` threads),
+     * installs the state tables from each block's activation
+     * frequency and wires correlations from the trace's offline
+     * tables.  Returns the frequencies for the other offline
+     * consumers (the partition, hot-set sizing).
      */
     ActivationProfile calibrate(sparsity::ActivationTrace &trace,
-                                std::uint32_t prefill_tokens);
+                                std::uint32_t prefill_tokens,
+                                std::uint32_t threads = 1);
 
     BlockPredictor &attn(std::uint32_t layer);
     BlockPredictor &mlp(std::uint32_t layer);

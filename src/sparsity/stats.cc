@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -49,10 +51,16 @@ profileTrace(ActivationTrace &trace, std::uint32_t tokens,
              std::uint32_t max_distance, std::uint32_t probe_layer,
              double hot_fraction)
 {
-    hermes_assert(probe_layer + 1 < trace.llm().layers,
-                  "probe layer must have a successor");
-    hermes_assert(tokens > max_distance,
-                  "need more tokens than the longest distance");
+    if (std::uint64_t{probe_layer} + 1 >= trace.layers())
+        throw std::invalid_argument(
+            "profileTrace: probe layer " + std::to_string(probe_layer) +
+            " has no successor in a trace of " +
+            std::to_string(trace.layers()) + " layers");
+    if (tokens <= max_distance)
+        throw std::invalid_argument(
+            "profileTrace: " + std::to_string(tokens) +
+            " tokens do not exceed the longest distance " +
+            std::to_string(max_distance));
 
     trace.reset(0);
 

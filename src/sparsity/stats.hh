@@ -51,6 +51,8 @@ struct TraceProfile
  * @param max_distance  Longest token distance in the similarity curve.
  * @param probe_layer   Layer whose MLP block is profiled.
  * @param hot_fraction  Fraction of neurons counted as "hot".
+ * @throws std::invalid_argument if `probe_layer` has no successor
+ *         or `tokens` <= `max_distance`.
  */
 TraceProfile profileTrace(ActivationTrace &trace, std::uint32_t tokens,
                           std::uint32_t max_distance,

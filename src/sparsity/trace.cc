@@ -6,10 +6,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/threads.hh"
 
 namespace hermes::sparsity {
 
@@ -95,6 +98,21 @@ pick(bool condition, double if_true, double if_false)
         (std::bit_cast<std::uint64_t>(if_false) & ~take));
 }
 
+/** Size every per-neuron vector of a fresh block (all zero). */
+void
+allocateBlock(BlockTrace &block, std::uint32_t neurons)
+{
+    block.probability.resize(neurons);
+    block.mask.resize(neurons);
+    block.parent1.resize(neurons);
+    block.parent2.resize(neurons);
+    block.follower.resize(neurons);
+    block.slot.resize(neurons);
+    block.ownLatent.resize(neurons);
+    block.idOfRank.resize(neurons);
+    block.rankOf.resize(neurons);
+}
+
 } // namespace
 
 double
@@ -121,37 +139,98 @@ ActivationTrace::calibrateExponent(std::uint32_t neurons,
 
 ActivationTrace::ActivationTrace(const model::LlmConfig &model,
                                  SparsityConfig config,
-                                 std::uint32_t batch)
-    : model_(model), config_(config), batch_(batch), rng_(config.seed)
+                                 std::uint32_t batch,
+                                 std::uint32_t threads,
+                                 std::uint32_t layers)
+    : model_(model), config_(config), batch_(batch),
+      layers_(layers == kAllLayers ? model.layers : layers),
+      rng_(config.seed)
 {
-    hermes_assert(batch_ >= 1, "batch must be at least 1");
-    hermes_assert(config_.activeFraction > 0.0 &&
-                  config_.activeFraction < 1.0,
-                  "active fraction must be in (0,1)");
+    if (batch_ < 1)
+        throw std::invalid_argument(
+            "ActivationTrace: batch must be at least 1, got 0");
+    if (!(config_.activeFraction > 0.0 && config_.activeFraction < 1.0))
+        throw std::invalid_argument(
+            "ActivationTrace: activeFraction must be in (0, 1), got " +
+            std::to_string(config_.activeFraction));
+    if (layers_ > model_.layers)
+        throw std::invalid_argument(
+            "ActivationTrace: " + std::to_string(layers_) +
+            " layers asked of a " + std::to_string(model_.layers) +
+            "-layer model");
 
-    masterSlots_ = static_cast<std::uint32_t>(
-        std::max(model_.attnNeuronsPerLayer(),
-                 model_.mlpNeuronsPerLayer()));
+    const auto attn_neurons =
+        static_cast<std::uint32_t>(model_.attnNeuronsPerLayer());
+    const auto mlp_neurons =
+        static_cast<std::uint32_t>(model_.mlpNeuronsPerLayer());
+    masterSlots_ = std::max(attn_neurons, mlp_neurons);
     masterLatent_.assign(masterSlots_, 0.0);
 
-    attnBlocks_.resize(model_.layers);
-    mlpBlocks_.resize(model_.layers);
+    // The per-neuron vectors are allocated on this thread and the
+    // lanes below only fill them: what a worker thread allocates
+    // stays in its malloc arena, where the next trace cannot reuse
+    // it.
+    attnBlocks_.resize(layers_);
+    mlpBlocks_.resize(layers_);
+    for (std::uint32_t l = 0; l < layers_; ++l) {
+        allocateBlock(attnBlocks_[l], attn_neurons);
+        allocateBlock(mlpBlocks_[l], mlp_neurons);
+    }
     // Every block of one kind shares its per-rank profile; only the
-    // rank-to-id permutation differs between layers.
-    auto init_blocks = [&](std::vector<BlockTrace> &blocks,
-                           std::uint64_t neurons, std::uint64_t salt) {
-        const RankProfile profile =
-            rankProfile(static_cast<std::uint32_t>(neurons));
-        for (std::uint32_t l = 0; l < model_.layers; ++l)
-            initBlock(blocks[l], profile, salt + l);
+    // rank-to-id permutation differs between layers.  The profiles
+    // are made here: their exponent cache is per thread.
+    const RankProfile attn_profile = rankProfile(attn_neurons);
+    const RankProfile mlp_profile = rankProfile(mlp_neurons);
+    // Each lane builds its layers' blocks, then draws their reset.
+    resetLanes(0, laneCount(threads), [&](std::uint32_t l) {
+        initBlock(attnBlocks_[l], attn_profile, 0x1000 + l);
+        initBlock(mlpBlocks_[l], mlp_profile, 0x2000 + l);
+    });
+
+    const auto followers = [](const BlockTrace &block) {
+        return static_cast<std::uint64_t>(
+            std::count(block.follower.begin(), block.follower.end(), 1));
     };
-    init_blocks(attnBlocks_, model_.attnNeuronsPerLayer(), 0x1000);
-    init_blocks(mlpBlocks_, model_.mlpNeuronsPerLayer(), 0x2000);
+    layerDraws_.resize(layers_);
+    for (std::uint32_t l = 0; l < layers_; ++l) {
+        layerDraws_[l] = attn_neurons + followers(attnBlocks_[l]) +
+                         mlp_neurons + followers(mlpBlocks_[l]);
+    }
+    for (std::uint32_t l = layers_; l < model_.layers; ++l) {
+        unbuiltDraws_ += attn_neurons +
+                         unbuiltFollowers(attn_neurons, 0x1000 + l) +
+                         mlp_neurons +
+                         unbuiltFollowers(mlp_neurons, 0x2000 + l);
+    }
     // Rank-matched correlation wiring in execution order: the
     // attention block of layer l couples to the MLP of layer l-1, the
     // MLP block couples to its own layer's attention block.
     rewireAllParents();
-    reset(0);
+}
+
+ActivationTrace::Gap::Gap(std::uint64_t count) : draws(count)
+{
+    if (draws > 0)
+        poly = Rng::jumpPolynomial(draws);
+}
+
+void
+ActivationTrace::Gap::skip(Rng &rng) const
+{
+    if (draws > 0)
+        rng.jump(poly);
+}
+
+std::uint32_t
+ActivationTrace::laneCount(std::uint32_t threads) const
+{
+    return std::max<std::uint32_t>(std::min(threads, layers_), 1);
+}
+
+Rng
+ActivationTrace::initRng(std::uint64_t salt) const
+{
+    return Rng(config_.seed ^ (salt * 0x9e3779b97f4a7c15ULL));
 }
 
 ActivationTrace::RankProfile
@@ -207,31 +286,20 @@ void
 ActivationTrace::initBlock(BlockTrace &block, const RankProfile &profile,
                            std::uint64_t salt)
 {
-    const auto neurons =
-        static_cast<std::uint32_t>(profile.probability.size());
-    block.probability.resize(neurons);
-    block.mask.assign(neurons, 0);
-    block.parent1.assign(neurons, 0);
-    block.parent2.assign(neurons, 0);
-    block.follower.resize(neurons);
-    block.slot.resize(neurons);
-    block.ownLatent.assign(neurons, 0.0);
-    block.idOfRank.resize(neurons);
-    block.rankOf.resize(neurons);
+    const std::uint32_t neurons = block.neurons();
     block.computeScale = profile.computeScale;
 
     // Assign ranks to neuron ids through a deterministic per-block
     // permutation so hotness is not a function of the neuron index.
-    std::vector<std::uint32_t> perm(neurons);
-    std::iota(perm.begin(), perm.end(), 0);
-    Rng init_rng(config_.seed ^ (salt * 0x9e3779b97f4a7c15ULL));
+    std::iota(block.idOfRank.begin(), block.idOfRank.end(), 0);
+    Rng init_rng = initRng(salt);
     for (std::uint32_t i = neurons; i > 1; --i)
-        std::swap(perm[i - 1], perm[init_rng.below(i)]);
+        std::swap(block.idOfRank[i - 1],
+                  block.idOfRank[init_rng.below(i)]);
 
     for (std::uint32_t r = 0; r < neurons; ++r) {
-        const std::uint32_t id = perm[r];
+        const std::uint32_t id = block.idOfRank[r];
         block.probability[id] = profile.probability[r];
-        block.idOfRank[r] = id;
         block.rankOf[id] = r;
         // Same-rank neurons in every block share a master slot, which
         // is what produces the cross-layer correlation.
@@ -239,6 +307,19 @@ ActivationTrace::initBlock(BlockTrace &block, const RankProfile &profile,
             static_cast<std::uint64_t>(r) * masterSlots_ / neurons);
         block.follower[id] = init_rng.chance(config_.couplingMix);
     }
+}
+
+std::uint64_t
+ActivationTrace::unbuiltFollowers(std::uint32_t neurons,
+                                  std::uint64_t salt) const
+{
+    // initBlock()'s draws: the permutation's, then one per rank.
+    Rng init_rng = initRng(salt);
+    init_rng.jump(Rng::jumpPolynomial(neurons > 1 ? neurons - 1 : 0));
+    std::uint64_t followers = 0;
+    for (std::uint32_t r = 0; r < neurons; ++r)
+        followers += init_rng.chance(config_.couplingMix);
+    return followers;
 }
 
 void
@@ -258,32 +339,77 @@ ActivationTrace::wireParents(BlockTrace &child, const BlockTrace &parent)
 void
 ActivationTrace::reset(std::uint64_t sequence_id)
 {
-    rng_ = Rng(config_.seed ^ (sequence_id * 0xda3e39cb94b95bdbULL) ^
-               0xabcdef12345ULL);
-    tokenIndex_ = 0;
-    for (auto &u : masterLatent_)
-        u = rng_.uniform();
-    auto init_block = [&](BlockTrace &block) {
-        block.activeList.clear();
-        for (std::uint32_t i = 0; i < block.neurons(); ++i) {
-            block.ownLatent[i] = rng_.uniform();
-            const double u = block.follower[i]
-                                 ? masterLatent_[block.slot[i]]
-                                 : block.ownLatent[i];
-            const bool active = u < block.probability[i];
-            block.mask[i] = active;
-            if (active)
-                block.activeList.push_back(i);
-        }
-    };
-    for (auto &block : attnBlocks_)
-        init_block(block);
-    for (auto &block : mlpBlocks_)
-        init_block(block);
+    resetLanes(sequence_id, 1, {});
 }
 
 void
-ActivationTrace::stepBlock(BlockTrace &block)
+ActivationTrace::resetLanes(
+    std::uint64_t sequence_id, std::uint32_t lanes,
+    const std::function<void(std::uint32_t)> &build)
+{
+    // A sequence draws its master latent, then one private latent
+    // per neuron: every attention block, then every MLP block, in
+    // layer order (the unbuilt layers' too).
+    const std::uint64_t attn_n = model_.attnNeuronsPerLayer();
+    const std::uint64_t mlp_n = model_.mlpNeuronsPerLayer();
+    std::vector<ResetLane> plan;
+    plan.reserve(lanes);
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+        const std::uint32_t first = lane * layers_ / lanes;
+        const std::uint32_t last = (lane + 1) * layers_ / lanes;
+        plan.push_back(ResetLane{
+            first, last, Gap(first * attn_n),
+            Gap((model_.layers - last) * attn_n + first * mlp_n),
+            Gap((model_.layers - last) * mlp_n)});
+    }
+    // Lane 0 walks the trace's own stream and master latent, the
+    // others private copies.
+    rng_ = Rng(config_.seed ^ (sequence_id * 0xda3e39cb94b95bdbULL) ^
+               0xabcdef12345ULL);
+    tokenIndex_ = 0;
+    std::vector<Rng> rngs(lanes - 1, rng_);
+    std::vector<std::vector<double>> masters(
+        lanes - 1, std::vector<double>(masterSlots_));
+    parallelFor(lanes, lanes, [&](std::size_t lane) {
+        const ResetLane &own = plan[lane];
+        if (build) {
+            for (std::uint32_t l = own.first; l < own.last; ++l)
+                build(l);
+        }
+        Rng &rng = lane == 0 ? rng_ : rngs[lane - 1];
+        std::vector<double> &master =
+            lane == 0 ? masterLatent_ : masters[lane - 1];
+        for (auto &u : master)
+            u = rng.uniform();
+        own.attnBefore.skip(rng);
+        for (std::uint32_t l = own.first; l < own.last; ++l)
+            resetBlock(attnBlocks_[l], rng, master);
+        own.between.skip(rng);
+        for (std::uint32_t l = own.first; l < own.last; ++l)
+            resetBlock(mlpBlocks_[l], rng, master);
+        own.mlpAfter.skip(rng);
+    });
+}
+
+void
+ActivationTrace::resetBlock(BlockTrace &block, Rng &rng,
+                            const std::vector<double> &master)
+{
+    block.activeList.clear();
+    for (std::uint32_t i = 0; i < block.neurons(); ++i) {
+        block.ownLatent[i] = rng.uniform();
+        const double u = block.follower[i] ? master[block.slot[i]]
+                                           : block.ownLatent[i];
+        const bool active = u < block.probability[i];
+        block.mask[i] = active;
+        if (active)
+            block.activeList.push_back(i);
+    }
+}
+
+void
+ActivationTrace::stepBlock(BlockTrace &block, Rng &stream,
+                           const std::vector<double> &master_latent)
 {
     // Per neuron, in index order, the stream holds one refresh draw
     // and, for followers only, one noise draw.  Each chunk draws its
@@ -299,12 +425,12 @@ ActivationTrace::stepBlock(BlockTrace &block)
     const double *const probability = block.probability.data();
     const std::uint8_t *const follower = block.follower.data();
     const std::uint32_t *const slot = block.slot.data();
-    const double *const master = masterLatent_.data();
+    const double *const master = master_latent.data();
     double *const own = block.ownLatent.data();
     std::uint8_t *const mask = block.mask.data();
     block.activeList.clear();
 
-    Rng rng = rng_;
+    Rng rng = stream;
     for (std::uint32_t begin = 0; begin < n; begin += kChunk) {
         const std::uint32_t end = std::min(n, begin + kChunk);
         std::uint32_t followers = 0;
@@ -343,13 +469,13 @@ ActivationTrace::stepBlock(BlockTrace &block)
         block.activeList.insert(block.activeList.end(), active_ids,
                                 active_ids + active_count);
     }
-    rng_ = rng;
+    stream = rng;
 }
 
 void
 ActivationTrace::rewireAllParents()
 {
-    for (std::uint32_t l = 0; l < model_.layers; ++l) {
+    for (std::uint32_t l = 0; l < layers_; ++l) {
         if (l > 0)
             wireParents(attnBlocks_[l], mlpBlocks_[l - 1]);
         wireParents(mlpBlocks_[l], attnBlocks_[l]);
@@ -379,17 +505,21 @@ ActivationTrace::swapRanks(BlockTrace &block, std::uint64_t rank_a,
 }
 
 void
-ActivationTrace::applyPhaseShift()
+ActivationTrace::applyPhaseShift(Rng &rng, std::uint32_t first,
+                                 std::uint32_t last)
 {
     // Swap rank owners at the same quantiles in every block, so the
     // cross-layer (rank-matched) correlation structure survives the
-    // drift while the identity of hot neurons changes.
+    // drift while the identity of hot neurons changes.  A lane
+    // shifts and rewires the layers [first, last) it owns; the
+    // parents of layer `first`'s attention block lie in another
+    // lane's layer unless `first` is 0.
     const auto swaps = static_cast<std::uint64_t>(
         0.5 * config_.phaseDrift * masterSlots_);
     std::vector<std::pair<double, double>> quantiles;
     quantiles.reserve(swaps);
     for (std::uint64_t s = 0; s < swaps; ++s)
-        quantiles.emplace_back(rng_.uniform(), rng_.uniform());
+        quantiles.emplace_back(rng.uniform(), rng.uniform());
 
     auto shift_block = [&](BlockTrace &block) {
         const std::uint32_t n = block.neurons();
@@ -399,40 +529,112 @@ ActivationTrace::applyPhaseShift()
                       static_cast<std::uint64_t>(qb * n));
         }
     };
-    for (std::uint32_t l = 0; l < model_.layers; ++l) {
+    for (std::uint32_t l = first; l < last; ++l) {
         shift_block(attnBlocks_[l]);
         shift_block(mlpBlocks_[l]);
     }
-    rewireAllParents();
+    for (std::uint32_t l = first; l < last; ++l) {
+        if (l > first)
+            wireParents(attnBlocks_[l], mlpBlocks_[l - 1]);
+        wireParents(mlpBlocks_[l], attnBlocks_[l]);
+    }
+}
+
+void
+ActivationTrace::evolveMaster(Rng &stream,
+                              std::vector<double> &master) const
+{
+    // The shared semantic latent (one slot per frequency rank).
+    const double refresh = 1.0 - config_.persistence;
+    Rng rng = stream;
+    for (auto &u : master) {
+        const double draw = rng.uniform();
+        u = pick(draw < refresh, draw / refresh, u);
+    }
+    stream = rng;
+}
+
+const std::vector<ActivationTrace::Lane> &
+ActivationTrace::lanePlan(std::uint32_t lanes)
+{
+    if (lanes_.size() == lanes)
+        return lanes_;
+    std::uint64_t total = unbuiltDraws_;
+    for (const std::uint64_t draws : layerDraws_)
+        total += draws;
+    lanes_.clear();
+    std::uint64_t before = 0;
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+        const std::uint32_t first = lane * layers_ / lanes;
+        const std::uint32_t last = (lane + 1) * layers_ / lanes;
+        std::uint64_t own = 0;
+        for (std::uint32_t l = first; l < last; ++l)
+            own += layerDraws_[l];
+        lanes_.push_back(
+            Lane{first, last, Gap(before), Gap(total - before - own)});
+        before += own;
+    }
+    return lanes_;
+}
+
+void
+ActivationTrace::stepLane(const Lane &lane, Rng &rng,
+                          std::vector<double> &master,
+                          std::uint32_t tokens, const LayerVisit &visit)
+{
+    for (std::uint32_t t = 0; t < tokens; ++t) {
+        const std::uint64_t index = tokenIndex_ + t;
+        if (config_.phaseTokens > 0 && index > 0 &&
+            index % config_.phaseTokens == 0)
+            applyPhaseShift(rng, lane.first, lane.last);
+        evolveMaster(rng, master);
+        lane.before.skip(rng);
+        for (std::uint32_t l = lane.first; l < lane.last; ++l) {
+            stepBlock(attnBlocks_[l], rng, master);
+            stepBlock(mlpBlocks_[l], rng, master);
+            if (visit)
+                visit(t, l);
+        }
+        lane.after.skip(rng);
+    }
 }
 
 void
 ActivationTrace::nextToken()
 {
-    if (config_.phaseTokens > 0 && tokenIndex_ > 0 &&
-        tokenIndex_ % config_.phaseTokens == 0) {
-        applyPhaseShift();
+    stepTokens(1, 1, {});
+}
+
+void
+ActivationTrace::stepTokens(std::uint32_t tokens, std::uint32_t threads,
+                            const LayerVisit &visit)
+{
+    const std::uint32_t lanes = laneCount(threads);
+    const std::vector<Lane> &plan = lanePlan(lanes);
+    // Lane 0 walks the trace's own stream and master latent, the
+    // others private copies; every lane ends where the next token
+    // starts.
+    std::vector<Rng> rngs(lanes - 1, rng_);
+    std::vector<std::vector<double>> masters(lanes - 1, masterLatent_);
+    parallelFor(lanes, lanes, [&](std::size_t lane) {
+        stepLane(plan[lane], lane == 0 ? rng_ : rngs[lane - 1],
+                 lane == 0 ? masterLatent_ : masters[lane - 1], tokens,
+                 visit);
+    });
+    tokenIndex_ += tokens;
+    // A phase shift rewires a lane's blocks but its first attention
+    // block, whose parent block another lane owns.
+    for (std::uint32_t lane = 1; lane < lanes; ++lane) {
+        const std::uint32_t first = plan[lane].first;
+        wireParents(attnBlocks_[first], mlpBlocks_[first - 1]);
     }
-    // Evolve the shared semantic latent (one slot per frequency rank).
-    const double refresh = 1.0 - config_.persistence;
-    Rng rng = rng_;
-    for (auto &u : masterLatent_) {
-        const double draw = rng.uniform();
-        u = pick(draw < refresh, draw / refresh, u);
-    }
-    rng_ = rng;
-    for (std::uint32_t l = 0; l < model_.layers; ++l) {
-        stepBlock(attnBlocks_[l]);
-        stepBlock(mlpBlocks_[l]);
-    }
-    ++tokenIndex_;
 }
 
 void
 ActivationTrace::swapActivations(std::uint32_t layer,
                                  LayerActivations &out)
 {
-    hermes_assert(layer < model_.layers);
+    hermes_assert(layer < layers_);
     auto swap_block = [](BlockTrace &block,
                          std::vector<std::uint8_t> &mask,
                          std::vector<std::uint32_t> &active) {
@@ -448,14 +650,14 @@ ActivationTrace::swapActivations(std::uint32_t layer,
 const BlockTrace &
 ActivationTrace::attn(std::uint32_t layer) const
 {
-    hermes_assert(layer < model_.layers);
+    hermes_assert(layer < layers_);
     return attnBlocks_[layer];
 }
 
 const BlockTrace &
 ActivationTrace::mlp(std::uint32_t layer) const
 {
-    hermes_assert(layer < model_.layers);
+    hermes_assert(layer < layers_);
     return mlpBlocks_[layer];
 }
 
@@ -464,7 +666,7 @@ ActivationTrace::currentActiveFraction() const
 {
     std::uint64_t active = 0;
     std::uint64_t total = 0;
-    for (std::uint32_t l = 0; l < model_.layers; ++l) {
+    for (std::uint32_t l = 0; l < layers_; ++l) {
         active += attnBlocks_[l].activeCount() +
                   mlpBlocks_[l].activeCount();
         total += attnBlocks_[l].neurons() + mlpBlocks_[l].neurons();

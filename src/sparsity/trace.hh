@@ -37,6 +37,7 @@
 #define HERMES_SPARSITY_TRACE_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hh"
@@ -148,18 +149,64 @@ struct LayerActivations
 /**
  * Streaming trace generator: one instance produces the activation
  * masks of every layer, one token at a time.
+ *
+ * The trace is one RNG stream per sequence (reset()).  Each token
+ * draws, in order: the phase shift's quantiles (on shift tokens),
+ * one value per master-latent slot, then each layer's attention and
+ * MLP blocks, one value per neuron plus one per follower.  Phase
+ * shifts only swap follower flags within a block, so every layer's
+ * draws per token are fixed for the trace's lifetime and each
+ * layer's slice of the stream sits at a known offset.  stepTokens()
+ * uses that: its lanes each walk the stream, draw the shared values
+ * themselves, step the layers they own and jump (Rng::jump) over the
+ * slices of all other layers, so the trace is bitwise the same
+ * however many lanes step it.
  */
 class ActivationTrace
 {
   public:
+    /** Build every layer of the model (the `layers` default). */
+    static constexpr std::uint32_t kAllLayers = ~std::uint32_t{0};
+
+    /** Called with (token, layer) once a lane has stepped a layer. */
+    using LayerVisit =
+        std::function<void(std::uint32_t token, std::uint32_t layer)>;
+
+    /**
+     * @param threads Threads the construction may use (<= 1: the
+     *        calling thread only); the trace never depends on it.
+     * @param layers  Build only the first `layers` layers: a prefix
+     *        of `model`'s trace, bitwise equal to the full trace's
+     *        first layers.  The layers past it are never built; the
+     *        stream skips their draws.
+     * @throws std::invalid_argument on batch 0, an active fraction
+     *         outside (0, 1), or more layers than `model` has.
+     */
     ActivationTrace(const model::LlmConfig &model, SparsityConfig config,
-                    std::uint32_t batch = 1);
+                    std::uint32_t batch = 1, std::uint32_t threads = 1,
+                    std::uint32_t layers = kAllLayers);
 
     /** Restart with a fresh sequence (new sub-seed). */
     void reset(std::uint64_t sequence_id = 0);
 
     /** Advance every layer to the next token. */
     void nextToken();
+
+    /**
+     * Advance `tokens` tokens on min(threads, layers()) lanes, each
+     * owning a contiguous run of layers, with one parallelFor and no
+     * synchronization between tokens.  A lane calls visit(t, layer)
+     * on its own thread right after it steps `layer` for the t-th of
+     * these tokens, in token order for each layer, so `visit` may
+     * read attn(layer) and mlp(layer) but must touch only state no
+     * other layer's visit touches.  A lane's first attention block
+     * gets its parents (parent1/parent2) rewired only when every
+     * lane is done.  At one lane this is `tokens` calls of
+     * nextToken().  If `visit` throws, the exception reaches the
+     * caller and the trace is left in an unspecified state.
+     */
+    void stepTokens(std::uint32_t tokens, std::uint32_t threads,
+                    const LayerVisit &visit);
 
     /**
      * Hand the current token's activations of `layer` to the caller
@@ -176,7 +223,10 @@ class ActivationTrace
     const BlockTrace &attn(std::uint32_t layer) const;
     const BlockTrace &mlp(std::uint32_t layer) const;
 
+    /** The model whose trace this is (every layer of its stream). */
     const model::LlmConfig &llm() const { return model_; }
+    /** Layers built: llm().layers, or the prefix asked for. */
+    std::uint32_t layers() const { return layers_; }
     const SparsityConfig &config() const { return config_; }
     std::uint32_t batch() const { return batch_; }
 
@@ -199,25 +249,82 @@ class ActivationTrace
         double computeScale = 1.0;
     };
 
+    /** A run of draws a lane jumps over. */
+    struct Gap
+    {
+        std::uint64_t draws = 0;
+        JumpPolynomial poly{};
+
+        explicit Gap(std::uint64_t count = 0);
+        void skip(Rng &rng) const;
+    };
+
+    /**
+     * One lane of stepTokens(): the layers [first, last) and the
+     * token's draws before and after them (past the master latent).
+     */
+    struct Lane
+    {
+        std::uint32_t first = 0;
+        std::uint32_t last = 0;
+        Gap before;
+        Gap after;
+    };
+
+    /**
+     * One lane of a reset: the sequence's attention blocks ahead of
+     * the lane's, the blocks between its attention and MLP runs, and
+     * the MLP blocks after them.
+     */
+    struct ResetLane
+    {
+        std::uint32_t first = 0;
+        std::uint32_t last = 0;
+        Gap attnBefore;
+        Gap between;
+        Gap mlpAfter;
+    };
+
+    std::uint32_t laneCount(std::uint32_t threads) const;
+    Rng initRng(std::uint64_t salt) const;
     RankProfile rankProfile(std::uint32_t neurons) const;
     void initBlock(BlockTrace &block, const RankProfile &profile,
                    std::uint64_t salt);
+    std::uint64_t unbuiltFollowers(std::uint32_t neurons,
+                                   std::uint64_t salt) const;
     void wireParents(BlockTrace &child, const BlockTrace &parent);
     void rewireAllParents();
-    void stepBlock(BlockTrace &block);
-    void applyPhaseShift();
+    void resetLanes(std::uint64_t sequence_id, std::uint32_t lanes,
+                    const std::function<void(std::uint32_t)> &build);
+    void resetBlock(BlockTrace &block, Rng &rng,
+                    const std::vector<double> &master);
+    const std::vector<Lane> &lanePlan(std::uint32_t lanes);
+    void stepLane(const Lane &lane, Rng &rng, std::vector<double> &master,
+                  std::uint32_t tokens, const LayerVisit &visit);
+    void evolveMaster(Rng &stream, std::vector<double> &master) const;
+    void stepBlock(BlockTrace &block, Rng &stream,
+                   const std::vector<double> &master_latent);
+    void applyPhaseShift(Rng &rng, std::uint32_t first,
+                         std::uint32_t last);
     static void swapRanks(BlockTrace &block, std::uint64_t rank_a,
                           std::uint64_t rank_b);
 
     model::LlmConfig model_;
     SparsityConfig config_;
     std::uint32_t batch_;
+    std::uint32_t layers_;
     Rng rng_;
     std::uint64_t tokenIndex_ = 0;
     std::uint32_t masterSlots_ = 0;
     std::vector<double> masterLatent_;
     std::vector<BlockTrace> attnBlocks_;
     std::vector<BlockTrace> mlpBlocks_;
+    /** Draws per token of each built layer's two blocks. */
+    std::vector<std::uint64_t> layerDraws_;
+    /** Draws per token of the layers past the built prefix. */
+    std::uint64_t unbuiltDraws_ = 0;
+    /** stepTokens() lanes for the last lane count asked for. */
+    std::vector<Lane> lanes_;
 };
 
 } // namespace hermes::sparsity

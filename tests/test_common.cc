@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -102,6 +103,107 @@ TEST(Rng, ChanceMatchesProbability)
     for (int i = 0; i < 20000; ++i)
         hits += rng.chance(0.3);
     EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
+}
+
+/** a * b modulo Rng::kCharacteristic, one coefficient at a time. */
+JumpPolynomial
+slowMultiply(const JumpPolynomial &a, const JumpPolynomial &b)
+{
+    JumpPolynomial product{};
+    for (int i = 255; i >= 0; --i) {
+        const bool top = (product[3] >> 63) != 0;
+        for (int w = 3; w > 0; --w)
+            product[w] = (product[w] << 1) | (product[w - 1] >> 63);
+        product[0] <<= 1;
+        for (int w = 0; w < 4; ++w) {
+            if (top)
+                product[w] ^= Rng::kCharacteristic[w];
+            if ((a[i / 64] >> (i % 64)) & 1)
+                product[w] ^= b[w];
+        }
+    }
+    return product;
+}
+
+TEST(Rng, JumpMatchesStepping)
+{
+    std::vector<std::uint64_t> distances = {0,   1,   255,
+                                            256, 257, (1u << 20) + 3};
+    Rng pick(2024);
+    for (int i = 0; i < 3; ++i)
+        distances.push_back(pick.below(10'000'000));
+    for (const std::uint64_t k : distances) {
+        Rng stepped(k + 17);
+        Rng jumped = stepped;
+        for (std::uint64_t i = 0; i < k; ++i)
+            stepped.next();
+        jumped.jump(Rng::jumpPolynomial(k));
+        EXPECT_EQ(jumped.state(), stepped.state()) << "k = " << k;
+        EXPECT_EQ(jumped.next(), stepped.next()) << "k = " << k;
+
+        // The fast squaring agrees with plain square-and-multiply.
+        JumpPolynomial slow{1, 0, 0, 0};
+        for (int bit = 63; bit >= 0; --bit) {
+            slow = slowMultiply(slow, slow);
+            if ((k >> bit) & 1)
+                slow = slowMultiply(slow, {2, 0, 0, 0});
+        }
+        EXPECT_EQ(Rng::jumpPolynomial(k), slow) << "k = " << k;
+    }
+}
+
+TEST(Rng, CharacteristicPolynomialIsPinned)
+{
+    // Any one state bit obeys the transition's minimal recurrence;
+    // Berlekamp-Massey over 512 of them recovers it, and for this
+    // full-period generator it is the degree-256 characteristic
+    // polynomial.
+    Rng rng(7);
+    std::vector<int> bits(512);
+    for (int &bit : bits) {
+        bit = static_cast<int>(rng.state()[0] & 1);
+        rng.next();
+    }
+    std::vector<int> c(bits.size() + 1, 0);
+    std::vector<int> b(bits.size() + 1, 0);
+    c[0] = b[0] = 1;
+    std::size_t length = 0;
+    std::size_t shift = 1;
+    for (std::size_t n = 0; n < bits.size(); ++n) {
+        int discrepancy = bits[n];
+        for (std::size_t i = 1; i <= length; ++i)
+            discrepancy ^= c[i] & bits[n - i];
+        if (discrepancy == 0) {
+            ++shift;
+            continue;
+        }
+        const std::vector<int> previous = c;
+        for (std::size_t i = 0; i + shift < c.size(); ++i)
+            c[i + shift] ^= b[i];
+        if (2 * length <= n) {
+            length = n + 1 - length;
+            b = previous;
+            shift = 1;
+        } else {
+            ++shift;
+        }
+    }
+    ASSERT_EQ(length, 256u);
+    // The connection polynomial is the characteristic one reversed.
+    JumpPolynomial derived{};
+    for (int j = 0; j < 256; ++j)
+        derived[j / 64] |= static_cast<std::uint64_t>(c[256 - j])
+                           << (j % 64);
+    EXPECT_EQ(derived, Rng::kCharacteristic);
+
+    // x^(2^128) modulo it is the reference implementation's jump().
+    JumpPolynomial power{2, 0, 0, 0};
+    for (int i = 0; i < 128; ++i)
+        power = slowMultiply(power, power);
+    const JumpPolynomial reference = {
+        0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+        0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
+    EXPECT_EQ(power, reference);
 }
 
 TEST(Stats, CounterAccumulates)

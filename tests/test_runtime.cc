@@ -660,6 +660,70 @@ TEST(TapeReplay, LayerParallelRecordIsBitIdentical)
     }
 }
 
+TEST(TapeReplay, LayerParallelProfileIsBitIdentical)
+{
+    // Hermes calibrates its predictor, Hermes-host profiles a prefix
+    // of its trace and Deja Vu probes its trace on lanes that jump
+    // over one another's layers of the one RNG stream: every record
+    // budget must reproduce budget 1 bit for bit.  Five simulated
+    // layers (no lane count from 2 to 4 divides them) and a phase
+    // shift every fifth token; profiles of 0 and 1 tokens and one
+    // past two shifts.  A scaled-down OPT (1.8 GB of weights) on a
+    // 2 GiB GPU keeps Hermes-host's hot set partial, so its hot
+    // masses read the whole profile.
+    model::LlmConfig llm = model::opt13b();
+    llm.name = "OPT-mini";
+    llm.hidden = 1280;
+    llm.ffnHidden = 5120;
+    llm.heads = 10;
+    llm.kvHeads = 10;
+    SystemConfig config;
+    config.simulatedLayers = 5;
+    config.sparsity.phaseTokens = 5;
+    config.gpu.memCapacity = 2 * kGiB;
+    for (const EngineKind kind :
+         {EngineKind::Hermes, EngineKind::HermesHost, EngineKind::DejaVu}) {
+        for (const std::uint32_t profile : {0u, 1u, 12u}) {
+            for (const std::uint32_t batch : {1u, 16u}) {
+                InferenceRequest request;
+                request.llm = llm;
+                request.batch = batch;
+                request.profileTokens = profile;
+                request.generateTokens = 4;
+                request.seed = 9;
+                const std::string where =
+                    engineKindName(kind) + " profile " +
+                    std::to_string(profile) + " b" +
+                    std::to_string(batch);
+                auto inline_engine = makeEngine(kind, config);
+                inline_engine->setRecordThreads(1);
+                const InferenceResult want = inline_engine->run(request);
+                ASSERT_TRUE(want.supported) << where;
+                if (kind == EngineKind::HermesHost) {
+                    EXPECT_GT(want.stats.counterValue("hot.mass.mlp"),
+                              0.0)
+                        << where;
+                }
+                HermesEngine inline_hermes(config);
+                inline_hermes.setRecordThreads(1);
+                for (const std::uint32_t threads : {2u, 3u, 4u, 8u}) {
+                    const std::string at =
+                        where + " threads " + std::to_string(threads);
+                    auto engine = makeEngine(kind, config);
+                    engine->setRecordThreads(threads);
+                    expectBitwiseEqual(engine->run(request), want, at);
+                    if (kind != EngineKind::Hermes)
+                        continue;
+                    HermesEngine hermes(config);
+                    hermes.setRecordThreads(threads);
+                    expectSameTape(hermes.tape(request),
+                                   inline_hermes.tape(request), at);
+                }
+            }
+        }
+    }
+}
+
 TEST(Engines, ZeroProfileTokensProfileOneToken)
 {
     // A profile over no tokens has no frequencies: Hermes-host used

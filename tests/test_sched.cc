@@ -305,6 +305,22 @@ TEST(Predictor, HighAccuracyOnSyntheticTrace)
     EXPECT_GT(predictor.metrics().recall(), 0.85);
 }
 
+TEST(Predictor, ProfileOfMoreLayersThanTheTraceThrows)
+{
+    model::LlmConfig llm = model::llama2_13b();
+    llm.layers = 2;
+    sparsity::ActivationTrace trace(llm, sparsity::SparsityConfig{}, 1);
+    EXPECT_THROW(profileActivations(trace, 4, 3), std::invalid_argument);
+    try {
+        profileActivations(trace, 4, 3);
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("3 layers"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_EQ(profileActivations(trace, 4, 2).mlp.size(), 2u);
+}
+
 TEST(Predictor, SampledCorrelationIsPredictive)
 {
     // Neighboring ranks share latent slots, so several parents are

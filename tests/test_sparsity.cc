@@ -12,7 +12,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "model/llm_config.hh"
@@ -178,6 +182,224 @@ TEST(Trace, StepStreamIsPinned)
         GTEST_SKIP() << "printed fresh kStreamPins; paste them into "
                         "tests/test_sparsity.cc";
     }
+}
+
+/** A model of `layers` layers with blocks of the given sizes. */
+model::LlmConfig
+geometry(std::uint32_t layers, std::uint32_t attn_neurons,
+         std::uint32_t mlp_neurons)
+{
+    model::LlmConfig llm = smallModel(layers);
+    llm.hidden = attn_neurons;
+    llm.ffnHidden = mlp_neurons;
+    llm.heads = 1;
+    llm.kvHeads = 1;
+    return llm;
+}
+
+/** Whether two blocks hold bitwise the same stepping state and wiring. */
+bool
+sameBlock(const BlockTrace &a, const BlockTrace &b)
+{
+    return a.mask == b.mask && a.activeList == b.activeList &&
+           a.parent1 == b.parent1 && a.parent2 == b.parent2 &&
+           a.idOfRank == b.idOfRank && a.follower == b.follower &&
+           a.ownLatent.size() == b.ownLatent.size() &&
+           std::memcmp(a.ownLatent.data(), b.ownLatent.data(),
+                       a.ownLatent.size() * sizeof(double)) == 0;
+}
+
+/** Every block of `got`'s layers equals the same block of `want`. */
+void
+expectSameLayers(const ActivationTrace &got, const ActivationTrace &want,
+                 const std::string &where)
+{
+    ASSERT_EQ(got.tokenIndex(), want.tokenIndex()) << where;
+    for (std::uint32_t l = 0; l < got.layers(); ++l) {
+        EXPECT_TRUE(sameBlock(got.attn(l), want.attn(l)))
+            << where << " attn " << l;
+        EXPECT_TRUE(sameBlock(got.mlp(l), want.mlp(l)))
+            << where << " mlp " << l;
+    }
+}
+
+/** Hash of one layer's masks and active lists. */
+std::uint64_t
+layerPrint(const ActivationTrace &trace, std::uint32_t layer)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const BlockTrace *b : {&trace.attn(layer), &trace.mlp(layer)}) {
+        hash = fnv1a(hash, b->mask.data(), b->mask.size());
+        hash = fnv1a(hash, b->activeList.data(),
+                     b->activeList.size() * sizeof(std::uint32_t));
+    }
+    return hash;
+}
+
+TEST(Trace, LayerParallelStepMatchesSerial)
+{
+    // Lanes jump over each other's layers of the one stream: every
+    // lane count must leave every block bitwise where nextToken()
+    // does, and show each visit the layer as the serial trace had it
+    // after that token.  Blocks of 1/1023/1025/4096 neurons straddle
+    // the stepping chunks; a one-layer model and five layers (which
+    // no lane count from 2 to 4 divides) vary the lane shapes; a
+    // phase shift every third token reorders ranks over and over.
+    SparsityConfig config;
+    config.phaseTokens = 3;
+    const std::vector<std::uint32_t> chunks = {1, 2, 3, 5, 13};
+    const std::uint32_t tokens = 24;
+    for (const auto &[attn_n, mlp_n] :
+         {std::pair{1u, 1023u}, std::pair{1025u, 4096u}}) {
+        for (const std::uint32_t layers : {1u, 5u}) {
+            for (const std::uint32_t batch : {1u, 8u}) {
+                const model::LlmConfig llm =
+                    geometry(layers, attn_n, mlp_n);
+                // The serial trace at each chunk boundary, and what
+                // each (token, layer) looked like.
+                ActivationTrace serial(llm, config, batch);
+                std::vector<ActivationTrace> at_boundary = {serial};
+                std::vector<std::uint64_t> prints;
+                for (const std::uint32_t chunk : chunks) {
+                    for (std::uint32_t t = 0; t < chunk; ++t) {
+                        serial.nextToken();
+                        for (std::uint32_t l = 0; l < layers; ++l)
+                            prints.push_back(layerPrint(serial, l));
+                    }
+                    at_boundary.push_back(serial);
+                }
+                for (std::uint32_t lanes = 1; lanes <= 8; ++lanes) {
+                    const std::string where =
+                        std::to_string(attn_n) + "/" +
+                        std::to_string(mlp_n) + " x" +
+                        std::to_string(layers) + " b" +
+                        std::to_string(batch) + " lanes " +
+                        std::to_string(lanes);
+                    ActivationTrace trace(llm, config, batch, lanes);
+                    expectSameLayers(trace, at_boundary[0],
+                                     where + " built");
+                    std::vector<std::uint64_t> seen(prints.size());
+                    std::uint32_t done = 0;
+                    for (std::size_t c = 0; c < chunks.size(); ++c) {
+                        trace.stepTokens(
+                            chunks[c], lanes,
+                            [&](std::uint32_t t, std::uint32_t l) {
+                                seen[(done + t) * layers + l] =
+                                    layerPrint(trace, l);
+                            });
+                        done += chunks[c];
+                        expectSameLayers(trace, at_boundary[c + 1],
+                                         where + " token " +
+                                             std::to_string(done));
+                    }
+                    ASSERT_EQ(done, tokens);
+                    EXPECT_EQ(seen, prints) << where;
+                    // Both go on from the same stream position.
+                    trace.nextToken();
+                    ActivationTrace next = serial;
+                    next.nextToken();
+                    expectSameLayers(trace, next, where + " after");
+                }
+            }
+        }
+    }
+}
+
+TEST(Trace, PrefixLayersMatchTheFullTrace)
+{
+    // A prefix builds only the first layers of a model's trace and
+    // skips the rest of the stream: its layers must stay bitwise the
+    // full trace's, token after token, across phase shifts, on one
+    // lane or several, and again after a reset.
+    SparsityConfig config;
+    config.phaseTokens = 5;
+    const model::LlmConfig llm = geometry(4, 320, 1280);
+    for (const std::uint32_t batch : {1u, 8u}) {
+        ActivationTrace full(llm, config, batch);
+        struct Prefix
+        {
+            std::uint32_t threads;
+            ActivationTrace trace;
+        };
+        std::vector<Prefix> prefixes;
+        for (std::uint32_t layers = 1; layers < 4; ++layers) {
+            for (const std::uint32_t threads : {1u, 2u, 3u}) {
+                prefixes.push_back(
+                    {threads, ActivationTrace(llm, config, batch,
+                                              threads, layers)});
+                EXPECT_EQ(prefixes.back().trace.layers(), layers);
+                EXPECT_EQ(prefixes.back().trace.llm().layers, 4u);
+            }
+        }
+        auto compare = [&](const std::string &when) {
+            for (const Prefix &prefix : prefixes) {
+                std::string where = "batch ";
+                where += std::to_string(batch) + ", ";
+                where += std::to_string(prefix.trace.layers()) +
+                         " layers, ";
+                where += std::to_string(prefix.threads) + " threads, ";
+                expectSameLayers(prefix.trace, full, where + when);
+            }
+        };
+        compare("built");
+        for (std::uint32_t t = 1; t <= 100; ++t) {
+            full.nextToken();
+            for (Prefix &prefix : prefixes)
+                prefix.trace.stepTokens(1, prefix.threads, {});
+            compare("token " + std::to_string(t));
+        }
+        full.reset(3);
+        for (Prefix &prefix : prefixes)
+            prefix.trace.reset(3);
+        compare("reset");
+        full.nextToken();
+        for (Prefix &prefix : prefixes)
+            prefix.trace.nextToken();
+        compare("reset + 1 token");
+    }
+}
+
+TEST(Trace, BadInputThrowsNamingTheValue)
+{
+    auto message = [](auto &&build) {
+        try {
+            build();
+        } catch (const std::invalid_argument &error) {
+            return std::string(error.what());
+        }
+        return std::string("no throw");
+    };
+    EXPECT_THROW(ActivationTrace(smallModel(), SparsityConfig{}, 0),
+                 std::invalid_argument);
+    EXPECT_NE(message([] {
+                  ActivationTrace(smallModel(), SparsityConfig{}, 0);
+              }).find("got 0"),
+              std::string::npos);
+    for (const double fraction : {0.0, 1.0, -0.5, 1.5}) {
+        SparsityConfig config;
+        config.activeFraction = fraction;
+        EXPECT_THROW(ActivationTrace(smallModel(), config, 1),
+                     std::invalid_argument)
+            << fraction;
+        EXPECT_NE(message([&] {
+                      ActivationTrace(smallModel(), config, 1);
+                  }).find(std::to_string(fraction)),
+                  std::string::npos)
+            << fraction;
+    }
+    EXPECT_THROW(ActivationTrace(smallModel(2), SparsityConfig{}, 1, 1, 3),
+                 std::invalid_argument);
+
+    ActivationTrace trace(smallModel(3), SparsityConfig{}, 1);
+    // Layer 2 is the last: its MLP feeds no next attention block.
+    EXPECT_THROW(profileTrace(trace, 96, 16, 2), std::invalid_argument);
+    EXPECT_NE(message([&] { profileTrace(trace, 96, 16, 2); })
+                  .find("probe layer 2"),
+              std::string::npos);
+    EXPECT_THROW(profileTrace(trace, 16, 16, 0), std::invalid_argument);
+    EXPECT_NE(message([&] { profileTrace(trace, 16, 16, 0); })
+                  .find("16 tokens"),
+              std::string::npos);
 }
 
 TEST(Trace, ExponentCacheKeysOnHotFraction)
