@@ -295,7 +295,8 @@ compareLifecycle(const Sweep &sweep, const SystemConfig &platform,
             {report.policy, std::to_string(report.completed),
              std::to_string(report.kernelStats.preemptions),
              TextTable::num(
-                 fleet::ttftPercentile(report, 99.0, 1) * 1e3,
+                 fleet::ttftSamples(report, 1).percentile(99.0) *
+                     1e3,
                  1),
              TextTable::num(report.p99Ttft * 1e3, 1),
              TextTable::num(report.sloAttainment, 3)});
@@ -488,6 +489,7 @@ main(int argc, char **argv)
                 const auto report =
                     run_control(fleet_size, control);
                 meter.add(report);
+                const auto latency = fleet::latencySamples(report);
                 table.addRow(
                     {report.policy, std::to_string(fleet_size),
                      std::to_string(report.completed),
@@ -496,12 +498,8 @@ main(int argc, char **argv)
                              .sessionContinues),
                      TextTable::num(report.throughputTps, 2),
                      TextTable::num(report.p99Ttft * 1e3, 1),
-                     TextTable::num(
-                         fleet::latencyPercentile(report, 50.0),
-                         3),
-                     TextTable::num(
-                         fleet::latencyPercentile(report, 99.0),
-                         3)});
+                     TextTable::num(latency.percentile(50.0), 3),
+                     TextTable::num(latency.percentile(99.0), 3)});
             }
         }
         table.print();
@@ -522,7 +520,8 @@ main(int argc, char **argv)
             const auto report = run_control(sizes.front(), "affinity");
             return fleetRow(report) + " e2eP99=" +
                    TextTable::num(
-                       fleet::latencyPercentile(report, 99.0), 4);
+                       fleet::latencySamples(report).percentile(99.0),
+                       4);
         });
         return identical && json_ok ? 0 : 1;
     }

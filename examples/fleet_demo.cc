@@ -149,7 +149,8 @@ main()
                           report.kernelStats.preemptions),
                       TextTable::num(report.throughputTps, 2),
                       TextTable::num(
-                          fleet::ttftPercentile(report, 99.0, 1) *
+                          fleet::ttftSamples(report, 1).percentile(
+                              99.0) *
                               1e3,
                           1),
                       TextTable::num(report.p99Ttft * 1e3, 1),

@@ -1291,7 +1291,6 @@ mergeReports(FleetReport &report,
     }
 
     report.requests.resize(workload.size());
-    std::vector<Seconds> ttft_samples;
     std::uint64_t within_deadline = 0;
     for (std::size_t i = 0; i < workload.size(); ++i) {
         if (report.assignment[i] < 0) {
@@ -1312,13 +1311,13 @@ mergeReports(FleetReport &report,
         const serving::RequestMetrics &metrics =
             report.requests[i];
         if (!metrics.rejected) {
-            ttft_samples.push_back(metrics.ttft());
             within_deadline +=
                 metrics.ttft() <= ttft_deadline ? 1 : 0;
         }
     }
-    report.p50Ttft = serving::percentile(ttft_samples, 50.0);
-    report.p99Ttft = serving::percentile(ttft_samples, 99.0);
+    const serving::SortedSamples ttft = ttftSamples(report);
+    report.p50Ttft = ttft.percentile(50.0);
+    report.p99Ttft = ttft.percentile(99.0);
     report.sloAttainment =
         workload.empty()
             ? 1.0
@@ -1355,28 +1354,26 @@ kvMigrationSeconds(const runtime::SystemConfig &system,
         {interconnect::Transfer{0, 1, bytes}});
 }
 
-Seconds
-ttftPercentile(const FleetReport &report, double p,
-               std::uint32_t min_priority)
+serving::SortedSamples
+ttftSamples(const FleetReport &report, std::uint32_t min_priority)
 {
     std::vector<Seconds> samples;
     for (const serving::RequestMetrics &request : report.requests) {
         if (!request.rejected && request.priority >= min_priority)
             samples.push_back(request.ttft());
     }
-    return serving::percentile(std::move(samples), p);
+    return serving::SortedSamples(std::move(samples));
 }
 
-Seconds
-latencyPercentile(const FleetReport &report, double p,
-                  std::uint32_t min_priority)
+serving::SortedSamples
+latencySamples(const FleetReport &report, std::uint32_t min_priority)
 {
     std::vector<Seconds> samples;
     for (const serving::RequestMetrics &request : report.requests) {
         if (!request.rejected && request.priority >= min_priority)
             samples.push_back(request.latency());
     }
-    return serving::percentile(std::move(samples), p);
+    return serving::SortedSamples(std::move(samples));
 }
 
 FleetConfig

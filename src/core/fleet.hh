@@ -254,22 +254,22 @@ struct FleetReport
 };
 
 /**
- * TTFT percentile over the served (non-rejected) requests with
- * priority >= `min_priority` — how a priority tier's tail reads
- * from a FleetReport (0 covers everything, matching p99Ttft).
+ * TTFTs of the served (non-rejected) requests with priority >=
+ * `min_priority`, sorted once for any number of percentile reads —
+ * how a priority tier's tail reads from a FleetReport (0 covers
+ * everything: percentile(99) is p99Ttft).
  */
-Seconds ttftPercentile(const FleetReport &report, double p,
-                       std::uint32_t min_priority = 0);
+serving::SortedSamples ttftSamples(const FleetReport &report,
+                                   std::uint32_t min_priority = 0);
 
 /**
- * End-to-end latency (arrival -> completion) percentile over the
- * served requests with priority >= `min_priority`.  The multi-turn
- * headline metric: a conversation blocks on the *whole* turn, not
- * just its first token, so KV-affinity wins show up here even when
- * TTFT ties.
+ * End-to-end latencies (arrival -> completion) of the served
+ * requests with priority >= `min_priority`.  The multi-turn headline
+ * metric: a conversation blocks on the *whole* turn, not just its
+ * first token, so KV-affinity wins show up here even when TTFT ties.
  */
-Seconds latencyPercentile(const FleetReport &report, double p,
-                          std::uint32_t min_priority = 0);
+serving::SortedSamples latencySamples(const FleetReport &report,
+                                      std::uint32_t min_priority = 0);
 
 /** The calibration operating point a workload implies (fleet.cc). */
 struct WorkloadShape;

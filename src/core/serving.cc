@@ -402,7 +402,7 @@ ServingSimulator::beginSession()
     decodeTime_ = 0.0;
     occupancyWeighted_ = 0.0;
     peakBatch_ = 0;
-    tokenSamples_.clear();
+    tokenLatencies_.clear();
     ttftSamples_.clear();
     // saturated_ is deliberately sticky: it describes the cost
     // cache, which outlives sessions.
@@ -827,8 +827,16 @@ ServingSimulator::completeWork()
             ++running.seq;
             ++generated_;
             --backlogOwed_;
-            tokenSamples_.push_back(inflightDt_);
         }
+        // All `batch` tokens of the step cost inflightDt_; equal
+        // costs share one run, so the scan stays a few entries long.
+        const auto run = std::find_if(
+            tokenLatencies_.begin(), tokenLatencies_.end(),
+            [&](const SampleRun &r) { return r.value == inflightDt_; });
+        if (run != tokenLatencies_.end())
+            run->count += batch;
+        else
+            tokenLatencies_.push_back({inflightDt_, batch});
     }
     inflight_ = StepKind::Idle;
     inflightGroup_.clear();
@@ -895,11 +903,13 @@ ServingSimulator::finishSession()
             : 0.0;
     report.meanBatchOccupancy =
         decodeTime_ > 0.0 ? occupancyWeighted_ / decodeTime_ : 0.0;
-    report.p50TokenLatency = percentile(tokenSamples_, 50.0);
-    report.p90TokenLatency = percentile(tokenSamples_, 90.0);
-    report.p99TokenLatency = percentile(tokenSamples_, 99.0);
-    report.p50Ttft = percentile(ttftSamples_, 50.0);
-    report.p99Ttft = percentile(ttftSamples_, 99.0);
+    const SortedSamples tokens(tokenLatencies_);
+    report.p50TokenLatency = tokens.percentile(50.0);
+    report.p90TokenLatency = tokens.percentile(90.0);
+    report.p99TokenLatency = tokens.percentile(99.0);
+    const SortedSamples ttft(ttftSamples_);
+    report.p50Ttft = ttft.percentile(50.0);
+    report.p99Ttft = ttft.percentile(99.0);
     return report;
 }
 
@@ -1054,22 +1064,64 @@ syntheticWorkload(std::uint32_t count, double arrivals_per_second,
     return workload;
 }
 
-Seconds
-percentile(std::vector<Seconds> values, double p)
+SortedSamples::SortedSamples(std::vector<Seconds> values)
 {
-    if (values.empty())
-        return 0.0;
     std::sort(values.begin(), values.end());
+    for (const Seconds value : values)
+        append(value, 1);
+}
+
+SortedSamples::SortedSamples(std::vector<SampleRun> runs)
+{
+    std::sort(runs.begin(), runs.end(),
+              [](const SampleRun &a, const SampleRun &b) {
+                  return a.value < b.value;
+              });
+    for (const SampleRun &run : runs) {
+        if (run.count > 0)
+            append(run.value, run.count);
+    }
+}
+
+void
+SortedSamples::append(Seconds value, std::uint64_t count)
+{
+    const std::uint64_t below = size() + count;
+    if (!runs_.empty() && runs_.back().value == value)
+        runs_.back().count = below;
+    else
+        runs_.push_back({value, below});
+}
+
+Seconds
+SortedSamples::at(std::uint64_t rank) const
+{
+    return std::upper_bound(runs_.begin(), runs_.end(), rank,
+                            [](std::uint64_t k, const SampleRun &run) {
+                                return k < run.count;
+                            })
+        ->value;
+}
+
+Seconds
+SortedSamples::percentile(double p) const
+{
+    if (std::isnan(p))
+        throw std::invalid_argument(
+            "percentile: p must be a number in [0, 100], got " +
+            std::to_string(p));
+    const std::uint64_t n = size();
+    if (n == 0)
+        return 0.0;
     const double clamped = std::clamp(p, 0.0, 100.0);
     const double rank =
-        clamped / 100.0 *
-        static_cast<double>(values.size() - 1);
-    const auto low = static_cast<std::size_t>(rank);
-    const std::size_t high =
-        std::min(low + 1, values.size() - 1);
+        clamped / 100.0 * static_cast<double>(n - 1);
+    const auto low = static_cast<std::uint64_t>(rank);
+    const std::uint64_t high = std::min(low + 1, n - 1);
     const double fraction = rank - static_cast<double>(low);
-    return values[low] +
-           (values[high] - values[low]) * fraction;
+    const Seconds low_value = at(low);
+    const Seconds high_value = at(high);
+    return low_value + (high_value - low_value) * fraction;
 }
 
 } // namespace hermes::serving

@@ -30,6 +30,15 @@
  * end-to-end latency) and fleet-level percentiles (p50/p90/p99 token
  * latency and TTFT), the numbers a capacity planner actually needs.
  *
+ * Token latencies are kept as a histogram of step costs, not one
+ * sample per token: a decode step of cost dt over a batch of b adds
+ * b to dt's count.  Every token of a step shares its cost, and a
+ * replica draws its step costs from a few cost-surface cells, so the
+ * state is O(distinct step costs) whatever the token count.
+ * Percentiles are bit-identical to sorting the per-token samples:
+ * SortedSamples reads the same two order statistics from cumulative
+ * counts and interpolates between them with the same arithmetic.
+ *
  * Requests move through an explicit lifecycle state machine:
  *
  *     Queued ──► Prefilling ──► Running ──► Done
@@ -257,6 +266,56 @@ struct RequestMetrics
                    ? (completed - firstToken) / (tokens - 1)
                    : 0.0;
     }
+};
+
+/** `count` samples of one value. */
+struct SampleRun
+{
+    Seconds value = 0.0;
+    std::uint64_t count = 0;
+};
+
+/**
+ * A sample multiset sorted once, for any number of percentile reads:
+ * its distinct values ascending, each with the number of samples at
+ * or below it.
+ */
+class SortedSamples
+{
+  public:
+    SortedSamples() = default;
+
+    /** One sample per element. */
+    explicit SortedSamples(std::vector<Seconds> values);
+
+    /** Samples as (value, count) runs in any order; equal values
+     * may repeat. */
+    explicit SortedSamples(std::vector<SampleRun> runs);
+
+    /**
+     * Linear-interpolated percentile: p is clamped to [0, 100]
+     * (infinities included) and the rank p/100 * (n - 1) interpolates
+     * between the order statistics at its floor and the next one.
+     * 0 for an empty set.  Throws std::invalid_argument on a NaN p.
+     */
+    Seconds percentile(double p) const;
+
+    /** Number of samples. */
+    std::uint64_t
+    size() const
+    {
+        return runs_.empty() ? 0 : runs_.back().count;
+    }
+
+  private:
+    /** Adds `count` samples of `value`, no smaller than any held. */
+    void append(Seconds value, std::uint64_t count);
+
+    /** The order statistic at 0-based `rank` (< size()). */
+    Seconds at(std::uint64_t rank) const;
+
+    /** Distinct values ascending; count is cumulative. */
+    std::vector<SampleRun> runs_;
 };
 
 /** Fleet-level outcome of one serving run. */
@@ -785,7 +844,9 @@ class ServingSimulator
     Seconds decodeTime_ = 0.0;
     double occupancyWeighted_ = 0.0;
     std::uint32_t peakBatch_ = 0;
-    std::vector<Seconds> tokenSamples_;
+    /** Token latencies: one run per distinct decode step cost,
+     * the number of tokens decoded at it (see file header). */
+    std::vector<SampleRun> tokenLatencies_;
     std::vector<Seconds> ttftSamples_;
 };
 
@@ -797,9 +858,6 @@ std::vector<ServedRequest>
 syntheticWorkload(std::uint32_t count, double arrivals_per_second,
                   std::uint32_t prompt_tokens,
                   std::uint32_t generate_tokens, std::uint64_t seed);
-
-/** Linear-interpolated percentile (p in [0, 100]) of a sample set. */
-Seconds percentile(std::vector<Seconds> values, double p);
 
 } // namespace hermes::serving
 

@@ -5,6 +5,7 @@
  */
 
 #include <array>
+#include <bit>
 #include <optional>
 #include <stdexcept>
 
@@ -457,6 +458,53 @@ TEST(EventKernel, FeedbackPoliciesBeatEstimateJsqOnBurstyTail)
     EXPECT_EQ(least_backlog.completed, trace.size());
     EXPECT_LT(true_jsq.p99Ttft, estimate.p99Ttft);
     EXPECT_LT(least_backlog.p99Ttft, estimate.p99Ttft);
+}
+
+TEST(EventKernel, ReplicaAndFleetPercentilesArePinnedBitwise)
+{
+    // A bursty 2-replica fleet whose batches reach 6: each replica
+    // decodes at two step costs (batch buckets 4 and 8).
+    serving::ScenarioConfig scenario;
+    scenario.process = serving::ArrivalProcess::Bursty;
+    scenario.requests = 40;
+    scenario.ratePerSecond = 4.0;
+    scenario.burstiness = 8.0;
+    scenario.prompt = {96, 32, 0.0, 1.0};
+    scenario.generate = {16, 8, 0.0, 1.0};
+    scenario.seed = 5;
+    const auto trace = serving::generateWorkload(scenario);
+    const auto report =
+        FleetSimulator(uniformFleet(2, fastConfig(4), fastServing(8),
+                                    sched::makeRouterPolicy(
+                                        sched::RouterPolicy::TrueJsq),
+                                    30.0),
+                       model::opt13b())
+            .run(trace);
+    const auto bits = [](Seconds value) {
+        return std::bit_cast<std::uint64_t>(value);
+    };
+    ASSERT_EQ(report.replicaReports.size(), 2u);
+    const std::array<std::uint64_t, 2> p50_ttft{0x3fe1c04f28684838ull,
+                                                0x3fe4b90cad8b04e2ull};
+    const std::array<std::uint64_t, 2> p99_ttft{0x3feb66e4e0fa6e7bull,
+                                                0x3feb5817900096fbull};
+    for (std::size_t r = 0; r < 2; ++r) {
+        const serving::ServingReport &replica =
+            report.replicaReports[r];
+        EXPECT_EQ(replica.peakBatch, 6u);
+        EXPECT_EQ(bits(replica.p50TokenLatency), 0x3f8914aa695cb289ull);
+        EXPECT_EQ(bits(replica.p90TokenLatency), 0x3f91b76d04e2ca0bull);
+        EXPECT_EQ(bits(replica.p99TokenLatency), 0x3f91b76d04e2ca0bull);
+        EXPECT_EQ(bits(replica.p50Ttft), p50_ttft[r]);
+        EXPECT_EQ(bits(replica.p99Ttft), p99_ttft[r]);
+    }
+    EXPECT_EQ(bits(report.p50Ttft), 0x3fe2d42bdcbe1b92ull);
+    EXPECT_EQ(bits(report.p99Ttft), 0x3feb6817e0a7a810ull);
+    EXPECT_EQ(bits(ttftSamples(report).percentile(90.0)),
+              0x3feb099560247840ull);
+    const serving::SortedSamples latency = latencySamples(report);
+    EXPECT_EQ(bits(latency.percentile(50.0)), 0x3feff4a51dabae18ull);
+    EXPECT_EQ(bits(latency.percentile(99.0)), 0x3ff8934382388b3dull);
 }
 
 TEST(EventKernel, MissingControlPlaneThrows)
@@ -1267,8 +1315,9 @@ TEST(Lifecycle, PriorityPreemptBeatsSloStealOnHighPriorityTail)
     EXPECT_EQ(preempt.completed, trace.size());
     EXPECT_GT(preempt.kernelStats.preemptions, 0u);
 
-    const Seconds steal_hi = ttftPercentile(steal, 99.0, 1);
-    const Seconds preempt_hi = ttftPercentile(preempt, 99.0, 1);
+    const Seconds steal_hi = ttftSamples(steal, 1).percentile(99.0);
+    const Seconds preempt_hi =
+        ttftSamples(preempt, 1).percentile(99.0);
     EXPECT_LT(preempt_hi, steal_hi);
     // The preempted low-priority work is resumed, not lost: every
     // request still completes with all its tokens.
@@ -1635,10 +1684,12 @@ TEST(Sessions, AffinityBeatsJsqOnMultiTurnTailLatency)
     EXPECT_EQ(jsq.completed, trace.requests.size());
     EXPECT_GT(affinity.kernelStats.events.sessionContinues, 0u);
 
-    EXPECT_LT(latencyPercentile(affinity, 99.0),
-              latencyPercentile(jsq, 99.0));
-    EXPECT_LT(latencyPercentile(affinity, 50.0),
-              latencyPercentile(jsq, 50.0));
+    const auto affinity_latency = latencySamples(affinity);
+    const auto jsq_latency = latencySamples(jsq);
+    EXPECT_LT(affinity_latency.percentile(99.0),
+              jsq_latency.percentile(99.0));
+    EXPECT_LT(affinity_latency.percentile(50.0),
+              jsq_latency.percentile(50.0));
 }
 
 TEST(Sessions, CalibrationTimeIsAccountedSeparatelyFromTheLoop)
@@ -1678,8 +1729,8 @@ TEST(Sessions, CalibrationThreadsDoNotChangeThePhysics)
     checkReportInvariants(lazy, trace.requests.size());
     EXPECT_EQ(lazy.assignment, warmed.assignment);
     EXPECT_DOUBLE_EQ(lazy.makespan, warmed.makespan);
-    EXPECT_DOUBLE_EQ(latencyPercentile(lazy, 99.0),
-                     latencyPercentile(warmed, 99.0));
+    EXPECT_DOUBLE_EQ(latencySamples(lazy).percentile(99.0),
+                     latencySamples(warmed).percentile(99.0));
 }
 
 TEST(Sessions, CalibrationThreadsAcrossCostGroupsMatchTheSerialRun)

@@ -4,11 +4,16 @@
  * admission control, per-request metrics and fleet percentiles.
  */
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "core/hermes.hh"
 
 namespace hermes::serving {
@@ -38,11 +43,128 @@ TEST(Workload, SyntheticTraceIsDeterministicAndSorted)
 
 TEST(Workload, PercentileInterpolates)
 {
-    std::vector<Seconds> values{4.0, 1.0, 3.0, 2.0};
-    EXPECT_DOUBLE_EQ(percentile(values, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(percentile(values, 100.0), 4.0);
-    EXPECT_DOUBLE_EQ(percentile(values, 50.0), 2.5);
-    EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);
+    const SortedSamples values({4.0, 1.0, 3.0, 2.0});
+    EXPECT_DOUBLE_EQ(values.percentile(0.0), 1.0);
+    EXPECT_DOUBLE_EQ(values.percentile(100.0), 4.0);
+    EXPECT_DOUBLE_EQ(values.percentile(50.0), 2.5);
+    EXPECT_DOUBLE_EQ(SortedSamples().percentile(50.0), 0.0);
+}
+
+/**
+ * The percentile SortedSamples replaced, verbatim: it copies and
+ * sorts the samples on every call.  The reference the histogram path
+ * must match bit for bit.
+ */
+Seconds
+referencePercentile(std::vector<Seconds> values, double p)
+{
+    if (values.empty())
+        return 0.0;
+    std::sort(values.begin(), values.end());
+    const double clamped = std::clamp(p, 0.0, 100.0);
+    const double rank =
+        clamped / 100.0 *
+        static_cast<double>(values.size() - 1);
+    const auto low = static_cast<std::size_t>(rank);
+    const std::size_t high =
+        std::min(low + 1, values.size() - 1);
+    const double fraction = rank - static_cast<double>(low);
+    return values[low] +
+           (values[high] - values[low]) * fraction;
+}
+
+std::uint64_t
+bits(Seconds value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+TEST(Percentile, HistogramMatchesTheSortingReferenceBitwise)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const std::array<double, 10> ps{0.0,   0.5,  50.0, 90.0, 99.0,
+                                    100.0, -5.0, 250.0, inf, -inf};
+    Rng rng(23);
+    for (const std::size_t size : {0, 1, 2, 3, 7, 100000}) {
+        // 2-8 distinct values tie heavily, as step costs do; 0 draws
+        // every sample afresh (all distinct).
+        for (const std::uint64_t distinct : {2, 3, 5, 8, 0}) {
+            std::vector<Seconds> costs(distinct);
+            for (Seconds &cost : costs)
+                cost = 1.0e-3 * (1.0 + 40.0 * rng.uniform());
+            std::vector<Seconds> samples(size);
+            for (Seconds &sample : samples)
+                sample = distinct > 0
+                             ? costs[rng.below(distinct)]
+                             : 1.0e-3 * rng.uniform();
+
+            // As a decode step adds them: runs of one value, equal
+            // values split across several runs, in shuffled order.
+            std::vector<SampleRun> runs;
+            for (const Seconds sample : samples) {
+                if (!runs.empty() && runs.back().value == sample &&
+                    rng.chance(0.7))
+                    ++runs.back().count;
+                else
+                    runs.push_back({sample, 1});
+            }
+            for (std::size_t i = runs.size(); i > 1; --i)
+                std::swap(runs[i - 1], runs[rng.below(i)]);
+            if (!runs.empty())
+                runs.push_back({runs.front().value, 0});
+
+            const SortedSamples from_runs(runs);
+            const SortedSamples from_values(samples);
+            EXPECT_EQ(from_runs.size(), size);
+            EXPECT_EQ(from_values.size(), size);
+            for (const double p : ps) {
+                const std::uint64_t expected =
+                    bits(referencePercentile(samples, p));
+                EXPECT_EQ(bits(from_runs.percentile(p)), expected)
+                    << "size " << size << " distinct " << distinct
+                    << " p " << p;
+                EXPECT_EQ(bits(from_values.percentile(p)), expected)
+                    << "size " << size << " distinct " << distinct
+                    << " p " << p;
+            }
+        }
+    }
+}
+
+TEST(Percentile, NanRankThrowsInsteadOfIndexingOutOfBounds)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(SortedSamples({1.0, 2.0, 3.0}).percentile(nan),
+                 std::invalid_argument);
+    EXPECT_THROW(SortedSamples().percentile(nan),
+                 std::invalid_argument);
+    EXPECT_THROW(SortedSamples(std::vector<SampleRun>{{1.0, 4}})
+                     .percentile(nan),
+                 std::invalid_argument);
+    try {
+        SortedSamples({1.0, 2.0}).percentile(nan);
+        FAIL() << "no exception";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("nan"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(Percentile, SessionRunPercentilesArePinnedBitwise)
+{
+    // Batches of 1-6 over three batch buckets: three distinct step
+    // costs, so p50, p90 and p99 each read a different one.
+    System system(fastConfig(4));
+    const auto report = system.serve(
+        model::opt13b(), syntheticWorkload(24, 1.0, 64, 64, 3),
+        fastServing(8));
+    EXPECT_EQ(report.peakBatch, 6u);
+    EXPECT_EQ(bits(report.p50TokenLatency), 0x3f84896e59b5f599ull);
+    EXPECT_EQ(bits(report.p90TokenLatency), 0x3f892f2bbcedcb34ull);
+    EXPECT_EQ(bits(report.p99TokenLatency), 0x3f91e9057aa111cfull);
+    EXPECT_EQ(bits(report.p50Ttft), 0x3fdabf94956ec6a4ull);
+    EXPECT_EQ(bits(report.p99Ttft), 0x3fea6e75af9d71f1ull);
 }
 
 TEST(Serving, ConcurrentRequestsShareTheBatch)
