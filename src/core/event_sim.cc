@@ -19,9 +19,9 @@ earlier(const Event &a, const Event &b)
     // fleet-level events (replica < 0) ahead of every replica's, so
     // a boundary at time t observes all arrivals with arrival <= t;
     // then kind, id, and finally insertion order.  No two events
-    // ever compare equal (seq is unique), so any correct merge over
-    // the shards pops the byte-identical sequence a single heap
-    // would.
+    // ever compare equal (seq is unique), so merging the presorted
+    // stream against the heap pops the byte-identical sequence one
+    // heap of every event would.
     return std::tie(a.time, a.replica, a.kind, a.id, a.seq) <
            std::tie(b.time, b.replica, b.kind, b.id, b.seq);
 }
@@ -65,29 +65,6 @@ eventKindName(EventKind kind)
 }
 
 void
-EventQueue::Heap::push(const Event &event)
-{
-    events.push_back(event);
-    std::push_heap(events.begin(), events.end(), Later{});
-}
-
-void
-EventQueue::Heap::pop()
-{
-    std::pop_heap(events.begin(), events.end(), Later{});
-    events.pop_back();
-}
-
-EventQueue::Heap &
-EventQueue::replicaQueue(std::int32_t replica)
-{
-    const auto index = static_cast<std::size_t>(replica);
-    if (index >= replica_.size())
-        replica_.resize(index + 1);
-    return replica_[index];
-}
-
-void
 EventQueue::push(Seconds time, EventKind kind, std::int32_t replica,
                  std::uint64_t id)
 {
@@ -95,19 +72,8 @@ EventQueue::push(Seconds time, EventKind kind, std::int32_t replica,
                   "event scheduled in the virtual past: ",
                   eventKindName(kind), " at ", time, " < now ",
                   now_);
-    const Event event{time, kind, replica, id, seq_++};
-    if (replica < 0) {
-        fleet_.push(event);
-    } else {
-        Heap &queue = replicaQueue(replica);
-        queue.push(event);
-        // New head of its shard: register it as a merge candidate.
-        // A displaced previous head stays behind as a stale entry
-        // and is discarded lazily at pop time.
-        if (queue.top().seq == event.seq)
-            heads_.push(event);
-    }
-    ++size_;
+    heap_.push_back(Event{time, kind, replica, id, seq_++});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void
@@ -124,35 +90,12 @@ EventQueue::pushSorted(Seconds time, EventKind kind,
                   "pushSorted out of order: ", eventKindName(kind),
                   " at ", time, " id ", id);
     sorted_.push_back(event);
-    ++size_;
 }
 
 void
 EventQueue::shard(std::uint32_t replicas)
 {
-    if (replicas > replica_.size())
-        replica_.resize(replicas);
-}
-
-void
-EventQueue::reserve(std::size_t events)
-{
-    if (replica_.empty()) {
-        // Unsharded: everything funnels into the fleet heap.
-        fleet_.reserve(events);
-        return;
-    }
-    // Each shard holds only its replica's in-flight events — a
-    // handful per batch in steady state — so a capped slice of the
-    // total budget covers it without allocating events × replicas.
-    const std::size_t slice = std::min<std::size_t>(
-        512, events / replica_.size() + 8);
-    for (Heap &queue : replica_)
-        queue.reserve(slice);
-    // Amortized ≤ 2 merge candidates per in-flight shard head plus
-    // lazily-discarded stale entries.
-    heads_.reserve(4 * replica_.size() + 16);
-    fleet_.reserve(std::min<std::size_t>(events, 4096));
+    heap_.reserve(2 * static_cast<std::size_t>(replicas) + 16);
 }
 
 void
@@ -161,72 +104,29 @@ EventQueue::reserveSorted(std::size_t events)
     sorted_.reserve(sorted_.size() + events);
 }
 
-void
-EventQueue::dropStaleHeads()
-{
-    while (!heads_.empty()) {
-        const Event &head = heads_.top();
-        const Heap &queue =
-            replica_[static_cast<std::size_t>(head.replica)];
-        // seq is unique, so an exact match proves this candidate is
-        // still its shard's live head.
-        if (!queue.empty() && queue.top().seq == head.seq)
-            return;
-        heads_.pop();
-    }
-}
-
 Event
 EventQueue::pop()
 {
-    hermes_assert(size_ > 0, "pop from empty event queue");
-    dropStaleHeads();
-
-    // Three-way merge: presorted fleet stream, fleet heap, and the
-    // validated earliest replica head.
-    const Event *best = nullptr;
-    enum class Source { Sorted, Fleet, Replica } source = Source::Sorted;
-    if (sortedNext_ < sorted_.size())
-        best = &sorted_[sortedNext_];
-    if (!fleet_.empty() &&
-        (best == nullptr || earlier(fleet_.top(), *best))) {
-        best = &fleet_.top();
-        source = Source::Fleet;
-    }
-    if (!heads_.empty() &&
-        (best == nullptr || earlier(heads_.top(), *best))) {
-        best = &heads_.top();
-        source = Source::Replica;
-    }
-    hermes_assert(best != nullptr, "event queue shards all empty");
-
-    const Event event = *best;
-    switch (source) {
-    case Source::Sorted:
-        ++sortedNext_;
+    hermes_assert(!empty(), "pop from empty event queue");
+    // Two-way merge: the presorted stream head against the heap top.
+    Event event;
+    const bool from_stream =
+        sortedNext_ < sorted_.size() &&
+        (heap_.empty() ||
+         earlier(sorted_[sortedNext_], heap_.front()));
+    if (from_stream) {
+        event = sorted_[sortedNext_++];
         // Recycle the consumed prefix once the stream fully drains
         // so interleaved preload phases do not accumulate.
         if (sortedNext_ == sorted_.size()) {
             sorted_.clear();
             sortedNext_ = 0;
         }
-        break;
-    case Source::Fleet:
-        fleet_.pop();
-        break;
-    case Source::Replica: {
-        Heap &queue =
-            replica_[static_cast<std::size_t>(event.replica)];
-        queue.pop();
-        heads_.pop();
-        // The shard's next event (possibly a previously displaced
-        // head) becomes a merge candidate.
-        if (!queue.empty())
-            heads_.push(queue.top());
-        break;
+    } else {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        event = heap_.back();
+        heap_.pop_back();
     }
-    }
-    --size_;
     now_ = event.time;
 
     switch (event.kind) {

@@ -5,14 +5,15 @@
  *
  * An open-loop fleet would commit every placement up front from a
  * backlog *estimate*, then replay each replica's sub-trace in
- * isolation.  The event kernel inverts that control flow.  All replicas advance on a single virtual
- * clock; the fleet pops the earliest event, lets exactly one actor
- * react (deliver an arrival, finish a prefill or decode step, wake
- * an idle replica), and pushes the follow-up events that reaction
- * produces.  Routing therefore happens *at arrival instants*
- * against observed replica state — the prerequisite for
- * feedback-driven policies (true join-shortest-queue, least actual
- * backlog) and for cross-replica dynamics like work stealing.
+ * isolation.  The event kernel inverts that control flow.  All
+ * replicas advance on a single virtual clock; the fleet pops the
+ * earliest event, lets exactly one actor react (deliver an arrival,
+ * finish a prefill or decode step, wake an idle replica), and
+ * pushes the follow-up events that reaction produces.  Routing
+ * therefore happens *at arrival instants* against observed replica
+ * state — the prerequisite for feedback-driven policies (true
+ * join-shortest-queue, least actual backlog) and for cross-replica
+ * dynamics like work stealing.
  *
  * Determinism is load-bearing: fleet reports are pinned
  * byte-identical by tests.  Events are totally ordered by
@@ -22,17 +23,19 @@
  * every arrival with arrival <= t, exactly like the monolithic
  * serving loop it replaces.
  *
- * Since the million-request rework the queue is *sharded*: one
- * small binary heap per replica plus a lazy min-merge over the
- * replica heads, so a pop costs O(log(events-in-flight-per-replica)
- * + log(replicas)) instead of O(log(total-events)) on one huge
- * heap.  Only fleet-level events (replica < 0: arrivals, ticks,
- * resume-readies) need global ordering; the arrival trace — known
- * and sorted up front — bypasses heaps entirely through a presorted
- * stream consumed by a cursor.  The pop order is *identical* to the
- * single-heap order: the comparator defines a strict total order
- * (the insertion sequence is unique), so any correct merge yields
- * the same sequence, which a golden test pins byte for byte.
+ * The queue is one binary heap of scheduled events plus a
+ * presorted stream.  The arrival trace — known and sorted up front,
+ * and the dominant event kind — never enters the heap: it is
+ * appended to the stream and consumed by a cursor, and pop() merges
+ * the stream head against the heap top.  The heap holds only the
+ * in-flight events (a replica's pending prefill or step completion,
+ * wakes, ticks, resume-readies): about one per busy replica, which
+ * peaked at 305 events over `bench_fleet --huge`'s million
+ * requests on 1024 replicas.  A heap that small needs no sharding
+ * by replica.  The comparator is a strict total order (the insertion
+ * sequence is unique), so the merge pops exactly the sequence of
+ * one heap holding every event, which a golden test pins byte for
+ * byte.
  */
 
 #ifndef HERMES_CORE_EVENT_SIM_HH
@@ -143,11 +146,9 @@ struct EventStats
  * order documented in the file header and advances now(); pushing
  * an event earlier than now() is a kernel bug and panics.
  *
- * Internally sharded (see file header): call shard() + reserve()
- * before a large run so every heap is preallocated, and preload the
- * sorted arrival trace with reserveSorted() + pushSorted().  All of
- * that is optional — push()/pop() alone behave exactly like the
- * historical single heap.
+ * One heap plus the presorted stream (see file header): preload the
+ * sorted arrival trace with reserveSorted() + pushSorted(); push()
+ * schedules everything else.
  */
 class EventQueue
 {
@@ -162,27 +163,20 @@ class EventQueue
      * nondecreasing (time, kind, id) order — the kernel bulk-loads
      * the arrival trace this way (the workload is sorted and event
      * ids are ascending workload indices).  Appending out of order
-     * panics.  pop() merges the stream against the heaps under the
+     * panics.  pop() merges the stream against the heap under the
      * full comparator, so the result is order-identical to having
      * push()ed every event.
      */
     void pushSorted(Seconds time, EventKind kind, std::uint64_t id);
 
     /**
-     * Pre-create `replicas` subqueues so replica events shard
-     * without on-demand growth.  Pushing to a replica index beyond
-     * the shard count still works (the shard set grows).
+     * Sizing hint for a fleet of `replicas`: reserves the heap for
+     * two events per replica, above the in-flight peak of the
+     * `--huge` bench tiers (68 events on 64 replicas, 305 on 1024).
+     * Optional — the heap grows on demand — and it changes no pop
+     * order.
      */
     void shard(std::uint32_t replicas);
-
-    /**
-     * Pre-reserve heap capacity for about `events` scheduled events
-     * so heap growth never reallocates mid-run.  Call after shard():
-     * the budget is spread over the replica subqueues (each holds
-     * only its replica's in-flight events, so the per-shard slice is
-     * capped), the head-merge heap, and the fleet-level heap.
-     */
-    void reserve(std::size_t events);
 
     /** Pre-reserve the presorted stream for `events` pushSorted(). */
     void reserveSorted(std::size_t events);
@@ -190,8 +184,11 @@ class EventQueue
     /** Pop the earliest event (queue must not be empty). */
     Event pop();
 
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
+    bool empty() const { return size() == 0; }
+    std::size_t size() const
+    {
+        return heap_.size() + sorted_.size() - sortedNext_;
+    }
 
     /** Virtual clock: the time of the last popped event. */
     Seconds now() const { return now_; }
@@ -200,42 +197,13 @@ class EventQueue
     const EventStats &stats() const { return stats_; }
 
   private:
-    /** Min-heap over events (std::push_heap with "later than"). */
-    struct Heap
-    {
-        std::vector<Event> events;
+    /** Scheduled events, a min-heap under std::push_heap. */
+    std::vector<Event> heap_;
 
-        bool empty() const { return events.empty(); }
-        const Event &top() const { return events.front(); }
-        void reserve(std::size_t n) { events.reserve(n); }
-        void push(const Event &event);
-        void pop();
-    };
-
-    /** Subqueue for `replica`, growing the shard set on demand. */
-    Heap &replicaQueue(std::int32_t replica);
-
-    /** Drop head-merge entries whose event is no longer its
-     * subqueue's head (or was popped); `seq` is unique, so an exact
-     * match identifies the head event. */
-    void dropStaleHeads();
-
-    /**
-     * Fleet-level events: the presorted stream (consumed by cursor)
-     * plus a heap for events scheduled during the run (ticks,
-     * resume-readies).
-     */
+    /** The presorted stream, consumed by cursor. */
     std::vector<Event> sorted_;
     std::size_t sortedNext_ = 0;
-    Heap fleet_;
 
-    /** Per-replica subqueues and the lazy min-merge over their
-     * heads: heads_ holds candidate head events (possibly stale —
-     * validated against the subqueue top at pop time). */
-    std::vector<Heap> replica_;
-    Heap heads_;
-
-    std::size_t size_ = 0;
     Seconds now_ = 0.0;
     std::uint64_t seq_ = 0;
     EventStats stats_;

@@ -386,15 +386,11 @@ class EventKernel final : public sched::FleetView,
             replica.simulator->reserveSession(expected);
         }
         report_.assignment.assign(workload_.size(), -1);
-        // Shard the event queue per replica and pre-reserve every
-        // heap from the trace size (about four events per request:
-        // arrival, prefill share, decode steps, done) so heap
-        // growth never reallocates mid-run.  The workload is sorted
-        // by arrival and the event id is the ascending workload
-        // index, so the whole trace preloads as a presorted stream
-        // — no heap at all for the dominant event kind.
+        // The workload is sorted by arrival and the event id is the
+        // ascending workload index, so the whole trace preloads as
+        // a presorted stream — no heap at all for the dominant event
+        // kind; the heap holds only in-flight events.
         queue_.shard(static_cast<std::uint32_t>(replicas_.size()));
-        queue_.reserve(workload_.size() * 4 + 64);
         queue_.reserveSorted(workload_.size());
         if (sessions_ == nullptr) {
             for (std::size_t i = 0; i < workload_.size(); ++i)
@@ -1518,6 +1514,7 @@ FleetSimulator::warmSessionCosts(std::uint64_t max_context)
 FleetReport
 FleetSimulator::run(std::vector<serving::ServedRequest> workload)
 {
+    serving::checkArrivals(workload);
     serving::sortByArrival(workload);
     return runTrace(workload, nullptr);
 }
@@ -1532,6 +1529,7 @@ FleetSimulator::run(const serving::SessionTrace &sessions)
         throw std::invalid_argument(
             "FleetSimulator: session trace parallel arrays "
             "disagree on size");
+    serving::checkArrivals(sessions.requests);
     // The kernel preloads first turns as a presorted stream, so
     // their arrivals must be nondecreasing in trace order (the
     // generator's natural order; follow-up arrivals are decided by

@@ -79,6 +79,18 @@ sortByArrival(std::vector<ServedRequest> &workload)
                      });
 }
 
+void
+checkArrivals(const std::vector<ServedRequest> &workload)
+{
+    for (const ServedRequest &request : workload) {
+        if (!std::isfinite(request.arrival) || request.arrival < 0.0)
+            throw std::invalid_argument(
+                "request " + std::to_string(request.id) +
+                ": arrival " + std::to_string(request.arrival) +
+                " is not a finite, nonnegative time");
+    }
+}
+
 ServingSimulator::ServingSimulator(runtime::SystemConfig system,
                                    model::LlmConfig llm,
                                    ServingConfig config)
@@ -1016,6 +1028,7 @@ ServingSimulator::stealQueued(std::uint32_t count)
 ServingReport
 ServingSimulator::run(std::vector<ServedRequest> workload)
 {
+    checkArrivals(workload);
     sortByArrival(workload);
     beginSession();
     reserveSession(workload.size());

@@ -197,6 +197,14 @@ struct RequestInfo
 void sortByArrival(std::vector<ServedRequest> &workload);
 
 /**
+ * Throw std::invalid_argument naming the first request whose
+ * arrival is negative or not finite: the serving loop and the fleet
+ * kernel schedule every request at its arrival instant on a clock
+ * that starts at 0.
+ */
+void checkArrivals(const std::vector<ServedRequest> &workload);
+
+/**
  * One (batch, context) operating point of the cost surface, used to
  * pre-warm caches before an event loop (see warmCosts()).
  */

@@ -163,7 +163,6 @@ TEST(EventSim, ShardedGoldenSequenceMatchesSingleHeapOrder)
     constexpr int kShards = 8;
     EventQueue queue;
     queue.shard(kShards);
-    queue.reserve(512);
 
     struct Pushed
     {
@@ -220,6 +219,104 @@ TEST(EventSim, ShardedGoldenSequenceMatchesSingleHeapOrder)
         ASSERT_EQ(event.id, reference[i].id) << i;
     }
     EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventSim, InterleavedPushPopMatchesLinearReference)
+{
+    // The kernel interleaves pushes, presorted arrival batches and
+    // pops, with follow-up events often scheduled at exactly now().
+    // Every pop must be the earliest pending event under the
+    // documented (time, replica, kind, id, seq) order, found here by
+    // a linear scan.  Timestamps sit on a quarter-second grid and
+    // half the replicas come from {-1, 0, 1}, so ties run deep.
+    EventQueue queue;
+    std::uint64_t state = 0x2545f4914f6cdd1dULL;
+    const auto next = [&state]() {
+        state = state * 6364136223846793005ULL +
+                1442695040888963407ULL;
+        return state >> 33;
+    };
+    const EventKind fleet_kinds[] = {
+        EventKind::Arrival, EventKind::Tick, EventKind::ResumeReady,
+        EventKind::SessionContinue};
+    const EventKind replica_kinds[] = {
+        EventKind::RequestDone, EventKind::PrefillComplete,
+        EventKind::StepComplete, EventKind::Wake,
+        EventKind::ReplicaReady};
+    const auto key = [](const Event &event) {
+        return std::tie(event.time, event.replica, event.kind,
+                        event.id, event.seq);
+    };
+
+    std::vector<Event> pending;
+    std::uint64_t seq = 0;
+    std::uint64_t sorted_id = 0;
+    Seconds last_sorted = 0.0;
+    std::size_t pops = 0;
+    std::size_t peak = 0;
+    const auto pop_and_check = [&]() {
+        const auto earliest = std::min_element(
+            pending.begin(), pending.end(),
+            [&key](const Event &a, const Event &b) {
+                return key(a) < key(b);
+            });
+        const Event event = queue.pop();
+        ASSERT_EQ(event.seq, earliest->seq) << "pop " << pops;
+        ASSERT_EQ(event.time, earliest->time) << "pop " << pops;
+        ASSERT_EQ(event.replica, earliest->replica) << "pop " << pops;
+        ASSERT_EQ(event.kind, earliest->kind) << "pop " << pops;
+        ASSERT_EQ(event.id, earliest->id) << "pop " << pops;
+        ASSERT_EQ(queue.now(), event.time);
+        pending.erase(earliest);
+        ++pops;
+    };
+
+    for (int step = 0; step < 30000; ++step) {
+        const std::uint64_t roll = next() % 10;
+        if (roll < 3) {
+            const std::int32_t replica =
+                next() % 2 == 0
+                    ? static_cast<std::int32_t>(next() % 3) - 1
+                    : static_cast<std::int32_t>(next() % 1025) - 1;
+            const EventKind kind =
+                replica < 0 ? fleet_kinds[next() % 4]
+                            : replica_kinds[next() % 5];
+            // Offset 0 schedules at exactly now().
+            const Seconds time =
+                queue.now() + 0.25 * static_cast<double>(next() % 4);
+            const std::uint64_t id = next() % 8;
+            queue.push(time, kind, replica, id);
+            pending.push_back(Event{time, kind, replica, id, seq++});
+        } else if (roll == 3) {
+            // A presorted batch: nondecreasing times, ascending ids.
+            Seconds time = std::max(queue.now(), last_sorted);
+            const std::uint64_t batch = 1 + next() % 6;
+            for (std::uint64_t i = 0; i < batch; ++i) {
+                time += 0.25 * static_cast<double>(next() % 2);
+                queue.pushSorted(time, EventKind::Arrival, sorted_id);
+                pending.push_back(Event{time, EventKind::Arrival, -1,
+                                        sorted_id++, seq++});
+            }
+            last_sorted = time;
+        } else if (!pending.empty()) {
+            pop_and_check();
+            if (HasFatalFailure())
+                return;
+        }
+        ASSERT_EQ(queue.size(), pending.size());
+        peak = std::max(peak, pending.size());
+    }
+    while (!pending.empty()) {
+        pop_and_check();
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.stats().popped(), pops);
+    // The mix must actually interleave: many pops, a queue that
+    // both fills and drains.
+    EXPECT_GT(pops, 10000u);
+    EXPECT_GT(peak, 20u);
 }
 
 TEST(EventSim, SortedStreamMergesWithHeapEvents)

@@ -6,8 +6,10 @@
 
 #include <array>
 #include <bit>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -524,6 +526,31 @@ TEST(EventKernel, DuplicateRequestIdsAreRejected)
     auto simulator =
         uniformSimulator(2, sched::RouterPolicy::RoundRobin);
     EXPECT_THROW(simulator.run(trace), std::invalid_argument);
+}
+
+TEST(EventKernel, BadArrivalTimesThrowInsteadOfAborting)
+{
+    // A negative or NaN arrival used to reach the event queue's
+    // virtual-past panic, and an infinite one "completed" with an
+    // infinite makespan; all three raise before any sort.
+    auto simulator =
+        uniformSimulator(2, sched::RouterPolicy::RoundRobin);
+    for (const double bad :
+         {-1.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        auto trace = smallTrace();
+        trace[5].arrival = bad;
+        try {
+            simulator.run(trace);
+            ADD_FAILURE() << "arrival " << bad << " was accepted";
+        } catch (const std::invalid_argument &error) {
+            const std::string named =
+                "request " + std::to_string(trace[5].id) + ":";
+            EXPECT_NE(std::string(error.what()).find(named),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 TEST(WorkStealing, RescuesRequestsStrandedOnADeadReplica)
@@ -1617,6 +1644,30 @@ conversationalTrace(std::uint32_t sessions, double rate,
 {
     return serving::generateSessionWorkload(
         serving::scenarioByName("multiturn", sessions, rate, seed));
+}
+
+TEST(Sessions, BadArrivalTimesThrowInsteadOfAborting)
+{
+    FleetConfig config = uniformFleet(
+        2, fastConfig(4), fastServing(2),
+        sched::controlPolicyByName("jsq"), 30.0);
+    FleetSimulator simulator(config, model::opt13b());
+    for (const double bad :
+         {-1.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        // The last first turn: NaN and +inf pass the
+        // nondecreasing first-turn check, and used to reach the
+        // event queue (NaN panicked in the virtual past).
+        auto trace = conversationalTrace(3, 4.0, 9);
+        std::size_t last_first = 0;
+        for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+            if (trace.turnOf[i] == 0)
+                last_first = i;
+        }
+        trace.requests[last_first].arrival = bad;
+        EXPECT_THROW(simulator.run(trace), std::invalid_argument)
+            << bad;
+    }
 }
 
 TEST(Sessions, FollowupsArriveThinkTimeAfterThePreviousTurn)

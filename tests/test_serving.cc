@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -229,6 +230,28 @@ TEST(Serving, UnservableModelRejectsWholeTrace)
         system.serve(model::opt13b(), workload, fastServing(4));
     EXPECT_EQ(report.completed, 0u);
     EXPECT_EQ(report.rejected, 4u);
+}
+
+TEST(Serving, BadArrivalTimesThrowNamingTheRequest)
+{
+    // A negative, NaN or infinite arrival cannot be scheduled on a
+    // clock that starts at 0; the run raises before it sorts.
+    ServingSimulator simulator(fastConfig(4), model::opt13b(),
+                               fastServing(4));
+    for (const double bad :
+         {-1.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        auto workload = syntheticWorkload(3, 10.0, 64, 8, 3);
+        workload[2].arrival = bad;
+        try {
+            simulator.run(workload);
+            ADD_FAILURE() << "arrival " << bad << " was accepted";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find("request 2"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 TEST(Serving, ZeroGenerateTokensCompletesAtPrefill)
