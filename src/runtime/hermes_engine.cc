@@ -217,7 +217,7 @@ HermesEngine::record(const InferenceRequest &request)
             problem.blocks.push_back(std::move(mlp_block));
         }
         const sched::PartitionResult partition =
-            sched::IlpPartitioner().solve(problem);
+            sched::IlpPartitioner().solve(problem, threads);
         sched::NeuronMapper::applyPartition(placement,
                                             partition.assignment);
     } else {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/threads.hh"
 
 namespace hermes::sched {
 
@@ -43,25 +44,36 @@ relaxedBlockTime(const BlockProblem &block, const BlockState &state,
 } // namespace
 
 PartitionResult
-IlpPartitioner::solve(const PartitionProblem &problem) const
+IlpPartitioner::solve(const PartitionProblem &problem,
+                      std::uint32_t threads) const
 {
     const auto num_dimms =
         static_cast<std::uint32_t>(problem.dimmBudgets.size());
-    hermes_assert(num_dimms > 0, "need at least one DIMM");
+    if (num_dimms == 0)
+        throw std::invalid_argument(
+            "IlpPartitioner::solve: needs at least one DIMM budget, got " +
+            std::to_string(num_dimms));
 
     // Stage 1: waterline.  Sort each block by frequency and allocate
-    // the GPU byte budget by marginal gain per byte.
+    // the GPU byte budget by marginal gain per byte.  The blocks are
+    // sorted independently, on up to `threads` threads, into vectors
+    // sized here: what a worker thread allocates stays in its malloc
+    // arena.
     std::vector<BlockState> states(problem.blocks.size());
     for (std::size_t b = 0; b < problem.blocks.size(); ++b) {
+        states[b].byFreq.resize(problem.blocks[b].frequency.size());
+        states[b].prefixMass.resize(problem.blocks[b].frequency.size() +
+                                    1);
+    }
+    parallelFor(std::min<std::size_t>(threads, states.size()),
+                states.size(), [&](std::size_t b) {
         const BlockProblem &block = problem.blocks[b];
         BlockState &state = states[b];
-        state.byFreq.resize(block.frequency.size());
         std::iota(state.byFreq.begin(), state.byFreq.end(), 0);
         std::sort(state.byFreq.begin(), state.byFreq.end(),
                   [&](std::uint32_t a, std::uint32_t c) {
                       return block.frequency[a] > block.frequency[c];
                   });
-        state.prefixMass.resize(block.frequency.size() + 1);
         state.prefixMass[0] = 0.0;
         for (std::size_t i = 0; i < state.byFreq.size(); ++i) {
             state.prefixMass[i + 1] =
@@ -69,7 +81,7 @@ IlpPartitioner::solve(const PartitionProblem &problem) const
                 block.frequency[state.byFreq[i]];
         }
         state.totalMass = state.prefixMass.back();
-    }
+    });
 
     struct Candidate
     {

@@ -78,8 +78,16 @@ struct PartitionResult
 class IlpPartitioner
 {
   public:
-    /** Solve with the waterline + LPT method described above. */
-    PartitionResult solve(const PartitionProblem &problem) const;
+    /**
+     * Solve with the waterline + LPT method described above.
+     *
+     * @param threads Threads the per-block sorts of the waterline
+     *        stage may use (<= 1: the calling thread only); the
+     *        result never depends on it.
+     * @throws std::invalid_argument when `problem` has no DIMM budget.
+     */
+    PartitionResult solve(const PartitionProblem &problem,
+                          std::uint32_t threads = 1) const;
 
     /**
      * Exhaustive optimum over all (D+1)^N assignments.  Exponential;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/prefix_sort.hh"
 
 namespace hermes::sched {
 
@@ -62,8 +63,9 @@ NeuronMapper::adjustBlock(BlockPlacement &placement,
 
     // Hot non-residents, hottest first; residents, coldest first.
     // Keys pack (score << 32 | id) and the comparators read only the
-    // score, so std::sort sees exactly the comparisons an index sort
-    // keyed on scores[id] would and leaves ties in the same order.
+    // score, so ties land where an index std::sort keyed on
+    // scores[id] puts them; prefixSort keeps that order in the prefix
+    // it sorts.
     const std::size_t n = scores.size();
     const std::uint32_t *const score = scores.data();
     const std::uint8_t *const on_gpu = placement.gpuFlags().data();
@@ -94,14 +96,15 @@ NeuronMapper::adjustBlock(BlockPlacement &placement,
     auto id_of = [](std::uint64_t key) {
         return static_cast<std::uint32_t>(key);
     };
-    std::sort(promote, promote + promote_count,
-              [&](std::uint64_t a, std::uint64_t b) {
-                  return score_of(a) > score_of(b);
-              });
-    std::sort(residents, residents + resident_count,
-              [&](std::uint64_t a, std::uint64_t b) {
-                  return score_of(a) < score_of(b);
-              });
+    // Only the first max_swaps entries of each list are read.
+    prefixSort(promote, promote + promote_count, max_swaps,
+               [&](std::uint64_t a, std::uint64_t b) {
+                   return score_of(a) > score_of(b);
+               });
+    prefixSort(residents, residents + resident_count, max_swaps,
+               [&](std::uint64_t a, std::uint64_t b) {
+                   return score_of(a) < score_of(b);
+               });
 
     for (std::size_t k = 0; k < max_swaps; ++k) {
         const std::uint64_t in = promote[k];

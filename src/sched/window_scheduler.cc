@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -16,8 +18,12 @@ WindowScheduler::WindowScheduler(std::uint32_t neurons,
     : numDimms_(num_dimms), windowSize_(window_size),
       activity_(neurons, 0)
 {
-    hermes_assert(num_dimms > 0 && window_size > 0,
-                  "invalid window scheduler configuration");
+    if (num_dimms == 0 || window_size == 0)
+        throw std::invalid_argument(
+            "WindowScheduler: needs at least one DIMM and a window of "
+            "at least one token, got " +
+            std::to_string(num_dimms) + " DIMMs and a " +
+            std::to_string(window_size) + "-token window");
 }
 
 void
@@ -69,13 +75,21 @@ WindowScheduler::rebalance(BlockPlacement &placement, Bytes neuron_bytes)
                   return loads[a] > loads[b];
               });
 
-    // Per-DIMM cold-neuron lists, most activated first (line 5).
-    std::vector<std::vector<std::uint32_t>> per_dimm(numDimms_);
+    // Cold-neuron lists of the heavy half's DIMMs, the only donors,
+    // most activated first (line 5).
+    const std::uint32_t pairs = numDimms_ / 2;
+    std::vector<std::uint32_t> donor_of(numDimms_, pairs);
+    for (std::uint32_t pair = 0; pair < pairs; ++pair)
+        donor_of[order[pair]] = pair;
+    std::vector<std::vector<std::uint32_t>> donor_lists(pairs);
     for (std::uint32_t i = 0; i < placement.neurons(); ++i) {
-        if (!placement.onGpu(i) && activity_[i] > 0)
-            per_dimm[placement.homeDimm(i)].push_back(i);
+        if (placement.onGpu(i) || activity_[i] == 0)
+            continue;
+        const std::uint32_t pair = donor_of[placement.homeDimm(i)];
+        if (pair < pairs)
+            donor_lists[pair].push_back(i);
     }
-    for (auto &list : per_dimm) {
+    for (auto &list : donor_lists) {
         std::sort(list.begin(), list.end(),
                   [&](std::uint32_t a, std::uint32_t b) {
                       return activity_[a] > activity_[b];
@@ -84,10 +98,10 @@ WindowScheduler::rebalance(BlockPlacement &placement, Bytes neuron_bytes)
 
     // Pair heaviest with lightest (lines 3-6) and move the most
     // activated neurons while the move strictly improves the pair.
-    for (std::uint32_t pair = 0; pair < numDimms_ / 2; ++pair) {
+    for (std::uint32_t pair = 0; pair < pairs; ++pair) {
         const std::uint32_t heavy = order[pair];
         const std::uint32_t light = order[numDimms_ - 1 - pair];
-        auto &donors = per_dimm[heavy];
+        const auto &donors = donor_lists[pair];
         std::size_t next = 0;
         Bytes moved_bytes = 0;
         while (next < donors.size()) {
@@ -165,8 +179,8 @@ WindowSet::WindowSet(std::uint32_t layers, std::uint32_t attn_neurons,
                      std::uint32_t window_size, Policy policy)
     : policy_(policy)
 {
-    // A zero window would rebalance every token (and trips the
-    // scheduler's own assertion); clamp to the minimum usable window.
+    // A zero window would rebalance every token (and the scheduler
+    // rejects it); clamp to the minimum usable window.
     window_size = std::max<std::uint32_t>(window_size, 1);
     attn_.reserve(layers);
     mlp_.reserve(layers);

@@ -38,6 +38,7 @@ class WindowScheduler
      * @param neurons      Block size.
      * @param num_dimms    NDP-DIMM count.
      * @param window_size  Tokens per scheduling window (paper: 5).
+     * @throws std::invalid_argument on 0 DIMMs or a 0-token window.
      */
     WindowScheduler(std::uint32_t neurons, std::uint32_t num_dimms,
                     std::uint32_t window_size = 5);

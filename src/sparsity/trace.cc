@@ -1,6 +1,7 @@
 #include "sparsity/trace.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -19,15 +20,15 @@ namespace hermes::sparsity {
 namespace {
 
 /**
- * Build per-rank probabilities: power law with exponent s, scaled by
- * water-filling so the mean equals `mean` with every entry capped at
- * `cap`.
+ * Fill `prob` (one entry per neuron) with per-rank probabilities: a
+ * power law with exponent s, scaled by water-filling so the mean
+ * equals `mean` with every entry capped at `cap`.
  */
-std::vector<double>
-rankProbabilities(std::uint32_t neurons, double exponent, double mean,
-                  double cap)
+void
+rankProbabilities(double exponent, double mean, double cap,
+                  std::vector<double> &prob)
 {
-    std::vector<double> prob(neurons);
+    const auto neurons = static_cast<std::uint32_t>(prob.size());
     for (std::uint32_t r = 0; r < neurons; ++r)
         prob[r] = std::pow(static_cast<double>(r + 1), -exponent);
 
@@ -63,7 +64,6 @@ rankProbabilities(std::uint32_t neurons, double exponent, double mean,
     }
     for (double &p : prob)
         p = std::clamp(p, 1e-6, cap);
-    return prob;
 }
 
 /** Mass share of the top `hot_fraction` ranks. */
@@ -117,21 +117,37 @@ allocateBlock(BlockTrace &block, std::uint32_t neurons)
 
 double
 ActivationTrace::calibrateExponent(std::uint32_t neurons,
-                                   const SparsityConfig &config)
+                                   const SparsityConfig &config,
+                                   std::uint32_t threads)
 {
     // Monotone in the exponent: steeper power law concentrates more
-    // mass on the head.  Binary search to the configured target.
+    // mass on the head.  40 halvings of a bisection to the configured
+    // target.  On three threads or more each round also evaluates
+    // both midpoints the next halving can pick, so it takes two: the
+    // next midpoint, 0.5 * (lo + hi) after the first halving, is
+    // bitwise 0.5 * (mid + hi) or 0.5 * (lo + mid).  One scratch
+    // vector per candidate, allocated on this thread.
+    const bool speculate = threads >= 3;
+    const std::size_t candidates = speculate ? 3 : 1;
+    std::vector<std::vector<double>> scratch(
+        candidates, std::vector<double>(neurons));
     double lo = 0.1;
     double hi = 3.0;
-    for (int iter = 0; iter < 40; ++iter) {
+    for (int halving = 0; halving < 40; halving += speculate ? 2 : 1) {
         const double mid = 0.5 * (lo + hi);
-        const auto prob = rankProbabilities(
-            neurons, mid, config.activeFraction, kProbabilityCap);
-        if (topMassShare(prob, config.hotFraction) <
-            config.targetHotMass) {
-            lo = mid;
-        } else {
-            hi = mid;
+        const std::array<double, 3> exponent{mid, 0.5 * (lo + mid),
+                                             0.5 * (mid + hi)};
+        std::array<bool, 3> below{};
+        parallelFor(candidates, candidates, [&](std::size_t c) {
+            rankProbabilities(exponent[c], config.activeFraction,
+                              kProbabilityCap, scratch[c]);
+            below[c] = topMassShare(scratch[c], config.hotFraction) <
+                       config.targetHotMass;
+        });
+        (below[0] ? lo : hi) = mid;
+        if (speculate) {
+            const std::size_t next = below[0] ? 2 : 1;
+            (below[next] ? lo : hi) = exponent[next];
         }
     }
     return 0.5 * (lo + hi);
@@ -179,8 +195,8 @@ ActivationTrace::ActivationTrace(const model::LlmConfig &model,
     // Every block of one kind shares its per-rank profile; only the
     // rank-to-id permutation differs between layers.  The profiles
     // are made here: their exponent cache is per thread.
-    const RankProfile attn_profile = rankProfile(attn_neurons);
-    const RankProfile mlp_profile = rankProfile(mlp_neurons);
+    const RankProfile attn_profile = rankProfile(attn_neurons, threads);
+    const RankProfile mlp_profile = rankProfile(mlp_neurons, threads);
     // Each lane builds its layers' blocks, then draws their reset.
     resetLanes(0, laneCount(threads), [&](std::uint32_t l) {
         initBlock(attnBlocks_[l], attn_profile, 0x1000 + l);
@@ -234,7 +250,8 @@ ActivationTrace::initRng(std::uint64_t salt) const
 }
 
 ActivationTrace::RankProfile
-ActivationTrace::rankProfile(std::uint32_t neurons) const
+ActivationTrace::rankProfile(std::uint32_t neurons,
+                             std::uint32_t threads) const
 {
     // Cache exponents per (block size, calibration targets): the
     // calibration reads nothing else, and the exact tuple keeps
@@ -257,14 +274,15 @@ ActivationTrace::rankProfile(std::uint32_t neurons) const
             exponent = cached.exponent;
     }
     if (exponent < 0.0) {
-        exponent = calibrateExponent(neurons, config_);
+        exponent = calibrateExponent(neurons, config_, threads);
         exponent_cache.push_back(CachedExponent{
             neurons, config_.activeFraction, config_.targetHotMass,
             config_.hotFraction, exponent});
     }
 
-    const auto rank_prob = rankProbabilities(
-        neurons, exponent, config_.activeFraction, kProbabilityCap);
+    std::vector<double> rank_prob(neurons);
+    rankProbabilities(exponent, config_.activeFraction, kProbabilityCap,
+                      rank_prob);
     RankProfile profile;
     profile.probability.resize(neurons);
     double base_mass = 0.0;

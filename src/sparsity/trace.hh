@@ -236,10 +236,13 @@ class ActivationTrace
     /**
      * Power-law exponent calibrated so the top `hotFraction` of a
      * block of `neurons` covers `targetHotMass` of the activation
-     * mass (exposed for tests).
+     * mass (exposed for tests).  `threads` >= 3 evaluates two
+     * halvings of the bisection per round on three threads; the
+     * result never depends on it.
      */
     static double calibrateExponent(std::uint32_t neurons,
-                                    const SparsityConfig &config);
+                                    const SparsityConfig &config,
+                                    std::uint32_t threads = 1);
 
   private:
     /** Per-rank statistics shared by every block of one size. */
@@ -287,7 +290,8 @@ class ActivationTrace
 
     std::uint32_t laneCount(std::uint32_t threads) const;
     Rng initRng(std::uint64_t salt) const;
-    RankProfile rankProfile(std::uint32_t neurons) const;
+    RankProfile rankProfile(std::uint32_t neurons,
+                            std::uint32_t threads) const;
     void initBlock(BlockTrace &block, const RankProfile &profile,
                    std::uint64_t salt);
     std::uint64_t unbuiltFollowers(std::uint32_t neurons,

@@ -1,19 +1,22 @@
 /**
  * @file
  * Unit tests for the common substrate: units, RNG, stats, tables,
- * worker-pool sizing clamps and the parallelFor pool.
+ * worker-pool sizing clamps, the parallelFor pool and prefixSort.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/prefix_sort.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -421,6 +424,119 @@ TEST(Threads, PipelineForRethrowsProducerAndLaneErrorsOnTheCaller)
             EXPECT_EQ(other_lane_items, 50u);
         }
     }
+}
+
+
+// ---------------------------------------------------------------
+// prefixSort against std::sort.
+
+/** Keys pack (value << 32 | position); comparators read the value. */
+std::uint32_t
+valueOf(std::uint64_t key)
+{
+    return static_cast<std::uint32_t>(key >> 32);
+}
+
+/** Sort `keys` both ways and check every k-prefix of the result. */
+void
+expectPrefixesMatchStdSort(const std::vector<std::uint64_t> &keys)
+{
+    const auto ascending = [](std::uint64_t a, std::uint64_t b) {
+        return valueOf(a) < valueOf(b);
+    };
+    const auto descending = [](std::uint64_t a, std::uint64_t b) {
+        return valueOf(a) > valueOf(b);
+    };
+    std::vector<std::uint64_t> up = keys;
+    std::sort(up.begin(), up.end(), ascending);
+    std::vector<std::uint64_t> down = keys;
+    std::sort(down.begin(), down.end(), descending);
+    std::vector<std::uint64_t> all = keys;
+    std::sort(all.begin(), all.end());
+    for (const std::size_t k : {0u, 1u, 2u, 15u, 16u, 17u, 63u, 64u, 65u,
+                                127u, 128u}) {
+        const std::size_t shown = std::min(k, keys.size());
+        std::vector<std::uint64_t> got = keys;
+        prefixSort(got.begin(), got.end(), k, ascending);
+        EXPECT_TRUE(std::equal(got.begin(), got.begin() + shown,
+                               up.begin()))
+            << "ascending, n=" << keys.size() << " k=" << k;
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, all) << "not a permutation, k=" << k;
+
+        got = keys;
+        prefixSort(got.data(), got.data() + got.size(), k, descending);
+        EXPECT_TRUE(std::equal(got.begin(), got.begin() + shown,
+                               down.begin()))
+            << "descending, n=" << keys.size() << " k=" << k;
+    }
+}
+
+TEST(PrefixSort, MatchesStdSortOnTiedKeys)
+{
+    // Few distinct values, so ties fill every prefix: only the exact
+    // introsort steps put the same equal keys first.
+    Rng rng(77);
+    for (const std::uint32_t n : {0u, 1u, 2u, 3u, 15u, 16u, 17u, 18u, 33u,
+                                  100u, 129u, 1000u, 7161u, 40000u}) {
+        for (const std::uint32_t distinct : {1u, 2u, 5u, 28u, 1u << 30}) {
+            std::vector<std::uint64_t> keys(n);
+            for (std::uint32_t i = 0; i < n; ++i) {
+                keys[i] = rng.below(distinct) << 32 | i;
+            }
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " distinct=" << distinct);
+            expectPrefixesMatchStdSort(keys);
+        }
+    }
+}
+
+TEST(PrefixSort, MatchesStdSortPastTheDepthLimit)
+{
+    // McIlroy's adversary ("A Killer Adversary for Quicksort", 1999)
+    // fixes values only when the sort compares them, so that every
+    // median-of-three pivot is among the smallest remaining: replayed,
+    // its input drives introsort into its heap-sort fallback.
+    constexpr std::uint32_t n = 3000;
+    constexpr std::uint32_t gas = n;
+    std::vector<std::uint32_t> value(n, gas);
+    std::uint32_t solid = 0;
+    std::uint32_t candidate = 0;
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t x, std::uint32_t y) {
+                  if (value[x] == gas && value[y] == gas)
+                      value[x == candidate ? x : y] = solid++;
+                  if (value[x] == gas)
+                      candidate = x;
+                  else if (value[y] == gas)
+                      candidate = y;
+                  return value[x] < value[y];
+              });
+    std::vector<std::uint64_t> keys(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        keys[i] = static_cast<std::uint64_t>(value[i] / 2) << 32 | i;
+
+    // Pairs of keys tie.  The replay degenerates: it makes more than
+    // twice the comparisons std::sort makes on the same keys shuffled
+    // (104933 against ~40000: 22 lopsided partitions, then a heap
+    // sort of nearly all 3000 keys).
+    const auto count_sort = [](std::vector<std::uint64_t> copy) {
+        std::uint64_t calls = 0;
+        std::sort(copy.begin(), copy.end(),
+                  [&](std::uint64_t a, std::uint64_t b) {
+                      ++calls;
+                      return valueOf(a) < valueOf(b);
+                  });
+        return calls;
+    };
+    std::vector<std::uint64_t> shuffled = keys;
+    Rng rng(5);
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    EXPECT_GT(count_sort(keys), 2 * count_sort(shuffled));
+    expectPrefixesMatchStdSort(keys);
 }
 
 } // namespace

@@ -152,14 +152,12 @@ TEST(EventSim, TicksCountInStatsAndSortAsFleetEvents)
     EXPECT_EQ(queue.stats().popped(), 3u);
 }
 
-TEST(EventSim, ShardedGoldenSequenceMatchesSingleHeapOrder)
+TEST(EventSim, HeapPopOrderMatchesStableSortOfPushes)
 {
-    // The sharded queue (per-replica subqueues + lazy min-merge)
-    // must pop the byte-identical sequence a single heap would:
-    // the comparator (time, replica, kind, id, seq) is a strict
-    // total order, so we pin the pop order against a stable sort
-    // of the push stream — which is exactly what any correct
-    // priority queue yields, sharded or not.
+    // The queue's one heap must pop events in the order of a stable
+    // sort of the push stream: the comparator (time, replica, kind,
+    // id, seq) is a strict total order, and seq is the push order,
+    // so that sort is the only correct pop sequence.
     constexpr int kShards = 8;
     EventQueue queue;
     queue.shard(kShards);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -188,6 +189,53 @@ TEST(IlpPartition, ColdOverflowThrowsNamingBlockAndBudget)
         EXPECT_NE(message.find("block 0"), std::string::npos) << message;
         EXPECT_NE(message.find("200 bytes"), std::string::npos)
             << message;
+    }
+}
+
+TEST(IlpPartition, NoDimmBudgetThrowsNamingTheCount)
+{
+    PartitionProblem problem = tinyProblem({0.5, 0.25}, 100);
+    problem.dimmBudgets.clear();
+    EXPECT_THROW(IlpPartitioner().solve(problem), std::invalid_argument);
+    try {
+        IlpPartitioner().solve(problem);
+        ADD_FAILURE() << "solve accepted a problem with no DIMM budget";
+    } catch (const std::invalid_argument &error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("got 0"), std::string::npos) << message;
+    }
+}
+
+TEST(IlpPartition, ParallelSolveMatchesSerial)
+{
+    // Twelve blocks whose frequencies tie heavily, so each block's
+    // hot order is std::sort's tie order: the per-block sorts on four
+    // threads must leave every assignment as one thread does.
+    Rng rng(12);
+    PartitionProblem problem;
+    for (std::uint32_t b = 0; b < 12; ++b) {
+        BlockProblem block;
+        block.frequency.resize(500 + 37 * b);
+        for (double &f : block.frequency)
+            f = static_cast<double>(rng.below(6)) / 8.0;
+        block.neuronBytes = b % 2 == 0 ? 100 : 300;
+        block.gpuTimePerNeuron = 1.0e-6;
+        block.dimmTimePerNeuron = (4.0 + b % 3) * 1.0e-6;
+        problem.blocks.push_back(std::move(block));
+    }
+    problem.syncTime = 1.0e-6;
+    problem.gpuBudget = 200000;
+    problem.dimmBudgets.assign(4, 1 * kMiB);
+    const PartitionResult serial = IlpPartitioner().solve(problem);
+    for (const std::uint32_t threads : {2u, 4u, 16u}) {
+        const PartitionResult parallel =
+            IlpPartitioner().solve(problem, threads);
+        EXPECT_EQ(parallel.assignment.location,
+                  serial.assignment.location)
+            << threads << " threads";
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel.objective),
+                  std::bit_cast<std::uint64_t>(serial.objective))
+            << threads << " threads";
     }
 }
 
@@ -743,7 +791,7 @@ TEST(Mapper, AdjustBlockMatchesIndirectSortReference)
     // Scores in 0..27 tie heavily, so which equal-score neurons sit at
     // the swap boundary depends on std::sort's exact comparisons.
     Rng rng(2024);
-    for (const std::uint32_t n : {0u, 1u, 16u, 17u, 5003u}) {
+    for (const std::uint32_t n : {0u, 1u, 16u, 17u, 5003u, 36864u}) {
         for (const std::uint32_t max_swaps : {0u, 1u, 5u, 64u, 100000u}) {
             for (const std::uint32_t hysteresis : {0u, 1u, 2u, 7u}) {
                 AdjustmentPolicy policy;
@@ -915,6 +963,109 @@ TEST(WindowSchedulerTest, OracleAtLeastAsBalancedAsGreedy)
                                 oracle_loads.end()),
               *std::max_element(greedy_loads.begin(),
                                 greedy_loads.end()));
+}
+
+TEST(WindowSchedulerTest, ZeroDimmsOrZeroWindowThrow)
+{
+    EXPECT_THROW(WindowScheduler(8, 0, 5), std::invalid_argument);
+    EXPECT_THROW(WindowScheduler(8, 2, 0), std::invalid_argument);
+    try {
+        WindowScheduler(8, 0, 5);
+    } catch (const std::invalid_argument &error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("0 DIMMs"), std::string::npos) << message;
+    }
+}
+
+/**
+ * Algorithm 1 as first written: every DIMM's cold list built and
+ * sorted, though only the heavy half's lists are read.
+ */
+std::vector<interconnect::Transfer>
+referenceRebalance(BlockPlacement &placement,
+                   const std::vector<std::uint32_t> &activity,
+                   std::uint32_t num_dimms, Bytes neuron_bytes)
+{
+    std::vector<interconnect::Transfer> transfers;
+    std::vector<std::uint64_t> loads(num_dimms, 0);
+    for (std::uint32_t i = 0; i < placement.neurons(); ++i)
+        if (!placement.onGpu(i))
+            loads[placement.homeDimm(i)] += activity[i];
+    std::vector<std::uint32_t> order(num_dimms);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return loads[a] > loads[b];
+              });
+    std::vector<std::vector<std::uint32_t>> per_dimm(num_dimms);
+    for (std::uint32_t i = 0; i < placement.neurons(); ++i)
+        if (!placement.onGpu(i) && activity[i] > 0)
+            per_dimm[placement.homeDimm(i)].push_back(i);
+    for (auto &list : per_dimm)
+        std::sort(list.begin(), list.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      return activity[a] > activity[b];
+                  });
+    for (std::uint32_t pair = 0; pair < num_dimms / 2; ++pair) {
+        const std::uint32_t heavy = order[pair];
+        const std::uint32_t light = order[num_dimms - 1 - pair];
+        Bytes moved_bytes = 0;
+        for (const std::uint32_t h : per_dimm[heavy]) {
+            const std::uint64_t a = activity[h];
+            if (loads[heavy] < loads[light] + 2 * a)
+                break;
+            placement.setHomeDimm(h, static_cast<std::uint16_t>(light));
+            loads[heavy] -= a;
+            loads[light] += a;
+            moved_bytes += neuron_bytes;
+        }
+        if (moved_bytes > 0)
+            transfers.push_back(
+                interconnect::Transfer{heavy, light, moved_bytes});
+    }
+    return transfers;
+}
+
+TEST(WindowSchedulerTest, RebalanceMatchesAllListsReference)
+{
+    // Few activity levels and skewed homes, so lists tie and most
+    // pairs move several neurons.
+    Rng rng(31);
+    for (const std::uint32_t dimms : {2u, 3u, 4u, 7u, 8u}) {
+        for (int trial = 0; trial < 20; ++trial) {
+            const std::uint32_t neurons = 64 + 61 * trial;
+            WindowScheduler scheduler(neurons, dimms, 5);
+            BlockPlacement fast(neurons, dimms);
+            for (std::uint32_t i = 0; i < neurons; ++i) {
+                fast.setHomeDimm(i, static_cast<std::uint16_t>(
+                                        rng.below(1 + rng.below(dimms))));
+                fast.setOnGpu(i, rng.chance(0.2));
+            }
+            for (int token = 0; token < 5; ++token) {
+                std::vector<std::uint32_t> active;
+                for (std::uint32_t i = 0; i < neurons; ++i)
+                    if (rng.chance(0.3))
+                        active.push_back(i);
+                scheduler.observe(active);
+            }
+            std::vector<std::uint32_t> activity(neurons);
+            for (std::uint32_t i = 0; i < neurons; ++i)
+                activity[i] = scheduler.activity(i);
+            BlockPlacement slow = fast;
+            const auto want =
+                referenceRebalance(slow, activity, dimms, 64);
+            const auto got = scheduler.rebalance(fast, 64);
+            ASSERT_EQ(got.size(), want.size())
+                << dimms << " DIMMs, trial " << trial;
+            for (std::size_t t = 0; t < got.size(); ++t) {
+                EXPECT_EQ(got[t].fromDimm, want[t].fromDimm);
+                EXPECT_EQ(got[t].toDimm, want[t].toDimm);
+                EXPECT_EQ(got[t].bytes, want[t].bytes);
+            }
+            EXPECT_EQ(fast.homeDimms(), slow.homeDimms())
+                << dimms << " DIMMs, trial " << trial;
+        }
+    }
 }
 
 TEST(WindowSchedulerTest, SingleDimmIsNoop)

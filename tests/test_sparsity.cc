@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -495,6 +496,48 @@ TEST(Trace, CalibratedExponentHitsTarget)
         ActivationTrace::calibrateExponent(16384, config);
     EXPECT_GT(exponent, 0.3);
     EXPECT_LT(exponent, 2.5);
+}
+
+TEST(Trace, ParallelExponentCalibrationMatchesSerial)
+{
+    // Three threads take two halvings of the bisection per round; the
+    // exponent must come out bitwise as one thread's 40 halvings.
+    SparsityConfig steep;
+    steep.activeFraction = 0.1;
+    steep.targetHotMass = 0.9;
+    steep.hotFraction = 0.15;
+    SparsityConfig flat;
+    flat.activeFraction = 0.35;
+    flat.targetHotMass = 0.6;
+    flat.hotFraction = 0.3;
+    for (const SparsityConfig &config : {steep, flat}) {
+        for (const std::uint32_t neurons :
+             {1u, 7u, 100u, 5120u, 9216u, 20480u, 36864u}) {
+            const double serial =
+                ActivationTrace::calibrateExponent(neurons, config, 1);
+            for (const std::uint32_t threads : {3u, 4u}) {
+                const double parallel = ActivationTrace::calibrateExponent(
+                    neurons, config, threads);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel),
+                          std::bit_cast<std::uint64_t>(serial))
+                    << neurons << " neurons, " << threads << " threads, "
+                    << "target " << config.targetHotMass;
+            }
+        }
+    }
+    // A trace built on four threads by a thread whose exponent cache
+    // is empty takes the parallel calibration.
+    std::vector<double> serial_probability;
+    std::vector<double> parallel_probability;
+    std::thread([&] {
+        serial_probability =
+            ActivationTrace(smallModel(2), flat, 3, 1).mlp(1).probability;
+    }).join();
+    std::thread([&] {
+        parallel_probability =
+            ActivationTrace(smallModel(2), flat, 3, 4).mlp(1).probability;
+    }).join();
+    EXPECT_EQ(parallel_probability, serial_probability);
 }
 
 TEST(Trace, PhaseDriftChangesHotMembership)
