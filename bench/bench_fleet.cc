@@ -442,14 +442,14 @@ main(int argc, char **argv)
             serving::scenarioByName("multiturn", requests, rate,
                                     seed));
         std::uint64_t continues = 0;
-        for (const std::int64_t next : trace.successor)
-            continues += next >= 0 ? 1 : 0;
+        for (const serving::SessionTurn &turn : trace.turns)
+            continues += turn.successor >= 0 ? 1 : 0;
 
         banner("Fleet", "multiturn: KV-affinity vs jsq on "
                         "conversational sessions, OPT-13B");
         std::printf("%u sessions (%zu turns, %llu follow-ups) at "
                     "%.2f sessions/s\n",
-                    requests, trace.requests.size(),
+                    requests, trace.turns.size(),
                     static_cast<unsigned long long>(continues),
                     rate);
 

@@ -154,12 +154,18 @@ calibrateReplicaModel(serving::ServingSimulator &simulator,
     const std::uint32_t max_batch = simulator.config().maxBatch;
     sched::ReplicaModel model;
     model.maxBatch = max_batch;
-    if (!simulator.servable(1, shape.typicalPrompt)) {
-        // Dead replica (platform cannot run the model): make it look
-        // infinitely slow, so the SLO-aware policy never picks it
-        // and backlog-aware policies back off once its never-
-        // draining queue estimate piles up.  Round-robin still hits
-        // it — by design.
+    // A dead replica (platform cannot run the model) and one whose
+    // decode-context bucket is past its capacity (step 0, the
+    // unservable sentinel; real steps are strictly positive) look
+    // infinitely slow, never infinitely fast: the SLO-aware policy
+    // never picks them and backlog-aware policies back off once
+    // their never-draining queue estimate piles up.  Round-robin
+    // still hits them — by design.
+    const Seconds step =
+        simulator.servable(1, shape.typicalPrompt)
+            ? simulator.tokenSeconds(max_batch, shape.typicalContext)
+            : 0.0;
+    if (step <= 0.0) {
         model.prefillSeconds = 1.0e9;
         model.slotTokensPerSecond = 1.0e-9;
         model.prefillTokensPerSecond = 1.0e-9;
@@ -168,18 +174,6 @@ calibrateReplicaModel(serving::ServingSimulator &simulator,
     // The router's window model charges one joint prefill per
     // admission group of up to maxBatch requests, so calibrate the
     // prefill at the group's batch size, not at batch 1.
-    const Seconds step =
-        simulator.tokenSeconds(max_batch, shape.typicalContext);
-    if (step <= 0.0) {
-        // Zero is the unservable sentinel (real steps are strictly
-        // positive): the decode-context bucket exceeds the replica
-        // even though the prompt probe fit.  Same treatment as a
-        // dead replica — infinitely slow, never infinitely fast.
-        model.prefillSeconds = 1.0e9;
-        model.slotTokensPerSecond = 1.0e-9;
-        model.prefillTokensPerSecond = 1.0e-9;
-        return model;
-    }
     model.prefillSeconds =
         simulator.prefillSeconds(max_batch, shape.typicalPrompt);
     model.slotTokensPerSecond = 1.0 / step;
@@ -240,8 +234,7 @@ warmupReplaySeconds(serving::ServingSimulator &simulator,
  * Immutable request-id -> workload-index map.  Trace ids are almost
  * always dense (0..n-1 from the generators), so the common case is
  * one direct vector lookup; scattered ids fall back to binary
- * search over a sorted array.  Replaces the hash maps the kernel
- * used to probe on every steal / migrate / report-merge lookup.
+ * search over a sorted array.
  */
 class IdIndex
 {
@@ -313,15 +306,52 @@ class IdIndex
     bool duplicate_ = false;
 };
 
-/** The merge joins replica rows back to the trace by request id;
- * duplicates would make the join ambiguous. */
+/** Replica rows are scattered into the report by request id;
+ * duplicates would make the slot ambiguous. */
 void
 requireUniqueIds(const IdIndex &ids)
 {
     if (ids.hasDuplicateIds())
         throw std::invalid_argument(
             "FleetSimulator: request ids must be unique "
-            "(the report merge joins by id)");
+            "(replica rows are scattered into the report by id)");
+}
+
+/**
+ * Refuse a session plan the kernel cannot follow: first turns (a
+ * presorted stream) out of arrival order, or a successor that is
+ * not in the trace, not its session's next turn, or named twice.
+ */
+void
+checkSessionPlan(const serving::SessionTrace &sessions,
+                 const IdIndex &ids)
+{
+    Seconds last_start = 0.0;
+    std::vector<bool> named(sessions.turns.size(), false);
+    for (const serving::SessionTurn &turn : sessions.turns) {
+        const auto reject = [&turn](const char *why) {
+            throw std::invalid_argument(
+                "FleetSimulator: session turn " +
+                std::to_string(turn.request.id) + why);
+        };
+        if (turn.turn == 0 && turn.request.arrival < last_start)
+            reject(": first-turn arrivals must be nondecreasing");
+        if (turn.turn == 0)
+            last_start = turn.request.arrival;
+        if (turn.successor < 0)
+            continue;
+        const std::size_t next =
+            ids.find(static_cast<std::uint64_t>(turn.successor));
+        if (next == IdIndex::npos)
+            reject("'s successor is not in the trace");
+        const serving::SessionTurn &follow = sessions.turns[next];
+        if (follow.request.sessionId != turn.request.sessionId ||
+            follow.turn != std::uint64_t{turn.turn} + 1)
+            reject("'s successor is not its session's next turn");
+        if (named[next])
+            reject("'s successor is named by another turn too");
+        named[next] = true;
+    }
 }
 
 /**
@@ -389,24 +419,17 @@ class EventKernel final : public sched::FleetView,
         // The workload is sorted by arrival and the event id is the
         // ascending workload index, so the whole trace preloads as
         // a presorted stream — no heap at all for the dominant event
-        // kind; the heap holds only in-flight events.
+        // kind; the heap holds only in-flight events.  In session
+        // mode only first turns have workload-known arrival instants
+        // (nondecreasing, ids ascending — the presorted stream still
+        // applies); follow-up turns are scheduled as SessionContinue
+        // events when their predecessor completes.
         queue_.shard(static_cast<std::uint32_t>(replicas_.size()));
         queue_.reserveSorted(workload_.size());
-        if (sessions_ == nullptr) {
-            for (std::size_t i = 0; i < workload_.size(); ++i)
+        for (std::size_t i = 0; i < workload_.size(); ++i) {
+            if (sessions_ == nullptr || sessions_->turns[i].turn == 0)
                 queue_.pushSorted(workload_[i].arrival,
                                   sim::EventKind::Arrival, i);
-        } else {
-            // Session mode: only first turns have workload-known
-            // arrival instants (nondecreasing, ids ascending — the
-            // presorted stream still applies).  Follow-up turns are
-            // scheduled as SessionContinue events when their
-            // predecessor completes.
-            for (std::size_t i = 0; i < workload_.size(); ++i) {
-                if (sessions_->turnOf[i] == 0)
-                    queue_.pushSorted(workload_[i].arrival,
-                                      sim::EventKind::Arrival, i);
-            }
         }
         const Seconds tick_period = control_.tickPeriod();
         if ((wants_ & sched::ControlPolicy::kTick) &&
@@ -496,8 +519,13 @@ class EventKernel final : public sched::FleetView,
         // from its spawn instant (0 for the configured fleet) to
         // its retire instant, or to the end of the run when it was
         // never retired.  Provisioning and warming time is billable
-        // — the instance is up.
+        // — the instance is up.  Each replica's rows move into their
+        // workload slots, each written exactly once, by the replica
+        // the assignment names (shed slots are the merge's), and are
+        // freed at once: replica reports keep aggregates only.
         const Seconds end = queue_.now();
+        report_.requests.resize(workload_.size());
+        std::vector<bool> written(workload_.size(), false);
         for (std::size_t r = 0; r < runs_.size(); ++r) {
             const ReplicaRun &run = runs_[r];
             const Seconds stop =
@@ -507,8 +535,25 @@ class EventKernel final : public sched::FleetView,
                 std::max(0.0, stop - run.activeStart));
             report_.replicaSeconds +=
                 report_.replicaActiveSeconds.back();
-            report_.replicaReports.push_back(simulator(r).finishSession());
+            serving::ServingReport replica =
+                simulator(r).finishSession();
+            for (const serving::RequestMetrics &row :
+                 std::vector(std::move(replica.requests))) {
+                const std::size_t slot = ids_.at(row.id);
+                hermes_assert(
+                    !written[slot] &&
+                        report_.assignment[slot] == static_cast<int>(r),
+                    "fleet report: request ", row.id,
+                    " reported twice or by a wrong replica");
+                written[slot] = true;
+                report_.requests[slot] = row;
+            }
+            report_.replicaReports.push_back(std::move(replica));
         }
+        for (std::size_t i = 0; i < written.size(); ++i)
+            hermes_assert(written[i] == (report_.assignment[i] >= 0),
+                          "fleet report: request ", workload_[i].id,
+                          " missing from its replica report");
     }
 
     // ---- sched::FleetView ----
@@ -1065,18 +1110,16 @@ class EventKernel final : public sched::FleetView,
     void
     onRequestDoneEvent(const sim::Event &event)
     {
-        const std::size_t index = ids_.at(event.id);
-        const std::int64_t next = sessions_->successor[index];
-        if (next < 0)
+        const serving::SessionTurn &turn =
+            sessions_->turns[ids_.at(event.id)];
+        if (turn.successor < 0)
             return;
         // The follow-up arrives think-time after this completion;
         // its event id is the successor's workload index, exactly
         // like a preloaded arrival's.
-        const std::size_t next_index =
-            ids_.at(static_cast<std::uint64_t>(next));
-        queue_.push(event.time + sessions_->thinkAfter[index],
+        queue_.push(event.time + turn.thinkAfter,
                     sim::EventKind::SessionContinue, -1,
-                    next_index);
+                    ids_.at(static_cast<std::uint64_t>(turn.successor)));
     }
 
     /** A follow-up turn's think time elapsed: it arrives now. */
@@ -1219,7 +1262,7 @@ class EventKernel final : public sched::FleetView,
      */
     std::vector<serving::ServedRequest> &workload_;
 
-    /** id -> workload index, for steal/migrate re-assignment. */
+    /** id -> workload index: steal, migrate, sessions, row scatter. */
     const IdIndex &ids_;
 
     sched::ControlPolicy &control_;
@@ -1249,14 +1292,14 @@ class EventKernel final : public sched::FleetView,
 };
 
 /**
- * Join replica report rows back to the trace by request id and fill
- * the fleet aggregates (counts, percentiles, SLO attainment against
+ * Fill the shed rows (the kernel scattered every served one) and the
+ * fleet aggregates (counts, percentiles, SLO attainment against
  * `ttft_deadline`).
  */
 void
 mergeReports(FleetReport &report,
              const std::vector<serving::ServedRequest> &workload,
-             const IdIndex &ids, Seconds ttft_deadline)
+             Seconds ttft_deadline)
 {
     for (const serving::ServingReport &replica :
          report.replicaReports) {
@@ -1269,44 +1312,14 @@ mergeReports(FleetReport &report,
     }
     report.rejected += report.shed;
 
-    // Merge per-request metrics back into arrival order with an
-    // explicit request-id join — replica report rows are found by
-    // id, never by slot position, so the merge cannot silently
-    // misalign when a replica reorders, drops, or (under work
-    // stealing) gains rows relative to the router's bookkeeping.
-    std::vector<std::pair<std::size_t, std::size_t>> row_of(
-        workload.size(), {IdIndex::npos, IdIndex::npos});
-    for (std::size_t r = 0; r < report.replicaReports.size();
-         ++r) {
-        const auto &rows = report.replicaReports[r].requests;
-        for (std::size_t j = 0; j < rows.size(); ++j) {
-            const std::size_t slot = ids.find(rows[j].id);
-            if (slot != IdIndex::npos)
-                row_of[slot] = {r, j};
-        }
-    }
-
-    report.requests.resize(workload.size());
     std::uint64_t within_deadline = 0;
     for (std::size_t i = 0; i < workload.size(); ++i) {
+        serving::RequestMetrics &metrics = report.requests[i];
         if (report.assignment[i] < 0) {
-            serving::RequestMetrics &metrics = report.requests[i];
             metrics.id = workload[i].id;
             metrics.arrival = workload[i].arrival;
             metrics.rejected = true;
-            continue;
-        }
-        const std::pair<std::size_t, std::size_t> row = row_of[i];
-        hermes_assert(
-            row.first == static_cast<std::size_t>(
-                             report.assignment[i]),
-            "fleet merge: request ", workload[i].id,
-            " missing from its replica report");
-        report.requests[i] =
-            report.replicaReports[row.first].requests[row.second];
-        const serving::RequestMetrics &metrics =
-            report.requests[i];
-        if (!metrics.rejected) {
+        } else if (!metrics.rejected) {
             within_deadline +=
                 metrics.ttft() <= ttft_deadline ? 1 : 0;
         }
@@ -1522,33 +1535,15 @@ FleetSimulator::run(std::vector<serving::ServedRequest> workload)
 FleetReport
 FleetSimulator::run(const serving::SessionTrace &sessions)
 {
-    const std::size_t turns = sessions.requests.size();
-    if (sessions.turnOf.size() != turns ||
-        sessions.successor.size() != turns ||
-        sessions.thinkAfter.size() != turns)
-        throw std::invalid_argument(
-            "FleetSimulator: session trace parallel arrays "
-            "disagree on size");
-    serving::checkArrivals(sessions.requests);
-    // The kernel preloads first turns as a presorted stream, so
-    // their arrivals must be nondecreasing in trace order (the
-    // generator's natural order; follow-up arrivals are decided by
-    // the simulation and may be anything).
-    Seconds last_start = 0.0;
-    for (std::size_t i = 0; i < turns; ++i) {
-        if (sessions.turnOf[i] != 0)
-            continue;
-        if (sessions.requests[i].arrival < last_start)
-            throw std::invalid_argument(
-                "FleetSimulator: session first-turn arrivals must "
-                "be nondecreasing in trace order");
-        last_start = sessions.requests[i].arrival;
-    }
     // The run's own copy of the trace: the kernel overwrites each
     // follow-up turn's placeholder arrival when it actually fires.
     // No arrival sort — the continuation plan is indexed by
     // workload position.
-    std::vector<serving::ServedRequest> workload = sessions.requests;
+    std::vector<serving::ServedRequest> workload;
+    workload.reserve(sessions.turns.size());
+    for (const serving::SessionTurn &turn : sessions.turns)
+        workload.push_back(turn.request);
+    serving::checkArrivals(workload);
     return runTrace(workload, &sessions);
 }
 
@@ -1556,11 +1551,13 @@ FleetReport
 FleetSimulator::runTrace(std::vector<serving::ServedRequest> &workload,
                          const serving::SessionTrace *sessions)
 {
-    // One id index per run: the duplicate check, the kernel's
-    // steal/migrate/session lookups and the report merge all read
-    // it (the kernel rewrites arrivals, never ids).
+    // One id index per run: the duplicate check, the session plan
+    // check, the kernel's steal/migrate/session lookups and its row
+    // scatter all read it (the kernel rewrites arrivals, never ids).
     const IdIndex ids(workload);
     requireUniqueIds(ids);
+    if (sessions != nullptr)
+        checkSessionPlan(*sessions, ids);
 
     sched::ControlPolicy &control = *config_.control;
     FleetReport report;
@@ -1609,7 +1606,7 @@ FleetSimulator::runTrace(std::vector<serving::ServedRequest> &workload,
     // Merge against the run's copy, so served follow-up turns carry
     // their true arrival instants (turns whose predecessor was shed
     // never arrived and merge as rejected).
-    mergeReports(report, workload, ids, config_.ttftDeadline);
+    mergeReports(report, workload, config_.ttftDeadline);
     return report;
 }
 

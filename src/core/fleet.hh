@@ -23,10 +23,10 @@
  *     onReplicaDead, ...) fire on the same clock — work stealing,
  *     for example, is just a policy that reacts to onReplicaIdle
  *     by moving queued requests to the idle replica;
- *  4. per-replica reports are merged — joined back to the trace by
- *     request id, never by slot position — into a FleetReport:
- *     aggregate throughput (the sum over replicas), fleet-wide TTFT
- *     percentiles, and SLO attainment against the TTFT deadline.
+ *  4. each replica's per-request rows are scattered by request id
+ *     into their trace slots of a FleetReport, whose replica reports
+ *     keep only aggregates: throughput (the sum over replicas),
+ *     fleet TTFT percentiles, SLO attainment against the deadline.
  *
  * On estimate-based policies the kernel's per-request metrics equal
  * an isolated ServingSimulator::run of each replica's share of the
@@ -192,9 +192,10 @@ struct FleetReport
     Seconds ttftDeadline = 0.0;
 
     /**
-     * Per-replica serving reports, fleet order.  Replicas spawned
-     * mid-run by the autoscaler append after the configured fleet,
-     * named "s<k>" by default (spawn order).
+     * Per-replica serving reports, fleet order: aggregates only
+     * (filter `requests` by `assignment` for one replica's rows).
+     * Replicas spawned mid-run by the autoscaler append after the
+     * configured fleet, named "s<k>" by default (spawn order).
      */
     std::vector<serving::ServingReport> replicaReports;
     std::vector<std::string> replicaNames;
@@ -283,8 +284,8 @@ class FleetSimulator
 
     /**
      * Serve one arrival trace (any order; sorted internally).
-     * Request ids must be unique: the report merge joins replica
-     * rows back to the trace by id.
+     * Request ids must be unique: replica rows are scattered into
+     * the report by id.
      */
     FleetReport run(std::vector<serving::ServedRequest> workload);
 
@@ -294,7 +295,8 @@ class FleetSimulator
      * follow-up turn arrives think-time after its predecessor
      * completes — a closed-loop arrival process.  Follow-up turns
      * whose predecessor was shed or rejected never arrive and are
-     * reported as rejected (the conversation ended).
+     * reported as rejected (the conversation ended).  A plan the
+     * kernel cannot follow throws std::invalid_argument.
      */
     FleetReport run(const serving::SessionTrace &sessions);
 
@@ -329,12 +331,13 @@ class FleetSimulator
   private:
     /**
      * The body both run() overloads share once their input checks
-     * pass: index the request ids (rejecting duplicates), calibrate,
-     * warm (session traces only), drive the event kernel, bill
-     * calibration, and merge.  `sessions` switches the kernel into
-     * session mode (first turns only are preloaded; follow-ups are
-     * scheduled as SessionContinue events at done + think,
-     * overwriting their placeholder arrival in `workload`).
+     * pass: index the request ids (rejecting duplicates and bad
+     * session plans), calibrate, warm (session traces only), drive
+     * the event kernel, bill calibration, and merge.  `sessions`
+     * switches the kernel into session mode (first turns only are
+     * preloaded; follow-ups are scheduled as SessionContinue events
+     * at done + think, overwriting their placeholder arrival in
+     * `workload`).
      */
     FleetReport runTrace(std::vector<serving::ServedRequest> &workload,
                          const serving::SessionTrace *sessions);

@@ -190,7 +190,7 @@ struct RequestInfo
 /**
  * Stable-sort a trace into arrival order — the one ordering the
  * workload generator, the router, and the serving loop agree on.
- * (The fleet layer joins replica report rows back to the trace by
+ * (The fleet layer scatters replica report rows into the trace by
  * request id, so ids must be unique within a fleet run; see
  * core/fleet.hh.)
  */

@@ -209,7 +209,7 @@ generateSessionWorkload(const ScenarioConfig &scenario)
         std::uint64_t history = 0;
         for (std::uint32_t turn = 0; turn < turns; ++turn) {
             ServedRequest request;
-            request.id = trace.requests.size();
+            request.id = trace.turns.size();
             // Follow-up arrivals are simulation-determined (done +
             // think); the session start is a placeholder the fleet
             // kernel overwrites.
@@ -234,12 +234,10 @@ generateSessionWorkload(const ScenarioConfig &scenario)
                          scenario.thinkSpreadSeconds *
                              gaussian(session_rng));
             const bool last = turn + 1 == turns;
-            trace.requests.push_back(request);
-            trace.turnOf.push_back(turn);
-            trace.successor.push_back(
-                last ? -1
-                     : static_cast<std::int64_t>(request.id) + 1);
-            trace.thinkAfter.push_back(last ? 0.0 : think);
+            trace.turns.push_back(SessionTurn{
+                request, turn,
+                last ? -1 : static_cast<std::int64_t>(request.id) + 1,
+                last ? 0.0 : think});
         }
     }
     return trace;

@@ -141,29 +141,28 @@ struct ScenarioConfig
  */
 std::vector<ServedRequest> generateWorkload(const ScenarioConfig &scenario);
 
+/** One turn of a conversation and its place in the plan. */
+struct SessionTurn
+{
+    ServedRequest request;
+    std::uint32_t turn = 0;      ///< Zero-based, within its session.
+    std::int64_t successor = -1; ///< Next turn's id (-1: last turn).
+    Seconds thinkAfter = 0.0;    ///< Successor's wait after this ends.
+};
+
 /**
- * A multi-turn conversational workload: the turns plus the
- * continuation plan the fleet kernel schedules them by.  Only a
- * session's *first* turn has a workload-determined arrival instant;
- * every follow-up turn arrives a think-time after its predecessor
- * completes, which only the simulation can decide — its stored
- * `arrival` is a placeholder (the session start) until the kernel
- * overwrites it at `done + thinkAfter`.
- *
- * All vectors are parallel to `requests` (index == request id):
- * `turnOf[i]` is i's zero-based turn number within its session,
- * `successor[i]` the request id of the next turn (-1: last turn),
- * and `thinkAfter[i]` the think-time gap the successor waits after
- * i completes.  Context grows with the conversation: turn k's
- * prompt is the full history (previous prompt + generated tokens)
- * plus a fresh user message.
+ * A multi-turn conversational workload, one record per turn in trace
+ * order (the generator makes `turns[i].request.id == i`).  Only first
+ * turns have workload-determined arrivals: a follow-up arrives a
+ * think-time after its predecessor completes, which only the
+ * simulation decides, so its stored `arrival` is a placeholder (the
+ * session start) the kernel overwrites at `done + thinkAfter`.  Turn
+ * k's prompt replays the whole history (previous prompt + generated
+ * tokens) plus a fresh user message.
  */
 struct SessionTrace
 {
-    std::vector<ServedRequest> requests;
-    std::vector<std::uint32_t> turnOf;
-    std::vector<std::int64_t> successor;
-    std::vector<Seconds> thinkAfter;
+    std::vector<SessionTurn> turns;
 };
 
 /**

@@ -89,6 +89,12 @@ checkReportInvariants(const FleetReport &report,
                          report.replicaSeconds /
                              static_cast<double>(report.completed));
     }
+
+    // Every row lives once, in report.requests: the replica
+    // reports carry aggregates only.
+    for (const serving::ServingReport &replica :
+         report.replicaReports)
+        EXPECT_TRUE(replica.requests.empty());
 }
 
 /**
@@ -188,9 +194,12 @@ TEST(Autoscale, SpawnedReplicaAdmitsOnlyAfterWarmup)
     // It actually served traffic, and admitted nothing before its
     // warm-up could possibly have completed.
     EXPECT_GT(report.replicaReports[1].completed, 0u);
-    for (const auto &request : report.replicaReports[1].requests)
-        EXPECT_GE(request.admitted,
-                  policy->spawnTime_ + policy->provision_);
+    for (std::size_t i = 0; i < report.requests.size(); ++i) {
+        if (report.assignment[i] == 1) {
+            EXPECT_GE(report.requests[i].admitted,
+                      policy->spawnTime_ + policy->provision_);
+        }
+    }
 
     // Cost accounting: the spawned replica's clock started at the
     // spawn instant, so it is billable for strictly less than the

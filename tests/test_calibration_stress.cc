@@ -135,7 +135,7 @@ TEST(CalibrationStress, SharedCacheSessionWarmingHighThreads)
             FleetSimulator(config, model::opt13b()).run(trace);
         expectIdenticalReports(lazy, warmed);
     }
-    EXPECT_EQ(lazy.completed, trace.requests.size());
+    EXPECT_EQ(lazy.completed, trace.turns.size());
 }
 
 TEST(CalibrationStress, ThreadsOversubscribedPastLeaderCount)

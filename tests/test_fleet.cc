@@ -102,6 +102,24 @@ checkReportInvariants(const FleetReport &report,
     EXPECT_DOUBLE_EQ(report.throughputTps, throughput);
     EXPECT_DOUBLE_EQ(report.makespan, makespan);
     EXPECT_EQ(report.completed, replica_completed);
+
+    // Every row lives once, in report.requests: the replica
+    // reports carry aggregates only.
+    for (const serving::ServingReport &replica :
+         report.replicaReports)
+        EXPECT_TRUE(replica.requests.empty());
+}
+
+/** Replica `replica`'s rows: the fleet rows assigned to it. */
+std::vector<serving::RequestMetrics>
+rowsOf(const FleetReport &report, int replica)
+{
+    std::vector<serving::RequestMetrics> rows;
+    for (std::size_t i = 0; i < report.requests.size(); ++i) {
+        if (report.assignment[i] == replica)
+            rows.push_back(report.requests[i]);
+    }
+    return rows;
 }
 
 TEST(Fleet, InvariantsHoldForEveryPolicy)
@@ -220,7 +238,7 @@ TEST(Fleet, StateAwarePoliciesStarveADeadReplica)
         FleetSimulator simulator(config, model::opt13b());
         const auto report = simulator.run(trace);
         const std::uint64_t routed_to_dead =
-            report.replicaReports[1].requests.size();
+            rowsOf(report, 1).size();
         EXPECT_LT(routed_to_dead, trace.size() / 2);
         EXPECT_EQ(report.rejected, routed_to_dead);
         EXPECT_EQ(report.completed,
@@ -1296,8 +1314,8 @@ TEST(Lifecycle, MigrationCostsAKvTransferProportionalToContext)
                            64 + policy->tokensAtMigration()));
     // The request finished on the destination with every token and
     // its migration recorded; the source reports nothing.
-    EXPECT_TRUE(report.replicaReports[0].requests.empty());
-    ASSERT_EQ(report.replicaReports[1].requests.size(), 1u);
+    EXPECT_TRUE(rowsOf(report, 0).empty());
+    ASSERT_EQ(rowsOf(report, 1).size(), 1u);
     EXPECT_EQ(report.requests[0].tokens, 12u);
     EXPECT_EQ(report.requests[0].migrations, 1u);
 }
@@ -1436,8 +1454,7 @@ TEST(Lifecycle, DrainMigrateEvacuatesRunningWorkWithItsKv)
     EXPECT_GT(report.kernelStats.kvTransferSeconds, 0.0);
     // The drained replica kept nothing that arrived after the
     // drain: every request it reports was one of the early ones.
-    for (const auto &request :
-         report.replicaReports[1].requests)
+    for (const auto &request : rowsOf(report, 1))
         EXPECT_LT(request.id, 4u);
 }
 
@@ -1660,14 +1677,83 @@ TEST(Sessions, BadArrivalTimesThrowInsteadOfAborting)
         // event queue (NaN panicked in the virtual past).
         auto trace = conversationalTrace(3, 4.0, 9);
         std::size_t last_first = 0;
-        for (std::size_t i = 0; i < trace.requests.size(); ++i) {
-            if (trace.turnOf[i] == 0)
+        for (std::size_t i = 0; i < trace.turns.size(); ++i) {
+            if (trace.turns[i].turn == 0)
                 last_first = i;
         }
-        trace.requests[last_first].arrival = bad;
+        trace.turns[last_first].request.arrival = bad;
         EXPECT_THROW(simulator.run(trace), std::invalid_argument)
             << bad;
     }
+}
+
+TEST(Sessions, MalformedPlansThrowInsteadOfAborting)
+{
+    // Run entry refuses every plan the kernel cannot follow, each
+    // with its own reason, before any turn is simulated: a successor
+    // missing from the trace (the kernel's id lookup would abort
+    // mid-run), one from another session or turn, one named twice,
+    // and first turns out of arrival order.
+    FleetConfig config = uniformFleet(
+        2, fastConfig(4), fastServing(2),
+        sched::controlPolicyByName("jsq"), 30.0);
+    FleetSimulator simulator(config, model::opt13b());
+    const auto rejects = [&](const serving::SessionTrace &trace,
+                             const std::string &reason) {
+        EXPECT_THROW(
+            {
+                try {
+                    simulator.run(trace);
+                } catch (const std::invalid_argument &error) {
+                    EXPECT_NE(std::string(error.what()).find(reason),
+                              std::string::npos)
+                        << error.what();
+                    throw;
+                }
+            },
+            std::invalid_argument)
+            << reason;
+    };
+
+    // Session 1 is turns 0, 1, ...; session 2 starts at
+    // `second_first` (multiturn sessions have 2-6 turns).
+    const auto base = conversationalTrace(3, 4.0, 9);
+    ASSERT_EQ(base.turns[0].turn, 0u);
+    ASSERT_EQ(base.turns[0].successor, 1);
+    std::size_t second_first = 1;
+    while (base.turns[second_first].turn != 0)
+        ++second_first;
+    ASSERT_LT(second_first + 1, base.turns.size());
+
+    auto missing = base;
+    missing.turns[0].successor =
+        static_cast<std::int64_t>(base.turns.size()) + 100;
+    rejects(missing, "is not in the trace");
+
+    auto foreign = base;
+    foreign.turns[0].successor =
+        static_cast<std::int64_t>(second_first + 1);
+    rejects(foreign, "is not its session's next turn");
+    auto skipped = base;
+    skipped.turns[1].turn = 2;
+    rejects(skipped, "is not its session's next turn");
+
+    // Turn 2 re-labelled as a second first turn of session 1 that
+    // also continues with turn 1.
+    auto shared = base;
+    shared.turns[1].successor = -1;
+    shared.turns[2].request.sessionId = base.turns[0].request.sessionId;
+    shared.turns[2].turn = 0;
+    shared.turns[2].successor = 1;
+    rejects(shared, "is named by another turn too");
+
+    auto unordered = base;
+    unordered.turns[0].request.arrival =
+        base.turns[second_first].request.arrival + 1.0;
+    rejects(unordered, "first-turn arrivals must be nondecreasing");
+
+    // The untouched plan still runs to completion.
+    EXPECT_EQ(simulator.run(base).completed, base.turns.size());
 }
 
 TEST(Sessions, FollowupsArriveThinkTimeAfterThePreviousTurn)
@@ -1682,12 +1768,12 @@ TEST(Sessions, FollowupsArriveThinkTimeAfterThePreviousTurn)
 
     const auto report =
         FleetSimulator(config, model::opt13b()).run(trace);
-    checkReportInvariants(report, trace.requests.size());
-    EXPECT_EQ(report.completed, trace.requests.size());
+    checkReportInvariants(report, trace.turns.size());
+    EXPECT_EQ(report.completed, trace.turns.size());
 
     std::uint64_t followups = 0;
-    for (std::size_t i = 0; i < trace.requests.size(); ++i) {
-        if (trace.turnOf[i] == 0)
+    for (std::size_t i = 0; i < trace.turns.size(); ++i) {
+        if (trace.turns[i].turn == 0)
             continue;
         ++followups;
         const std::size_t prev = i - 1;
@@ -1695,7 +1781,7 @@ TEST(Sessions, FollowupsArriveThinkTimeAfterThePreviousTurn)
         ASSERT_FALSE(report.requests[i].rejected);
         EXPECT_DOUBLE_EQ(report.requests[i].arrival,
                          report.requests[prev].completed +
-                             trace.thinkAfter[prev]);
+                             trace.turns[prev].thinkAfter);
         EXPECT_GT(report.requests[i].arrival,
                   report.requests[prev].completed);
     }
@@ -1729,10 +1815,10 @@ TEST(Sessions, AffinityBeatsJsqOnMultiTurnTailLatency)
     };
     const auto affinity = run_with("affinity");
     const auto jsq = run_with("jsq");
-    checkReportInvariants(affinity, trace.requests.size());
-    checkReportInvariants(jsq, trace.requests.size());
-    EXPECT_EQ(affinity.completed, trace.requests.size());
-    EXPECT_EQ(jsq.completed, trace.requests.size());
+    checkReportInvariants(affinity, trace.turns.size());
+    checkReportInvariants(jsq, trace.turns.size());
+    EXPECT_EQ(affinity.completed, trace.turns.size());
+    EXPECT_EQ(jsq.completed, trace.turns.size());
     EXPECT_GT(affinity.kernelStats.events.sessionContinues, 0u);
 
     const auto affinity_latency = latencySamples(affinity);
@@ -1755,8 +1841,8 @@ TEST(Sessions, CalibrationTimeIsAccountedSeparatelyFromTheLoop)
         sched::controlPolicyByName("jsq"), 120.0);
     const auto report =
         FleetSimulator(config, model::opt13b()).run(trace);
-    checkReportInvariants(report, trace.requests.size());
-    EXPECT_EQ(report.completed, trace.requests.size());
+    checkReportInvariants(report, trace.turns.size());
+    EXPECT_EQ(report.completed, trace.turns.size());
     EXPECT_GT(report.kernelStats.calibrationSeconds, 0.0);
     EXPECT_GE(report.kernelStats.loopSeconds, 0.0);
 }
@@ -1777,7 +1863,7 @@ TEST(Sessions, CalibrationThreadsDoNotChangeThePhysics)
     config.calibrationThreads = 4;
     const auto warmed =
         FleetSimulator(config, model::opt13b()).run(trace);
-    checkReportInvariants(lazy, trace.requests.size());
+    checkReportInvariants(lazy, trace.turns.size());
     EXPECT_EQ(lazy.assignment, warmed.assignment);
     EXPECT_DOUBLE_EQ(lazy.makespan, warmed.makespan);
     EXPECT_DOUBLE_EQ(latencySamples(lazy).percentile(99.0),
@@ -1805,7 +1891,7 @@ TEST(Sessions, CalibrationThreadsAcrossCostGroupsMatchTheSerialRun)
         return FleetSimulator(config, model::opt13b()).run(trace);
     };
     const FleetReport serial = run(1);
-    checkReportInvariants(serial, trace.requests.size());
+    checkReportInvariants(serial, trace.turns.size());
     EXPECT_GT(serial.kernelStats.calibrationTapes, 0u);
     for (const std::uint32_t threads : {0u, 4u}) {
         SCOPED_TRACE(threads);
@@ -1826,10 +1912,7 @@ TEST(Sessions, AffinityFallsBackWhenTheStickyReplicaDrains)
     first.sessionId = 1;
     serving::ServedRequest second{1, 0.0, 136, 8, 0};
     second.sessionId = 1;
-    two_turn.requests = {first, second};
-    two_turn.turnOf = {0, 1};
-    two_turn.successor = {1, -1};
-    two_turn.thinkAfter = {0.5, 0.0};
+    two_turn.turns = {{first, 0, 1, 0.5}, {second, 1, -1, 0.0}};
 
     class DrainHolderPolicy final : public sched::ControlPolicy
     {

@@ -260,50 +260,49 @@ TEST(Workload, SessionGeneratorIsDeterministicAndWellFormed)
 
     const SessionTrace a = generateSessionWorkload(scenario);
     const SessionTrace b = generateSessionWorkload(scenario);
-    ASSERT_EQ(a.requests.size(), b.requests.size());
-    ASSERT_EQ(a.turnOf.size(), a.requests.size());
-    ASSERT_EQ(a.successor.size(), a.requests.size());
-    ASSERT_EQ(a.thinkAfter.size(), a.requests.size());
+    ASSERT_EQ(a.turns.size(), b.turns.size());
 
     std::size_t sessions = 0;
     std::size_t multi_turn = 0;
-    for (std::size_t i = 0; i < a.requests.size(); ++i) {
+    for (std::size_t i = 0; i < a.turns.size(); ++i) {
+        const SessionTurn &turn = a.turns[i];
         // Bit-identical across runs of the same config + seed.
-        EXPECT_DOUBLE_EQ(a.requests[i].arrival,
-                         b.requests[i].arrival);
-        EXPECT_EQ(a.requests[i].promptTokens,
-                  b.requests[i].promptTokens);
-        EXPECT_EQ(a.requests[i].generateTokens,
-                  b.requests[i].generateTokens);
-        EXPECT_EQ(a.requests[i].sessionId, b.requests[i].sessionId);
-        EXPECT_EQ(a.turnOf[i], b.turnOf[i]);
-        EXPECT_EQ(a.successor[i], b.successor[i]);
-        EXPECT_DOUBLE_EQ(a.thinkAfter[i], b.thinkAfter[i]);
+        EXPECT_DOUBLE_EQ(turn.request.arrival,
+                         b.turns[i].request.arrival);
+        EXPECT_EQ(turn.request.promptTokens,
+                  b.turns[i].request.promptTokens);
+        EXPECT_EQ(turn.request.generateTokens,
+                  b.turns[i].request.generateTokens);
+        EXPECT_EQ(turn.request.sessionId, b.turns[i].request.sessionId);
+        EXPECT_EQ(turn.turn, b.turns[i].turn);
+        EXPECT_EQ(turn.successor, b.turns[i].successor);
+        EXPECT_DOUBLE_EQ(turn.thinkAfter, b.turns[i].thinkAfter);
 
         // Structure: dense ids, session ids from 1, chained
         // successors, nonnegative think gaps (0 on last turns).
-        EXPECT_EQ(a.requests[i].id, i);
-        EXPECT_GE(a.requests[i].sessionId, 1u);
-        if (a.turnOf[i] == 0)
+        EXPECT_EQ(turn.request.id, i);
+        EXPECT_GE(turn.request.sessionId, 1u);
+        if (turn.turn == 0)
             ++sessions;
         else
             ++multi_turn;
-        if (a.successor[i] >= 0) {
+        if (turn.successor >= 0) {
             const auto next =
-                static_cast<std::size_t>(a.successor[i]);
+                static_cast<std::size_t>(turn.successor);
             ASSERT_EQ(next, i + 1);
-            EXPECT_EQ(a.turnOf[next], a.turnOf[i] + 1);
-            EXPECT_EQ(a.requests[next].sessionId,
-                      a.requests[i].sessionId);
-            EXPECT_GE(a.thinkAfter[i], 0.0);
+            const SessionTurn &follow = a.turns[next];
+            EXPECT_EQ(follow.turn, turn.turn + 1);
+            EXPECT_EQ(follow.request.sessionId,
+                      turn.request.sessionId);
+            EXPECT_GE(turn.thinkAfter, 0.0);
             // Context grows with the conversation: the follow-up
             // prompt replays the whole history plus a fresh
             // message.
-            EXPECT_GT(a.requests[next].promptTokens,
-                      a.requests[i].promptTokens +
-                          a.requests[i].generateTokens);
+            EXPECT_GT(follow.request.promptTokens,
+                      turn.request.promptTokens +
+                          turn.request.generateTokens);
         } else {
-            EXPECT_DOUBLE_EQ(a.thinkAfter[i], 0.0);
+            EXPECT_DOUBLE_EQ(turn.thinkAfter, 0.0);
         }
     }
     EXPECT_EQ(sessions, 12u);
@@ -312,22 +311,22 @@ TEST(Workload, SessionGeneratorIsDeterministicAndWellFormed)
     // First turns arrive in nondecreasing order (the fleet kernel
     // preloads them as a presorted stream).
     Seconds last_start = 0.0;
-    for (std::size_t i = 0; i < a.requests.size(); ++i) {
-        if (a.turnOf[i] != 0)
+    for (const SessionTurn &turn : a.turns) {
+        if (turn.turn != 0)
             continue;
-        EXPECT_GE(a.requests[i].arrival, last_start);
-        last_start = a.requests[i].arrival;
+        EXPECT_GE(turn.request.arrival, last_start);
+        last_start = turn.request.arrival;
     }
 
     // A different seed moves the trace.
     scenario.seed = 22;
     const SessionTrace c = generateSessionWorkload(scenario);
-    bool differs = c.requests.size() != a.requests.size();
-    for (std::size_t i = 0;
-         !differs && i < a.requests.size(); ++i)
-        differs |= a.requests[i].arrival != c.requests[i].arrival ||
-                   a.requests[i].promptTokens !=
-                       c.requests[i].promptTokens;
+    bool differs = c.turns.size() != a.turns.size();
+    for (std::size_t i = 0; !differs && i < a.turns.size(); ++i)
+        differs |= a.turns[i].request.arrival !=
+                       c.turns[i].request.arrival ||
+                   a.turns[i].request.promptTokens !=
+                       c.turns[i].request.promptTokens;
     EXPECT_TRUE(differs);
 }
 
@@ -337,19 +336,17 @@ TEST(Workload, MultiturnScenarioCountsSessionsNotTurns)
     const SessionTrace trace = generateSessionWorkload(scenario);
 
     std::size_t sessions = 0;
-    std::uint32_t turns_in_session = 0;
-    for (std::size_t i = 0; i < trace.requests.size(); ++i) {
-        if (trace.turnOf[i] == 0)
+    for (const SessionTurn &turn : trace.turns) {
+        if (turn.turn == 0)
             ++sessions;
-        if (trace.successor[i] < 0) {
+        if (turn.successor < 0) {
             // 2-6 turns per conversation, per the scenario doc.
-            turns_in_session = trace.turnOf[i] + 1;
-            EXPECT_GE(turns_in_session, 2u);
-            EXPECT_LE(turns_in_session, 6u);
+            EXPECT_GE(turn.turn + 1, 2u);
+            EXPECT_LE(turn.turn + 1, 6u);
         }
     }
     EXPECT_EQ(sessions, 8u); // `requests` counts sessions here.
-    EXPECT_GT(trace.requests.size(), 8u);
+    EXPECT_GT(trace.turns.size(), 8u);
 }
 
 TEST(Workload, BurstPastQueueLimitAccountsEveryRequest)
