@@ -116,6 +116,7 @@ fleetRow(const fleet::FleetReport &report)
 struct LoopMeter
 {
     std::uint64_t events = 0;
+    std::uint64_t queuePops = 0;
     double seconds = 0.0;
     double calibrationSeconds = 0.0;
     std::uint64_t calibrationTapes = 0;
@@ -124,6 +125,7 @@ struct LoopMeter
     add(const fleet::FleetReport &report)
     {
         events += report.kernelStats.events.popped();
+        queuePops += report.kernelStats.queuePops;
         seconds += report.kernelStats.loopSeconds;
         calibrationSeconds +=
             report.kernelStats.calibrationSeconds;
@@ -133,9 +135,11 @@ struct LoopMeter
     void
     print(const char *label) const
     {
-        std::printf("%s: %llu kernel events in %.1f ms (%.0f "
-                    "events/s) + %.1f ms calibration (%llu tapes)\n",
+        std::printf("%s: %llu kernel events (%llu queue pops) in "
+                    "%.1f ms (%.0f events/s) + %.1f ms calibration "
+                    "(%llu tapes)\n",
                     label, static_cast<unsigned long long>(events),
+                    static_cast<unsigned long long>(queuePops),
                     seconds * 1e3,
                     seconds > 0.0
                         ? static_cast<double>(events) / seconds
@@ -173,6 +177,7 @@ writeRunJson(const std::string &path, const std::string &tier,
     json.set("scenario", scenario);
     json.set("policy", policy);
     json.setU64("events", meter.events);
+    json.setU64("queue_pops", meter.queuePops);
     json.setF64("loop_ms", meter.seconds * 1e3);
     json.setF64("calibration_ms", meter.calibrationSeconds * 1e3);
     json.setU64("calibration_tapes", meter.calibrationTapes);

@@ -104,17 +104,29 @@ EventQueue::reserveSorted(std::size_t events)
     sorted_.reserve(sorted_.size() + events);
 }
 
+bool
+EventQueue::streamFirst() const
+{
+    // Two-way merge: the presorted stream head against the heap top.
+    return sortedNext_ < sorted_.size() &&
+           (heap_.empty() ||
+            earlier(sorted_[sortedNext_], heap_.front()));
+}
+
+const Event &
+EventQueue::top() const
+{
+    hermes_assert(!empty(), "top of empty event queue");
+    return streamFirst() ? sorted_[sortedNext_] : heap_.front();
+}
+
 Event
-EventQueue::pop()
+EventQueue::take()
 {
     hermes_assert(!empty(), "pop from empty event queue");
-    // Two-way merge: the presorted stream head against the heap top.
+    ++pops_;
     Event event;
-    const bool from_stream =
-        sortedNext_ < sorted_.size() &&
-        (heap_.empty() ||
-         earlier(sorted_[sortedNext_], heap_.front()));
-    if (from_stream) {
+    if (streamFirst()) {
         event = sorted_[sortedNext_++];
         // Recycle the consumed prefix once the stream fully drains
         // so interleaved preload phases do not accumulate.
@@ -127,39 +139,57 @@ EventQueue::pop()
         event = heap_.back();
         heap_.pop_back();
     }
-    now_ = event.time;
+    return event;
+}
 
-    switch (event.kind) {
+Event
+EventQueue::pop()
+{
+    const Event event = take();
+    now_ = event.time;
+    stats_.count(event.kind);
+    return event;
+}
+
+void
+EventQueue::drop()
+{
+    take();
+}
+
+void
+EventStats::count(EventKind kind)
+{
+    switch (kind) {
     case EventKind::Arrival:
-        ++stats_.arrivals;
+        ++arrivals;
         break;
     case EventKind::RequestDone:
-        ++stats_.requestsDone;
+        ++requestsDone;
         break;
     case EventKind::PrefillComplete:
-        ++stats_.prefills;
+        ++prefills;
         break;
     case EventKind::StepComplete:
-        ++stats_.decodeSteps;
+        ++decodeSteps;
         break;
     case EventKind::Wake:
-        ++stats_.wakes;
+        ++wakes;
         break;
     case EventKind::Tick:
-        ++stats_.ticks;
+        ++ticks;
         break;
     case EventKind::ResumeReady:
-        ++stats_.resumes;
+        ++resumes;
         break;
     case EventKind::SessionContinue:
-        ++stats_.sessionContinues;
+        ++sessionContinues;
         break;
     case EventKind::ReplicaReady:
-        ++stats_.replicaReadies;
+        ++replicaReadies;
         break;
     }
-    ++stats_.poppedEvents;
-    return event;
+    ++poppedEvents;
 }
 
 } // namespace hermes::sim

@@ -36,6 +36,16 @@
  * sequence is unique), so the merge pops exactly the sequence of
  * one heap holding every event, which a golden test pins byte for
  * byte.
+ *
+ * The counters count *logical* events, not queue traffic.  The fleet
+ * kernel handles some events without queueing them: the quiet decode
+ * boundaries inside a replica's multi-step span (core/fleet.cc) and a
+ * plain trace's request completions, which it counts with record().
+ * A span's end event that a split superseded is dropped with drop(),
+ * which neither counts it nor moves the clock.  So while spans are on
+ * the heap holds about one event per busy replica — its span end or
+ * its in-flight step — and pops() (every physical removal) reads well
+ * below popped().
  */
 
 #ifndef HERMES_CORE_EVENT_SIM_HH
@@ -116,7 +126,7 @@ struct Event
     std::uint64_t seq = 0;
 };
 
-/** Counters over everything a queue has popped. */
+/** Counters over everything a queue has popped or recorded. */
 struct EventStats
 {
     std::uint64_t arrivals = 0;
@@ -130,14 +140,17 @@ struct EventStats
     std::uint64_t replicaReadies = 0;
 
     /**
-     * Total popped events, kept as its own counter bumped once per
-     * pop() — the per-kind fields above always sum to it (pinned by
-     * test), but the hot loop reads one field instead of re-adding
-     * them.
+     * Total logical events, kept as its own counter bumped once per
+     * pop() or record() — the per-kind fields above always sum to it
+     * (pinned by test), but the hot loop reads one field instead of
+     * re-adding them.
      */
     std::uint64_t poppedEvents = 0;
 
     std::uint64_t popped() const { return poppedEvents; }
+
+    /** Count one event of `kind` (bumps poppedEvents too). */
+    void count(EventKind kind);
 };
 
 /**
@@ -184,6 +197,22 @@ class EventQueue
     /** Pop the earliest event (queue must not be empty). */
     Event pop();
 
+    /** The earliest event, left in the queue (must not be empty). */
+    const Event &top() const;
+
+    /**
+     * Remove the earliest event without counting it or moving the
+     * clock: how the kernel discards an event a later push
+     * superseded.  Counted by pops() only.
+     */
+    void drop();
+
+    /**
+     * Count a logical event the caller handled without queueing it
+     * (stats() only; the clock does not move).
+     */
+    void record(EventKind kind) { stats_.count(kind); }
+
     bool empty() const { return size() == 0; }
     std::size_t size() const
     {
@@ -193,10 +222,19 @@ class EventQueue
     /** Virtual clock: the time of the last popped event. */
     Seconds now() const { return now_; }
 
-    /** Counters over popped events, by kind. */
+    /** Counters over popped and recorded events, by kind. */
     const EventStats &stats() const { return stats_; }
 
+    /** Physical removals: every pop() and drop(). */
+    std::uint64_t pops() const { return pops_; }
+
   private:
+    /** Whether the earliest event is the presorted stream's head. */
+    bool streamFirst() const;
+
+    /** Remove the earliest event and return it, clock untouched. */
+    Event take();
+
     /** Scheduled events, a min-heap under std::push_heap. */
     std::vector<Event> heap_;
 
@@ -206,6 +244,7 @@ class EventQueue
 
     Seconds now_ = 0.0;
     std::uint64_t seq_ = 0;
+    std::uint64_t pops_ = 0;
     EventStats stats_;
 };
 

@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -377,6 +378,8 @@ class EventKernel final : public sched::FleetView,
           shape_(shape), report_(report), workload_(workload),
           ids_(ids), control_(control), wants_(control.wants()),
           sessions_(sessions),
+          spans_((wants_ & (sched::ControlPolicy::kReplicaEvents |
+                            sched::ControlPolicy::kStepState)) == 0),
           tracksChanges_(
               (wants_ & sched::ControlPolicy::kReplicaChanges) != 0)
     {
@@ -439,7 +442,20 @@ class EventKernel final : public sched::FleetView,
         const auto wall_start =
             std::chrono::steady_clock::now();
         while (!queue_.empty()) {
+            // A span end a split superseded: not an event at all.
+            const sim::Event &next = queue_.top();
+            if (next.kind == sim::EventKind::StepComplete &&
+                next.id != runs_[static_cast<std::size_t>(next.replica)]
+                               .generation) {
+                queue_.drop();
+                --superseded_;
+                continue;
+            }
             const sim::Event event = queue_.pop();
+            if (std::tie(event.time, event.replica, event.kind) >
+                std::tie(horizon_.time, horizon_.replica,
+                         horizon_.kind))
+                horizon_ = event;
             switch (event.kind) {
             case sim::EventKind::Arrival:
                 onArrivalEvent(event);
@@ -456,11 +472,22 @@ class EventKernel final : public sched::FleetView,
             case sim::EventKind::StepComplete: {
                 const auto r =
                     static_cast<std::size_t>(event.replica);
+                // A span's end: run its quiet boundaries first.
+                while (runs_[r].spanLeft > 0)
+                    quietBoundary(r);
                 markChanged(r);
-                for (const std::uint64_t id : simulator(r).completeWork())
-                    queue_.push(event.time,
-                                sim::EventKind::RequestDone,
-                                event.replica, id);
+                for (const std::uint64_t id :
+                     simulator(r).completeWork()) {
+                    // Only a session's completion does anything (it
+                    // schedules the follow-up turn); a plain trace's
+                    // is counted, not queued.
+                    if (sessions_ != nullptr)
+                        queue_.push(event.time,
+                                    sim::EventKind::RequestDone,
+                                    event.replica, id);
+                    else
+                        queue_.record(sim::EventKind::RequestDone);
+                }
                 if (wants_ &
                     sched::ControlPolicy::kReplicaEvents) {
                     const auto replica =
@@ -486,7 +513,7 @@ class EventKernel final : public sched::FleetView,
                 control_.onTick(event.time, *this, *this);
                 // The heartbeat sustains itself only while other
                 // work remains, so the loop always terminates.
-                if (!queue_.empty())
+                if (queue_.size() > superseded_)
                     queue_.push(event.time + tick_period,
                                 sim::EventKind::Tick, -1, 0);
                 break;
@@ -494,10 +521,9 @@ class EventKernel final : public sched::FleetView,
                 onResumeReadyEvent(event);
                 break;
             case sim::EventKind::RequestDone:
-                // Pure bookkeeping for plain traces; in session
-                // mode a completed turn schedules its follow-up.
-                if (sessions_ != nullptr)
-                    onRequestDoneEvent(event);
+                // Queued in session mode only: a completed turn
+                // schedules its follow-up.
+                onRequestDoneEvent(event);
                 break;
             case sim::EventKind::SessionContinue:
                 onSessionContinueEvent(event);
@@ -514,6 +540,7 @@ class EventKernel final : public sched::FleetView,
                 std::chrono::steady_clock::now() - wall_start)
                 .count();
         report_.kernelStats.events = queue_.stats();
+        report_.kernelStats.queuePops = queue_.pops();
 
         // Cost accounting on the virtual clock: a replica bills
         // from its spawn instant (0 for the configured fleet) to
@@ -620,12 +647,14 @@ class EventKernel final : public sched::FleetView,
     double
     observedBacklogTokens(std::uint32_t replica) const override
     {
+        requireStepState(replica, "observedBacklogTokens");
         return simulator(replica).observedBacklogTokens();
     }
 
     std::vector<serving::RequestInfo>
     runningRequests(std::uint32_t replica) const override
     {
+        requireStepState(replica, "runningRequests");
         return simulator(replica).runningInfos();
     }
 
@@ -673,7 +702,7 @@ class EventKernel final : public sched::FleetView,
         decided_ = true;
         report_.assignment[arrivalIndex_] =
             static_cast<int>(replica);
-        markChanged(replica);
+        touch(replica);
         simulator(replica).deliver(workload_[arrivalIndex_]);
         // Wake an idle replica once all same-instant arrivals are
         // delivered (Wake sorts after Arrival at a tie), so a
@@ -717,10 +746,10 @@ class EventKernel final : public sched::FleetView,
             throw std::logic_error(
                 "FleetActions::steal: victim has no queued "
                 "requests (running requests cannot be stolen)");
+        touch(thief);
+        touch(victim);
         const std::vector<serving::ServedRequest> stolen =
             simulator(victim).stealQueued(max_count);
-        markChanged(thief);
-        markChanged(victim);
         ++report_.kernelStats.steals;
         report_.kernelStats.stolenRequests += stolen.size();
         for (const serving::ServedRequest &request : stolen) {
@@ -899,8 +928,8 @@ class EventKernel final : public sched::FleetView,
                 "range");
         if (!draining(replica)) {
             ++report_.kernelStats.drainRequests;
+            touch(replica);
             runs_[replica].lifecycle = sched::ReplicaLifecycle::Draining;
-            markChanged(replica);
             // An empty idle replica (or one drained mid-spawn,
             // before it ever went Active) retires on the spot.
             maybeRetire(replica, queue_.now());
@@ -918,20 +947,30 @@ class EventKernel final : public sched::FleetView,
 
     /**
      * Everything the kernel knows about one replica during a run,
-     * in one place: the per-event flags first (they are read on
-     * every event), then the lifecycle (configured replicas are
-     * born Active; spawned ones walk Provisioning → Warming →
-     * Active) with its cost-accounting clock — the spawn instant,
-     * the retire instant (-1 while alive) and the Warming phase's
-     * replay length — and finally the calibrated model and the spec
-     * the replica was built from, so model / replicaSpec / migrate
-     * lookups cover spawned replicas too.
+     * in one place: the per-event flags and the decode-span state
+     * first (they are read on every event), then the lifecycle
+     * (configured replicas are born Active; spawned ones walk
+     * Provisioning → Warming → Active) with its cost-accounting
+     * clock — the spawn instant, the retire instant (-1 while
+     * alive) and the Warming phase's replay length — and finally
+     * the calibrated model and the spec the replica was built from,
+     * so model / replicaSpec / migrate lookups cover spawned
+     * replicas too.
      */
     struct ReplicaRun
     {
         bool wakeScheduled = false; ///< A same-instant Wake is queued.
         bool deadNotified = false;  ///< onReplicaDead already fired.
         bool changed = false;       ///< Listed on the change list.
+
+        /** Quiet boundaries of the committed span still unrun, its
+         * end excluded (0: no span in flight). */
+        std::uint32_t spanLeft = 0;
+
+        /** Id of the replica's live StepComplete; a split bumps it,
+         * so the superseded span end is recognized and dropped. */
+        std::uint64_t generation = 0;
+
         sched::ReplicaLifecycle lifecycle =
             sched::ReplicaLifecycle::Active;
         Seconds activeStart = 0.0;
@@ -980,6 +1019,102 @@ class EventKernel final : public sched::FleetView,
         for (const std::uint32_t r : changed_)
             runs_[r].changed = false;
         changed_.clear();
+    }
+
+    /**
+     * The kernel is about to act on `replica` from outside its own
+     * events — a delivery (routeTo, steal, ResumeReady) or a drain:
+     * split its span, then list it on the change list.  preempt and
+     * migrate act only on a replica at a boundary (they throw while
+     * it is busy), so they never meet a span.
+     */
+    void
+    touch(std::size_t replica)
+    {
+        split(replica);
+        markChanged(replica);
+    }
+
+    /**
+     * End `replica`'s span at the step now in flight.  Its quiet
+     * boundaries that the per-boundary run would have taken by now
+     * run first: those whose (time, replica, StepComplete) key sorts
+     * before the horizon (see precedesHorizon).  The in-flight
+     * step's end then goes into the queue under a new generation,
+     * superseding the span's end event.
+     */
+    void
+    split(std::size_t replica)
+    {
+        ReplicaRun &run = runs_[replica];
+        const auto r = static_cast<std::int32_t>(replica);
+        while (run.spanLeft > 0 &&
+               precedesHorizon(simulator(replica).busyUntil(), r))
+            quietBoundary(replica);
+        if (run.spanLeft == 0)
+            return; // The step in flight is the span's last.
+        run.spanLeft = 0;
+        ++superseded_;
+        queue_.push(simulator(replica).busyUntil(),
+                    sim::EventKind::StepComplete, r, ++run.generation);
+    }
+
+    /**
+     * Whether the per-boundary run has taken `replica`'s decode
+     * boundary at `time` by now: whether its key (time, replica,
+     * StepComplete) sorts before the horizon, the greatest
+     * (time, replica, kind) popped so far.  Not the current event's
+     * key: an event pushed at the current instant can sort before
+     * events already popped (a zero-length migration's ResumeReady
+     * is fleet-level), while a boundary queued before them would
+     * have popped first.  The horizon is exact because a span never
+     * starts with a zero-cost step (see schedule()), so every
+     * boundary in it lies past every key popped before the span.
+     */
+    bool
+    precedesHorizon(Seconds time, std::int32_t replica) const
+    {
+        if (time != horizon_.time)
+            return time < horizon_.time;
+        if (replica != horizon_.replica)
+            return replica < horizon_.replica;
+        return sim::EventKind::StepComplete < horizon_.kind;
+    }
+
+    /**
+     * Run one quiet boundary of `replica`'s span: the decode step in
+     * flight completes (retiring nothing — the plan ends at the
+     * first retirement) and the next starts, by the same calls the
+     * boundary's own event would make.  Counted as a StepComplete
+     * event; nothing else observes it.
+     */
+    void
+    quietBoundary(std::size_t replica)
+    {
+        --runs_[replica].spanLeft;
+        queue_.record(sim::EventKind::StepComplete);
+        serving::ServingSimulator &replica_sim = simulator(replica);
+        const bool retired = !replica_sim.completeWork().empty();
+        hermes_assert(!retired,
+                      "a quiet span boundary retired a request");
+        replica_sim.startNextWork(replica_sim.clock());
+    }
+
+    /** Per-step observables of a replica mid-span are unreadable. */
+    void
+    requireStepState(std::uint32_t replica, const char *probe) const
+    {
+        if (runs_.at(replica).spanLeft == 0)
+            return;
+        std::string message = "FleetView::";
+        message += probe;
+        message += ": control policy '";
+        message += control_.name();
+        message += "' read replica ";
+        message += std::to_string(replica);
+        message += " mid decode span without declaring the "
+                   "kStepState capability in wants()";
+        throw std::logic_error(message);
     }
 
     /** Schedule a same-instant Wake for an idle replica (once). */
@@ -1097,7 +1232,7 @@ class EventKernel final : public sched::FleetView,
         // before the drain, like in-flight routed work), and one
         // whose capability probe later fails holds it like any
         // other delivery.
-        markChanged(pending.destination);
+        touch(pending.destination);
         simulator(pending.destination).deliverResumed(
             pending.resumed, event.time,
             pending.resumed.tokensGenerated == 0
@@ -1177,10 +1312,26 @@ class EventKernel final : public sched::FleetView,
                         sim::EventKind::PrefillComplete,
                         static_cast<std::int32_t>(replica), 0);
             break;
-        case serving::StepKind::Decode:
-            queue_.push(action.until, sim::EventKind::StepComplete,
-                        static_cast<std::int32_t>(replica), 0);
+        case serving::StepKind::Decode: {
+            // With nothing queued, commit the quiet span: only its
+            // end boundary goes into the queue.  A step that ends at
+            // the instant it starts stays an event of its own: its
+            // boundary could sort before keys already popped, which
+            // the split horizon cannot order.
+            ReplicaRun &run = runs_[replica];
+            Seconds until = action.until;
+            if (spans_ && simulator(replica).queuedCount() == 0 &&
+                action.until > simulator(replica).clock()) {
+                const serving::QuietSpan span =
+                    simulator(replica).quietSpan();
+                run.spanLeft = span.steps - 1;
+                until = span.end;
+            }
+            queue_.push(until, sim::EventKind::StepComplete,
+                        static_cast<std::int32_t>(replica),
+                        run.generation);
             break;
+        }
         case serving::StepKind::WaitArrival:
             // Unreachable: every delivery (arrival event or steal)
             // happens at or after the request's arrival instant,
@@ -1270,6 +1421,19 @@ class EventKernel final : public sched::FleetView,
 
     /** Session mode's continuation plan (nullptr for plain traces). */
     const serving::SessionTrace *sessions_ = nullptr;
+
+    /**
+     * Decode spans are on: the policy neither wants every boundary
+     * (kReplicaEvents) nor reads per-step state (kStepState).
+     */
+    const bool spans_;
+
+    /** Superseded span ends still in the queue (see split()). */
+    std::size_t superseded_ = 0;
+
+    /** The greatest (time, replica, kind) popped so far: what
+     * split() orders boundaries by (precedesHorizon). */
+    sim::Event horizon_;
 
     /** Migrations whose KV transfer has not landed yet (a handful
      * at a time, so a scanned flat list beats a hash map). */

@@ -128,7 +128,22 @@ Seconds kvMigrationSeconds(const runtime::SystemConfig &system,
 /** What the event kernel did during one run. */
 struct KernelStats
 {
+    /**
+     * Logical events by kind: what the per-boundary run would pop.
+     * Decode boundaries inside a span and a plain trace's request
+     * completions are counted without entering the queue, so this
+     * is the same whether spans are on or off.
+     */
     sim::EventStats events;
+
+    /**
+     * Physical event-queue pops, superseded span ends included: the
+     * queue traffic the loop actually paid.  Well below
+     * events.popped() while decode spans are on (the heap holds
+     * about one event per busy replica); a work counter, not
+     * pinned.
+     */
+    std::uint64_t queuePops = 0;
 
     /** Work-stealing action firings / requests moved. */
     std::uint64_t steals = 0;

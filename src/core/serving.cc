@@ -794,6 +794,43 @@ ServingSimulator::startNextWork(Seconds now)
     return StepAction{inflight_, inflightEnd_};
 }
 
+QuietSpan
+ServingSimulator::quietSpan()
+{
+    hermes_assert(inflight_ == StepKind::Decode && pending_.empty() &&
+                      waiting_.empty(),
+                  "quietSpan needs a decode step in flight and an "
+                  "empty queue");
+    // Every step advances each running request by one token, so the
+    // first retirement comes after the smallest remaining count, and
+    // step k >= 1 after the in-flight one runs at context max_seq + k
+    // (startNextWork's floor of 1 never binds past the first step).
+    std::uint32_t steps = active_.front().remaining;
+    std::uint64_t max_seq = 0;
+    for (const Running &running : active_) {
+        steps = std::min(steps, running.remaining);
+        max_seq = std::max(max_seq, running.seq);
+    }
+    const std::size_t row = batchRow(
+        static_cast<std::uint32_t>(active_.size()), config_.maxBatch);
+    QuietSpan span{1, inflightEnd_};
+    std::uint64_t column = UINT64_MAX;
+    Seconds dt = 0.0;
+    for (; span.steps < steps; ++span.steps) {
+        const std::uint64_t next = (max_seq + span.steps) /
+                                   config_.seqBucket;
+        if (next != column) {
+            const StepCosts *cell = findCosts(row, next);
+            if (cell == nullptr)
+                break;
+            column = next;
+            dt = std::max(cell->token, 0.0);
+        }
+        span.end += dt;
+    }
+    return span;
+}
+
 const std::vector<std::uint64_t> &
 ServingSimulator::completeWork()
 {

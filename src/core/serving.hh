@@ -391,6 +391,20 @@ struct StepAction
 };
 
 /**
+ * A replica's quiet decode span (ServingSimulator::quietSpan): the
+ * run of consecutive decode boundaries it crosses when nothing is
+ * delivered to it, planned from the step in flight.
+ */
+struct QuietSpan
+{
+    /** Boundaries in the span, the in-flight step's end first. */
+    std::uint32_t steps = 1;
+
+    /** Instant of the span's last boundary. */
+    Seconds end = 0.0;
+};
+
+/**
  * Iteration-level continuous-batching simulator over one engine,
  * exposed as a resumable stepwise replica engine.
  *
@@ -518,6 +532,24 @@ class ServingSimulator
 
     /** Whether a prefill or decode step is in flight. */
     bool busy() const { return inflight_ != StepKind::Idle; }
+
+    /** End of the work in flight (meaningful while busy()). */
+    Seconds busyUntil() const { return inflightEnd_; }
+
+    /**
+     * Plan the quiet span that starts with the decode step in
+     * flight, assuming nothing is delivered meanwhile: the
+     * consecutive decode boundaries up to and including the first
+     * that retires a request.  Its end instant sums the same
+     * max(token, 0) step costs that startNextWork() would charge,
+     * in the same order, so it equals stepping the boundaries one
+     * by one bit for bit.  Planning reads only cells already in the
+     * cost surface and a miss ends the plan at the boundary before
+     * the missing step: it never runs the engine and never latches
+     * saturated().  Requires a decode step in flight and an empty
+     * queue (queuedCount() == 0).
+     */
+    QuietSpan quietSpan();
 
     /** The replica's virtual clock (its last boundary instant). */
     Seconds clock() const { return clock_; }

@@ -136,7 +136,13 @@ class ObservedArgminPolicy final : public ControlPolicy
         return routerPolicyName(policy_);
     }
 
-    std::uint32_t wants() const override { return kReplicaChanges; }
+    /** least-backlog keys every replica by its per-step backlog. */
+    std::uint32_t wants() const override
+    {
+        return policy_ == RouterPolicy::TrueJsq
+                   ? kReplicaChanges
+                   : kReplicaChanges | kStepState;
+    }
 
     void begin() override { index_ = ReplicaIndex{}; }
 
@@ -182,7 +188,8 @@ class ObservedArgminPolicy final : public ControlPolicy
  * idle thief is never its own victim.  greedy-steal ranks victims
  * by queue depth; slo-steal by estimated wait, and steals only when
  * the thief's own estimated TTFT strictly beats it.  Ties go to the
- * lowest index.
+ * lowest index.  Only a victim with a queue is scored, and a replica
+ * mid decode span never has one, so neither needs kStepState.
  */
 class StealPolicy final : public ControlPolicy
 {
@@ -479,6 +486,9 @@ class AffinityPolicy final : public ControlPolicy
   public:
     std::string name() const override { return "affinity"; }
 
+    /** Compares the token backlogs of two replicas per arrival. */
+    std::uint32_t wants() const override { return kStepState; }
+
     void onArrival(const ArrivalContext &context,
                    const FleetView &view,
                    FleetActions &actions) override
@@ -568,7 +578,11 @@ class TargetBacklogScalerPolicy final : public ControlPolicy
   public:
     std::string name() const override { return "target-backlog"; }
 
-    std::uint32_t wants() const override { return kTick | kSpawn; }
+    /** Sums the fleet's token backlog every tick. */
+    std::uint32_t wants() const override
+    {
+        return kTick | kSpawn | kStepState;
+    }
 
     Seconds tickPeriod() const override { return 1.0; }
 

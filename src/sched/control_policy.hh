@@ -27,6 +27,22 @@
  * subscribe to, and keeps its change list only for a policy that
  * consumes it.
  *
+ * Decode spans.  Unless the policy wants kReplicaEvents or
+ * kStepState, a replica that starts a decode step with an empty
+ * queue commits a span: the consecutive decode boundaries up to the
+ * first that retires a request, queued as one event at its end.
+ * Between its boundaries nothing a span-safe policy can observe
+ * changes — busy, queue, outstanding count, request states and
+ * session KV all hold still — only the token backlog and the running
+ * batch's progress move, so reading observedBacklogTokens or
+ * runningRequests of a replica mid-span throws.  Any touch of the
+ * replica (a delivery, a steal, a drain) first runs the boundaries
+ * the per-boundary run would have taken by then, so every decision
+ * sees exactly the state the per-boundary run would, and reports are
+ * bit-identical either way.  Quiet boundaries inside a span do not
+ * list the replica on the change list: they change nothing its
+ * consumers may read.
+ *
  * FleetView is the only read surface: every per-replica fact a
  * policy ranks by — including the calibrated model of a replica
  * spawned mid-run — is a live FleetView probe, and each fact has
@@ -382,6 +398,17 @@ class ControlPolicy
 
         /** Deliver onReplicasChanged (the kernel's change list). */
         kReplicaChanges = 1u << 8,
+
+        /**
+         * Reads per-step observables — observedBacklogTokens,
+         * runningRequests — of replicas the hook is not about.  The
+         * kernel then takes every decode boundary as its own event;
+         * without this bit (and without kReplicaEvents) it runs a
+         * replica's quiet boundaries as one multi-step span, and
+         * such a read of a replica mid-span throws
+         * std::logic_error (see the file header).
+         */
+        kStepState = 1u << 9,
     };
 
     virtual ~ControlPolicy() = default;

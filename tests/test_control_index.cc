@@ -508,6 +508,8 @@ class LinearRouterPolicy final : public ControlPolicy
     {
         return routerPolicyName(policy_);
     }
+    /** The scan gathers every replica's token backlog. */
+    std::uint32_t wants() const override { return kStepState; }
     void begin() override { router_.reset(); }
     void onArrival(const ArrivalContext &context,
                    const FleetView &view,

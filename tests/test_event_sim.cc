@@ -388,5 +388,35 @@ TEST(EventSim, PerKindCountersSumToPopped)
     EXPECT_EQ(stats.popped(), 100u);
 }
 
+TEST(EventSim, DroppedEventsAreUncountedAndRecordedOnesUnqueued)
+{
+    // The kernel's span bookkeeping: top() peeks without popping,
+    // drop() discards a superseded event without counting it or
+    // moving the clock, record() counts an event that never entered
+    // the queue; pops() counts every physical removal.
+    EventQueue queue;
+    queue.pushSorted(1.0, EventKind::Arrival, 0);
+    queue.push(5.0, EventKind::StepComplete, 0, 0); // Superseded.
+    queue.push(2.0, EventKind::StepComplete, 0, 1);
+
+    EXPECT_EQ(queue.top().time, 1.0);
+    EXPECT_EQ(queue.pop().kind, EventKind::Arrival);
+    EXPECT_EQ(queue.top().id, 1u);
+    EXPECT_EQ(queue.pop().time, 2.0);
+    queue.record(EventKind::StepComplete);
+    queue.record(EventKind::RequestDone);
+    EXPECT_EQ(queue.top().time, 5.0);
+    queue.drop();
+    EXPECT_TRUE(queue.empty());
+
+    EXPECT_EQ(queue.now(), 2.0);
+    EXPECT_EQ(queue.pops(), 3u);
+    const EventStats &stats = queue.stats();
+    EXPECT_EQ(stats.arrivals, 1u);
+    EXPECT_EQ(stats.decodeSteps, 2u);
+    EXPECT_EQ(stats.requestsDone, 1u);
+    EXPECT_EQ(stats.popped(), 4u);
+}
+
 } // namespace
 } // namespace hermes::sim

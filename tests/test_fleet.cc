@@ -672,13 +672,26 @@ TEST(ControlPlane, RegistryRoundTripsAndComposes)
                 sched::ControlPolicy::kIdle);
     // Every router keeps its routable set (and the feedback routers
     // their index) current from the kernel's change list; affinity
-    // reads the view live and subscribes to nothing.
+    // reads the view live and subscribes to nothing, but compares
+    // per-step token backlogs, so it turns decode spans off.
     for (const sched::RouterPolicy policy : sched::allRouterPolicies())
         EXPECT_TRUE(sched::makeRouterPolicy(policy)->wants() &
                     sched::ControlPolicy::kReplicaChanges)
             << sched::routerPolicyName(policy);
     EXPECT_EQ(sched::controlPolicyByName("affinity")->wants(),
-              sched::ControlPolicy::kNone);
+              sched::ControlPolicy::kStepState);
+    // kStepState marks the policies that read per-step observables
+    // of replicas they do not touch; the rest get decode spans.
+    for (const char *name :
+         {"least-backlog", "affinity", "target-backlog"})
+        EXPECT_TRUE(sched::controlPolicyByName(name)->wants() &
+                    sched::ControlPolicy::kStepState)
+            << name;
+    for (const char *name :
+         {"true-jsq", "jsq", "greedy-steal", "slo-steal"})
+        EXPECT_FALSE(sched::controlPolicyByName(name)->wants() &
+                     sched::ControlPolicy::kStepState)
+            << name;
     EXPECT_TRUE(
         sched::controlPolicyByName("priority-preempt")->wants() &
         sched::ControlPolicy::kPreempt);

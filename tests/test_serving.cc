@@ -1001,5 +1001,125 @@ TEST(Serving, DegeneratePolicyValuesAreGuarded)
     EXPECT_EQ(report.peakBatch, 1u);
 }
 
+/** What checkQuietSpans() saw across one session. */
+struct SpanSightings
+{
+    std::uint32_t spans = 0;     ///< Quiet decode starts planned.
+    std::uint32_t cut = 0;       ///< Plans a cost-surface miss ended.
+    std::uint32_t longest = 0;   ///< Most boundaries in one plan.
+    std::uint32_t zeroSteps = 0; ///< Planned steps that cost 0 s.
+    std::uint32_t batchMask = 0; ///< Bit b: a span ran at batch b.
+};
+
+/**
+ * Serve `burst` (every request delivered at 0) on `simulator`, and at
+ * every decode start with an empty queue compare the quiet-span plan
+ * against stepping the same boundaries one by one: the end instant
+ * bit for bit, no retirement before the last boundary, and the
+ * first retirement exactly there unless a cost-surface miss ended
+ * the plan early.  Planning must not run the engine.
+ */
+SpanSightings
+checkQuietSpans(ServingSimulator &simulator,
+                const std::vector<ServedRequest> &burst)
+{
+    SpanSightings seen;
+    simulator.beginSession();
+    for (const ServedRequest &request : burst)
+        simulator.deliver(request);
+    StepAction action = simulator.startNextWork(0.0);
+    while (action.kind != StepKind::Idle) {
+        if (action.kind == StepKind::Decode &&
+            simulator.queuedCount() == 0) {
+            const std::uint64_t runs = simulator.calibrationRuns();
+            const QuietSpan span = simulator.quietSpan();
+            EXPECT_EQ(simulator.calibrationRuns(), runs);
+            const std::vector<RequestInfo> running =
+                simulator.runningInfos();
+            std::uint32_t first_retirement = UINT32_MAX;
+            for (const RequestInfo &info : running)
+                first_retirement =
+                    std::min(first_retirement, info.remainingTokens);
+            EXPECT_GE(span.steps, 1u);
+            EXPECT_LE(span.steps, first_retirement);
+            ++seen.spans;
+            seen.cut += span.steps < first_retirement ? 1 : 0;
+            seen.longest = std::max(seen.longest, span.steps);
+            seen.batchMask |= 1u << std::min<std::size_t>(
+                                  running.size(), 31);
+            for (std::uint32_t k = 1;; ++k) {
+                seen.zeroSteps +=
+                    simulator.busyUntil() == simulator.clock() ? 1 : 0;
+                const bool retired = !simulator.completeWork().empty();
+                EXPECT_EQ(retired, k == first_retirement)
+                    << "boundary " << k << " of " << span.steps;
+                if (k == span.steps)
+                    break;
+                action = simulator.startNextWork(simulator.clock());
+                EXPECT_EQ(action.kind, StepKind::Decode);
+            }
+            EXPECT_EQ(bits(simulator.clock()), bits(span.end))
+                << "span of " << span.steps << " boundaries";
+        } else {
+            simulator.completeWork();
+        }
+        action = simulator.startNextWork(simulator.clock());
+    }
+    simulator.finishSession();
+    return seen;
+}
+
+/** A burst at 0: one request per generate length, prompt `prompt`. */
+std::vector<ServedRequest>
+burstAtZero(std::uint32_t prompt,
+            const std::vector<std::uint32_t> &generates)
+{
+    std::vector<ServedRequest> burst;
+    for (std::size_t i = 0; i < generates.size(); ++i)
+        burst.push_back(ServedRequest{i, 0.0, prompt, generates[i], 0});
+    return burst;
+}
+
+TEST(Serving, QuietSpanPlanMatchesSteppedBoundaries)
+{
+    // Five generate lengths shrink the batch 5 -> 1 through four
+    // batch buckets, and 16-token context buckets make long spans
+    // cross several of them.
+    ServingConfig config = fastServing(8);
+    config.seqBucket = 16;
+    const auto burst = burstAtZero(20, {70, 55, 41, 30, 24});
+    ServingSimulator simulator(fastConfig(4), model::opt13b(), config);
+
+    // Cold: every context bucket the batch climbs into is a miss,
+    // so plans end early at the first one (and stepping computes
+    // the cell).  Warm: the same session plans up to each
+    // retirement.
+    const SpanSightings cold = checkQuietSpans(simulator, burst);
+    EXPECT_GT(cold.cut, 0u);
+    const SpanSightings warm = checkQuietSpans(simulator, burst);
+    EXPECT_EQ(warm.cut, 0u);
+    EXPECT_EQ(warm.spans, 5u);
+    EXPECT_GT(warm.longest, config.seqBucket); // Crosses a bucket.
+    for (const std::uint32_t batch : {1u, 2u, 3u, 4u, 5u})
+        EXPECT_TRUE(warm.batchMask & (1u << batch)) << batch;
+
+    // Zero-cost steps: a DIMM pool that holds the KV cache of
+    // contexts up to ~100 tokens only.  Longer decode contexts are
+    // unservable buckets, charged max(-1, 0) = 0 s per step.
+    SystemConfig small = fastConfig(4);
+    const model::LlmConfig llm = model::opt13b();
+    small.dimm.dimm.capacity =
+        (llm.totalBytes() + 100 * llm.kvBytesPerToken()) /
+        small.numDimms;
+    ServingConfig tight = fastServing(2);
+    tight.seqBucket = 32;
+    ServingSimulator clipped(small, llm, tight);
+    const auto long_burst = burstAtZero(40, {90, 70});
+    checkQuietSpans(clipped, long_burst);
+    const SpanSightings zero = checkQuietSpans(clipped, long_burst);
+    EXPECT_EQ(zero.cut, 0u);
+    EXPECT_GT(zero.zeroSteps, 0u);
+}
+
 } // namespace
 } // namespace hermes::serving
